@@ -325,23 +325,34 @@ def assign_targets(
     max_template_reach = max(
         (0.5 * math.hypot(t.l, t.w) for t in grid.templates), default=0.0
     )
+    # Every (anchor, gt) candidate of the scene is scored in one call, in
+    # gt order and, per gt, in ascending anchor index.
+    candidates: list[tuple[int, np.ndarray]] = []
     for g, (gt, class_id) in enumerate(gts):
         slots = np.flatnonzero(slot_classes == class_id)
         if slots.size == 0:
             continue
         positions = _candidate_positions(grid, gt, max_template_reach)
-        best_anchor, best_val = -1, 0.0
-        for p in positions:
-            for slot in slots:
-                idx = int(p) * k_a + int(slot)
-                iou = bev_iou(grid.anchor_box(idx), gt)
-                if iou > max_iou[idx] or (iou == max_iou[idx] and best_gt[idx] < 0):
-                    max_iou[idx] = iou
-                    best_gt[idx] = g
-                if iou > best_val:
-                    best_val, best_anchor = iou, idx
-        if best_anchor >= 0 and best_val > 0.0:
-            forced.append((best_anchor, best_val, g))
+        candidates.append((g, (positions[:, None] * k_a + slots[None, :]).ravel()))
+    counts = [idx.size for _, idx in candidates]
+    all_idx = np.concatenate([np.zeros(0, dtype=np.int64)] + [idx for _, idx in candidates])
+    gt_rows = np.repeat(
+        np.array([gts[g][0].as_array() for g, _ in candidates]).reshape(-1, 7), counts, axis=0
+    )
+    ious = bev_iou(grid.anchor_params[all_idx], gt_rows)
+    start = 0
+    for (g, idx), count in zip(candidates, counts):
+        iou = ious[start : start + count]
+        start += count
+        # An anchor takes the first gt with its highest IoU; the first
+        # candidate of an untouched anchor claims it even at IoU 0.
+        current = max_iou[idx]
+        take = (iou > current) | ((iou == current) & (best_gt[idx] < 0))
+        max_iou[idx[take]] = iou[take]
+        best_gt[idx[take]] = g
+        if count and iou.max() > 0.0:
+            best = int(np.argmax(iou))  # ties to the lowest anchor index
+            forced.append((int(idx[best]), float(iou[best]), g))
 
     labels = np.full(grid.n_anchors, LABEL_NEGATIVE, dtype=np.int64)
     pos_thr_per_slot = np.array([thr_for(int(c))[0] for c in slot_classes])

@@ -241,8 +241,238 @@ def _bev_intersection_area(a: Box3D, b: Box3D) -> float:
     return max(0.0, _signed_area(_clip(_bev_corners(a), _bev_corners(b))))
 
 
-def bev_iou(a: Box3D, b: Box3D) -> float:
-    """Footprint IoU in the BEV plane (no vertical term)."""
+# Batched clip kernel.  It replays the scalar path above (_bev_corners,
+# _clip, _merge_degenerate, _signed_area) on N quad pairs at once, with the
+# same float expressions in the same order, so every area is bit-identical
+# to ``max(0.0, _signed_area(_clip(subject, clip)))``.  Polygons are rows of
+# padded (N, M) x / z arrays plus a per-row vertex count.
+
+
+def _box_rows(boxes: np.ndarray, name: str) -> np.ndarray:
+    """Validate an (n, 7) array of box parameters (finite, positive extents)."""
+    boxes = np.asarray(boxes, dtype=float)
+    if boxes.ndim != 2 or boxes.shape[1] != 7:
+        raise ValueError(f"{name} must have shape (n, 7), got {boxes.shape}")
+    if not np.all(np.isfinite(boxes)):
+        raise ValueError(f"{name}: box parameters must be finite")
+    if np.any(boxes[:, 3:6] <= 0):
+        raise ValueError(f"{name}: box extents must be positive")
+    return boxes
+
+
+# Corner order of _bev_corners: (u, v) = (+-hl, +-hw).  Multiplying by -1
+# is an exact negation.
+_CORNER_U = np.array([1.0, -1.0, -1.0, 1.0])
+_CORNER_V = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def _bev_corners_rows(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 4) x and z footprint corners of (N, 7) boxes, as in _bev_corners."""
+    yaw = params[:, 6].tolist()
+    # math.cos/sin, not np.cos/sin: the two may differ in the last bit.
+    c = np.fromiter(map(math.cos, yaw), float, len(yaw))[:, None]
+    s = np.fromiter(map(math.sin, yaw), float, len(yaw))[:, None]
+    u = (0.5 * params[:, 3:4]) * _CORNER_U
+    v = (0.5 * params[:, 4:5]) * _CORNER_V
+    return params[:, 0:1] + u * c - v * s, params[:, 2:3] + u * s + v * c
+
+
+def _compact(x: np.ndarray, z: np.ndarray, keep: np.ndarray):
+    """Order-preserving compaction of the kept vertices of every row."""
+    count = keep.sum(axis=1)
+    width = int(count.max()) if count.size else 0
+    # Boolean indexing walks both masks in row-major order, so row i's kept
+    # vertices land, in order, in its first count[i] slots.
+    slots = np.arange(width)[None, :] < count[:, None]
+    ox = np.zeros((x.shape[0], width))
+    oz = np.zeros((x.shape[0], width))
+    ox[slots] = x[keep]
+    oz[slots] = z[keep]
+    return ox, oz, count
+
+
+def _cyclic(n: np.ndarray, width: int, shift: int) -> np.ndarray:
+    """Per-row index of the vertex ``shift`` steps along a cycle of n[row]."""
+    return (np.arange(width)[None, :] + shift) % np.maximum(n, 1)[:, None]
+
+
+# np.hypot and math.hypot may differ by one ulp.  Only the side of
+# MERGE_TOL a distance falls on matters, so values this close to the
+# tolerance are recomputed with math.hypot, as the scalar path does.
+_NEAR_TOL = 1e-12 * MERGE_TOL
+
+
+def _math_hypot_at(h: np.ndarray, dx: np.ndarray, dz: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """``h`` with the entries flagged in ``near`` recomputed by math.hypot."""
+    if np.any(near):
+        h = h.copy()
+        h[near] = [math.hypot(a, b) for a, b in zip(dx[near].tolist(), dz[near].tolist())]
+    return h
+
+
+def _beyond_merge_tol(dx: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """Elementwise ``math.hypot(dx, dz) > MERGE_TOL``."""
+    h = np.hypot(dx, dz)
+    h = _math_hypot_at(h, dx, dz, np.abs(h - MERGE_TOL) <= _NEAR_TOL)
+    return h > MERGE_TOL
+
+
+def _clip_edge_rows(x, z, n, ax, az, bx, bz):
+    """One Sutherland-Hodgman pass of every row against its edge a -> b."""
+    rows, width = x.shape
+    valid = np.arange(width)[None, :] < n[:, None]
+    ex, ez = (bx - ax)[:, None], (bz - az)[:, None]
+    ax, az = ax[:, None], az[:, None]
+    inside = ex * (z - az) - ez * (x - ax) >= 0.0
+    r, prev = np.arange(rows)[:, None], _cyclic(n, width, -1)
+    px, pz, prev_in = x[r, prev], z[r, prev], inside[r, prev]
+    dx, dz = x - px, z - pz
+    den = ex * dz - ez * dx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (ex * (az - pz) - ez * (ax - px)) / den
+    t = np.where(t > 0.0, t, 0.0)  # max(0.0, t)
+    t = np.where(t < 1.0, t, 1.0)  # min(1.0, t)
+    hit = den != 0.0
+    # Each input vertex emits its crossing point (if any), then itself.
+    cand_x = np.empty((rows, 2 * width))
+    cand_z = np.empty((rows, 2 * width))
+    keep = np.empty((rows, 2 * width), dtype=bool)
+    cand_x[:, 0::2] = np.where(hit, px + t * dx, x)
+    cand_z[:, 0::2] = np.where(hit, pz + t * dz, z)
+    cand_x[:, 1::2] = x
+    cand_z[:, 1::2] = z
+    keep[:, 0::2] = valid & (inside != prev_in)
+    keep[:, 1::2] = valid & inside
+    return _compact(cand_x, cand_z, keep)
+
+
+def _dedup_rows(x, z, n, rows):
+    """Sequential duplicate pass of _merge_degenerate over the given rows."""
+    x, z, n = x[rows], z[rows], n[rows]
+    keep = np.zeros(x.shape, dtype=bool)
+    last_x, last_z = x[:, 0], z[:, 0]
+    for k in range(x.shape[1]):
+        kept = (k < n) & ((k == 0) | _beyond_merge_tol(x[:, k] - last_x, z[:, k] - last_z))
+        keep[:, k] = kept
+        last_x = np.where(kept, x[:, k], last_x)
+        last_z = np.where(kept, z[:, k], last_z)
+    return keep
+
+
+def _merge_degenerate_rows(x, z, n):
+    """Row-wise :func:`_merge_degenerate`; returns the merged rows and counts."""
+    width = x.shape[1]
+    valid = np.arange(width)[None, :] < n[:, None]
+    # Duplicates: a vertex is kept when it is the first, or farther than
+    # MERGE_TOL from the last vertex kept.  Rows whose consecutive vertices
+    # are all farther apart keep every vertex; the rest replay the pass.
+    near_prev = valid[:, 1:] & ~_beyond_merge_tol(x[:, 1:] - x[:, :-1], z[:, 1:] - z[:, :-1])
+    replay = np.flatnonzero(near_prev.any(axis=1))
+    keep = valid
+    if replay.size:
+        keep = valid.copy()
+        keep[replay] = _dedup_rows(x, z, n, replay)
+    x, z, n = _compact(x, z, keep)
+    # Trailing vertices within MERGE_TOL of the first are popped.
+    active = np.flatnonzero(n > 1)
+    while active.size:
+        last = n[active] - 1
+        close = ~_beyond_merge_tol(x[active, 0] - x[active, last], z[active, 0] - z[active, last])
+        active = active[close]
+        n[active] -= 1
+        active = active[n[active] > 1]
+    # Collinear vertices within MERGE_TOL of the chord of their neighbours
+    # are dropped.  Rows under 3 vertices are returned as they are.
+    rows, width = x.shape
+    r = np.arange(rows)[:, None]
+    prev, nxt = _cyclic(n, width, -1), _cyclic(n, width, 1)
+    px, pz, qx, qz = x[r, prev], z[r, prev], x[r, nxt], z[r, nxt]
+    ex, ez = qx - px, qz - pz
+    cross = np.abs(ex * (z - pz) - ez * (x - px))
+    elen = np.hypot(ex, ez)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        perp = cross / elen
+        near = (elen > 0.0) & (np.abs(perp - MERGE_TOL) <= _NEAR_TOL)
+        if np.any(near):
+            elen = _math_hypot_at(elen, ex, ez, near)
+            perp = cross / elen
+    valid = np.arange(width)[None, :] < n[:, None]
+    drop = (n >= 3)[:, None] & (elen > 0.0) & (perp <= MERGE_TOL)
+    return _compact(x, z, valid & ~drop)
+
+
+def _clip_area_rows(sx: np.ndarray, sz: np.ndarray, cx: np.ndarray, cz: np.ndarray) -> np.ndarray:
+    """``max(0, _signed_area(_clip(S_i, C_i)))`` for N convex quad pairs.
+
+    ``sx``/``sz`` hold the (N, 4) subject corners, ``cx``/``cz`` the clip
+    corners, both counter-clockwise.  Bit-identical to the scalar path.
+    """
+    x, z = sx, sz
+    n = np.full(len(sx), sx.shape[1])
+    for i in range(4):
+        if x.shape[1] == 0:
+            break
+        j = (i + 1) % 4
+        x, z, n = _clip_edge_rows(x, z, n, cx[:, i], cz[:, i], cx[:, j], cz[:, j])
+    x, z, n = _merge_degenerate_rows(x, z, n)
+    # Shoelace, summed left to right (np.cumsum is sequential).
+    rows, width = x.shape
+    r, nxt = np.arange(rows)[:, None], _cyclic(n, width, 1)
+    valid = np.arange(width)[None, :] < n[:, None]
+    terms = x * z[r, nxt] - x[r, nxt] * z
+    acc = np.cumsum(np.where(valid, terms, 0.0), axis=1)
+    area = np.zeros(rows)
+    full = n >= 3
+    area[full] = 0.5 * acc[full, n[full] - 1]
+    return np.where(area > 0.0, area, 0.0)
+
+
+def _lex_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Python tuple comparison ``tuple(a_i) <= tuple(b_i)``."""
+    out = np.ones(len(a), dtype=bool)
+    for k in reversed(range(a.shape[1])):
+        out = np.where(a[:, k] != b[:, k], a[:, k] < b[:, k], out)
+    return out
+
+
+def _bev_iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a = _box_rows(a, "a")
+    b = _box_rows(b, "b")
+    if a.shape != b.shape:
+        raise ValueError(f"box arrays differ in shape: {a.shape} vs {b.shape}")
+    out = np.zeros(len(a))
+    ra = [0.5 * math.hypot(l, w) for l, w in zip(a[:, 3].tolist(), a[:, 4].tolist())]
+    rb = [0.5 * math.hypot(l, w) for l, w in zip(b[:, 3].tolist(), b[:, 4].tolist())]
+    reach = [
+        math.hypot(x0 - x1, z0 - z1) <= r0 + r1
+        for x0, z0, x1, z1, r0, r1 in zip(
+            a[:, 0].tolist(), a[:, 2].tolist(), b[:, 0].tolist(), b[:, 2].tolist(), ra, rb
+        )
+    ]
+    idx = np.flatnonzero(reach)
+    a, b = a[idx], b[idx]
+    key = [0, 2, 3, 4, 6]  # (cx, cz, l, w, yaw), the scalar clip order
+    first = _lex_le(a[:, key], b[:, key])[:, None]
+    inter = _clip_area_rows(
+        *_bev_corners_rows(np.where(first, a, b)), *_bev_corners_rows(np.where(first, b, a))
+    )
+    union = a[:, 3] * a[:, 4] + b[:, 3] * b[:, 4] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        iou = inter / union
+    iou = np.where(iou < 1.0, iou, 1.0)
+    out[idx] = np.where(union <= DEGENERATE_UNION, 0.0, iou)
+    return out
+
+
+def bev_iou(a: Box3D | np.ndarray, b: Box3D | np.ndarray) -> float | np.ndarray:
+    """Footprint IoU in the BEV plane (no vertical term).
+
+    Takes two :class:`Box3D` (returns a float) or two (n, 7) arrays of box
+    parameters (returns the n row-wise IoUs, bit-identical to the per-pair
+    calls).
+    """
+    if not isinstance(a, Box3D):
+        return _bev_iou_rows(a, b)
     # Cheap reject: disjoint circumcircles cannot overlap.
     ra = 0.5 * math.hypot(a.l, a.w)
     rb = 0.5 * math.hypot(b.l, b.w)
@@ -351,67 +581,84 @@ DEFAULT_FD_STEPS = np.full(7, 1e-3)
 SIZE_FLOOR = 1e-6
 
 
+# Parameters whose perturbation moves the footprint; cy (1) and h (5) reuse
+# the unperturbed footprint's intersection area.
+_FOOTPRINT_PARAMS = [0, 2, 3, 4, 6]
+
+
 def iou3d_grad_fd(
-    a: Box3D,
-    b_const: Box3D,
+    a: Box3D | np.ndarray,
+    b_const: Box3D | np.ndarray,
     steps: np.ndarray | None = None,
     flags: GeometryFlags | None = None,
 ) -> np.ndarray:
     """Central-difference gradient of iou3d w.r.t. the 7 parameters of ``a``.
 
-    ``b_const`` is held fixed (the stop-gradient target).  Perturbations
-    that would drive an extent non-positive are clamped at SIZE_FLOOR and
-    counted in ``flags.size_clamped``; the actual parameter difference is
-    used as the divisor so the estimate stays consistent.
+    ``b_const`` is held fixed (the stop-gradient target).  Takes two
+    :class:`Box3D` (returns a (7,) gradient) or two (n, 7) arrays of box
+    parameters (returns (n, 7) row-wise gradients); both run the same code,
+    with one batched clip for the base and all footprint perturbations.
+    Perturbations that would drive an extent non-positive are clamped at
+    SIZE_FLOOR and counted in ``flags.size_clamped``; the actual parameter
+    difference is used as the divisor so the estimate stays consistent.
     """
     steps = DEFAULT_FD_STEPS if steps is None else np.asarray(steps, dtype=float)
     if steps.shape != (7,) or np.any(steps <= 0):
         raise ValueError("steps must be 7 positive values")
-    params = [a.cx, a.cy, a.cz, a.l, a.w, a.h, a.yaw]
-    b_corners = _bev_corners(b_const)
-    b_vol = b_const.volume
-    b_ylo, b_yhi = b_const.cy - 0.5 * b_const.h, b_const.cy + 0.5 * b_const.h
-
-    def value(p: list[float], bev_inter: float | None = None) -> float:
-        cx, cy, cz, l, w, h, yaw = p
-        y_overlap = min(cy + 0.5 * h, b_yhi) - max(cy - 0.5 * h, b_ylo)
-        if y_overlap <= 0.0:
-            inter = 0.0
-        else:
-            if bev_inter is None:
-                c, s = math.cos(yaw), math.sin(yaw)
-                hl, hw = 0.5 * l, 0.5 * w
-                corners = [
-                    (cx + u * c - v * s, cz + u * s + v * c)
-                    for u, v in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
-                ]
-                bev_inter = max(0.0, _signed_area(_clip(corners, b_corners)))
-            inter = bev_inter * y_overlap
-        union = l * w * h + b_vol - inter
-        if union <= DEGENERATE_UNION:
+    single = isinstance(a, Box3D)
+    if single:
+        a, b_const = a.as_array()[None, :], b_const.as_array()[None, :]
+    a = _box_rows(a, "a")
+    b = _box_rows(b_const, "b_const")
+    if a.shape != b.shape:
+        raise ValueError(f"box arrays differ in shape: {a.shape} vs {b.shape}")
+    n = len(a)
+    eye = np.eye(7, dtype=bool)
+    # (n, 7, 7): row i of plus/minus perturbs parameter i only.
+    plus = np.where(eye, a[:, None, :] + steps, a[:, None, :])
+    minus = np.where(eye, a[:, None, :] - steps, a[:, None, :])
+    sizes = [3, 4, 5]
+    for pert in (plus, minus):
+        low = pert[:, sizes, sizes] < SIZE_FLOOR  # (n, 3)
+        if np.any(low):
+            rows, cols = np.nonzero(low)
+            pert[rows, cols + 3, cols + 3] = SIZE_FLOOR
             if flags is not None:
-                flags.degenerate_union += 1
-            return 0.0
-        return min(1.0, max(0.0, inter / union))
+                flags.size_clamped += len(rows)
+    span = plus[:, eye] - minus[:, eye]  # (n, 7)
 
-    # Perturbing cy or h leaves the footprint unchanged, so its
-    # intersection area is computed once and reused.
-    base_bev = max(0.0, _signed_area(_clip(_bev_corners(a), b_corners)))
-    grad = np.zeros(7)
-    for i in range(7):
-        plus = list(params)
-        minus = list(params)
-        plus[i] += steps[i]
-        minus[i] -= steps[i]
-        if i in (3, 4, 5):
-            for pert in (plus, minus):
-                if pert[i] < SIZE_FLOOR:
-                    pert[i] = SIZE_FLOOR
-                    if flags is not None:
-                        flags.size_clamped += 1
-        span = plus[i] - minus[i]
-        if span == 0.0:
-            continue
-        reuse = base_bev if i in (1, 5) else None
-        grad[i] = (value(plus, reuse) - value(minus, reuse)) / span
-    return grad
+    k = len(_FOOTPRINT_PARAMS)
+    foot = np.concatenate(
+        [a, plus[:, _FOOTPRINT_PARAMS].reshape(-1, 7), minus[:, _FOOTPRINT_PARAMS].reshape(-1, 7)]
+    )
+    b_corners = [
+        np.concatenate([c, np.repeat(c, k, axis=0), np.repeat(c, k, axis=0)])
+        for c in _bev_corners_rows(b)
+    ]
+    areas = _clip_area_rows(*_bev_corners_rows(foot), *b_corners)
+    bev = np.empty((n, 7, 2))  # (box, parameter, plus / minus)
+    bev[:] = areas[:n, None, None]
+    bev[:, _FOOTPRINT_PARAMS, 0] = areas[n : n + n * k].reshape(n, k)
+    bev[:, _FOOTPRINT_PARAMS, 1] = areas[n + n * k :].reshape(n, k)
+
+    p = np.stack([plus, minus], axis=2)  # (n, 7, 2, 7)
+    cy, l, w, h = p[..., 1], p[..., 3], p[..., 4], p[..., 5]
+    b_yhi = (b[:, 1] + 0.5 * b[:, 5])[:, None, None]
+    b_ylo = (b[:, 1] - 0.5 * b[:, 5])[:, None, None]
+    b_vol = (b[:, 3] * b[:, 4] * b[:, 5])[:, None, None]
+    top, bottom = cy + 0.5 * h, cy - 0.5 * h
+    y_overlap = np.where(b_yhi < top, b_yhi, top) - np.where(b_ylo > bottom, b_ylo, bottom)
+    inter = np.where(y_overlap > 0.0, bev * y_overlap, 0.0)
+    union = l * w * h + b_vol - inter
+    degenerate = union <= DEGENERATE_UNION
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = inter / union
+    ratio = np.where(ratio > 0.0, ratio, 0.0)
+    value = np.where(degenerate, 0.0, np.where(ratio < 1.0, ratio, 1.0))
+
+    moved = span != 0.0  # a zero span skips the evaluation, and its flags
+    if flags is not None:
+        flags.degenerate_union += int(np.count_nonzero(degenerate & moved[:, :, None]))
+    grad = np.zeros((n, 7))
+    grad[moved] = (value[..., 0][moved] - value[..., 1][moved]) / span[moved]
+    return grad[0] if single else grad

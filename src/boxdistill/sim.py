@@ -58,7 +58,13 @@ class SceneTooDenseError(RuntimeError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the training loss stops being finite."""
+    """Raised when training stops being finite: the loss, the weights after
+    an Adam step, or the student's positive-anchor deltas.
+
+    ``snapshot`` holds the epoch, the scene seed, the last finite
+    ``LossBreakdown`` (None before the first one) and the per-tensor
+    gradient norms of the last Adam step (empty before the first one).
+    """
 
     def __init__(self, message: str, snapshot: dict):
         super().__init__(message)
@@ -799,7 +805,8 @@ def train(
 
     Gates and distillation targets are recomputed at every step from the
     current student.  Raises TrainingDivergedError with a diagnostic
-    snapshot if any loss stops being finite.
+    snapshot if a loss, the weights after a step, or the positive-anchor
+    deltas stop being finite.
     """
     if not (len(scenes) == len(teacher_outputs) == len(assignments)):
         raise ValueError("scenes, teacher outputs, and assignments must align")
@@ -812,6 +819,23 @@ def train(
     adam = _Adam(weights, opt_cfg)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_SHUFFLE)))
     history: list[EpochStats] = []
+    last_finite: LossBreakdown | None = None
+    last_grads: list[np.ndarray] = []
+
+    def diverged(what: str, epoch: int, scene_seed: int, **extra) -> TrainingDivergedError:
+        return TrainingDivergedError(
+            f"{what} at epoch {epoch}, scene {scene_seed}",
+            snapshot={
+                "epoch": epoch,
+                "scene_seed": scene_seed,
+                "last_finite_breakdown": last_finite,
+                "grad_norms": {
+                    name: float(np.linalg.norm(g))
+                    for name, g in zip(("w_cls", "b_cls", "w_reg", "b_reg"), last_grads)
+                },
+                **extra,
+            },
+        )
 
     for epoch in range(opt_cfg.epochs):
         order = shuffle_rng.permutation(len(scenes))
@@ -827,18 +851,15 @@ def train(
                 outputs = student_forward(
                     DetectorParams(weights[0], weights[1], weights[2], weights[3]), scene
                 )
+                # Decoding would reject non-finite deltas with a bare ValueError.
+                if not np.all(np.isfinite(outputs.deltas_flat[assignments[si].positive_indices])):
+                    raise diverged("non-finite positive-anchor deltas", epoch, scene.seed)
                 breakdown, dlogits, ddeltas = total_loss_and_grad(
                     outputs, teacher_outputs[si], scene, assignments[si], grid, loss_cfg, flags
                 )
                 if not math.isfinite(breakdown.total):
-                    raise TrainingDivergedError(
-                        f"non-finite loss at epoch {epoch}, scene {scenes[si].seed}",
-                        snapshot={
-                            "epoch": epoch,
-                            "scene_seed": scenes[si].seed,
-                            "breakdown": breakdown,
-                        },
-                    )
+                    raise diverged("non-finite loss", epoch, scene.seed, breakdown=breakdown)
+                last_finite = breakdown
                 n = scene.features.shape[0]
                 dl = dlogits.reshape(n, -1)
                 dd = ddeltas.reshape(n, -1)
@@ -852,8 +873,11 @@ def train(
                     for name in COMPONENT_NAMES:
                         keep_sums[name] += breakdown.gate_keep[name]
                     keep_count += 1
-            grads = [g / len(batch) for g in grads]
-            weights = adam.step(weights, grads)
+            last_grads = [g / len(batch) for g in grads]
+            weights = adam.step(weights, last_grads)
+            if not all(np.all(np.isfinite(w)) for w in weights):
+                last_seed = scenes[batch[-1]].seed
+                raise diverged("non-finite weights after the Adam step", epoch, last_seed)
         n_seen = len(order)
         history.append(
             EpochStats(

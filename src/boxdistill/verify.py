@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -346,6 +346,78 @@ def check_iou_grad_self_consistency(n_cases: int = 40) -> CheckResult:
     )
 
 
+CLIP_TIE_KINDS = (
+    "identical",
+    "shared_size_and_yaw",
+    "shared_center_and_size",
+    "collinear_or_touching",
+    "nested",
+    "disjoint",
+    "anchor_vs_rotated_gt",
+)
+
+
+def clip_tie_cases(rng: np.random.Generator, n_each: int) -> dict[str, list[tuple[Box3D, Box3D]]]:
+    """Built box pairs, by kind, where the scalar clip's merge and clamp
+    branches fire: offsets and turns reach down to 1e-9, integer-grid
+    axis-aligned boxes share edge lines and corners."""
+    cases: dict[str, list[tuple[Box3D, Box3D]]] = {kind: [] for kind in CLIP_TIE_KINDS}
+    for _ in range(n_each):
+        a = _random_box(rng)
+        turn = rng.uniform(-math.pi, math.pi)
+        shift = 10.0 ** rng.uniform(-9, 0)
+        cases["identical"].append((a, a))
+        cases["shared_size_and_yaw"].append(
+            (a, replace(a, cx=a.cx + shift * math.cos(turn), cz=a.cz + shift * math.sin(turn)))
+        )
+        for dyaw in (math.pi / 2, math.pi, turn, math.copysign(shift, turn)):
+            cases["shared_center_and_size"].append((a, replace(a, yaw=a.yaw + dyaw)))
+        c = rng.integers(-2, 3, size=4) / 2.0
+        e = rng.integers(1, 5, size=4) / 2.0
+        first = Box3D(c[0], 0, c[1], e[0], e[1], 1, 0)
+        cases["collinear_or_touching"] += [
+            (first, Box3D(c[2], 0, c[3], e[2], e[3], 1, 0)),
+            (first, Box3D(c[2], 0, c[3], e[2], e[3], 1, math.pi / 2)),
+            (a, replace(a, cx=a.cx + a.l * math.cos(a.yaw), cz=a.cz + a.l * math.sin(a.yaw))),
+        ]
+        cases["nested"].append((a, replace(a, l=0.5 * a.l, w=0.5 * a.w, yaw=turn)))
+        cases["disjoint"].append((a, replace(a, cx=a.cx + 50.0)))
+        anchor_yaw = float(rng.choice([0.0, math.pi / 2]))
+        anchor = Box3D(round(a.cx, 1), 1.0, round(a.cz, 1), 3.9, 1.6, 1.56, anchor_yaw)
+        cases["anchor_vs_rotated_gt"].append((anchor, replace(a, yaw=turn)))
+    return cases
+
+
+def check_clip_kernel_bit_identity(n_random: int = 1000) -> CheckResult:
+    """Batched clip kernel and array bev_iou vs the scalar clip, with ==."""
+    t0 = time.time()
+    rng = np.random.default_rng(37)
+    pairs = [_near_pair(rng) for _ in range(n_random)]
+    pairs += [(_random_box(rng), _random_box(rng)) for _ in range(n_random)]
+    for group in clip_tie_cases(rng, max(1, n_random // 4)).values():
+        pairs += group
+    pairs += [(b, a) for a, b in pairs]
+    a_rows = np.array([a.as_array() for a, _ in pairs])
+    b_rows = np.array([b.as_array() for _, b in pairs])
+    kernel = geom._clip_area_rows(*geom._bev_corners_rows(a_rows), *geom._bev_corners_rows(b_rows))
+    iou_rows = geom.bev_iou(a_rows, b_rows)
+    failures = []
+    for k, (a, b) in enumerate(pairs):
+        area = max(0.0, geom._signed_area(geom._clip(geom._bev_corners(a), geom._bev_corners(b))))
+        if kernel[k] != area:
+            failures.append(f"area {kernel[k]!r} != {area!r} for {a} / {b}")
+        if iou_rows[k] != geom.bev_iou(a, b):
+            failures.append(f"bev_iou {iou_rows[k]!r} != {geom.bev_iou(a, b)!r} for {a} / {b}")
+    return CheckResult(
+        "clip_kernel_bit_identity",
+        not failures,
+        f"{len(failures)} mismatches, first: {failures[0]}"
+        if failures
+        else f"{len(pairs)} pairs: kernel areas and array bev_iou equal the scalar path",
+        time.time() - t0,
+    )
+
+
 def _small_training_config() -> ExperimentConfig:
     return config_from_dict(
         {
@@ -486,6 +558,7 @@ def verify_suite(fast: bool = False) -> list[CheckResult]:
             check_cld_grad_fd(n_maps=20),
             check_codec_roundtrip(n_cases=1_000),
             check_iou_grad_self_consistency(n_cases=10),
+            check_clip_kernel_bit_identity(n_random=200),
             check_training_grad_fd(n_states=2),
         ]
     else:
@@ -498,6 +571,7 @@ def verify_suite(fast: bool = False) -> list[CheckResult]:
             check_cld_grad_fd(),
             check_codec_roundtrip(),
             check_iou_grad_self_consistency(),
+            check_clip_kernel_bit_identity(),
             check_training_grad_fd(),
         ]
     return checks

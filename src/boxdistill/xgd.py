@@ -16,7 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from .anchors import decode_deltas
-from .geometry import Box3D, GeometryFlags, iou3d, iou3d_grad_fd, wrap_angle
+from .geometry import (
+    DEFAULT_FD_STEPS,
+    Box3D,
+    GeometryFlags,
+    iou3d,
+    iou3d_grad_fd,
+    wrap_angle,
+)
 
 DEFAULT_GATE_EPS = 1e-9
 
@@ -195,51 +202,40 @@ def xgd_loss_grad(
     anchor_params: np.ndarray,
     targets: Sequence[Box3D],
     normalization: str = "sum",
-    fd_steps: np.ndarray | None = None,
     flags: GeometryFlags | None = None,
 ) -> np.ndarray:
     """Gradient of :func:`xgd_loss` w.r.t. the student regression deltas.
 
-    Decoded-box gradients come from central differences of the IoU; they
-    chain through the (diagonal) Jacobian of the delta decoding.  Gate
-    decisions are piecewise constant and contribute nothing.  Components
-    steeper than GRAD_CLIP_FACTOR / step are clipped (contact noise).
+    Decoded-box gradients come from central differences of the IoU (one
+    batched :func:`iou3d_grad_fd` call for all boxes); they chain through
+    the (diagonal) Jacobian of the delta decoding.  Gate decisions are
+    piecewise constant and contribute nothing.  Components steeper than
+    GRAD_CLIP_FACTOR / step are clipped (contact noise).
     """
     student_deltas = np.asarray(student_deltas, dtype=float)
     anchor_params = np.asarray(anchor_params, dtype=float)
     n = student_deltas.shape[0]
     if len(targets) != n or anchor_params.shape[0] != n:
         raise ValueError("deltas, anchors, and targets must be index-aligned")
-    grad = np.zeros_like(student_deltas)
     if n == 0:
-        return grad
-    steps = fd_steps if fd_steps is not None else None
-    step_arr = np.asarray(steps, dtype=float) if steps is not None else np.full(7, 1e-3)
-    clip = GRAD_CLIP_FACTOR / step_arr
+        return np.zeros_like(student_deltas)
+    clip = GRAD_CLIP_FACTOR / DEFAULT_FD_STEPS
     box_params = decode_deltas(student_deltas, anchor_params, flags)
+    # Box3D rejects a non-finite or non-positive decode and wraps the yaw.
+    boxes = np.array([Box3D.from_array(p).as_array() for p in box_params])
+    g_box = -iou3d_grad_fd(boxes, np.array([t.as_array() for t in targets]), flags=flags)
+    over = np.abs(g_box) > clip
+    if np.any(over):
+        g_box = np.clip(g_box, -clip, clip)
+        if flags is not None:
+            flags.gradient_clipped += int(np.count_nonzero(over))
+    # d(box)/d(delta): centers scale by diag / anchor height, extents by
+    # the decoded extent itself, yaw passes through.
     diag = np.hypot(anchor_params[:, 3], anchor_params[:, 4])
-    for j in range(n):
-        box = Box3D.from_array(box_params[j])
-        g_box = -iou3d_grad_fd(box, targets[j], steps=steps, flags=flags)
-        over = np.abs(g_box) > clip
-        if np.any(over):
-            g_box = np.clip(g_box, -clip, clip)
-            if flags is not None:
-                flags.gradient_clipped += int(np.count_nonzero(over))
-        # d(box)/d(delta): centers scale by diag / anchor height, extents by
-        # the decoded extent itself, yaw passes through.
-        jac = np.array(
-            [
-                diag[j],
-                anchor_params[j, 5],
-                diag[j],
-                box_params[j, 3],
-                box_params[j, 4],
-                box_params[j, 5],
-                1.0,
-            ]
-        )
-        grad[j] = g_box * jac
+    jac = np.column_stack(
+        [diag, anchor_params[:, 5], diag, box_params[:, 3:6], np.ones(n)]
+    )
+    grad = g_box * jac
     if normalization == "mean":
         grad /= n
     return grad

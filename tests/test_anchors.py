@@ -321,3 +321,84 @@ class TestPositiveTargets:
             gt = gts[asg.labels[pos[i]]][0]
             assert np.allclose(row[:6], gt.as_array()[:6], atol=1e-9)
             assert abs(wrap_angle(row[6] - gt.yaw)) < 1e-9
+
+
+def seed_assign_targets(grid, gts, thresholds, dilation):
+    """The per-anchor Box3D + bev_iou loop as it stood before batching."""
+    from boxdistill.anchors import _candidate_positions
+
+    def thr_for(class_id):
+        return thresholds if isinstance(thresholds, tuple) else thresholds[class_id]
+
+    k_a = grid.k_a
+    max_iou = np.zeros(grid.n_anchors)
+    best_gt = np.full(grid.n_anchors, -1, dtype=np.int64)
+    forced = []
+    slot_classes = grid.slot_class_ids()
+    max_template_reach = max((0.5 * math.hypot(t.l, t.w) for t in grid.templates), default=0.0)
+    for g, (gt, class_id) in enumerate(gts):
+        slots = np.flatnonzero(slot_classes == class_id)
+        if slots.size == 0:
+            continue
+        best_anchor, best_val = -1, 0.0
+        for p in _candidate_positions(grid, gt, max_template_reach):
+            for slot in slots:
+                idx = int(p) * k_a + int(slot)
+                iou = bev_iou(grid.anchor_box(idx), gt)
+                if iou > max_iou[idx] or (iou == max_iou[idx] and best_gt[idx] < 0):
+                    max_iou[idx] = iou
+                    best_gt[idx] = g
+                if iou > best_val:
+                    best_val, best_anchor = iou, idx
+        if best_anchor >= 0 and best_val > 0.0:
+            forced.append((best_anchor, best_val, g))
+    labels = np.full(grid.n_anchors, LABEL_NEGATIVE, dtype=np.int64)
+    slot_of = np.tile(np.arange(k_a), grid.n_positions)
+    pos_thr = np.array([thr_for(int(c))[0] for c in slot_classes])[slot_of]
+    neg_thr = np.array([thr_for(int(c))[1] for c in slot_classes])[slot_of]
+    pos_mask = max_iou >= pos_thr
+    labels[~pos_mask & (max_iou >= neg_thr)] = LABEL_IGNORE
+    labels[pos_mask] = best_gt[pos_mask]
+    for anchor, iou, g in forced:
+        if labels[anchor] >= 0 and max_iou[anchor] > iou:
+            continue
+        labels[anchor] = g
+    return labels, max_iou, foreground_mask(grid, gts, dilation=dilation)
+
+
+class TestBatchedAssignment:
+    @pytest.mark.parametrize("n_objects", [None, (16, 24)])
+    def test_matches_seed_loop(self, n_objects):
+        import dataclasses
+
+        from boxdistill.config import default_config
+        from boxdistill.sim import generate_scene
+
+        cfg = default_config()
+        scene_cfg = cfg.scene
+        if n_objects is not None:
+            scene_cfg = dataclasses.replace(scene_cfg, n_objects=n_objects)
+        grid = build_anchor_grid(cfg.grid)
+        thresholds = cfg.assignment_thresholds()
+        for seed in range(3):
+            gts = generate_scene(seed, scene_cfg, grid).gts
+            asg = assign_targets(grid, gts, thresholds, dilation=cfg.foreground_dilation)
+            want = seed_assign_targets(grid, gts, thresholds, cfg.foreground_dilation)
+            labels, max_iou, fg = want
+            assert np.array_equal(asg.labels, labels)
+            assert np.array_equal(asg.max_iou, max_iou)
+            assert np.array_equal(asg.foreground, fg)
+            assert asg.n_pos > 0
+
+    def test_matches_seed_loop_on_ties(self):
+        # GTs sitting exactly on anchors, and two identical GTs, exercise the
+        # tie-to-first-gt and forced-match rules.
+        grid = small_grid()
+        gts = [(grid.anchor_box(20), 0), (grid.anchor_box(20), 0), (grid.anchor_box(41), 0)]
+        gts.append((Box3D(3.0, 0.0, 2.5, 1.8, 1.0, 1.0, 0.0), 0))
+        for thresholds in ((0.6, 0.45), (0.99, 0.1)):
+            asg = assign_targets(grid, gts, thresholds)
+            labels, max_iou, fg = seed_assign_targets(grid, gts, thresholds, 0.5)
+            assert np.array_equal(asg.labels, labels)
+            assert np.array_equal(asg.max_iou, max_iou)
+            assert np.array_equal(asg.foreground, fg)

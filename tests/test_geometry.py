@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from boxdistill import geometry as geom
 from boxdistill.geometry import (
     Box3D,
     ConvexPolygon2D,
@@ -17,6 +19,7 @@ from boxdistill.geometry import (
     polygon_area,
     wrap_angle,
 )
+from boxdistill.verify import CLIP_TIE_KINDS, clip_tie_cases
 
 OCTAGON_AREA = 2.0 * (math.sqrt(2.0) - 1.0)  # unit square clipped by its 45-degree copy
 ROT45_IOU = OCTAGON_AREA / (2.0 - OCTAGON_AREA)
@@ -331,3 +334,145 @@ class TestIoUGradFD:
         box = Box3D(0, 0, 0, 1, 1, 1, 0)
         with pytest.raises(ValueError):
             iou3d_grad_fd(box, box, steps=np.zeros(7))
+
+
+def scalar_clip_area(a, b):
+    return max(0.0, geom._signed_area(geom._clip(geom._bev_corners(a), geom._bev_corners(b))))
+
+
+def kernel_clip_areas(pairs):
+    a = np.array([p[0].as_array() for p in pairs]).reshape(-1, 7)
+    b = np.array([p[1].as_array() for p in pairs]).reshape(-1, 7)
+    return geom._clip_area_rows(*geom._bev_corners_rows(a), *geom._bev_corners_rows(b))
+
+
+class TestClipKernel:
+    """The batched clip must replay the scalar clip bit for bit."""
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(41)
+        pairs = [overlapping_pair(rng) for _ in range(400)]
+        pairs += [(random_box(rng), random_box(rng)) for _ in range(400)]
+        got = kernel_clip_areas(pairs)
+        assert all(g == scalar_clip_area(a, b) for g, (a, b) in zip(got, pairs))
+        assert np.count_nonzero(got) > 400
+
+    @pytest.mark.parametrize("kind", CLIP_TIE_KINDS)
+    def test_tie_cases(self, kind):
+        pairs = clip_tie_cases(np.random.default_rng(43), 40)[kind]
+        pairs += [(b, a) for a, b in pairs]
+        got = kernel_clip_areas(pairs)
+        for g, (a, b) in zip(got, pairs):
+            assert g == scalar_clip_area(a, b), (a, b)
+
+    def test_empty_batch(self):
+        assert kernel_clip_areas([]).shape == (0,)
+        assert bev_iou(np.zeros((0, 7)), np.zeros((0, 7))).shape == (0,)
+
+    def test_array_bev_iou_matches_pairs(self):
+        rng = np.random.default_rng(47)
+        pairs = [overlapping_pair(rng) for _ in range(200)]
+        for group in clip_tie_cases(rng, 40).values():
+            pairs += group
+        a = np.array([p[0].as_array() for p in pairs])
+        b = np.array([p[1].as_array() for p in pairs])
+        got = bev_iou(a, b)
+        assert all(g == bev_iou(x, y) for g, (x, y) in zip(got, pairs))
+
+    def test_array_bev_iou_rejects_bad_rows(self):
+        good = Box3D(0, 0, 0, 1, 1, 1, 0).as_array()[None, :]
+        with pytest.raises(ValueError):
+            bev_iou(good, np.zeros((1, 6)))
+        with pytest.raises(ValueError):
+            bev_iou(good, np.array([[0, 0, 0, -1.0, 1, 1, 0]]))
+
+
+def seed_iou3d_grad_fd(a, b_const, steps=None, flags=None):
+    """The per-pair central-difference loop as it stood before batching."""
+    steps = geom.DEFAULT_FD_STEPS if steps is None else np.asarray(steps, dtype=float)
+    params = [a.cx, a.cy, a.cz, a.l, a.w, a.h, a.yaw]
+    b_corners = geom._bev_corners(b_const)
+    b_vol = b_const.volume
+    b_ylo, b_yhi = b_const.cy - 0.5 * b_const.h, b_const.cy + 0.5 * b_const.h
+
+    def value(p, bev_inter=None):
+        cx, cy, cz, l, w, h, yaw = p
+        y_overlap = min(cy + 0.5 * h, b_yhi) - max(cy - 0.5 * h, b_ylo)
+        if y_overlap <= 0.0:
+            inter = 0.0
+        else:
+            if bev_inter is None:
+                c, s = math.cos(yaw), math.sin(yaw)
+                hl, hw = 0.5 * l, 0.5 * w
+                corners = [
+                    (cx + u * c - v * s, cz + u * s + v * c)
+                    for u, v in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
+                ]
+                bev_inter = max(0.0, geom._signed_area(geom._clip(corners, b_corners)))
+            inter = bev_inter * y_overlap
+        union = l * w * h + b_vol - inter
+        if union <= geom.DEGENERATE_UNION:
+            if flags is not None:
+                flags.degenerate_union += 1
+            return 0.0
+        return min(1.0, max(0.0, inter / union))
+
+    base_bev = max(0.0, geom._signed_area(geom._clip(geom._bev_corners(a), b_corners)))
+    grad = np.zeros(7)
+    for i in range(7):
+        plus = list(params)
+        minus = list(params)
+        plus[i] += steps[i]
+        minus[i] -= steps[i]
+        if i in (3, 4, 5):
+            for pert in (plus, minus):
+                if pert[i] < geom.SIZE_FLOOR:
+                    pert[i] = geom.SIZE_FLOOR
+                    if flags is not None:
+                        flags.size_clamped += 1
+        span = plus[i] - minus[i]
+        if span == 0.0:
+            continue
+        reuse = base_bev if i in (1, 5) else None
+        grad[i] = (value(plus, reuse) - value(minus, reuse)) / span
+    return grad
+
+
+class TestIoUGradFDBatch:
+    def pairs(self, rng):
+        pairs = [overlapping_pair(rng) for _ in range(150)]
+        pairs += [(random_box(rng), random_box(rng)) for _ in range(50)]
+        for group in clip_tie_cases(rng, 10).values():
+            pairs += group
+        for _ in range(20):
+            # extents under the step trip the size clamp; tiny volumes make
+            # degenerate unions
+            a = random_box(rng)
+            pairs.append((replace(a, l=1e-7, w=5e-4, h=1e-5), replace(a, l=1e-5, w=1e-5, h=1e-5)))
+        return pairs
+
+    @pytest.mark.parametrize("step", [None, 1e-20])
+    def test_matches_seed_loop(self, step):
+        # A 1e-20 step leaves most parameters unchanged: span == 0 skips
+        # the evaluation and its flags.
+        steps = None if step is None else np.full(7, step)
+        pairs = self.pairs(np.random.default_rng(53))
+        want_flags, got_flags = GeometryFlags(), GeometryFlags()
+        want = np.array([seed_iou3d_grad_fd(a, b, steps, want_flags) for a, b in pairs])
+        got = iou3d_grad_fd(
+            np.array([a.as_array() for a, _ in pairs]),
+            np.array([b.as_array() for _, b in pairs]),
+            steps=steps,
+            flags=got_flags,
+        )
+        assert np.array_equal(got, want)
+        assert got_flags == want_flags
+        assert want_flags.size_clamped > 0 and want_flags.degenerate_union > 0
+
+    def test_box_form_is_a_row_of_the_batch(self):
+        pairs = self.pairs(np.random.default_rng(59))[:40]
+        batch = iou3d_grad_fd(
+            np.array([a.as_array() for a, _ in pairs]), np.array([b.as_array() for _, b in pairs])
+        )
+        for row, (a, b) in zip(batch, pairs):
+            assert np.array_equal(iou3d_grad_fd(a, b), row)

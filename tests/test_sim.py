@@ -15,6 +15,7 @@ from boxdistill.sim import (
     OptimizerConfig,
     Scene,
     SceneTooDenseError,
+    TrainingDivergedError,
     base_loss,
     generate_scene,
     load_scenes,
@@ -440,6 +441,36 @@ class TestTrain:
         init = DetectorParams.init(0, cfg.scene.feature_dim, grid.k_a, grid.k_c)
         assert np.array_equal(result.params.w_cls, init.w_cls)
         assert np.array_equal(result.params.w_reg, init.w_reg)
+
+    def test_divergence_raises_documented_error(self):
+        # The first step lands the weights near 1e308; the next forward
+        # pass overflows, which decode would report as a bare ValueError.
+        from boxdistill.experiments import build_dataset, train_on_dataset
+        from boxdistill.verify import _small_training_config
+
+        cfg = _small_training_config()
+        cfg = dataclasses.replace(
+            cfg, optimizer=dataclasses.replace(cfg.optimizer, learning_rate=1e308, epochs=3)
+        )
+        dataset = build_dataset(cfg, 0)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as info:
+            train_on_dataset(dataset, LossConfig(), cfg)
+        snap = info.value.snapshot
+        assert "positive-anchor deltas" in str(info.value)
+        assert snap["epoch"] == 1
+        assert snap["scene_seed"] in {sc.seed for sc in dataset.train_scenes}
+        assert math.isfinite(snap["last_finite_breakdown"].total)
+        assert set(snap["grad_norms"]) == {"w_cls", "b_cls", "w_reg", "b_reg"}
+        assert all(math.isfinite(v) for v in snap["grad_norms"].values())
+
+    def test_non_finite_weights_raise_after_the_step(self):
+        cfg, grid, scenes, teachers, asgs = self._datasets()
+        opt = OptimizerConfig(learning_rate=math.inf, epochs=2)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as info:
+            train(grid, scenes, teachers, asgs, LossConfig(), opt, seed=0)
+        assert "weights after the Adam step" in str(info.value)
+        assert info.value.snapshot["epoch"] == 0
+        assert info.value.snapshot["last_finite_breakdown"] is not None
 
     def test_seed_reproducibility(self):
         cfg, grid, scenes, teachers, asgs = self._datasets()

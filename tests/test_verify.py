@@ -4,6 +4,7 @@ import boxdistill.cld as cld_mod
 import boxdistill.xgd as xgd_mod
 from boxdistill.verify import (
     check_cld_invariants,
+    check_clip_kernel_bit_identity,
     check_codec_roundtrip,
     check_component_update_bruteforce,
     check_gate_soundness,
@@ -26,6 +27,7 @@ def test_fast_suite_passes():
         "cld_grad_fd",
         "codec_roundtrip",
         "iou_grad_self_consistency",
+        "clip_kernel_bit_identity",
         "training_grad_fd",
     }
 
@@ -96,3 +98,20 @@ def test_injected_codec_bias_is_caught(monkeypatch):
 
     monkeypatch.setattr(anchors_mod, "decode_box", biased)
     assert not check_codec_roundtrip(n_cases=300).passed
+
+
+def test_injected_kernel_merge_tolerance_is_caught(monkeypatch):
+    # Rebuild the batched clip kernel over a copy of the module globals in
+    # which only the kernel sees a 1000x looser merge tolerance.
+    import types
+
+    import boxdistill.geometry as geom
+
+    fake_globals = dict(vars(geom), MERGE_TOL=1e-6)
+    for name in ("_clip_area_rows", "_merge_degenerate_rows", "_beyond_merge_tol"):
+        fn = getattr(geom, name)
+        fake_globals[name] = types.FunctionType(fn.__code__, fake_globals, name, fn.__defaults__)
+    monkeypatch.setattr(geom, "_clip_area_rows", fake_globals["_clip_area_rows"])
+    result = check_clip_kernel_bit_identity(n_random=200)
+    assert not result.passed
+    assert "mismatches" in result.detail

@@ -297,7 +297,7 @@ class TestXgdLossGrad:
         # a pathological gradient; inject one to prove the wiring.
         import boxdistill.xgd as xgd_mod
 
-        monkeypatch.setattr(xgd_mod, "iou3d_grad_fd", lambda *a, **k: np.full(7, 1e9))
+        monkeypatch.setattr(xgd_mod, "iou3d_grad_fd", lambda a, b, **k: np.full(np.shape(a), 1e9))
         flags = GeometryFlags()
         anchor = Box3D(0, 0, 0, 1, 1, 1, 0).as_array()[None, :]
         target = [Box3D(0.2, 0, 0, 1, 1, 1, 0)]
