@@ -60,9 +60,7 @@ from .sim import (
     train,
 )
 from .xgd import (
-    BoxComponents,
     ComponentGate,
-    GateDecision,
     component_gate,
     positive_component_update,
     xgd_loss,

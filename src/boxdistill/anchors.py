@@ -263,13 +263,15 @@ class Assignment:
         self.max_iou.setflags(write=False)
         self.foreground.setflags(write=False)
 
-    @property
+    @cached_property
     def positive_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels >= 0)
+        pos = np.flatnonzero(self.labels >= 0)
+        pos.setflags(write=False)
+        return pos
 
-    @property
+    @cached_property
     def n_pos(self) -> int:
-        return int(np.count_nonzero(self.labels >= 0))
+        return int(self.positive_indices.size)
 
     @property
     def m_fore(self) -> int:
@@ -301,7 +303,8 @@ def assign_targets(
     Anchors below the negative threshold are negative, the rest ignored.
     The forced match is skipped when a ground truth overlaps no same-class
     anchor at all (argmax over an all-zero row is meaningless and would
-    break the positive-implies-foreground property).
+    break the positive-implies-foreground property).  Raises ValueError
+    when a class's ``pos_iou`` is not positive or is below its ``neg_iou``.
     """
 
     def thr_for(class_id: int) -> tuple[float, float]:
@@ -315,6 +318,9 @@ def assign_targets(
             raise ValueError(
                 f"pos_iou {pos_thr} must be >= neg_iou {neg_thr} for class {class_id}"
             )
+        if pos_thr <= 0:
+            # An anchor with no overlap would be positive.
+            raise ValueError(f"pos_iou {pos_thr} must be > 0 for class {class_id}")
 
     k_a = grid.k_a
     max_iou = np.zeros(grid.n_anchors)
@@ -344,10 +350,8 @@ def assign_targets(
     for (g, idx), count in zip(candidates, counts):
         iou = ious[start : start + count]
         start += count
-        # An anchor takes the first gt with its highest IoU; the first
-        # candidate of an untouched anchor claims it even at IoU 0.
-        current = max_iou[idx]
-        take = (iou > current) | ((iou == current) & (best_gt[idx] < 0))
+        # An anchor takes the first gt with its highest nonzero IoU.
+        take = iou > max_iou[idx]
         max_iou[idx[take]] = iou[take]
         best_gt[idx[take]] = g
         if count and iou.max() > 0.0:

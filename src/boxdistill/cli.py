@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .anchors import build_anchor_grid
@@ -68,17 +69,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         dataset = build_dataset(config, seed, grid)
         result = train_on_dataset(dataset, config.loss, config)
         save_params(result.params, out / f"params_seed{seed}.json", seed, cfg_hash)
-        history = [
-            {
-                "total": h.total,
-                "ori": h.ori,
-                "xgd": h.xgd,
-                "cld": h.cld,
-                "n_pos_mean": h.n_pos_mean,
-                "gate_keep": h.gate_keep,
-            }
-            for h in result.history
-        ]
+        history = [asdict(h) for h in result.history]
         (out / f"history_seed{seed}.json").write_text(
             json.dumps(history, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )

@@ -10,7 +10,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -373,15 +373,7 @@ def _write_outputs(result: ExperimentResult, out_dir: str | Path, stem: str) -> 
                 "seed": rec.seed,
                 "gate_keep": rec.gate_keep(),
                 "loss_history": [
-                    {
-                        "total": h.total,
-                        "ori": h.ori,
-                        "xgd": h.xgd,
-                        "cld": h.cld,
-                        "n_pos_mean": h.n_pos_mean,
-                        "gate_keep": h.gate_keep,
-                    }
-                    for h in (rec.train_result.history if rec.train_result else [])
+                    asdict(h) for h in (rec.train_result.history if rec.train_result else [])
                 ],
             }
             for rec in sorted(result.records, key=lambda r: (r.arm, r.seed))

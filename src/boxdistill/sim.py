@@ -308,20 +308,54 @@ class DetectorParams:
         )
 
 
-def student_forward(params: DetectorParams, scene: Scene) -> DetectorOutputs:
-    """Linear per-position heads; deterministic in (params, scene)."""
+class StepWorkspace:
+    """Arrays a training step writes into, kept from one step to the next.
+
+    ``train`` owns one per call, so the forward outputs, the focal-loss
+    temporaries and the dense gradients of every step reuse the arrays of
+    the step before instead of allocating new ones.  An array handed out
+    under a name stays valid until the next request for that name; public
+    functions take a fresh workspace per call, so what they return is
+    never overwritten.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The float array registered under ``name``, reallocated on a new
+        shape; its contents are whatever the last user left."""
+        arr = self._arrays.get(name)
+        if arr is None or arr.shape != shape:
+            arr = self._arrays[name] = np.empty(shape)
+        return arr
+
+
+def student_forward(
+    params: DetectorParams, scene: Scene, workspace: StepWorkspace | None = None
+) -> DetectorOutputs:
+    """Linear per-position heads; deterministic in (params, scene).
+
+    With a ``workspace`` the outputs are its ``logits`` and ``deltas``
+    arrays, overwritten by the next forward pass through it.
+    """
     feats = scene.features
     if feats.shape[1] != params.w_cls.shape[0]:
         raise ValueError(
             f"feature dim {feats.shape[1]} does not match params ({params.w_cls.shape[0]})"
         )
+    ws = StepWorkspace() if workspace is None else workspace
     n = feats.shape[0]
     k_ac = params.w_cls.shape[1]
     k_a7 = params.w_reg.shape[1]
     k_a = k_a7 // 7
-    logits = (feats @ params.w_cls + params.b_cls).reshape(n, k_a, k_ac // k_a)
-    deltas = (feats @ params.w_reg + params.b_reg).reshape(n, k_a, 7)
-    return DetectorOutputs(logits=logits, deltas=deltas)
+    logits = np.matmul(feats, params.w_cls, out=ws.array("logits", (n, k_ac)))
+    logits += params.b_cls
+    deltas = np.matmul(feats, params.w_reg, out=ws.array("deltas", (n, k_a7)))
+    deltas += params.b_reg
+    return DetectorOutputs(
+        logits=logits.reshape(n, k_a, k_ac // k_a), deltas=deltas.reshape(n, k_a, 7)
+    )
 
 
 def teacher_predict(
@@ -414,14 +448,9 @@ class LossConfig:
     xgd_normalization: str = "sum"
     cld_region: str = "foreground"  # "foreground" | "positive"
     cld_mode: str = "unified"  # "unified" | "classical"
-    kl_teacher_reference: bool = True
     focal_gamma: float = 2.0
     focal_alpha: float = 0.25
     smooth_l1_beta: float = 1.0 / 9.0
-    # Hard-label regression reduction: "per_positive" (default) divides by
-    # max(1, n_pos); "sum" keeps the raw per-positive footing, which makes
-    # the hard-label term dominate the distillation IoU term.
-    reg_normalization: str = "per_positive"
 
     def __post_init__(self) -> None:
         if self.xgd_weight < 0 or self.cld_weight < 0:
@@ -437,8 +466,6 @@ class LossConfig:
         unknown = set(self.xgd_components) - set(COMPONENT_NAMES)
         if unknown:
             raise ValueError(f"unknown XGD components {sorted(unknown)}")
-        if self.reg_normalization not in ("sum", "per_positive"):
-            raise ValueError(f"unknown reg_normalization {self.reg_normalization!r}")
 
 
 @dataclass(frozen=True)
@@ -460,49 +487,71 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_sigmoid(z: np.ndarray) -> np.ndarray:
-    return -np.logaddexp(0.0, -z)
-
-
 def _focal_terms(
     logits_flat: np.ndarray,
     labels: np.ndarray,
     gt_classes: np.ndarray,
     gamma: float,
     alpha: float,
+    ws: StepWorkspace,
 ) -> tuple[float, np.ndarray]:
     """Summed focal loss over non-ignore anchors and its logit gradient.
 
     The background formula is evaluated array-wide; the handful of
-    positive (anchor, class) entries are patched afterwards, which keeps
-    this hot path to a few passes over the logit array.
+    positive (anchor, class) entries are patched afterwards.  The work runs
+    in four workspace arrays and the returned gradient, workspace name
+    ``dlogits``; the comments give each array's value as a plain
+    expression, and every element goes through the same operations in the
+    same order as in that expression.
     """
     z = logits_flat
+    e = ws.array("focal_e", z.shape)
+    scratch = ws.array("focal_scratch", z.shape)
+    ln_1mp = ws.array("focal_ln_1mp", z.shape)
+    p = ws.array("focal_p", z.shape)
+    grad = ws.array("dlogits", z.shape)
+    pos_rows = np.flatnonzero(labels >= 0)
+    cols = gt_classes[labels[pos_rows]]
+
     # sigmoid, log-sigmoid(z), and log-sigmoid(-z) all share exp(-|z|).
-    e = np.exp(-np.abs(z))
-    log1p_e = np.log1p(e)
-    ln_p = np.minimum(z, 0.0) - log1p_e
-    ln_1mp = np.minimum(-z, 0.0) - log1p_e
-    p = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    log1p_e = np.log1p(e, out=scratch)
+    # ln_1mp = min(-z, 0) - log1p_e
+    np.negative(z, out=ln_1mp)
+    np.minimum(ln_1mp, 0.0, out=ln_1mp)
+    np.subtract(ln_1mp, log1p_e, out=ln_1mp)
+    # ln p = min(z, 0) - log1p_e is read only at the positive entries.
+    ln_p = np.minimum(z[pos_rows, cols], 0.0) - log1p_e[pos_rows, cols]
+    # p = where(z >= 0, 1 / (1 + e), e / (1 + e))
+    one_plus_e = np.add(1.0, e, out=scratch)
+    np.divide(e, one_plus_e, out=p)
+    np.copyto(p, np.divide(1.0, one_plus_e, out=scratch), where=z >= 0.0)
+    pp = p[pos_rows, cols]
     if gamma == 2.0:  # integer powers dominate this hot path
-        p_g = p * p
+        p_g = np.multiply(p, p, out=e)
         q_g_of = lambda q: q * q
     else:
         p_g = p**gamma
         q_g_of = lambda q: q**gamma
-    loss = -(1.0 - alpha) * p_g * ln_1mp
-    grad = (1.0 - alpha) * (p_g * p - gamma * p_g * (1.0 - p) * ln_1mp)
+    # loss = -(1 - alpha) * p_g * ln_1mp
+    loss = np.multiply(p_g, -(1.0 - alpha), out=scratch)
+    loss *= ln_1mp
+    # grad = (1 - alpha) * (p_g * p - gamma * p_g * (1 - p) * ln_1mp)
+    np.multiply(p_g, p, out=grad)
+    one_minus_p = np.subtract(1.0, p, out=p)
+    p_g *= gamma
+    p_g *= one_minus_p
+    p_g *= ln_1mp
+    grad -= p_g
+    grad *= 1.0 - alpha
 
-    pos_rows = np.flatnonzero(labels >= 0)
     if pos_rows.size:
-        cols = gt_classes[labels[pos_rows]]
-        pp = p[pos_rows, cols]
         qq = 1.0 - pp
         q_g = q_g_of(qq)
-        loss[pos_rows, cols] = -alpha * q_g * ln_p[pos_rows, cols]
-        grad[pos_rows, cols] = alpha * (
-            gamma * pp * q_g * ln_p[pos_rows, cols] - q_g * qq
-        )
+        loss[pos_rows, cols] = -alpha * q_g * ln_p
+        grad[pos_rows, cols] = alpha * (gamma * pp * q_g * ln_p - q_g * qq)
     ignore_rows = np.flatnonzero(labels == -2)
     if ignore_rows.size:
         loss[ignore_rows] = 0.0
@@ -528,10 +577,9 @@ def base_loss(
     """Hard-label objective: focal classification + smooth-L1 regression.
 
     The classification term runs over all non-ignore anchors; both terms
-    are normalized by max(1, n_pos) by default (``reg_normalization``
-    switches the regression term to a raw sum).
+    are normalized by max(1, n_pos).
     """
-    value, _, _ = _base_loss_and_grad(outputs, assignment, gts, grid, cfg)
+    value, _, _ = _base_loss_and_grad(outputs, assignment, gts, grid, cfg, StepWorkspace())
     return value
 
 
@@ -541,35 +589,29 @@ def _base_loss_and_grad(
     gts: Sequence[tuple[Box3D, int]],
     grid: AnchorGrid,
     cfg: LossConfig,
+    ws: StepWorkspace,
 ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Base loss and its flat gradients, the workspace's ``dlogits`` and
+    ``ddeltas`` arrays."""
     labels = assignment.labels
     gt_classes = np.array([c for _, c in gts], dtype=np.int64)
-    floss, fgrad = _focal_terms(
-        outputs.logits_flat, labels, gt_classes, cfg.focal_gamma, cfg.focal_alpha
+    floss, dlogits = _focal_terms(
+        outputs.logits_flat, labels, gt_classes, cfg.focal_gamma, cfg.focal_alpha, ws
     )
     norm = max(1, assignment.n_pos)
     cls_term = floss / norm
-    dlogits = fgrad / norm
+    dlogits /= norm
 
-    ddeltas = np.zeros_like(outputs.deltas_flat)
+    ddeltas = ws.array("ddeltas", outputs.deltas_flat.shape)
+    ddeltas.fill(0.0)
     pos, target_deltas = positive_target_deltas(grid, assignment, gts)
     reg_term = 0.0
     if pos.size:
         diff = outputs.deltas_flat[pos] - target_deltas
         sl, sg = _smooth_l1(diff, cfg.smooth_l1_beta)
-        reg_norm = 1 if cfg.reg_normalization == "sum" else norm
-        reg_term = float(sl.sum()) / reg_norm
-        ddeltas[pos] = sg / reg_norm
+        reg_term = float(sl.sum()) / norm
+        ddeltas[pos] = sg / norm
     return cls_term + reg_term, dlogits, ddeltas
-
-
-def _positive_boxes(
-    outputs: DetectorOutputs, assignment: Assignment, grid: AnchorGrid
-) -> tuple[np.ndarray, np.ndarray, list[Box3D]]:
-    pos = assignment.positive_indices
-    anchor_params = grid.anchor_params[pos]
-    params = decode_deltas(outputs.deltas_flat[pos], anchor_params)
-    return pos, anchor_params, [Box3D.from_array(p) for p in params]
 
 
 def extract_logit_map(outputs: DetectorOutputs, positions: np.ndarray, k_a: int) -> LogitMap:
@@ -608,64 +650,68 @@ def total_loss_and_grad(
     grid: AnchorGrid,
     cfg: LossConfig = LossConfig(),
     flags: GeometryFlags | None = None,
+    workspace: StepWorkspace | None = None,
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
     """Loss breakdown plus gradients w.r.t. student logits and deltas.
 
     Distillation targets (gated boxes, teacher distributions) are detached
     snapshots recomputed on every call; the gate itself never contributes
-    gradient.  Returned arrays have the dense (n_positions, k_a, *) shape.
+    gradient.  Returned arrays have the dense (n_positions, k_a, *) shape;
+    with a ``workspace`` they are its ``dlogits`` and ``ddeltas`` arrays,
+    overwritten by the next call through it.
     """
     if student.logits.shape != teacher.logits.shape or student.deltas.shape != teacher.deltas.shape:
         raise ValueError("student and teacher outputs must share the grid layout")
+    ws = StepWorkspace() if workspace is None else workspace
     ori, dlogits_flat, ddeltas_flat = _base_loss_and_grad(
-        student, assignment, scene.gts, grid, cfg
+        student, assignment, scene.gts, grid, cfg, ws
     )
 
     xgd_term = 0.0
     gate_keep: dict[str, float] = {}
     if cfg.xgd_weight > 0 and assignment.n_pos > 0:
-        pos, anchor_params, student_boxes = _positive_boxes(student, assignment, grid)
-        teacher_boxes = [
-            Box3D.from_array(p)
-            for p in decode_deltas(teacher.deltas_flat[pos], anchor_params)
-        ]
-        gt_boxes = [scene.gts[assignment.labels[i]][0] for i in pos]
+        pos = assignment.positive_indices
+        anchor_params = grid.anchor_params[pos]
+        student_deltas = student.deltas_flat[pos]
+        student_rows = decode_deltas(student_deltas, anchor_params)
+        # Box3D rejects a non-finite or non-positive decode.
+        student_boxes = [Box3D.from_array(r) for r in student_rows]
+        teacher_rows = decode_deltas(teacher.deltas_flat[pos], anchor_params)
         if cfg.xgd_selection == "gate":
-            decisions = gate_decisions(teacher_boxes, student_boxes, gt_boxes, cfg.gate_eps)
+            gt_rows = np.array([scene.gts[g][0].as_array() for g in assignment.labels[pos]])
+            decisions = gate_decisions(teacher_rows, student_rows, gt_rows, cfg.gate_eps)
             targets = positive_component_update(
-                teacher_boxes,
-                student_boxes,
-                gt_boxes,
+                teacher_rows,
+                student_rows,
+                gt_rows,
                 cfg.gate_eps,
                 components=cfg.xgd_components,
                 decisions=decisions,
             )
             gate_keep = gate_keep_rates(decisions)
-            keep_deltas = student.deltas_flat[pos]
-            keep_anchors = anchor_params
-            keep_students = student_boxes
+            rows = pos
         else:
             # Box-level alternative: keep whole teacher boxes whose best
             # class score clears the confidence threshold.
             conf = _sigmoid(teacher.logits_flat[pos]).max(axis=1)
             chosen = np.flatnonzero(conf > cfg.confidence_threshold)
-            targets = [teacher_boxes[i] for i in chosen]
-            keep_deltas = student.deltas_flat[pos][chosen]
-            keep_anchors = anchor_params[chosen]
-            keep_students = [student_boxes[i] for i in chosen]
-        xgd_term = xgd_loss(keep_students, targets, cfg.xgd_normalization, flags)
-        if targets:
+            targets = teacher_rows[chosen]
+            rows = pos[chosen]
+            student_deltas = student_deltas[chosen]
+            anchor_params = anchor_params[chosen]
+            student_boxes = [student_boxes[i] for i in chosen]
+        xgd_term = xgd_loss(
+            student_boxes, [Box3D.from_array(r) for r in targets], cfg.xgd_normalization, flags
+        )
+        if rows.size:
             g = xgd_loss_grad(
-                keep_deltas,
-                keep_anchors,
+                student_deltas,
+                anchor_params,
                 targets,
                 cfg.xgd_normalization,
                 flags=flags,
             )
-            rows = pos if cfg.xgd_selection == "gate" else pos[chosen]
-            scatter = np.zeros_like(ddeltas_flat)
-            scatter[rows] = g
-            ddeltas_flat = ddeltas_flat + cfg.xgd_weight * scatter
+            ddeltas_flat[rows] += cfg.xgd_weight * g
 
     cld_term = 0.0
     if cfg.cld_weight > 0:
@@ -676,21 +722,13 @@ def total_loss_and_grad(
             if cfg.cld_mode == "unified":
                 t_dist = unified_distribution(t_map, cfg.tau)
                 s_dist = unified_distribution(s_map, cfg.tau)
-                if cfg.kl_teacher_reference:
-                    cld_term = cld_loss(t_dist, s_dist)
-                    g_map = cld_grad(t_dist, s_map, cfg.tau)
-                else:
-                    cld_term = cld_loss(s_dist, t_dist)
-                    g_map = _reverse_kl_grad(t_dist.rows, s_dist.rows, cfg.tau).reshape(
-                        s_map.n_fore, s_map.k_c
-                    )
+                cld_term = cld_loss(t_dist, s_dist)
+                g_map = cld_grad(t_dist, s_map, cfg.tau)
             else:
                 cld_term = classical_logit_distill(t_map, s_map, cfg.tau)
                 g_map = classical_logit_distill_grad(t_map, s_map, cfg.tau)
-            scatter = np.zeros_like(dlogits_flat)
             rows = (positions[:, None] * grid.k_a + np.arange(grid.k_a)[None, :]).ravel()
-            scatter[rows] = g_map
-            dlogits_flat = dlogits_flat + cfg.cld_weight * scatter
+            dlogits_flat[rows] += cfg.cld_weight * g_map
 
     total = ori + cfg.xgd_weight * xgd_term + cfg.cld_weight * cld_term
     breakdown = LossBreakdown(
@@ -707,14 +745,6 @@ def total_loss_and_grad(
         dlogits_flat.reshape(student.logits.shape[0], grid.k_a, k_c),
         ddeltas_flat.reshape(student.deltas.shape[0], grid.k_a, 7),
     )
-
-
-def _reverse_kl_grad(t_rows: np.ndarray, s_rows: np.ndarray, tau: float) -> np.ndarray:
-    """Gradient of mean KL(student || teacher) w.r.t. student logits."""
-    m = s_rows.shape[0]
-    log_ratio = np.log(s_rows) - np.log(t_rows)
-    row_kl = np.sum(s_rows * log_ratio, axis=1, keepdims=True)
-    return s_rows * (log_ratio - row_kl) / (tau * m)
 
 
 def replace_outputs(
@@ -837,6 +867,7 @@ def train(
             },
         )
 
+    workspace = StepWorkspace()
     for epoch in range(opt_cfg.epochs):
         order = shuffle_rng.permutation(len(scenes))
         sums = np.zeros(4)
@@ -849,13 +880,14 @@ def train(
             for si in batch:
                 scene = scenes[si]
                 outputs = student_forward(
-                    DetectorParams(weights[0], weights[1], weights[2], weights[3]), scene
+                    DetectorParams(weights[0], weights[1], weights[2], weights[3]), scene, workspace
                 )
                 # Decoding would reject non-finite deltas with a bare ValueError.
                 if not np.all(np.isfinite(outputs.deltas_flat[assignments[si].positive_indices])):
                     raise diverged("non-finite positive-anchor deltas", epoch, scene.seed)
                 breakdown, dlogits, ddeltas = total_loss_and_grad(
-                    outputs, teacher_outputs[si], scene, assignments[si], grid, loss_cfg, flags
+                    outputs, teacher_outputs[si], scene, assignments[si], grid, loss_cfg, flags,
+                    workspace=workspace,
                 )
                 if not math.isfinite(breakdown.total):
                     raise diverged("non-finite loss", epoch, scene.seed, breakdown=breakdown)

@@ -22,7 +22,7 @@ from .geometry import (
     GeometryFlags,
     iou3d,
     iou3d_grad_fd,
-    wrap_angle,
+    wrap_angle_array,
 )
 
 DEFAULT_GATE_EPS = 1e-9
@@ -35,43 +35,12 @@ COMPONENT_NAMES = ("center", "size", "angle")
 
 
 @dataclass(frozen=True)
-class BoxComponents:
-    """A box as (center, size, angle); lossless round trip with Box3D."""
-
-    center: tuple[float, float, float]
-    size: tuple[float, float, float]
-    angle: float
-
-    def __post_init__(self) -> None:
-        if any(s <= 0 for s in self.size):
-            raise ValueError(f"size components must be positive, got {self.size}")
-        object.__setattr__(self, "angle", wrap_angle(self.angle))
-
-    @classmethod
-    def from_box(cls, box: Box3D) -> "BoxComponents":
-        return cls((box.cx, box.cy, box.cz), (box.l, box.w, box.h), box.yaw)
-
-    def to_box(self) -> Box3D:
-        return Box3D(*self.center, *self.size, self.angle)
-
-
-@dataclass(frozen=True)
 class ComponentGate:
     """Keep/drop verdict for one component; cos_beta is None when the
     teacher already coincides with the student (substitution is a no-op)."""
 
     kept: bool
     cos_beta: float | None
-
-
-@dataclass(frozen=True)
-class GateDecision:
-    center: ComponentGate
-    size: ComponentGate
-    angle: ComponentGate
-
-    def kept_flags(self) -> tuple[bool, bool, bool]:
-        return (self.center.kept, self.size.kept, self.angle.kept)
 
 
 def component_gate(
@@ -82,10 +51,12 @@ def component_gate(
 ) -> ComponentGate:
     """Acute-angle test between teacher-student and gt-student directions.
 
-    Kept iff the cosine of the two difference vectors is strictly positive.
-    Degeneracies: a teacher within ``eps`` of the student is kept (no-op);
-    a ground truth within ``eps`` of the student while the teacher is not
-    means the student is already right, so the component is dropped.
+    The scalar reference for one component of one box; the training path
+    runs the array form, :func:`gate_decisions`.  Kept iff the cosine of
+    the two difference vectors is strictly positive.  Degeneracies: a
+    teacher within ``eps`` of the student is kept (no-op); a ground truth
+    within ``eps`` of the student while the teacher is not means the
+    student is already right, so the component is dropped.
     """
     student = np.asarray(student, dtype=float)
     teacher = np.asarray(teacher, dtype=float)
@@ -104,72 +75,96 @@ def component_gate(
     return ComponentGate(kept=cos_beta > 0.0, cos_beta=cos_beta)
 
 
-def _angle_gate(student_yaw: float, teacher_yaw: float, gt_yaw: float, eps: float) -> ComponentGate:
-    # Differences are wrapped before the 1-D cosine so a full-turn offset
-    # cannot flip the verdict.
-    t = wrap_angle(teacher_yaw - student_yaw)
-    g = wrap_angle(gt_yaw - student_yaw)
-    return component_gate(np.zeros(1), np.array([t]), np.array([g]), eps)
+def _box_rows(**groups) -> list[np.ndarray]:
+    """(n, 7) float arrays from index-aligned (n, 7) arrays or Box3D sequences."""
+    rows = [
+        np.asarray(g, dtype=float) if isinstance(g, np.ndarray)
+        else np.array([b.as_array() for b in g]).reshape(-1, 7)
+        for g in groups.values()
+    ]
+    if any(r.ndim != 2 or r.shape[1] != 7 for r in rows):
+        raise ValueError("boxes must be (n, 7) arrays or Box3D sequences")
+    if len({r.shape[0] for r in rows}) > 1:
+        lengths = ", ".join(f"{name}={r.shape[0]}" for name, r in zip(groups, rows))
+        raise ValueError(f"lengths differ: {lengths}")
+    return rows
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # matmul hands each (1, k) @ (k, 1) pair to the same BLAS dot as
+    # np.dot on two vectors, so every row rounds as component_gate does.
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _acute(teacher_step: np.ndarray, gt_step: np.ndarray, eps: float) -> np.ndarray:
+    """Row-wise :func:`component_gate` verdicts on (n, k) difference vectors."""
+    t_norm = np.sqrt(_row_dot(teacher_step, teacher_step))
+    g_norm = np.sqrt(_row_dot(gt_step, gt_step))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_beta = _row_dot(teacher_step, gt_step) / (t_norm * g_norm)
+    return (t_norm < eps) | (~(g_norm < eps) & (cos_beta > 0.0))
+
+
+# Column blocks of a (cx, cy, cz, l, w, h, yaw) row, one per component.
+_BLOCKS = (slice(0, 3), slice(3, 6), slice(6, 7))
+_COMPONENT_OF_COLUMN = np.repeat(np.arange(len(_BLOCKS)), [b.stop - b.start for b in _BLOCKS])
 
 
 def gate_decisions(
-    teacher: Sequence[Box3D],
-    student: Sequence[Box3D],
-    gt: Sequence[Box3D],
+    teacher: np.ndarray | Sequence[Box3D],
+    student: np.ndarray | Sequence[Box3D],
+    gt: np.ndarray | Sequence[Box3D],
     eps: float = DEFAULT_GATE_EPS,
-) -> list[GateDecision]:
-    """Per-box, per-component gate verdicts for index-aligned box lists."""
-    if not (len(teacher) == len(student) == len(gt)):
-        raise ValueError(
-            f"list lengths differ: teacher={len(teacher)}, student={len(student)}, gt={len(gt)}"
-        )
-    out = []
-    for t_box, s_box, g_box in zip(teacher, student, gt):
-        t = BoxComponents.from_box(t_box)
-        s = BoxComponents.from_box(s_box)
-        g = BoxComponents.from_box(g_box)
-        out.append(
-            GateDecision(
-                center=component_gate(np.array(s.center), np.array(t.center), np.array(g.center), eps),
-                size=component_gate(np.array(s.size), np.array(t.size), np.array(g.size), eps),
-                angle=_angle_gate(s.angle, t.angle, g.angle, eps),
-            )
-        )
-    return out
+) -> np.ndarray:
+    """Per-box, per-component gate verdicts for index-aligned boxes.
+
+    Boxes are (n, 7) arrays or Box3D sequences.  Returns an (n, 3) bool
+    array whose columns are the center, size and angle verdicts; each one
+    equals :func:`component_gate` on that component's difference vectors.
+    """
+    teacher, student, gt = _box_rows(teacher=teacher, student=student, gt=gt)
+    if not (np.all(np.isfinite(teacher)) and np.all(np.isfinite(student)) and np.all(np.isfinite(gt))):
+        raise ValueError("gate inputs must be finite")
+    teacher_step = teacher - student
+    gt_step = gt - student
+    # Yaw differences are wrapped before the 1-D cosine so a full-turn
+    # offset cannot flip the verdict.
+    teacher_step[:, 6] = wrap_angle_array(teacher_step[:, 6])
+    gt_step[:, 6] = wrap_angle_array(gt_step[:, 6])
+    return np.column_stack([_acute(teacher_step[:, b], gt_step[:, b], eps) for b in _BLOCKS])
 
 
 def positive_component_update(
-    teacher: Sequence[Box3D],
-    student: Sequence[Box3D],
-    gt: Sequence[Box3D],
+    teacher: np.ndarray | Sequence[Box3D],
+    student: np.ndarray | Sequence[Box3D],
+    gt: np.ndarray | Sequence[Box3D],
     eps: float = DEFAULT_GATE_EPS,
     components: Sequence[str] = COMPONENT_NAMES,
-    decisions: Sequence[GateDecision] | None = None,
-) -> list[Box3D]:
+    decisions: np.ndarray | None = None,
+) -> np.ndarray | list[Box3D]:
     """Assemble per-box soft targets from gated teacher components.
 
     For every box and every component, the target takes the teacher's
     value when the gate keeps it and the student's current value (as a
     detached snapshot) otherwise.  ``components`` restricts which
     components may ever be substituted; the rest always stay student-side
-    (used by the single-component ablations).
+    (used by the single-component ablations).  ``decisions`` is a
+    precomputed :func:`gate_decisions` array.  Returns (n, 7) rows for
+    array inputs and Box3D targets for Box3D sequences.
     """
     unknown = set(components) - set(COMPONENT_NAMES)
     if unknown:
         raise ValueError(f"unknown components: {sorted(unknown)}")
+    as_rows = isinstance(teacher, np.ndarray)
+    teacher, student, gt = _box_rows(teacher=teacher, student=student, gt=gt)
     if decisions is None:
         decisions = gate_decisions(teacher, student, gt, eps)
-    elif len(decisions) != len(teacher):
-        raise ValueError("decisions length must match box lists")
-    targets = []
-    for t_box, s_box, gate in zip(teacher, student, decisions):
-        t = BoxComponents.from_box(t_box)
-        s = BoxComponents.from_box(s_box)
-        center = t.center if ("center" in components and gate.center.kept) else s.center
-        size = t.size if ("size" in components and gate.size.kept) else s.size
-        angle = t.angle if ("angle" in components and gate.angle.kept) else s.angle
-        targets.append(BoxComponents(center, size, angle).to_box())
-    return targets
+    elif np.shape(decisions) != (teacher.shape[0], 3):
+        raise ValueError("decisions must be an (n, 3) array aligned with the boxes")
+    allowed = np.array([name in components for name in COMPONENT_NAMES])
+    take = (np.asarray(decisions, dtype=bool) & allowed)[:, _COMPONENT_OF_COLUMN]
+    targets = np.where(take, teacher, student)
+    return targets if as_rows else [Box3D.from_array(r) for r in targets]
 
 
 def xgd_loss(
@@ -200,7 +195,7 @@ def xgd_loss(
 def xgd_loss_grad(
     student_deltas: np.ndarray,
     anchor_params: np.ndarray,
-    targets: Sequence[Box3D],
+    targets: np.ndarray | Sequence[Box3D],
     normalization: str = "sum",
     flags: GeometryFlags | None = None,
 ) -> np.ndarray:
@@ -210,12 +205,14 @@ def xgd_loss_grad(
     batched :func:`iou3d_grad_fd` call for all boxes); they chain through
     the (diagonal) Jacobian of the delta decoding.  Gate decisions are
     piecewise constant and contribute nothing.  Components steeper than
-    GRAD_CLIP_FACTOR / step are clipped (contact noise).
+    GRAD_CLIP_FACTOR / step are clipped (contact noise).  ``targets`` are
+    (n, 7) rows or Box3D boxes.
     """
     student_deltas = np.asarray(student_deltas, dtype=float)
     anchor_params = np.asarray(anchor_params, dtype=float)
+    (target_rows,) = _box_rows(targets=targets)
     n = student_deltas.shape[0]
-    if len(targets) != n or anchor_params.shape[0] != n:
+    if target_rows.shape[0] != n or anchor_params.shape[0] != n:
         raise ValueError("deltas, anchors, and targets must be index-aligned")
     if n == 0:
         return np.zeros_like(student_deltas)
@@ -223,7 +220,7 @@ def xgd_loss_grad(
     box_params = decode_deltas(student_deltas, anchor_params, flags)
     # Box3D rejects a non-finite or non-positive decode and wraps the yaw.
     boxes = np.array([Box3D.from_array(p).as_array() for p in box_params])
-    g_box = -iou3d_grad_fd(boxes, np.array([t.as_array() for t in targets]), flags=flags)
+    g_box = -iou3d_grad_fd(boxes, target_rows, flags=flags)
     over = np.abs(g_box) > clip
     if np.any(over):
         g_box = np.clip(g_box, -clip, clip)
@@ -241,16 +238,14 @@ def xgd_loss_grad(
     return grad
 
 
-def gate_keep_rates(decisions: Sequence[GateDecision]) -> dict[str, float]:
+def gate_keep_rates(decisions: np.ndarray) -> dict[str, float]:
     """Fraction of boxes whose center / size / angle gates kept the teacher.
 
-    Returns NaNs for an empty decision list.
+    Takes a :func:`gate_decisions` array; returns NaNs when it is empty.
     """
-    if not decisions:
+    kept = np.asarray(decisions, dtype=bool).reshape(-1, 3)
+    n = kept.shape[0]
+    if n == 0:
         return {name: math.nan for name in COMPONENT_NAMES}
-    n = len(decisions)
-    return {
-        "center": sum(d.center.kept for d in decisions) / n,
-        "size": sum(d.size.kept for d in decisions) / n,
-        "angle": sum(d.angle.kept for d in decisions) / n,
-    }
+    counts = np.count_nonzero(kept, axis=0)
+    return {name: int(count) / n for name, count in zip(COMPONENT_NAMES, counts)}

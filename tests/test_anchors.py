@@ -208,6 +208,14 @@ class TestAssignment:
         with pytest.raises(ValueError):
             assign_targets(grid, [(grid.anchor_box(0), 0)], thresholds=(0.3, 0.6))
 
+    def test_non_positive_pos_iou_rejected(self):
+        # At pos_iou 0 an anchor with no overlap would become positive.
+        grid = small_grid()
+        gt = [(grid.anchor_box(0), 0)]
+        for thresholds in ((0.0, 0.0), {0: (0.0, 0.0)}, (-0.1, -0.2)):
+            with pytest.raises(ValueError, match="must be > 0"):
+                assign_targets(grid, gt, thresholds=thresholds)
+
     def test_ignore_band(self):
         grid = small_grid()
         gt = Box3D(2.7, 0.0, 2.5, 1.8, 1.0, 1.0, 0.0)

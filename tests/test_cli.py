@@ -108,3 +108,48 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     )
     assert main(["verify"]) == 1
     assert "[FAIL] broken" in capsys.readouterr().out
+
+
+def test_history_files_keep_their_bytes(tiny_config_path, tmp_path, capsys):
+    """history_seed*.json and *_report.json share one EpochStats serializer;
+    both must stay byte-identical to the dicts each writer once built by hand."""
+    from boxdistill.config import config_hash, config_to_dict, load_config
+    from boxdistill.experiments import build_dataset, train_on_dataset
+
+    def hand_built(history):
+        return [
+            {
+                "total": h.total,
+                "ori": h.ori,
+                "xgd": h.xgd,
+                "cld": h.cld,
+                "n_pos_mean": h.n_pos_mean,
+                "gate_keep": h.gate_keep,
+            }
+            for h in history
+        ]
+
+    config = load_config(tiny_config_path)
+    assert main(["train", str(tiny_config_path), "--out", str(tmp_path / "run")]) == 0
+    assert main(["ablate", str(tiny_config_path), "--out", str(tmp_path / "abl")]) == 0
+    dataset = build_dataset(config, 0)
+    trained = {arm.name: train_on_dataset(dataset, arm.loss, config) for arm in config.arms}
+    default_run = train_on_dataset(dataset, config.loss, config)
+
+    history_text = json.dumps(hand_built(default_run.history), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "run" / "history_seed0.json").read_text() == history_text
+    report = {
+        "config": config_to_dict(config),
+        "config_hash": config_hash(config),
+        "runs": [
+            {
+                "arm": name,
+                "seed": 0,
+                "gate_keep": trained[name].final_gate_keep(),
+                "loss_history": hand_built(trained[name].history),
+            }
+            for name in sorted(trained)
+        ],
+    }
+    report_text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "abl" / "ablations_report.json").read_text() == report_text

@@ -177,8 +177,7 @@ class TestTeacherOracle:
         students = [Box3D.from_array(r) for r in grid.anchor_params[pos]]
         teachers = [Box3D.from_array(r) for r in decoded]
         gts = [scene.gts[assignment.labels[i]][0] for i in pos]
-        for d in gate_decisions(teachers, students, gts):
-            assert d.center.kept and d.size.kept and d.angle.kept
+        assert gate_decisions(teachers, students, gts).all()
 
     def test_determinism(self):
         cfg, grid, scene, assignment = small_setup()
@@ -236,9 +235,9 @@ class TestTeacherOracle:
                 mid = 0.5 * (anchor + gt.as_array())
                 students.append(Box3D.from_array(mid))
                 gts.append(gt)
-            for d in gate_decisions(teachers, students, gts):
-                kept += d.center.kept
-                total += 1
+            center_kept = gate_decisions(teachers, students, gts)[:, 0]
+            kept += int(center_kept.sum())
+            total += center_kept.size
         rate = kept / total
         assert 0.0 < rate < 1.0
 
@@ -577,9 +576,9 @@ class TestNoiseMonotonicity:
                     gt = scene.gts[asg.labels[i]][0]
                     students.append(Box3D.from_array(0.5 * (grid.anchor_params[i] + gt.as_array())))
                     gts.append(gt)
-                for d in gate_decisions(teachers, students, gts):
-                    kept += sum(d.kept_flags())
-                    total += 3
+                decisions = gate_decisions(teachers, students, gts)
+                kept += int(decisions.sum())
+                total += decisions.size
             rates.append(kept / total)
         assert rates[-1] == 1.0  # zero noise keeps everything
         # Spearman rank correlation between noise scale and keep rate < 0
@@ -609,3 +608,75 @@ class TestNoiseMonotonicity:
         sig_order = np.argsort(np.argsort(sigmas))
         rho = np.corrcoef(order, sig_order)[0, 1]
         assert rho < 0
+
+
+class TestStepWorkspace:
+    @staticmethod
+    def _seed0_dataset():
+        from boxdistill.config import DataConfig, default_config
+        from boxdistill.experiments import build_dataset
+
+        cfg = dataclasses.replace(default_config(), data=DataConfig(n_train_scenes=3, n_val_scenes=1))
+        ds = build_dataset(cfg, 0)
+        rng = np.random.default_rng(0)
+        init = DetectorParams.init(0, cfg.scene.feature_dim, ds.grid.k_a, ds.grid.k_c)
+        params = [
+            DetectorParams(
+                init.w_cls + rng.normal(0, 0.05, init.w_cls.shape),
+                init.b_cls + rng.normal(0, 0.3, init.b_cls.shape),
+                init.w_reg + rng.normal(0, 0.02, init.w_reg.shape),
+                init.b_reg + rng.normal(0, 0.02, init.b_reg.shape),
+            )
+            for _ in range(2)
+        ]
+        return ds, params
+
+    def test_workspace_path_equals_fresh_path_for_every_arm(self):
+        from boxdistill.config import default_arm_matrix
+        from boxdistill.geometry import GeometryFlags
+        from boxdistill.sim import StepWorkspace, total_loss_and_grad
+
+        ds, params = self._seed0_dataset()
+        for arm in default_arm_matrix():
+            # One workspace across scenes and parameter sets, so every step
+            # writes over the arrays of a different step.
+            ws = StepWorkspace()
+            steps = []
+            for p in params:
+                for scene, teacher, asg in zip(ds.train_scenes, ds.teacher_train, ds.train_assignments):
+                    flags_fresh, flags_ws = GeometryFlags(), GeometryFlags()
+                    fresh = total_loss_and_grad(
+                        student_forward(p, scene), teacher, scene, asg, ds.grid, arm.loss, flags_fresh
+                    )
+                    reused = total_loss_and_grad(
+                        student_forward(p, scene, ws), teacher, scene, asg, ds.grid, arm.loss,
+                        flags_ws, workspace=ws,
+                    )
+                    assert reused[0] == fresh[0], arm.name
+                    assert np.array_equal(reused[1], fresh[1]), arm.name
+                    assert np.array_equal(reused[2], fresh[2]), arm.name
+                    assert flags_ws == flags_fresh, arm.name
+                    steps.append(reused)
+            # The workspace really hands every step the same arrays.
+            for _, dlogits, ddeltas in steps:
+                assert np.shares_memory(dlogits, steps[0][1]) and np.shares_memory(ddeltas, steps[0][2])
+
+    def test_public_results_survive_later_calls(self):
+        from boxdistill.sim import total_loss_and_grad
+
+        ds, (p1, p2) = self._seed0_dataset()
+        args = [(s, t, a) for s, t, a in zip(ds.train_scenes, ds.teacher_train, ds.train_assignments)]
+        scene, teacher, asg = args[0]
+        out = student_forward(p1, scene)
+        logits, deltas = out.logits.copy(), out.deltas.copy()
+        breakdown, dlogits, ddeltas = total_loss_and_grad(out, teacher, scene, asg, ds.grid)
+        kept = (dlogits.copy(), ddeltas.copy())
+        for s, t, a in args[1:]:
+            later = student_forward(p2, s)
+            total_loss_and_grad(later, t, s, a, ds.grid)
+            base_loss(later, a, s.gts, ds.grid)
+        assert np.array_equal(out.logits, logits)
+        assert np.array_equal(out.deltas, deltas)
+        assert np.array_equal(dlogits, kept[0])
+        assert np.array_equal(ddeltas, kept[1])
+        assert total_loss_and_grad(out, teacher, scene, asg, ds.grid)[0] == breakdown

@@ -6,7 +6,6 @@ import pytest
 from boxdistill.anchors import decode_deltas
 from boxdistill.geometry import Box3D, GeometryFlags, iou3d, wrap_angle
 from boxdistill.xgd import (
-    BoxComponents,
     component_gate,
     gate_decisions,
     gate_keep_rates,
@@ -57,18 +56,6 @@ def reference_update(teacher, student, gt, eps=1e-9):
     return out
 
 
-class TestBoxComponents:
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            box = random_box(rng)
-            assert BoxComponents.from_box(box).to_box() == box
-
-    def test_rejects_non_positive_size(self):
-        with pytest.raises(ValueError):
-            BoxComponents((0, 0, 0), (1, 0, 1), 0.0)
-
-
 class TestComponentGate:
     def test_collinear_toward_gt(self):
         g = component_gate(np.zeros(3), np.array([0.5, 0, 0]), np.array([1.0, 0, 0]))
@@ -113,13 +100,13 @@ class TestComponentGate:
     def test_angle_gate_wrap_robustness(self):
         # Same geometric configuration expressed across the wrap boundary
         # must gate identically.
-        decisions = gate_decisions(
+        center_kept, size_kept, angle_kept = gate_decisions(
             [Box3D(0, 0, 0, 1, 1, 1, math.pi - 0.05)],
             [Box3D(0, 0, 0, 1, 1, 1, -math.pi + 0.1)],
             [Box3D(0, 0, 0, 1, 1, 1, math.pi - 0.2)],
         )[0]
         # teacher step: wrap(pi-0.05 - (-pi+0.1)) = -0.15; gt step: wrap(pi-0.2 + pi-0.1) = -0.3
-        assert decisions.angle.kept
+        assert angle_kept
 
 
 class TestPositiveComponentUpdate:
@@ -197,12 +184,12 @@ class TestPositiveComponentUpdate:
                 wrap_angle(s.yaw - wrap_angle(g.yaw - s.yaw) / 2),
             )
             out = positive_component_update([t], student, gt)[0]
-            decisions = gate_decisions([t], student, gt)[0]
-            if not decisions.center.kept:
+            center_kept, size_kept, angle_kept = gate_decisions([t], student, gt)[0]
+            if not center_kept:
                 assert (out.cx, out.cy, out.cz) == (s.cx, s.cy, s.cz)
-            if not decisions.size.kept:
+            if not size_kept:
                 assert (out.l, out.w, out.h) == (s.l, s.w, s.h)
-            if not decisions.angle.kept:
+            if not angle_kept:
                 assert out.yaw == s.yaw
 
     def test_permutation_equivariance(self):
@@ -322,3 +309,97 @@ class TestGateKeepRates:
         decisions = gate_decisions(gt, [random_box(rng) for _ in range(4)], gt)
         rates = gate_keep_rates(decisions)
         assert rates == {"center": 1.0, "size": 1.0, "angle": 1.0}
+
+
+def scalar_gate_verdicts(teacher, student, gt, eps=1e-9):
+    """component_gate per box and component, the angle on wrapped steps."""
+    out = np.zeros((teacher.shape[0], 3), dtype=bool)
+    for i, (t, s, g) in enumerate(zip(teacher, student, gt)):
+        out[i, 0] = component_gate(s[0:3], t[0:3], g[0:3], eps).kept
+        out[i, 1] = component_gate(s[3:6], t[3:6], g[3:6], eps).kept
+        out[i, 2] = component_gate(
+            np.zeros(1), np.array([wrap_angle(t[6] - s[6])]), np.array([wrap_angle(g[6] - s[6])]), eps
+        ).kept
+    return out
+
+
+class TestArrayGate:
+    def test_equals_scalar_gate_on_training_positives(self, monkeypatch):
+        import dataclasses
+
+        import boxdistill.sim as sim_mod
+        from boxdistill.config import DataConfig, default_config
+        from boxdistill.experiments import build_dataset, train_on_dataset
+
+        calls = []
+        original = sim_mod.gate_decisions
+
+        def recording(teacher, student, gt, eps=1e-9):
+            calls.append((teacher.copy(), student.copy(), gt.copy(), eps))
+            return original(teacher, student, gt, eps)
+
+        monkeypatch.setattr(sim_mod, "gate_decisions", recording)
+        cfg = default_config()
+        cfg = dataclasses.replace(
+            cfg,
+            data=DataConfig(n_train_scenes=4, n_val_scenes=1),
+            optimizer=dataclasses.replace(cfg.optimizer, epochs=3),
+        )
+        train_on_dataset(build_dataset(cfg, 0), cfg.loss, cfg)
+        assert len(calls) == 12
+        n_boxes = 0
+        dropped = 0
+        for teacher, student, gt, eps in calls:
+            got = original(teacher, student, gt, eps)
+            want = scalar_gate_verdicts(teacher, student, gt, eps)
+            assert got.dtype == bool and np.array_equal(got, want)
+            n_boxes += len(teacher)
+            dropped += int((~got).sum())
+        assert n_boxes > 0 and dropped > 0
+
+    def test_equals_scalar_gate_on_degenerate_cases(self):
+        rng = np.random.default_rng(10)
+        base = np.array([random_box(rng).as_array() for _ in range(8)])
+        rows = []
+        for s in base:
+            t = random_box(rng).as_array()
+            g = random_box(rng).as_array()
+            tiny = 1e-11 * rng.normal(size=7)
+            rows += [
+                (s.copy(), s, g),  # teacher == student: t_norm = 0
+                (s + tiny, s, g),  # t_norm < eps, nonzero
+                (t, s, s.copy()),  # gt == student: g_norm = 0
+                (t, s, s + tiny),  # g_norm < eps, nonzero
+                (s + tiny, s, s - tiny),  # both below eps
+            ]
+        # Orthogonal steps (cos_beta exactly 0) and yaws across the wrap.
+        s = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, math.pi - 0.01])
+        rows.append((s + [1.0, 0, 0, 0, 1.0, 0, 0], s, s + [0, 1.0, 0, 0, 0, 1.0, 0]))
+        for t_yaw, g_yaw in (
+            (-math.pi + 0.02, -math.pi + 0.05),  # both steps cross +pi
+            (-math.pi + 0.02, math.pi - 0.5),  # opposite directions
+            (math.pi, -math.pi + 1e-12),
+            (-math.pi + 0.01, s[6]),  # gt yaw equals the student's
+        ):
+            rows.append((np.r_[s[:6], wrap_angle(t_yaw)], s, np.r_[s[:6] + 0.3, wrap_angle(g_yaw)]))
+        # Near-orthogonal center steps, where the rounding of the dot
+        # product decides the verdict.
+        for _ in range(200):
+            s = np.r_[0.0, 0.0, 0.0, random_box(rng).as_array()[3:]]
+            t_step, g_step = rng.normal(size=3), rng.normal(size=3)
+            g_step[2] = -(t_step[0] * g_step[0] + t_step[1] * g_step[1]) / t_step[2]
+            rows.append((np.r_[t_step, s[3:]], s, np.r_[g_step, s[3:]]))
+        teacher, student, gt = (np.array(col) for col in zip(*rows))
+        got = gate_decisions(teacher, student, gt)
+        assert np.array_equal(got, scalar_gate_verdicts(teacher, student, gt))
+        assert got[:, 0].any() and not got[:, 0].all()
+        # Box3D sequences go through the same code.
+        boxes = [[Box3D.from_array(r) for r in arr] for arr in (teacher, student, gt)]
+        assert np.array_equal(gate_decisions(*boxes), got)
+
+    def test_rejects_non_finite_and_misaligned(self):
+        box = np.array([[0.0, 0, 0, 1, 1, 1, 0]])
+        with pytest.raises(ValueError, match="finite"):
+            gate_decisions(box, box, np.array([[np.nan, 0, 0, 1, 1, 1, 0]]))
+        with pytest.raises(ValueError, match="lengths differ"):
+            gate_decisions(box, np.vstack([box, box]), box)
