@@ -33,15 +33,11 @@ from .config import (
 from .evaluation import Detection, EvalReport, ap_r40, decode_and_nms
 from .geometry import (
     Box3D,
-    ConvexPolygon2D,
     GeometryFlags,
     bev_iou,
-    bev_polygon,
-    convex_clip,
     iou3d,
     iou3d_grad_fd,
     iou3d_mc_oracle,
-    polygon_area,
     wrap_angle,
 )
 from .sim import (

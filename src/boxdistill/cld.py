@@ -4,7 +4,8 @@ Classification logits of all anchors at one BEV position are flattened
 into a single vector and renormalized with one softmax, so the teacher's
 single most confident (anchor, class) pair dominates the target
 distribution.  The loss is a row-mean KL divergence with the teacher as
-reference.  The classical per-anchor variant is kept as a baseline.
+reference.  The classical per-anchor variant is kept as a baseline; it is
+the same softmax and KL with one anchor per position.
 """
 from __future__ import annotations
 
@@ -113,23 +114,35 @@ def cld_loss(teacher: UnifiedDistribution, student: UnifiedDistribution) -> floa
 
 
 def cld_grad(
-    teacher: UnifiedDistribution, student_logits: LogitMap, tau: float = 1.0
+    teacher: UnifiedDistribution, student: UnifiedDistribution, tau: float = 1.0
 ) -> np.ndarray:
     """Analytic gradient of :func:`cld_loss` w.r.t. the student logits.
 
-    For a softmax-parameterized student this is (P_student - P_teacher)
-    scaled by 1 / (tau * m_fore), returned in the LogitMap row layout.
+    ``student`` is the distribution the loss was evaluated at, i.e.
+    ``unified_distribution(student_logits, tau)``.  For a
+    softmax-parameterized student this is (P_student - P_teacher) scaled by
+    1 / (tau * m_fore), returned in the LogitMap row layout.
     """
-    student = unified_distribution(student_logits, tau)
     if teacher.rows.shape != student.rows.shape:
         raise ValueError(
             f"shape mismatch: teacher {teacher.rows.shape} vs student {student.rows.shape}"
         )
-    m = student_logits.m_fore
+    m = student.m_fore
     if m == 0:
-        return np.zeros_like(student_logits.values)
+        return np.zeros((0, student.k_c))
     flat_grad = (student.rows - teacher.rows) / (tau * m)
-    return flat_grad.reshape(student_logits.n_fore, student_logits.k_c)
+    return flat_grad.reshape(m * student.k_a, student.k_c)
+
+
+def _anchor_distribution(logits: LogitMap, tau: float = 1.0) -> UnifiedDistribution:
+    """Per-anchor softmax over each row's class logits / tau: the unified
+    distribution of the same rows read as one anchor per position."""
+    return unified_distribution(LogitMap(logits.values, k_a=1), tau)
+
+
+def _check_same_layout(teacher: LogitMap, student: LogitMap) -> None:
+    if teacher.values.shape != student.values.shape or teacher.k_a != student.k_a:
+        raise ValueError("teacher and student logit maps must have identical layout")
 
 
 def classical_logit_distill(
@@ -137,31 +150,13 @@ def classical_logit_distill(
 ) -> float:
     """Per-anchor baseline: softmax each anchor's class logits separately,
     then mean KL(teacher || student) over all anchor rows."""
-    if teacher.values.shape != student.values.shape or teacher.k_a != student.k_a:
-        raise ValueError("teacher and student logit maps must have identical layout")
-    if teacher.n_fore == 0:
-        return 0.0
-    p_t = _row_softmax(teacher.values / tau)
-    p_s = _row_softmax(student.values / tau)
-    kl = np.sum(p_t * (np.log(p_t) - np.log(p_s)), axis=1)
-    return float(np.mean(kl))
+    _check_same_layout(teacher, student)
+    return cld_loss(_anchor_distribution(teacher, tau), _anchor_distribution(student, tau))
 
 
 def classical_logit_distill_grad(
     teacher: LogitMap, student: LogitMap, tau: float = 1.0
 ) -> np.ndarray:
     """Gradient of :func:`classical_logit_distill` w.r.t. the student logits."""
-    if teacher.values.shape != student.values.shape or teacher.k_a != student.k_a:
-        raise ValueError("teacher and student logit maps must have identical layout")
-    if teacher.n_fore == 0:
-        return np.zeros_like(student.values)
-    p_t = _row_softmax(teacher.values / tau)
-    p_s = _row_softmax(student.values / tau)
-    return (p_s - p_t) / (tau * teacher.n_fore)
-
-
-def _row_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    return np.maximum(probs, PROB_FLOOR)
+    _check_same_layout(teacher, student)
+    return cld_grad(_anchor_distribution(teacher, tau), _anchor_distribution(student, tau), tau)

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -24,14 +24,7 @@ from .anchors import (
     encode_deltas,
     positive_target_deltas,
 )
-from .cld import (
-    LogitMap,
-    classical_logit_distill,
-    classical_logit_distill_grad,
-    cld_grad,
-    cld_loss,
-    unified_distribution,
-)
+from .cld import LogitMap, UnifiedDistribution, cld_grad, cld_loss, unified_distribution
 from .geometry import Box3D, GeometryFlags, bev_iou
 from .xgd import (
     COMPONENT_NAMES,
@@ -321,6 +314,7 @@ class StepWorkspace:
 
     def __init__(self) -> None:
         self._arrays: dict[str, np.ndarray] = {}
+        self._written: dict[str, np.ndarray] = {}
 
     def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """The float array registered under ``name``, reallocated on a new
@@ -328,6 +322,18 @@ class StepWorkspace:
         arr = self._arrays.get(name)
         if arr is None or arr.shape != shape:
             arr = self._arrays[name] = np.empty(shape)
+        return arr
+
+    def zeros(self, name: str, shape: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
+        """The all-zero float array registered under ``name``, of which the
+        caller writes only ``rows`` (first-axis indices): the next request
+        zeroes those rows again instead of the whole array."""
+        arr = self._arrays.get(name)
+        if arr is None or arr.shape != shape:
+            arr = self._arrays[name] = np.zeros(shape)
+        else:
+            arr[self._written[name]] = 0.0
+        self._written[name] = rows
         return arr
 
 
@@ -489,17 +495,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _focal_terms(
     logits_flat: np.ndarray,
-    labels: np.ndarray,
-    gt_classes: np.ndarray,
+    pos_rows: np.ndarray,
+    cols: np.ndarray,
+    ignore_rows: np.ndarray,
     gamma: float,
     alpha: float,
     ws: StepWorkspace,
 ) -> tuple[float, np.ndarray]:
     """Summed focal loss over non-ignore anchors and its logit gradient.
 
-    The background formula is evaluated array-wide; the handful of
-    positive (anchor, class) entries are patched afterwards.  The work runs
-    in four workspace arrays and the returned gradient, workspace name
+    ``pos_rows`` are the positive anchors and ``cols`` their classes.  The
+    background formula is evaluated array-wide; the handful of positive
+    (anchor, class) entries are patched afterwards.  The work runs in four
+    workspace arrays and the returned gradient, workspace name
     ``dlogits``; the comments give each array's value as a plain
     expression, and every element goes through the same operations in the
     same order as in that expression.
@@ -510,8 +518,6 @@ def _focal_terms(
     ln_1mp = ws.array("focal_ln_1mp", z.shape)
     p = ws.array("focal_p", z.shape)
     grad = ws.array("dlogits", z.shape)
-    pos_rows = np.flatnonzero(labels >= 0)
-    cols = gt_classes[labels[pos_rows]]
 
     # sigmoid, log-sigmoid(z), and log-sigmoid(-z) all share exp(-|z|).
     np.abs(z, out=e)
@@ -527,7 +533,7 @@ def _focal_terms(
     # p = where(z >= 0, 1 / (1 + e), e / (1 + e))
     one_plus_e = np.add(1.0, e, out=scratch)
     np.divide(e, one_plus_e, out=p)
-    np.copyto(p, np.divide(1.0, one_plus_e, out=scratch), where=z >= 0.0)
+    np.divide(1.0, one_plus_e, out=p, where=z >= 0.0)
     pp = p[pos_rows, cols]
     if gamma == 2.0:  # integer powers dominate this hot path
         p_g = np.multiply(p, p, out=e)
@@ -552,7 +558,6 @@ def _focal_terms(
         q_g = q_g_of(qq)
         loss[pos_rows, cols] = -alpha * q_g * ln_p
         grad[pos_rows, cols] = alpha * (gamma * pp * q_g * ln_p - q_g * qq)
-    ignore_rows = np.flatnonzero(labels == -2)
     if ignore_rows.size:
         loss[ignore_rows] = 0.0
         grad[ignore_rows] = 0.0
@@ -567,53 +572,6 @@ def _smooth_l1(diff: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return loss, grad
 
 
-def base_loss(
-    outputs: DetectorOutputs,
-    assignment: Assignment,
-    gts: Sequence[tuple[Box3D, int]],
-    grid: AnchorGrid,
-    cfg: LossConfig = LossConfig(),
-) -> float:
-    """Hard-label objective: focal classification + smooth-L1 regression.
-
-    The classification term runs over all non-ignore anchors; both terms
-    are normalized by max(1, n_pos).
-    """
-    value, _, _ = _base_loss_and_grad(outputs, assignment, gts, grid, cfg, StepWorkspace())
-    return value
-
-
-def _base_loss_and_grad(
-    outputs: DetectorOutputs,
-    assignment: Assignment,
-    gts: Sequence[tuple[Box3D, int]],
-    grid: AnchorGrid,
-    cfg: LossConfig,
-    ws: StepWorkspace,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Base loss and its flat gradients, the workspace's ``dlogits`` and
-    ``ddeltas`` arrays."""
-    labels = assignment.labels
-    gt_classes = np.array([c for _, c in gts], dtype=np.int64)
-    floss, dlogits = _focal_terms(
-        outputs.logits_flat, labels, gt_classes, cfg.focal_gamma, cfg.focal_alpha, ws
-    )
-    norm = max(1, assignment.n_pos)
-    cls_term = floss / norm
-    dlogits /= norm
-
-    ddeltas = ws.array("ddeltas", outputs.deltas_flat.shape)
-    ddeltas.fill(0.0)
-    pos, target_deltas = positive_target_deltas(grid, assignment, gts)
-    reg_term = 0.0
-    if pos.size:
-        diff = outputs.deltas_flat[pos] - target_deltas
-        sl, sg = _smooth_l1(diff, cfg.smooth_l1_beta)
-        reg_term = float(sl.sum()) / norm
-        ddeltas[pos] = sg / norm
-    return cls_term + reg_term, dlogits, ddeltas
-
-
 def extract_logit_map(outputs: DetectorOutputs, positions: np.ndarray, k_a: int) -> LogitMap:
     """LogitMap over the given (sorted) position indices."""
     values = outputs.logits[positions].reshape(-1, outputs.logits.shape[2])
@@ -626,6 +584,243 @@ def cld_positions(assignment: Assignment, grid: AnchorGrid, region: str) -> np.n
         return np.flatnonzero(assignment.foreground)
     pos_positions = np.unique(assignment.positive_indices // grid.k_a)
     return pos_positions
+
+
+_NO_BOXES = np.zeros((0, 7))
+_NO_BOXES.setflags(write=False)
+
+
+@dataclass(frozen=True)
+class _SceneTargets:
+    """What the loss of one scene reads that does not depend on the student.
+
+    ``train`` builds one per scene per call (never module state); the
+    public loss functions build one per call.  Without a teacher, or with
+    a zero weight, the distillation fields are empty.
+    """
+
+    pos: np.ndarray  # positive anchors, ascending
+    pos_classes: np.ndarray  # ground-truth class of each positive
+    ignore_rows: np.ndarray  # anchors the focal loss skips
+    pos_positions: np.ndarray  # grid positions holding a positive, ascending
+    target_deltas: np.ndarray  # (n_pos, 7) encoded ground truth
+    # XGD runs on all positives ("gate") or on the confident ones.
+    xgd_rows: np.ndarray
+    xgd_anchors: np.ndarray
+    xgd_teacher: np.ndarray  # decoded teacher boxes
+    xgd_gt: np.ndarray  # ground-truth boxes ("gate" only)
+    # CLD softmaxes span k_a anchors ("unified") or one ("classical").
+    cld_positions: np.ndarray
+    cld_rows: np.ndarray  # flat logit rows of cld_positions
+    cld_k_a: int
+    teacher_dist: UnifiedDistribution | None
+
+    @property
+    def norm(self) -> int:
+        return max(1, self.pos.size)
+
+
+def _scene_targets(
+    assignment: Assignment,
+    gts: Sequence[tuple[Box3D, int]],
+    grid: AnchorGrid,
+    cfg: LossConfig,
+    teacher: DetectorOutputs | None = None,
+) -> _SceneTargets:
+    labels = assignment.labels
+    pos, target_deltas = positive_target_deltas(grid, assignment, gts)
+    gt_classes = np.array([c for _, c in gts], dtype=np.int64)
+    xgd_rows = pos[:0]
+    xgd_anchors = xgd_teacher = xgd_gt = _NO_BOXES
+    if teacher is not None and cfg.xgd_weight > 0 and pos.size:
+        anchors = grid.anchor_params[pos]
+        teacher_rows = decode_deltas(teacher.deltas_flat[pos], anchors)
+        if cfg.xgd_selection == "gate":
+            xgd_rows, xgd_anchors, xgd_teacher = pos, anchors, teacher_rows
+            xgd_gt = np.array([gts[g][0].as_array() for g in labels[pos]])
+        else:
+            # Box-level alternative: keep whole teacher boxes whose best
+            # class score clears the confidence threshold.
+            conf = _sigmoid(teacher.logits_flat[pos]).max(axis=1)
+            chosen = np.flatnonzero(conf > cfg.confidence_threshold)
+            xgd_rows, xgd_anchors, xgd_teacher = pos[chosen], anchors[chosen], teacher_rows[chosen]
+    positions = pos[:0]
+    cld_k_a = grid.k_a if cfg.cld_mode == "unified" else 1
+    teacher_dist = None
+    if teacher is not None and cfg.cld_weight > 0:
+        positions = cld_positions(assignment, grid, cfg.cld_region)
+        if positions.size:
+            teacher_dist = unified_distribution(
+                extract_logit_map(teacher, positions, cld_k_a), cfg.tau
+            )
+    return _SceneTargets(
+        pos=pos,
+        pos_classes=gt_classes[labels[pos]],
+        ignore_rows=np.flatnonzero(labels == -2),
+        pos_positions=np.unique(pos // grid.k_a),
+        target_deltas=target_deltas,
+        xgd_rows=xgd_rows,
+        xgd_anchors=xgd_anchors,
+        xgd_teacher=xgd_teacher,
+        xgd_gt=xgd_gt,
+        cld_positions=positions,
+        cld_rows=(positions[:, None] * grid.k_a + np.arange(grid.k_a)[None, :]).ravel(),
+        cld_k_a=cld_k_a,
+        teacher_dist=teacher_dist,
+    )
+
+
+@dataclass(frozen=True)
+class _SceneTerms:
+    """One scene's loss terms before XGD, and the small arrays XGD and the
+    delta gradient read later (no dense buffer is kept)."""
+
+    ori: float
+    cld: float
+    base_rows: np.ndarray  # smooth-L1 gradient at the positives, / norm
+    xgd_deltas: np.ndarray  # student deltas at the XGD rows
+    n_anchors: int
+
+
+def _scene_terms(
+    student: DetectorOutputs, t: _SceneTargets, cfg: LossConfig, ws: StepWorkspace
+) -> tuple[_SceneTerms, np.ndarray]:
+    """Focal + smooth-L1 base loss and CLD of one scene, plus the flat logit
+    gradient (the workspace's ``dlogits``, complete: XGD adds none)."""
+    floss, dlogits = _focal_terms(
+        student.logits_flat, t.pos, t.pos_classes, t.ignore_rows, cfg.focal_gamma,
+        cfg.focal_alpha, ws,
+    )
+    cls_term = floss / t.norm
+    dlogits /= t.norm
+    sl, sg = _smooth_l1(student.deltas_flat[t.pos] - t.target_deltas, cfg.smooth_l1_beta)
+    reg_term = float(sl.sum()) / t.norm
+
+    cld_term = 0.0
+    if t.teacher_dist is not None:
+        s_dist = unified_distribution(
+            extract_logit_map(student, t.cld_positions, t.cld_k_a), cfg.tau
+        )
+        cld_term = cld_loss(t.teacher_dist, s_dist)
+        dlogits[t.cld_rows] += cfg.cld_weight * cld_grad(t.teacher_dist, s_dist, cfg.tau)
+    terms = _SceneTerms(
+        ori=cls_term + reg_term,
+        cld=cld_term,
+        base_rows=sg / t.norm,
+        xgd_deltas=student.deltas_flat[t.xgd_rows],
+        n_anchors=student.deltas_flat.shape[0],
+    )
+    return terms, dlogits
+
+
+def _xgd_terms(
+    terms: Sequence[_SceneTerms],
+    targets: Sequence[_SceneTargets],
+    cfg: LossConfig,
+    flags: GeometryFlags | None,
+) -> list[tuple[float, dict[str, float], np.ndarray | None]]:
+    """XGD of several scenes in one pass over their concatenated rows.
+
+    Returns, per scene, the loss term, the gate keep rates and the delta
+    gradient at its XGD rows (None without rows).  Every value equals a
+    separate pass over that scene alone.
+    """
+    sizes = [t.xgd_rows.size for t in targets]
+    if not any(sizes):
+        return [(0.0, {}, None) for _ in targets]
+    deltas = np.concatenate([s.xgd_deltas for s in terms])
+    anchors = np.concatenate([t.xgd_anchors for t in targets])
+    teacher_rows = np.concatenate([t.xgd_teacher for t in targets])
+    student_rows = decode_deltas(deltas, anchors, flags)
+    gated = cfg.xgd_selection == "gate"
+    if gated:
+        gt_rows = np.concatenate([t.xgd_gt for t in targets])
+        decisions = gate_decisions(teacher_rows, student_rows, gt_rows, cfg.gate_eps)
+        box_targets = positive_component_update(
+            teacher_rows,
+            student_rows,
+            gt_rows,
+            cfg.gate_eps,
+            components=cfg.xgd_components,
+            decisions=decisions,
+        )
+    else:
+        box_targets = teacher_rows
+    losses = xgd_loss(student_rows, box_targets, cfg.xgd_normalization, flags, sizes=sizes)
+    grad = xgd_loss_grad(
+        deltas, anchors, box_targets, cfg.xgd_normalization, flags, sizes=sizes,
+        student_rows=student_rows,
+    )
+    out = []
+    start = 0
+    for loss, n in zip(losses, sizes):
+        rows = slice(start, start + n)
+        keep = gate_keep_rates(decisions[rows]) if gated and n else {}
+        out.append((loss, keep, grad[rows] if n else None))
+        start += n
+    return out
+
+
+def _minibatch_losses(
+    students: Iterable[DetectorOutputs],
+    targets: Sequence[_SceneTargets],
+    cfg: LossConfig,
+    flags: GeometryFlags | None,
+    ws: StepWorkspace,
+    on_dlogits: Callable[[int, np.ndarray], None],
+    on_ddeltas: Callable[[int, np.ndarray], None],
+) -> list[LossBreakdown]:
+    """Losses and dense gradients of the scenes of one minibatch.
+
+    ``students`` yields each scene's outputs in order and may reuse one
+    buffer: a scene's base loss, CLD and logit gradient are computed
+    before the next one is drawn.  XGD then runs once over all scenes.
+    The flat gradients are handed out as ``on_dlogits(k, dlogits)`` and
+    ``on_ddeltas(k, ddeltas)``, workspace arrays valid until the next
+    call.
+    """
+    terms = []
+    for k, (t, student) in enumerate(zip(targets, students)):
+        scene_terms, dlogits = _scene_terms(student, t, cfg, ws)
+        on_dlogits(k, dlogits)
+        terms.append(scene_terms)
+    breakdowns = []
+    for k, (t, st, (xgd_term, gate_keep, g)) in enumerate(
+        zip(targets, terms, _xgd_terms(terms, targets, cfg, flags))
+    ):
+        # Only the positive rows of the delta gradient are ever nonzero.
+        ddeltas = ws.zeros("ddeltas", (st.n_anchors, 7), t.pos)
+        ddeltas[t.pos] = st.base_rows
+        if g is not None:
+            ddeltas[t.xgd_rows] += cfg.xgd_weight * g
+        on_ddeltas(k, ddeltas)
+        breakdowns.append(
+            LossBreakdown(
+                total=st.ori + cfg.xgd_weight * xgd_term + cfg.cld_weight * st.cld,
+                ori=st.ori,
+                xgd=xgd_term,
+                cld=st.cld,
+                n_pos=int(t.pos.size),
+                gate_keep=gate_keep,
+            )
+        )
+    return breakdowns
+
+
+def base_loss(
+    outputs: DetectorOutputs,
+    assignment: Assignment,
+    gts: Sequence[tuple[Box3D, int]],
+    grid: AnchorGrid,
+    cfg: LossConfig = LossConfig(),
+) -> float:
+    """Hard-label objective: focal classification + smooth-L1 regression.
+
+    The classification term runs over all non-ignore anchors; both terms
+    are normalized by max(1, n_pos).
+    """
+    terms, _ = _scene_terms(outputs, _scene_targets(assignment, gts, grid, cfg), cfg, StepWorkspace())
+    return terms.ori
 
 
 def total_loss(
@@ -654,96 +849,31 @@ def total_loss_and_grad(
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
     """Loss breakdown plus gradients w.r.t. student logits and deltas.
 
-    Distillation targets (gated boxes, teacher distributions) are detached
-    snapshots recomputed on every call; the gate itself never contributes
-    gradient.  Returned arrays have the dense (n_positions, k_a, *) shape;
-    with a ``workspace`` they are its ``dlogits`` and ``ddeltas`` arrays,
-    overwritten by the next call through it.
+    The one-scene case of the training step.  Distillation targets (gated
+    boxes, teacher distributions) are detached snapshots; the gate itself
+    never contributes gradient.  Returned arrays have the dense
+    (n_positions, k_a, *) shape; with a ``workspace`` they are its
+    ``dlogits`` and ``ddeltas`` arrays, overwritten by the next call
+    through it.
     """
     if student.logits.shape != teacher.logits.shape or student.deltas.shape != teacher.deltas.shape:
         raise ValueError("student and teacher outputs must share the grid layout")
     ws = StepWorkspace() if workspace is None else workspace
-    ori, dlogits_flat, ddeltas_flat = _base_loss_and_grad(
-        student, assignment, scene.gts, grid, cfg, ws
+    grads: list[np.ndarray] = []
+    (breakdown,) = _minibatch_losses(
+        [student],
+        [_scene_targets(assignment, scene.gts, grid, cfg, teacher)],
+        cfg,
+        flags,
+        ws,
+        on_dlogits=lambda _, dlogits: grads.append(dlogits),
+        on_ddeltas=lambda _, ddeltas: grads.append(ddeltas),
     )
-
-    xgd_term = 0.0
-    gate_keep: dict[str, float] = {}
-    if cfg.xgd_weight > 0 and assignment.n_pos > 0:
-        pos = assignment.positive_indices
-        anchor_params = grid.anchor_params[pos]
-        student_deltas = student.deltas_flat[pos]
-        student_rows = decode_deltas(student_deltas, anchor_params)
-        # Box3D rejects a non-finite or non-positive decode.
-        student_boxes = [Box3D.from_array(r) for r in student_rows]
-        teacher_rows = decode_deltas(teacher.deltas_flat[pos], anchor_params)
-        if cfg.xgd_selection == "gate":
-            gt_rows = np.array([scene.gts[g][0].as_array() for g in assignment.labels[pos]])
-            decisions = gate_decisions(teacher_rows, student_rows, gt_rows, cfg.gate_eps)
-            targets = positive_component_update(
-                teacher_rows,
-                student_rows,
-                gt_rows,
-                cfg.gate_eps,
-                components=cfg.xgd_components,
-                decisions=decisions,
-            )
-            gate_keep = gate_keep_rates(decisions)
-            rows = pos
-        else:
-            # Box-level alternative: keep whole teacher boxes whose best
-            # class score clears the confidence threshold.
-            conf = _sigmoid(teacher.logits_flat[pos]).max(axis=1)
-            chosen = np.flatnonzero(conf > cfg.confidence_threshold)
-            targets = teacher_rows[chosen]
-            rows = pos[chosen]
-            student_deltas = student_deltas[chosen]
-            anchor_params = anchor_params[chosen]
-            student_boxes = [student_boxes[i] for i in chosen]
-        xgd_term = xgd_loss(
-            student_boxes, [Box3D.from_array(r) for r in targets], cfg.xgd_normalization, flags
-        )
-        if rows.size:
-            g = xgd_loss_grad(
-                student_deltas,
-                anchor_params,
-                targets,
-                cfg.xgd_normalization,
-                flags=flags,
-            )
-            ddeltas_flat[rows] += cfg.xgd_weight * g
-
-    cld_term = 0.0
-    if cfg.cld_weight > 0:
-        positions = cld_positions(assignment, grid, cfg.cld_region)
-        if positions.size:
-            t_map = extract_logit_map(teacher, positions, grid.k_a)
-            s_map = extract_logit_map(student, positions, grid.k_a)
-            if cfg.cld_mode == "unified":
-                t_dist = unified_distribution(t_map, cfg.tau)
-                s_dist = unified_distribution(s_map, cfg.tau)
-                cld_term = cld_loss(t_dist, s_dist)
-                g_map = cld_grad(t_dist, s_map, cfg.tau)
-            else:
-                cld_term = classical_logit_distill(t_map, s_map, cfg.tau)
-                g_map = classical_logit_distill_grad(t_map, s_map, cfg.tau)
-            rows = (positions[:, None] * grid.k_a + np.arange(grid.k_a)[None, :]).ravel()
-            dlogits_flat[rows] += cfg.cld_weight * g_map
-
-    total = ori + cfg.xgd_weight * xgd_term + cfg.cld_weight * cld_term
-    breakdown = LossBreakdown(
-        total=total,
-        ori=ori,
-        xgd=xgd_term,
-        cld=cld_term,
-        n_pos=assignment.n_pos,
-        gate_keep=gate_keep,
-    )
-    k_c = student.logits.shape[2]
+    dlogits_flat, ddeltas_flat = grads
     return (
         breakdown,
-        dlogits_flat.reshape(student.logits.shape[0], grid.k_a, k_c),
-        ddeltas_flat.reshape(student.deltas.shape[0], grid.k_a, 7),
+        dlogits_flat.reshape(student.logits.shape),
+        ddeltas_flat.reshape(student.deltas.shape),
     )
 
 
@@ -821,6 +951,55 @@ class _Adam:
         return out
 
 
+class _NonFiniteDeltas(Exception):
+    def __init__(self, scene_seed: int):
+        super().__init__(scene_seed)
+        self.scene_seed = scene_seed
+
+
+def _minibatch_grads(
+    params: DetectorParams,
+    scenes: Sequence[Scene],
+    targets: Sequence[_SceneTargets],
+    cfg: LossConfig,
+    flags: GeometryFlags | None,
+    ws: StepWorkspace,
+) -> tuple[list[LossBreakdown], list[np.ndarray]]:
+    """One optimizer minibatch: per-scene breakdowns and the weight
+    gradients (w_cls, b_cls, w_reg, b_reg) summed over its scenes.
+
+    Each scene's forward pass writes the workspace's outputs, so only one
+    scene's dense arrays exist at a time.  Raises _NonFiniteDeltas for the
+    first scene whose positive-anchor deltas are not finite.
+    """
+    grads = [np.zeros_like(w) for w in (params.w_cls, params.b_cls, params.w_reg, params.b_reg)]
+
+    def students():
+        for scene, t in zip(scenes, targets):
+            outputs = student_forward(params, scene, ws)
+            # Decoding would reject non-finite deltas with a bare ValueError.
+            if not np.all(np.isfinite(outputs.deltas_flat[t.pos])):
+                raise _NonFiniteDeltas(scene.seed)
+            yield outputs
+
+    def logit_grads(k: int, dlogits: np.ndarray) -> None:
+        feats = scenes[k].features
+        dl = dlogits.reshape(feats.shape[0], -1)
+        grads[0] += feats.T @ dl
+        grads[1] += dl.sum(axis=0)
+
+    def delta_grads(k: int, ddeltas: np.ndarray) -> None:
+        feats = scenes[k].features
+        dd = ddeltas.reshape(feats.shape[0], -1)
+        grads[2] += feats.T @ dd
+        # Rows without a positive are zero; an axis-0 sum adds rows in
+        # order, so skipping them leaves every bit of the sum unchanged.
+        grads[3] += dd[targets[k].pos_positions].sum(axis=0)
+
+    breakdowns = _minibatch_losses(students(), targets, cfg, flags, ws, logit_grads, delta_grads)
+    return breakdowns, grads
+
+
 def train(
     grid: AnchorGrid,
     scenes: Sequence[Scene],
@@ -833,10 +1012,14 @@ def train(
 ) -> TrainResult:
     """Adam over the combined loss; deterministic given the seed.
 
-    Gates and distillation targets are recomputed at every step from the
-    current student.  Raises TrainingDivergedError with a diagnostic
-    snapshot if a loss, the weights after a step, or the positive-anchor
-    deltas stop being finite.
+    What depends only on a scene (encoded targets, teacher boxes and
+    distributions) is built once per call; gates and distillation targets
+    are recomputed at every step from the current student, with one XGD
+    pass per minibatch.  Raises TrainingDivergedError with a diagnostic
+    snapshot when training stops being finite.  Within a minibatch,
+    non-finite positive-anchor deltas of any scene are reported before a
+    non-finite loss of any scene, each for the first such scene in batch
+    order; non-finite weights are reported after the Adam step.
     """
     if not (len(scenes) == len(teacher_outputs) == len(assignments)):
         raise ValueError("scenes, teacher outputs, and assignments must align")
@@ -844,10 +1027,17 @@ def train(
         raise ValueError("at least one training scene is required")
     if opt_cfg.epochs < 1:
         raise ValueError("train requires epochs >= 1; use the initialized model directly")
+    for scene, teacher in zip(scenes, teacher_outputs):
+        if teacher.logits.shape != (scene.features.shape[0], grid.k_a, grid.k_c):
+            raise ValueError("teacher outputs must match the scene positions and the anchor grid")
     params = DetectorParams.init(seed, scenes[0].features.shape[1], grid.k_a, grid.k_c)
     weights = [params.w_cls, params.b_cls, params.w_reg, params.b_reg]
     adam = _Adam(weights, opt_cfg)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_SHUFFLE)))
+    targets = [
+        _scene_targets(a, s.gts, grid, loss_cfg, t)
+        for s, t, a in zip(scenes, teacher_outputs, assignments)
+    ]
     history: list[EpochStats] = []
     last_finite: LossBreakdown | None = None
     last_grads: list[np.ndarray] = []
@@ -876,29 +1066,21 @@ def train(
         keep_count = 0
         for start in range(0, len(order), opt_cfg.batch_size):
             batch = order[start : start + opt_cfg.batch_size]
-            grads = [np.zeros_like(w) for w in weights]
-            for si in batch:
-                scene = scenes[si]
-                outputs = student_forward(
-                    DetectorParams(weights[0], weights[1], weights[2], weights[3]), scene, workspace
+            try:
+                breakdowns, grads = _minibatch_grads(
+                    DetectorParams(weights[0], weights[1], weights[2], weights[3]),
+                    [scenes[si] for si in batch],
+                    [targets[si] for si in batch],
+                    loss_cfg,
+                    flags,
+                    workspace,
                 )
-                # Decoding would reject non-finite deltas with a bare ValueError.
-                if not np.all(np.isfinite(outputs.deltas_flat[assignments[si].positive_indices])):
-                    raise diverged("non-finite positive-anchor deltas", epoch, scene.seed)
-                breakdown, dlogits, ddeltas = total_loss_and_grad(
-                    outputs, teacher_outputs[si], scene, assignments[si], grid, loss_cfg, flags,
-                    workspace=workspace,
-                )
+            except _NonFiniteDeltas as exc:
+                raise diverged("non-finite positive-anchor deltas", epoch, exc.scene_seed) from None
+            for si, breakdown in zip(batch, breakdowns):
                 if not math.isfinite(breakdown.total):
-                    raise diverged("non-finite loss", epoch, scene.seed, breakdown=breakdown)
+                    raise diverged("non-finite loss", epoch, scenes[si].seed, breakdown=breakdown)
                 last_finite = breakdown
-                n = scene.features.shape[0]
-                dl = dlogits.reshape(n, -1)
-                dd = ddeltas.reshape(n, -1)
-                grads[0] += scene.features.T @ dl
-                grads[1] += dl.sum(axis=0)
-                grads[2] += scene.features.T @ dd
-                grads[3] += dd.sum(axis=0)
                 sums += (breakdown.total, breakdown.ori, breakdown.xgd, breakdown.cld)
                 n_pos_sum += breakdown.n_pos
                 if breakdown.gate_keep and not math.isnan(breakdown.gate_keep["center"]):

@@ -279,7 +279,9 @@ def check_cld_grad_fd(n_maps: int = 100) -> CheckResult:
             cld_mod.LogitMap(rng.normal(0, 2, size=(m * k_a, k_c)), k_a=k_a), tau
         )
         s_vals = rng.normal(0, 2, size=(m * k_a, k_c))
-        analytic = cld_mod.cld_grad(teacher, cld_mod.LogitMap(s_vals, k_a=k_a), tau)
+        analytic = cld_mod.cld_grad(
+            teacher, cld_mod.unified_distribution(cld_mod.LogitMap(s_vals, k_a=k_a), tau), tau
+        )
         h = 1e-5
         fd = np.zeros_like(s_vals)
         for i in range(s_vals.shape[0]):
@@ -389,7 +391,8 @@ def clip_tie_cases(rng: np.random.Generator, n_each: int) -> dict[str, list[tupl
 
 
 def check_clip_kernel_bit_identity(n_random: int = 1000) -> CheckResult:
-    """Batched clip kernel and array bev_iou vs the scalar clip, with ==."""
+    """Batched clip kernel, array bev_iou and array iou3d vs the scalar
+    path, with ==."""
     t0 = time.time()
     rng = np.random.default_rng(37)
     pairs = [_near_pair(rng) for _ in range(n_random)]
@@ -401,6 +404,8 @@ def check_clip_kernel_bit_identity(n_random: int = 1000) -> CheckResult:
     b_rows = np.array([b.as_array() for _, b in pairs])
     kernel = geom._clip_area_rows(*geom._bev_corners_rows(a_rows), *geom._bev_corners_rows(b_rows))
     iou_rows = geom.bev_iou(a_rows, b_rows)
+    flags_rows, flags_pairs = geom.GeometryFlags(), geom.GeometryFlags()
+    iou3d_rows = geom.iou3d(a_rows, b_rows, flags_rows)
     failures = []
     for k, (a, b) in enumerate(pairs):
         area = max(0.0, geom._signed_area(geom._clip(geom._bev_corners(a), geom._bev_corners(b))))
@@ -408,12 +413,17 @@ def check_clip_kernel_bit_identity(n_random: int = 1000) -> CheckResult:
             failures.append(f"area {kernel[k]!r} != {area!r} for {a} / {b}")
         if iou_rows[k] != geom.bev_iou(a, b):
             failures.append(f"bev_iou {iou_rows[k]!r} != {geom.bev_iou(a, b)!r} for {a} / {b}")
+        iou = geom.iou3d(a, b, flags_pairs)
+        if iou3d_rows[k] != iou:
+            failures.append(f"iou3d {iou3d_rows[k]!r} != {iou!r} for {a} / {b}")
+    if flags_rows != flags_pairs:
+        failures.append(f"iou3d flags {flags_rows} != {flags_pairs}")
     return CheckResult(
         "clip_kernel_bit_identity",
         not failures,
         f"{len(failures)} mismatches, first: {failures[0]}"
         if failures
-        else f"{len(pairs)} pairs: kernel areas and array bev_iou equal the scalar path",
+        else f"{len(pairs)} pairs: kernel areas, array bev_iou and array iou3d equal the scalar path",
         time.time() - t0,
     )
 

@@ -167,29 +167,46 @@ def positive_component_update(
     return targets if as_rows else [Box3D.from_array(r) for r in targets]
 
 
+def _group_sizes(sizes: Sequence[int] | None, n: int) -> list[int]:
+    if sizes is None:
+        return [n]
+    sizes = [int(k) for k in sizes]
+    if any(k < 0 for k in sizes) or sum(sizes) != n:
+        raise ValueError(f"group sizes {sizes} do not partition {n} boxes")
+    return sizes
+
+
 def xgd_loss(
-    student_boxes: Sequence[Box3D],
-    targets: Sequence[Box3D],
+    student_boxes: np.ndarray | Sequence[Box3D],
+    targets: np.ndarray | Sequence[Box3D],
     normalization: str = "sum",
     flags: GeometryFlags | None = None,
-) -> float:
+    sizes: Sequence[int] | None = None,
+) -> float | list[float]:
     """Rotated-IoU distillation loss: sum of (1 - IoU3D) over box pairs.
 
-    Targets are treated as constants.  Zero when the lists are empty.
-    ``normalization`` is "sum" (default) or "mean".
+    Boxes are index-aligned (n, 7) rows or Box3D sequences; every pair is
+    scored in one batched :func:`iou3d` call.  Targets are treated as
+    constants.  ``normalization`` is "sum" (default) or "mean".  Without
+    ``sizes`` the result is one float, zero when there are no pairs.  With
+    ``sizes``, the lengths of consecutive groups of pairs, it is one loss
+    per group, each summed in pair order and normalized by its own length,
+    as if each group had been a separate call.
     """
-    if len(student_boxes) != len(targets):
-        raise ValueError(
-            f"list lengths differ: student={len(student_boxes)}, targets={len(targets)}"
-        )
     if normalization not in ("sum", "mean"):
         raise ValueError(f"normalization must be 'sum' or 'mean', got {normalization!r}")
-    if not student_boxes:
-        return 0.0
-    total = sum(1.0 - iou3d(s, t, flags) for s, t in zip(student_boxes, targets))
-    if normalization == "mean":
-        total /= len(student_boxes)
-    return total
+    student_rows, target_rows = _box_rows(student=student_boxes, targets=targets)
+    groups = _group_sizes(sizes, len(student_rows))
+    terms = (1.0 - iou3d(student_rows, target_rows, flags)).tolist()
+    losses = []
+    start = 0
+    for k in groups:
+        total = sum(terms[start : start + k]) if k else 0.0
+        if normalization == "mean" and k:
+            total /= k
+        losses.append(total)
+        start += k
+    return losses if sizes is not None else losses[0]
 
 
 def xgd_loss_grad(
@@ -198,6 +215,8 @@ def xgd_loss_grad(
     targets: np.ndarray | Sequence[Box3D],
     normalization: str = "sum",
     flags: GeometryFlags | None = None,
+    sizes: Sequence[int] | None = None,
+    student_rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of :func:`xgd_loss` w.r.t. the student regression deltas.
 
@@ -206,7 +225,10 @@ def xgd_loss_grad(
     the (diagonal) Jacobian of the delta decoding.  Gate decisions are
     piecewise constant and contribute nothing.  Components steeper than
     GRAD_CLIP_FACTOR / step are clipped (contact noise).  ``targets`` are
-    (n, 7) rows or Box3D boxes.
+    (n, 7) rows or Box3D boxes.  ``sizes`` splits the rows into groups as
+    in :func:`xgd_loss` ("mean" divides each group by its own length).
+    ``student_rows`` is the decode of ``student_deltas`` when the caller
+    already has it (its decode clamps already counted in ``flags``).
     """
     student_deltas = np.asarray(student_deltas, dtype=float)
     anchor_params = np.asarray(anchor_params, dtype=float)
@@ -214,13 +236,16 @@ def xgd_loss_grad(
     n = student_deltas.shape[0]
     if target_rows.shape[0] != n or anchor_params.shape[0] != n:
         raise ValueError("deltas, anchors, and targets must be index-aligned")
+    groups = _group_sizes(sizes, n)
     if n == 0:
         return np.zeros_like(student_deltas)
     clip = GRAD_CLIP_FACTOR / DEFAULT_FD_STEPS
-    box_params = decode_deltas(student_deltas, anchor_params, flags)
-    # Box3D rejects a non-finite or non-positive decode and wraps the yaw.
-    boxes = np.array([Box3D.from_array(p).as_array() for p in box_params])
-    g_box = -iou3d_grad_fd(boxes, target_rows, flags=flags)
+    if student_rows is None:
+        student_rows = decode_deltas(student_deltas, anchor_params, flags)
+    elif np.shape(student_rows) != (n, 7):
+        raise ValueError("student_rows must be the (n, 7) decode of student_deltas")
+    # iou3d_grad_fd rejects a non-finite or non-positive decode.
+    g_box = -iou3d_grad_fd(student_rows, target_rows, flags=flags)
     over = np.abs(g_box) > clip
     if np.any(over):
         g_box = np.clip(g_box, -clip, clip)
@@ -230,11 +255,11 @@ def xgd_loss_grad(
     # the decoded extent itself, yaw passes through.
     diag = np.hypot(anchor_params[:, 3], anchor_params[:, 4])
     jac = np.column_stack(
-        [diag, anchor_params[:, 5], diag, box_params[:, 3:6], np.ones(n)]
+        [diag, anchor_params[:, 5], diag, student_rows[:, 3:6], np.ones(n)]
     )
     grad = g_box * jac
     if normalization == "mean":
-        grad /= n
+        grad /= np.repeat(groups, groups)[:, None]
     return grad
 
 

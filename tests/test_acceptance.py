@@ -258,7 +258,7 @@ def test_criterion_5_cld_analytics(report):
         moved = cld_loss(teacher, unified_distribution(LogitMap(shifted, k_a=k_a), tau))
         worst_shift = max(worst_shift, abs(moved - loss))
 
-        analytic = cld_grad(teacher, LogitMap(s_vals, k_a=k_a), tau)
+        analytic = cld_grad(teacher, unified_distribution(LogitMap(s_vals, k_a=k_a), tau), tau)
         h = 1e-5
         fd = np.zeros_like(s_vals)
         for i in range(s_vals.shape[0]):

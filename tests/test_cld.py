@@ -152,14 +152,14 @@ class TestCldGrad:
     def test_zero_at_identical(self):
         rng = np.random.default_rng(9)
         lm = LogitMap(rng.normal(size=(4, 3)), k_a=2)
-        grad = cld_grad(unified_distribution(lm), lm)
+        grad = cld_grad(unified_distribution(lm), unified_distribution(lm))
         assert np.max(np.abs(grad)) < 1e-12
 
     def test_per_row_sums_vanish(self):
         rng = np.random.default_rng(10)
         t = unified_distribution(LogitMap(rng.normal(size=(6, 3)), k_a=2))
         s = LogitMap(rng.normal(size=(6, 3)), k_a=2)
-        grad = cld_grad(t, s)
+        grad = cld_grad(t, unified_distribution(s))
         flat = grad.reshape(3, 6)
         assert np.max(np.abs(flat.sum(axis=1))) < 1e-12
 
@@ -170,7 +170,7 @@ class TestCldGrad:
             tau = float(rng.uniform(0.5, 3))
             t = unified_distribution(LogitMap(rng.normal(0, 2, size=(m * k_a, k_c)), k_a=k_a), tau)
             s_vals = rng.normal(0, 2, size=(m * k_a, k_c))
-            analytic = cld_grad(t, LogitMap(s_vals, k_a=k_a), tau)
+            analytic = cld_grad(t, unified_distribution(LogitMap(s_vals, k_a=k_a), tau), tau)
             h = 1e-5
             fd = np.zeros_like(s_vals)
             for i in range(m * k_a):
@@ -187,7 +187,7 @@ class TestCldGrad:
 
     def test_empty_map(self):
         t = unified_distribution(LogitMap(np.zeros((0, 3)), k_a=1))
-        grad = cld_grad(t, LogitMap(np.zeros((0, 3)), k_a=1))
+        grad = cld_grad(t, unified_distribution(LogitMap(np.zeros((0, 3)), k_a=1)))
         assert grad.shape == (0, 3)
 
 

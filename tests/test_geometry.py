@@ -7,16 +7,15 @@ import pytest
 from boxdistill import geometry as geom
 from boxdistill.geometry import (
     Box3D,
-    ConvexPolygon2D,
     GeometryFlags,
+    _bev_corners,
+    _clip,
+    _signed_area,
     bev_iou,
-    bev_polygon,
-    convex_clip,
     iou3d,
     iou3d_grad_fd,
     iou3d_mc_oracle,
     iou3d_parts,
-    polygon_area,
     wrap_angle,
 )
 from boxdistill.verify import CLIP_TIE_KINDS, clip_tie_cases
@@ -87,19 +86,23 @@ class TestBox3D:
         assert Box3D.from_array(box.as_array()) == box
 
 
+def clip_area(a: Box3D, b: Box3D) -> float:
+    return _signed_area(_clip(_bev_corners(a), _bev_corners(b)))
+
+
 class TestBevPolygon:
     def test_unit_box_axis_aligned(self):
-        verts = set(bev_polygon(Box3D(0, 0, 0, 1, 1, 1, 0)).vertices)
+        verts = set(_bev_corners(Box3D(0, 0, 0, 1, 1, 1, 0)))
         assert verts == {(0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5)}
 
     def test_square_symmetric_under_quarter_turn(self):
-        base = bev_polygon(Box3D(0, 0, 0, 1, 1, 1, 0))
-        rot = bev_polygon(Box3D(0, 0, 0, 1, 1, 1, math.pi / 2))
-        for v in rot.vertices:
-            assert min(math.hypot(v[0] - u[0], v[1] - u[1]) for u in base.vertices) < 1e-12
+        base = _bev_corners(Box3D(0, 0, 0, 1, 1, 1, 0))
+        rot = _bev_corners(Box3D(0, 0, 0, 1, 1, 1, math.pi / 2))
+        for v in rot:
+            assert min(math.hypot(v[0] - u[0], v[1] - u[1]) for u in base) < 1e-12
 
     def test_quarter_turn_swaps_extents(self):
-        verts = bev_polygon(Box3D(0, 0, 0, 2, 1, 1, math.pi / 2)).vertices
+        verts = _bev_corners(Box3D(0, 0, 0, 2, 1, 1, math.pi / 2))
         xs = sorted(round(v[0], 9) for v in verts)
         zs = sorted(round(v[1], 9) for v in verts)
         assert xs == [-0.5, -0.5, 0.5, 0.5]
@@ -108,27 +111,28 @@ class TestBevPolygon:
     def test_ccw_orientation(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            poly = bev_polygon(random_box(rng))
-            assert polygon_area(poly) > 0
+            box = random_box(rng)
+            assert _signed_area(_bev_corners(box)) == pytest.approx(box.l * box.w, rel=1e-12)
 
 
 class TestConvexClip:
     def test_self_intersection_is_identity(self):
-        poly = bev_polygon(Box3D(0.2, 0, -0.3, 1.7, 0.9, 1, 0.4))
-        clipped = convex_clip(poly, poly)
-        assert polygon_area(clipped) == pytest.approx(polygon_area(poly), abs=1e-12)
+        box = Box3D(0.2, 0, -0.3, 1.7, 0.9, 1, 0.4)
+        assert clip_area(box, box) == pytest.approx(_signed_area(_bev_corners(box)), abs=1e-12)
+        assert bev_iou(box, box) == pytest.approx(1.0, abs=1e-12)
 
     def test_axis_aligned_half_overlap(self):
-        a = bev_polygon(Box3D(0, 0, 0, 1, 1, 1, 0))
-        b = bev_polygon(Box3D(0.5, 0, 0, 1, 1, 1, 0))
-        assert polygon_area(convex_clip(a, b)) == pytest.approx(0.5, abs=1e-12)
+        a = Box3D(0, 0, 0, 1, 1, 1, 0)
+        b = Box3D(0.5, 0, 0, 1, 1, 1, 0)
+        assert clip_area(a, b) == pytest.approx(0.5, abs=1e-12)
+        assert bev_iou(a, b) == pytest.approx(0.5 / 1.5, abs=1e-12)
 
     def test_rotated_square_octagon_closed_form(self):
-        a = bev_polygon(Box3D(0, 0, 0, 1, 1, 1, 0))
-        b = bev_polygon(Box3D(0, 0, 0, 1, 1, 1, math.pi / 4))
-        octagon = convex_clip(a, b)
-        assert polygon_area(octagon) == pytest.approx(OCTAGON_AREA, abs=1e-9)
-        assert len(octagon.vertices) == 8
+        a = Box3D(0, 0, 0, 1, 1, 1, 0)
+        b = Box3D(0, 0, 0, 1, 1, 1, math.pi / 4)
+        octagon = _clip(_bev_corners(a), _bev_corners(b))
+        assert _signed_area(octagon) == pytest.approx(OCTAGON_AREA, abs=1e-9)
+        assert len(octagon) == 8
 
     def test_octagon_cross_checked_by_point_sampling(self):
         # Monte-Carlo area of the same intersection region.
@@ -142,39 +146,25 @@ class TestConvexClip:
         assert estimate == pytest.approx(OCTAGON_AREA, abs=0.005)
 
     def test_disjoint_is_empty(self):
-        a = bev_polygon(Box3D(0, 0, 0, 1, 1, 1, 0.3))
-        b = bev_polygon(Box3D(10, 0, 0, 1, 1, 1, -0.2))
-        assert convex_clip(a, b).is_empty
+        a = Box3D(0, 0, 0, 1, 1, 1, 0.3)
+        b = Box3D(10, 0, 0, 1, 1, 1, -0.2)
+        assert _clip(_bev_corners(a), _bev_corners(b)) == []
+        assert bev_iou(a, b) == 0.0
 
     def test_empty_inputs(self):
-        empty = ConvexPolygon2D()
-        square = bev_polygon(Box3D(0, 0, 0, 1, 1, 1, 0))
-        assert convex_clip(empty, square).is_empty
-        assert convex_clip(square, empty).is_empty
+        square = _bev_corners(Box3D(0, 0, 0, 1, 1, 1, 0))
+        assert _clip([], square) == []
 
 
 class TestPolygonArea:
     def test_unit_square(self):
-        assert polygon_area(bev_polygon(Box3D(0, 0, 0, 1, 1, 1, 0))) == 1.0
+        assert _signed_area(_bev_corners(Box3D(0, 0, 0, 1, 1, 1, 0))) == 1.0
 
     def test_empty(self):
-        assert polygon_area(ConvexPolygon2D()) == 0.0
+        assert _signed_area([]) == 0.0
 
     def test_triangle(self):
-        assert polygon_area(ConvexPolygon2D(((0, 0), (1, 0), (0, 1)))) == pytest.approx(0.5)
-
-    def test_vertex_cap_enforced(self):
-        verts = tuple(
-            (math.cos(2 * math.pi * k / 17), math.sin(2 * math.pi * k / 17)) for k in range(17)
-        )
-        with pytest.raises(ValueError):
-            ConvexPolygon2D(verts)
-
-    def test_orientation_and_convexity_enforced(self):
-        with pytest.raises(ValueError):  # clockwise square
-            ConvexPolygon2D(((0, 0), (0, 1), (1, 1), (1, 0)))
-        with pytest.raises(ValueError):  # dart-shaped concave quad
-            ConvexPolygon2D(((0, 0), (2, 0), (0.2, 0.2), (0, 2)))
+        assert _signed_area([(0, 0), (1, 0), (0, 1)]) == pytest.approx(0.5)
 
 
 class TestIoU3D:
@@ -385,6 +375,68 @@ class TestClipKernel:
             bev_iou(good, np.zeros((1, 6)))
         with pytest.raises(ValueError):
             bev_iou(good, np.array([[0, 0, 0, -1.0, 1, 1, 0]]))
+
+
+class TestArrayIoU3D:
+    """Array iou3d must equal the scalar call bit for bit, flags included."""
+
+    @staticmethod
+    def assert_matches_pairs(pairs):
+        a = np.array([p[0].as_array() for p in pairs]).reshape(-1, 7)
+        b = np.array([p[1].as_array() for p in pairs]).reshape(-1, 7)
+        flags_rows, flags_pairs = GeometryFlags(), GeometryFlags()
+        got = iou3d(a, b, flags_rows)
+        want = [iou3d(x, y, flags_pairs) for x, y in pairs]
+        assert got.shape == (len(pairs),)
+        assert all(g == w for g, w in zip(got.tolist(), want))
+        assert flags_rows == flags_pairs
+        return got, flags_rows
+
+    def test_random_pairs_and_swaps(self):
+        rng = np.random.default_rng(53)
+        pairs = [overlapping_pair(rng) for _ in range(300)]
+        pairs += [(random_box(rng), random_box(rng)) for _ in range(100)]
+        for group in clip_tie_cases(rng, 20).values():
+            pairs += group
+        pairs += [(b, a) for a, b in pairs]
+        got, _ = self.assert_matches_pairs(pairs)
+        assert np.count_nonzero(got) > 300
+
+    def test_canonical_order_keys_past_the_footprint(self):
+        # Pairs equal in (cx, cz, l, w) but not in cy, h or yaw: the 7-key
+        # order decides the clip direction where bev_iou's 5 keys would not.
+        rng = np.random.default_rng(59)
+        pairs = []
+        for _ in range(100):
+            a = random_box(rng)
+            pairs.append((a, replace(a, cy=a.cy + rng.normal(0, 0.2), yaw=a.yaw + rng.normal(0, 0.3))))
+            pairs.append((a, replace(a, h=a.h * 1.3, yaw=a.yaw - 0.4)))
+        pairs += [(b, a) for a, b in pairs]
+        self.assert_matches_pairs(pairs)
+
+    def test_vertically_disjoint_pairs(self):
+        rng = np.random.default_rng(61)
+        pairs = []
+        for _ in range(50):
+            a = random_box(rng)
+            pairs.append((a, replace(a, cy=a.cy + a.h)))  # touching faces
+            pairs.append((a, replace(a, cy=a.cy - 2.0 * a.h, yaw=a.yaw + 0.2)))
+        got, _ = self.assert_matches_pairs(pairs)
+        assert not np.any(got)
+
+    def test_degenerate_unions_flagged_alike(self):
+        tiny = Box3D(0, 0, 0, 1e-5, 1e-5, 1e-5, 0.3)
+        pairs = [(tiny, tiny), (tiny, replace(tiny, cx=1e-6)), (tiny, Box3D(0, 0, 0, 1, 1, 1, 0))]
+        _, flags = self.assert_matches_pairs(pairs)
+        assert flags.degenerate_union == 2
+
+    def test_empty_and_bad_rows(self):
+        assert iou3d(np.zeros((0, 7)), np.zeros((0, 7))).shape == (0,)
+        good = Box3D(0, 0, 0, 1, 1, 1, 0).as_array()[None, :]
+        with pytest.raises(ValueError):
+            iou3d(good, np.zeros((2, 7)))
+        with pytest.raises(ValueError):
+            iou3d(good, np.array([[0, 0, 0, 1, 0.0, 1, 0]]))
 
 
 def seed_iou3d_grad_fd(a, b_const, steps=None, flags=None):

@@ -24,6 +24,7 @@ from boxdistill.sim import (
     student_forward,
     teacher_predict,
     total_loss,
+    total_loss_and_grad,
     train,
 )
 
@@ -680,3 +681,109 @@ class TestStepWorkspace:
         assert np.array_equal(dlogits, kept[0])
         assert np.array_equal(ddeltas, kept[1])
         assert total_loss_and_grad(out, teacher, scene, asg, ds.grid)[0] == breakdown
+
+
+class TestMinibatchStep:
+    """The minibatch step (one XGD pass for all its scenes) must equal a
+    per-scene loop over the public total_loss_and_grad, bit for bit."""
+
+    @staticmethod
+    def _dataset():
+        from boxdistill.config import DataConfig, default_config
+        from boxdistill.experiments import build_dataset
+
+        cfg = dataclasses.replace(default_config(), data=DataConfig(n_train_scenes=5, n_val_scenes=1))
+        ds = build_dataset(cfg, 0)
+        init = DetectorParams.init(0, cfg.scene.feature_dim, ds.grid.k_a, ds.grid.k_c)
+        rng = np.random.default_rng(3)
+        noisy = DetectorParams(
+            init.w_cls + rng.normal(0, 0.05, init.w_cls.shape),
+            init.b_cls + rng.normal(0, 0.3, init.b_cls.shape),
+            init.w_reg + rng.normal(0, 0.02, init.w_reg.shape),
+            init.b_reg + rng.normal(0, 0.02, init.b_reg.shape),
+        )
+        # Log-size deltas of 14 overflow the decode cap on every box.
+        b_reg = noisy.b_reg.copy().reshape(ds.grid.k_a, 7)
+        b_reg[::2, 3] = 14.0
+        clamped = dataclasses.replace(noisy, b_reg=b_reg.ravel())
+        return ds, [init, noisy, clamped]
+
+    @staticmethod
+    def _per_scene_loop(params, scenes, teachers, assignments, grid, cfg, flags):
+        breakdowns = []
+        grads = [np.zeros_like(params.w_cls), np.zeros_like(params.b_cls),
+                 np.zeros_like(params.w_reg), np.zeros_like(params.b_reg)]
+        for scene, teacher, asg in zip(scenes, teachers, assignments):
+            breakdown, dlogits, ddeltas = total_loss_and_grad(
+                student_forward(params, scene), teacher, scene, asg, grid, cfg, flags
+            )
+            n = scene.features.shape[0]
+            dl, dd = dlogits.reshape(n, -1), ddeltas.reshape(n, -1)
+            grads[0] += scene.features.T @ dl
+            grads[1] += dl.sum(axis=0)
+            grads[2] += scene.features.T @ dd
+            grads[3] += dd.sum(axis=0)  # dense: the step sums only the rows with positives
+            breakdowns.append(breakdown)
+        return breakdowns, grads
+
+    def test_equals_per_scene_loop_for_every_arm(self):
+        from boxdistill.config import default_arm_matrix
+        from boxdistill.geometry import GeometryFlags
+        from boxdistill.sim import StepWorkspace, _minibatch_grads, _scene_targets
+
+        ds, param_sets = self._dataset()
+        batches = [[0, 1, 2, 3], [4], [3, 0]]
+        clamps = 0
+        for arm in default_arm_matrix():
+            cfg = arm.loss
+            targets = [
+                _scene_targets(a, s.gts, ds.grid, cfg, t)
+                for s, t, a in zip(ds.train_scenes, ds.teacher_train, ds.train_assignments)
+            ]
+            ws = StepWorkspace()  # shared by every minibatch, as in train
+            for params in param_sets:
+                for batch in batches:
+                    flags_step, flags_loop = GeometryFlags(), GeometryFlags()
+                    got, grads = _minibatch_grads(
+                        params, [ds.train_scenes[i] for i in batch], [targets[i] for i in batch],
+                        cfg, flags_step, ws,
+                    )
+                    want, want_grads = self._per_scene_loop(
+                        params,
+                        [ds.train_scenes[i] for i in batch],
+                        [ds.teacher_train[i] for i in batch],
+                        [ds.train_assignments[i] for i in batch],
+                        ds.grid, cfg, flags_loop,
+                    )
+                    assert got == want, (arm.name, batch)
+                    for g, w in zip(grads, want_grads):
+                        assert np.array_equal(g, w), (arm.name, batch)
+                    assert flags_step == flags_loop, (arm.name, batch)
+                    clamps += flags_step.decode_clamped
+        assert clamps > 0
+
+    def test_one_xgd_pass_per_minibatch(self, monkeypatch):
+        import boxdistill.geometry as geometry_mod
+        import boxdistill.sim as sim_mod
+        import boxdistill.xgd as xgd_mod
+
+        ds, _ = self._dataset()
+        counts = {"gate": 0, "fd": 0, "iou3d": 0, "decode": 0}
+
+        def counting(module, name, key):
+            original = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        counting(sim_mod, "gate_decisions", "gate")
+        counting(xgd_mod, "iou3d_grad_fd", "fd")
+        counting(xgd_mod, "iou3d", "iou3d")
+        counting(sim_mod, "decode_deltas", "decode")
+        opt = OptimizerConfig(epochs=2, batch_size=4)
+        train(ds.grid, ds.train_scenes, ds.teacher_train, ds.train_assignments, LossConfig(), opt, seed=0)
+        # 5 scenes: batches of 4 and 1 per epoch; teacher boxes decoded once per scene.
+        assert counts == {"gate": 4, "fd": 4, "iou3d": 4, "decode": 4 + 5}
