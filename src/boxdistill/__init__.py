@@ -6,19 +6,17 @@ cross-anchor logit distillation, a trainable toy detector pair, and
 from .anchors import (
     AnchorGrid,
     Assignment,
-    BoxDelta,
     ClassSpec,
     GridConfig,
     assign_targets,
     build_anchor_grid,
-    decode_box,
-    encode_box,
+    decode_deltas,
+    encode_deltas,
     foreground_mask,
 )
 from .cld import (
     LogitMap,
     UnifiedDistribution,
-    classical_logit_distill,
     cld_grad,
     cld_loss,
     unified_distribution,

@@ -1,4 +1,4 @@
-"""Anchor grid, box delta codec, target assignment, and foreground masking.
+"""Anchor grid, (n, 7) box delta codec, target assignment, and foreground masking.
 
 One template set is tiled over a regular BEV grid; the teacher oracle and
 the trainable student share the same grid and the same assignment.
@@ -123,9 +123,6 @@ class AnchorGrid:
     def anchor_box(self, index: int) -> Box3D:
         return Box3D.from_array(self.anchor_params[index])
 
-    def position_of_anchor(self, index: int) -> int:
-        return index // self.k_a
-
     def slot_class_ids(self) -> np.ndarray:
         return np.array([t.class_id for t in self.templates])
 
@@ -163,56 +160,12 @@ def build_anchor_grid(config: GridConfig) -> AnchorGrid:
     )
 
 
-@dataclass(frozen=True)
-class BoxDelta:
-    """Regression offsets of a box relative to an anchor.
-
-    Order matches Box3D parameters: centers normalized by the anchor BEV
-    diagonal (x, z) and height (y), log-ratio extents, wrapped yaw delta.
-    """
-
-    dx: float
-    dy: float
-    dz: float
-    dl: float
-    dw: float
-    dh: float
-    dtheta: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.dx, self.dy, self.dz, self.dl, self.dw, self.dh, self.dtheta]
-        )
-
-    @classmethod
-    def from_array(cls, values: np.ndarray) -> "BoxDelta":
-        return cls(*(float(v) for v in values))
-
-
-def encode_box(box: Box3D, anchor: Box3D) -> BoxDelta:
-    """Offsets that carry ``anchor`` onto ``box``; inverse of decode_box."""
-    diag = math.hypot(anchor.l, anchor.w)
-    return BoxDelta(
-        dx=(box.cx - anchor.cx) / diag,
-        dy=(box.cy - anchor.cy) / anchor.h,
-        dz=(box.cz - anchor.cz) / diag,
-        dl=math.log(box.l / anchor.l),
-        dw=math.log(box.w / anchor.w),
-        dh=math.log(box.h / anchor.h),
-        dtheta=wrap_angle(box.yaw - anchor.yaw),
-    )
-
-
-def decode_box(delta: BoxDelta, anchor: Box3D, flags: GeometryFlags | None = None) -> Box3D:
-    """Apply regression offsets to an anchor. Extents cap at DECODE_SIZE_CAP."""
-    arr = decode_deltas(delta.as_array()[None, :], anchor.as_array()[None, :], flags)
-    return Box3D.from_array(arr[0])
-
-
 def decode_deltas(
     deltas: np.ndarray, anchor_params: np.ndarray, flags: GeometryFlags | None = None
 ) -> np.ndarray:
-    """Vectorized decode: (n, 7) deltas + (n, 7) anchors -> (n, 7) box params."""
+    """(n, 7) deltas + (n, 7) anchors -> (n, 7) box params; inverse of
+    :func:`encode_deltas`.  Extents cap at DECODE_SIZE_CAP (counted in
+    ``flags.decode_clamped``)."""
     deltas = np.asarray(deltas, dtype=float)
     anchor_params = np.asarray(anchor_params, dtype=float)
     diag = np.hypot(anchor_params[:, 3], anchor_params[:, 4])
@@ -232,7 +185,11 @@ def decode_deltas(
 
 
 def encode_deltas(box_params: np.ndarray, anchor_params: np.ndarray) -> np.ndarray:
-    """Vectorized encode: (n, 7) box params + (n, 7) anchors -> (n, 7) deltas."""
+    """(n, 7) box params + (n, 7) anchors -> (n, 7) regression offsets.
+
+    Columns follow the box rows: centers normalized by the anchor BEV
+    diagonal (x, z) and height (y), log-ratio extents, wrapped yaw delta.
+    """
     box_params = np.asarray(box_params, dtype=float)
     anchor_params = np.asarray(anchor_params, dtype=float)
     diag = np.hypot(anchor_params[:, 3], anchor_params[:, 4])
@@ -405,5 +362,5 @@ def positive_target_deltas(
     pos = assignment.positive_indices
     if pos.size == 0:
         return pos, np.zeros((0, 7))
-    gt_params = np.array([gts[assignment.labels[i]][0].as_array() for i in pos])
-    return pos, encode_deltas(gt_params, grid.anchor_params[pos])
+    gt_params = np.array([box.as_array() for box, _ in gts])
+    return pos, encode_deltas(gt_params[assignment.labels[pos]], grid.anchor_params[pos])

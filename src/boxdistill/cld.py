@@ -4,8 +4,9 @@ Classification logits of all anchors at one BEV position are flattened
 into a single vector and renormalized with one softmax, so the teacher's
 single most confident (anchor, class) pair dominates the target
 distribution.  The loss is a row-mean KL divergence with the teacher as
-reference.  The classical per-anchor variant is kept as a baseline; it is
-the same softmax and KL with one anchor per position.
+reference.  The classical per-anchor baseline is the same softmax and KL
+with one anchor per position: ``unified_distribution(LogitMap(values,
+k_a=1))``.
 """
 from __future__ import annotations
 
@@ -133,30 +134,3 @@ def cld_grad(
     flat_grad = (student.rows - teacher.rows) / (tau * m)
     return flat_grad.reshape(m * student.k_a, student.k_c)
 
-
-def _anchor_distribution(logits: LogitMap, tau: float = 1.0) -> UnifiedDistribution:
-    """Per-anchor softmax over each row's class logits / tau: the unified
-    distribution of the same rows read as one anchor per position."""
-    return unified_distribution(LogitMap(logits.values, k_a=1), tau)
-
-
-def _check_same_layout(teacher: LogitMap, student: LogitMap) -> None:
-    if teacher.values.shape != student.values.shape or teacher.k_a != student.k_a:
-        raise ValueError("teacher and student logit maps must have identical layout")
-
-
-def classical_logit_distill(
-    teacher: LogitMap, student: LogitMap, tau: float = 1.0
-) -> float:
-    """Per-anchor baseline: softmax each anchor's class logits separately,
-    then mean KL(teacher || student) over all anchor rows."""
-    _check_same_layout(teacher, student)
-    return cld_loss(_anchor_distribution(teacher, tau), _anchor_distribution(student, tau))
-
-
-def classical_logit_distill_grad(
-    teacher: LogitMap, student: LogitMap, tau: float = 1.0
-) -> np.ndarray:
-    """Gradient of :func:`classical_logit_distill` w.r.t. the student logits."""
-    _check_same_layout(teacher, student)
-    return cld_grad(_anchor_distribution(teacher, tau), _anchor_distribution(student, tau), tau)

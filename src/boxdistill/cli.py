@@ -45,16 +45,10 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     grid = build_anchor_grid(config.grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    from .experiments import train_scene_seed, val_scene_seed
-    from .sim import generate_scene
-
     for seed in config.seeds:
-        for split, seeds in (
-            ("train", [train_scene_seed(seed, i) for i in range(config.data.n_train_scenes)]),
-            ("val", [val_scene_seed(seed, i) for i in range(config.data.n_val_scenes)]),
-        ):
-            scenes = [generate_scene(s, config.scene, grid) for s in seeds]
-            save_scenes(out / f"{split}_seed{seed}.jsonl", scenes)
+        dataset = build_dataset(config, seed, grid)
+        save_scenes(out / f"train_seed{seed}.jsonl", dataset.train_scenes)
+        save_scenes(out / f"val_seed{seed}.jsonl", dataset.val_scenes)
     print(f"wrote scene files for seeds {list(config.seeds)} to {out}")
     return 0
 

@@ -441,37 +441,6 @@ def bev_iou(a: Box3D | np.ndarray, b: Box3D | np.ndarray) -> float | np.ndarray:
     return min(1.0, inter / union)
 
 
-class IoU3DResult(NamedTuple):
-    iou: float
-    intersection: float
-    union: float
-    degenerate: bool
-
-
-def iou3d_parts(a: Box3D, b: Box3D, flags: GeometryFlags | None = None) -> IoU3DResult:
-    """3D IoU with its intersection/union volumes and degeneracy marker."""
-    y_overlap = min(a.cy + 0.5 * a.h, b.cy + 0.5 * b.h) - max(
-        a.cy - 0.5 * a.h, b.cy - 0.5 * b.h
-    )
-    if y_overlap <= 0.0:
-        inter = 0.0
-    else:
-        # Clip in a canonical order so iou3d(a, b) and iou3d(b, a) run the
-        # identical float sequence and agree bit-for-bit.
-        ka = (a.cx, a.cy, a.cz, a.l, a.w, a.h, a.yaw)
-        kb = (b.cx, b.cy, b.cz, b.l, b.w, b.h, b.yaw)
-        if ka <= kb:
-            inter = _bev_intersection_area(a, b) * y_overlap
-        else:
-            inter = _bev_intersection_area(b, a) * y_overlap
-    union = a.volume + b.volume - inter
-    if union <= DEGENERATE_UNION:
-        if flags is not None:
-            flags.degenerate_union += 1
-        return IoU3DResult(0.0, inter, union, True)
-    return IoU3DResult(min(1.0, max(0.0, inter / union)), inter, union, False)
-
-
 def _iou3d_rows(a: np.ndarray, b: np.ndarray, flags: GeometryFlags | None) -> np.ndarray:
     a = _box_rows(a, "a")
     b = _box_rows(b, "b")
@@ -513,7 +482,26 @@ def iou3d(
     """
     if not isinstance(a, Box3D):
         return _iou3d_rows(a, b, flags)
-    return iou3d_parts(a, b, flags).iou
+    y_overlap = min(a.cy + 0.5 * a.h, b.cy + 0.5 * b.h) - max(
+        a.cy - 0.5 * a.h, b.cy - 0.5 * b.h
+    )
+    if y_overlap <= 0.0:
+        inter = 0.0
+    else:
+        # Clip in a canonical order so iou3d(a, b) and iou3d(b, a) run the
+        # identical float sequence and agree bit-for-bit.
+        ka = (a.cx, a.cy, a.cz, a.l, a.w, a.h, a.yaw)
+        kb = (b.cx, b.cy, b.cz, b.l, b.w, b.h, b.yaw)
+        if ka <= kb:
+            inter = _bev_intersection_area(a, b) * y_overlap
+        else:
+            inter = _bev_intersection_area(b, a) * y_overlap
+    union = a.volume + b.volume - inter
+    if union <= DEGENERATE_UNION:
+        if flags is not None:
+            flags.degenerate_union += 1
+        return 0.0
+    return min(1.0, max(0.0, inter / union))
 
 
 class MonteCarloIoU(NamedTuple):
@@ -579,17 +567,17 @@ _FOOTPRINT_PARAMS = [0, 2, 3, 4, 6]
 
 
 def iou3d_grad_fd(
-    a: Box3D | np.ndarray,
-    b_const: Box3D | np.ndarray,
+    a: np.ndarray,
+    b_const: np.ndarray,
     steps: np.ndarray | None = None,
     flags: GeometryFlags | None = None,
 ) -> np.ndarray:
     """Central-difference gradient of iou3d w.r.t. the 7 parameters of ``a``.
 
-    ``b_const`` is held fixed (the stop-gradient target).  Takes two
-    :class:`Box3D` (returns a (7,) gradient) or two (n, 7) arrays of box
-    parameters (returns (n, 7) row-wise gradients); both run the same code,
-    with one batched clip for the base and all footprint perturbations.
+    ``a`` and ``b_const`` are (n, 7) arrays of box parameters; ``b_const``
+    is held fixed (the stop-gradient target).  Returns the (n, 7) row-wise
+    gradients, from one batched clip for the base and all footprint
+    perturbations.
     Perturbations that would drive an extent non-positive are clamped at
     SIZE_FLOOR and counted in ``flags.size_clamped``; the actual parameter
     difference is used as the divisor so the estimate stays consistent.
@@ -597,9 +585,6 @@ def iou3d_grad_fd(
     steps = DEFAULT_FD_STEPS if steps is None else np.asarray(steps, dtype=float)
     if steps.shape != (7,) or np.any(steps <= 0):
         raise ValueError("steps must be 7 positive values")
-    single = isinstance(a, Box3D)
-    if single:
-        a, b_const = a.as_array()[None, :], b_const.as_array()[None, :]
     a = _box_rows(a, "a")
     b = _box_rows(b_const, "b_const")
     if a.shape != b.shape:
@@ -653,4 +638,4 @@ def iou3d_grad_fd(
         flags.degenerate_union += int(np.count_nonzero(degenerate & moved[:, :, None]))
     grad = np.zeros((n, 7))
     grad[moved] = (value[..., 0][moved] - value[..., 1][moved]) / span[moved]
-    return grad[0] if single else grad
+    return grad

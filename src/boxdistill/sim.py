@@ -385,7 +385,7 @@ def teacher_predict(
     logits = np.full((grid.n_positions, k_a, k_c), BACKGROUND_LOGIT)
     deltas = np.zeros((grid.n_positions, k_a, 7))
 
-    per_gt: list[tuple[Box3D, int, float]] = []
+    per_gt: list[tuple[np.ndarray, int, float]] = []
     for box, class_id in scene.gts:
         noisy = _perturb_box(box, profile, rng)
         reported = class_id
@@ -397,16 +397,14 @@ def teacher_predict(
                 reported = int(rng.integers(0, k_c))
             noisy = _corrupt_components(noisy, profile.score_corruption, rng)
         peak = PEAK_LOGIT + rng.normal(0.0, 0.3)
-        per_gt.append((noisy, reported, peak))
+        per_gt.append((noisy.as_array(), reported, peak))
 
-    flat_logits = logits.reshape(-1, k_c)
-    flat_deltas = deltas.reshape(-1, 7)
-    for idx in assignment.positive_indices:
-        noisy, reported, peak = per_gt[assignment.labels[idx]]
-        flat_deltas[idx] = encode_deltas(
-            noisy.as_array()[None, :], grid.anchor_params[idx][None, :]
-        )[0]
-        flat_logits[idx, reported] = peak
+    pos = assignment.positive_indices
+    if pos.size:
+        # Each positive takes its object's row; one encode for the scene.
+        rows, reported, peaks = (np.array(col)[assignment.labels[pos]] for col in zip(*per_gt))
+        deltas.reshape(-1, 7)[pos] = encode_deltas(rows, grid.anchor_params[pos])
+        logits.reshape(-1, k_c)[pos, reported] = peaks
     return DetectorOutputs(logits=logits, deltas=deltas)
 
 
@@ -451,7 +449,6 @@ class LossConfig:
     xgd_components: tuple[str, ...] = COMPONENT_NAMES
     xgd_selection: str = "gate"  # "gate" | "confidence"
     confidence_threshold: float = 0.3
-    xgd_normalization: str = "sum"
     cld_region: str = "foreground"  # "foreground" | "positive"
     cld_mode: str = "unified"  # "unified" | "classical"
     focal_gamma: float = 2.0
@@ -637,7 +634,7 @@ def _scene_targets(
         teacher_rows = decode_deltas(teacher.deltas_flat[pos], anchors)
         if cfg.xgd_selection == "gate":
             xgd_rows, xgd_anchors, xgd_teacher = pos, anchors, teacher_rows
-            xgd_gt = np.array([gts[g][0].as_array() for g in labels[pos]])
+            xgd_gt = np.array([box.as_array() for box, _ in gts])[labels[pos]]
         else:
             # Box-level alternative: keep whole teacher boxes whose best
             # class score clears the confidence threshold.
@@ -746,11 +743,8 @@ def _xgd_terms(
         )
     else:
         box_targets = teacher_rows
-    losses = xgd_loss(student_rows, box_targets, cfg.xgd_normalization, flags, sizes=sizes)
-    grad = xgd_loss_grad(
-        deltas, anchors, box_targets, cfg.xgd_normalization, flags, sizes=sizes,
-        student_rows=student_rows,
-    )
+    losses = xgd_loss(student_rows, box_targets, flags, sizes=sizes)
+    grad = xgd_loss_grad(deltas, anchors, box_targets, flags, student_rows=student_rows)
     out = []
     start = 0
     for loss, n in zip(losses, sizes):

@@ -40,6 +40,11 @@ def _random_box(rng: np.random.Generator, spread: float = 3.0) -> Box3D:
     )
 
 
+def _rows(boxes) -> np.ndarray:
+    """(n, 7) parameter rows of an iterable of boxes."""
+    return np.array([b.as_array() for b in boxes]).reshape(-1, 7)
+
+
 def _near_pair(rng: np.random.Generator) -> tuple[Box3D, Box3D]:
     a = _random_box(rng)
     b = Box3D(
@@ -167,9 +172,9 @@ def check_component_update_bruteforce(n_cases: int = 1000) -> CheckResult:
                 gt[j] = Box3D(student[j].cx, student[j].cy, student[j].cz,
                               gt[j].l, gt[j].w, gt[j].h, gt[j].yaw)
             teacher.append(t)
-        got = xgd_mod.positive_component_update(teacher, student, gt, eps)
+        got = xgd_mod.positive_component_update(_rows(teacher), _rows(student), _rows(gt), eps)
         want = _reference_component_update(teacher, student, gt, eps)
-        for g_box, w_box in zip(got, want):
+        for g_box, w_box in zip(map(Box3D.from_array, got), want):
             if g_box != w_box:
                 return CheckResult(
                     "component_update_bruteforce",
@@ -303,17 +308,17 @@ def check_cld_grad_fd(n_maps: int = 100) -> CheckResult:
 
 
 def check_codec_roundtrip(n_cases: int = 10_000) -> CheckResult:
+    """encode_deltas then decode_deltas recovers random boxes."""
     t0 = time.time()
     rng = np.random.default_rng(23)
-    worst = 0.0
-    for _ in range(n_cases):
-        box = _random_box(rng)
-        anchor = _random_box(rng)
-        back = anchors_mod.decode_box(anchors_mod.encode_box(box, anchor), anchor)
-        err = float(np.max(np.abs(back.as_array()[:6] - box.as_array()[:6])))
-        # yaw may round-trip to the equivalent angle across the wrap boundary
-        err = max(err, abs(geom.wrap_angle(back.yaw - box.yaw)))
-        worst = max(worst, err)
+    pairs = [(_random_box(rng), _random_box(rng)) for _ in range(n_cases)]
+    boxes = _rows(box for box, _ in pairs)
+    anchors = _rows(anchor for _, anchor in pairs)
+    back = anchors_mod.decode_deltas(anchors_mod.encode_deltas(boxes, anchors), anchors)
+    err = np.abs(back[:, :6] - boxes[:, :6]).max(axis=1)
+    # yaw may round-trip to the equivalent angle across the wrap boundary
+    err = np.maximum(err, np.abs(geom.wrap_angle_array(back[:, 6] - boxes[:, 6])))
+    worst = float(err.max())
     return CheckResult(
         "codec_roundtrip",
         worst < 1e-9,
@@ -332,8 +337,8 @@ def check_iou_grad_self_consistency(n_cases: int = 40) -> CheckResult:
         a, b = _near_pair(rng)
         if not 0.15 < geom.iou3d(a, b) < 0.95:
             continue
-        g1 = geom.iou3d_grad_fd(a, b, steps=np.full(7, 1e-3))
-        g2 = geom.iou3d_grad_fd(a, b, steps=np.full(7, 1e-4))
+        g1 = geom.iou3d_grad_fd(_rows([a]), _rows([b]), steps=np.full(7, 1e-3))[0]
+        g2 = geom.iou3d_grad_fd(_rows([a]), _rows([b]), steps=np.full(7, 1e-4))[0]
         denom = max(np.linalg.norm(g1), np.linalg.norm(g2), 1e-12)
         if denom < 1e-6:
             continue
@@ -400,8 +405,8 @@ def check_clip_kernel_bit_identity(n_random: int = 1000) -> CheckResult:
     for group in clip_tie_cases(rng, max(1, n_random // 4)).values():
         pairs += group
     pairs += [(b, a) for a, b in pairs]
-    a_rows = np.array([a.as_array() for a, _ in pairs])
-    b_rows = np.array([b.as_array() for _, b in pairs])
+    a_rows = _rows(a for a, _ in pairs)
+    b_rows = _rows(b for _, b in pairs)
     kernel = geom._clip_area_rows(*geom._bev_corners_rows(a_rows), *geom._bev_corners_rows(b_rows))
     iou_rows = geom.bev_iou(a_rows, b_rows)
     flags_rows, flags_pairs = geom.GeometryFlags(), geom.GeometryFlags()
@@ -493,17 +498,11 @@ def check_training_grad_fd(n_states: int = 5) -> CheckResult:
 
         pos = assignment.positive_indices
         anchor_params = grid.anchor_params[pos]
-        student_boxes0 = [
-            Box3D.from_array(r)
-            for r in anchors_mod.decode_deltas(out.deltas_flat[pos], anchor_params)
-        ]
-        teacher_boxes = [
-            Box3D.from_array(r)
-            for r in anchors_mod.decode_deltas(teacher.deltas_flat[pos], anchor_params)
-        ]
-        gt_boxes = [scene.gts[assignment.labels[i]][0] for i in pos]
         frozen_targets = xgd_mod.positive_component_update(
-            teacher_boxes, student_boxes0, gt_boxes, cfg.loss.gate_eps,
+            anchors_mod.decode_deltas(teacher.deltas_flat[pos], anchor_params),
+            anchors_mod.decode_deltas(out.deltas_flat[pos], anchor_params),
+            _rows(scene.gts[assignment.labels[i]][0] for i in pos),
+            cfg.loss.gate_eps,
             components=cfg.loss.xgd_components,
         )
         fg = sim_mod.cld_positions(assignment, grid, cfg.loss.cld_region)
@@ -514,13 +513,8 @@ def check_training_grad_fd(n_states: int = 5) -> CheckResult:
         def loss_of(p: sim_mod.DetectorParams) -> float:
             o = sim_mod.student_forward(p, scene)
             value = sim_mod.base_loss(o, assignment, scene.gts, grid, cfg.loss)
-            boxes = [
-                Box3D.from_array(r)
-                for r in anchors_mod.decode_deltas(o.deltas_flat[pos], anchor_params)
-            ]
-            value += cfg.loss.xgd_weight * xgd_mod.xgd_loss(
-                boxes, frozen_targets, cfg.loss.xgd_normalization
-            )
+            boxes = anchors_mod.decode_deltas(o.deltas_flat[pos], anchor_params)
+            value += cfg.loss.xgd_weight * xgd_mod.xgd_loss(boxes, frozen_targets)
             student_dist = cld_mod.unified_distribution(
                 sim_mod.extract_logit_map(o, fg, grid.k_a), cfg.loss.tau
             )

@@ -6,6 +6,9 @@ toward it also steps toward the ground truth (the two difference vectors
 make an acute angle).  Rejected components fall back to the student's own
 value, so they exert no pull.  The resulting target boxes feed a rotated
 3D IoU loss over the positive anchors.
+
+Boxes are index-aligned (n, 7) rows (cx, cy, cz, l, w, h, yaw); the scalar
+:func:`component_gate` is the reference for one component of one box.
 """
 from __future__ import annotations
 
@@ -18,7 +21,6 @@ import numpy as np
 from .anchors import decode_deltas
 from .geometry import (
     DEFAULT_FD_STEPS,
-    Box3D,
     GeometryFlags,
     iou3d,
     iou3d_grad_fd,
@@ -75,15 +77,11 @@ def component_gate(
     return ComponentGate(kept=cos_beta > 0.0, cos_beta=cos_beta)
 
 
-def _box_rows(**groups) -> list[np.ndarray]:
-    """(n, 7) float arrays from index-aligned (n, 7) arrays or Box3D sequences."""
-    rows = [
-        np.asarray(g, dtype=float) if isinstance(g, np.ndarray)
-        else np.array([b.as_array() for b in g]).reshape(-1, 7)
-        for g in groups.values()
-    ]
+def _box_rows(**groups: np.ndarray) -> list[np.ndarray]:
+    """Index-aligned (n, 7) float arrays, checked for shape and length."""
+    rows = [np.asarray(g, dtype=float) for g in groups.values()]
     if any(r.ndim != 2 or r.shape[1] != 7 for r in rows):
-        raise ValueError("boxes must be (n, 7) arrays or Box3D sequences")
+        raise ValueError("boxes must be (n, 7) arrays")
     if len({r.shape[0] for r in rows}) > 1:
         lengths = ", ".join(f"{name}={r.shape[0]}" for name, r in zip(groups, rows))
         raise ValueError(f"lengths differ: {lengths}")
@@ -111,16 +109,16 @@ _COMPONENT_OF_COLUMN = np.repeat(np.arange(len(_BLOCKS)), [b.stop - b.start for 
 
 
 def gate_decisions(
-    teacher: np.ndarray | Sequence[Box3D],
-    student: np.ndarray | Sequence[Box3D],
-    gt: np.ndarray | Sequence[Box3D],
+    teacher: np.ndarray,
+    student: np.ndarray,
+    gt: np.ndarray,
     eps: float = DEFAULT_GATE_EPS,
 ) -> np.ndarray:
-    """Per-box, per-component gate verdicts for index-aligned boxes.
+    """Per-box, per-component gate verdicts for index-aligned (n, 7) boxes.
 
-    Boxes are (n, 7) arrays or Box3D sequences.  Returns an (n, 3) bool
-    array whose columns are the center, size and angle verdicts; each one
-    equals :func:`component_gate` on that component's difference vectors.
+    Returns an (n, 3) bool array whose columns are the center, size and
+    angle verdicts; each one equals :func:`component_gate` on that
+    component's difference vectors.
     """
     teacher, student, gt = _box_rows(teacher=teacher, student=student, gt=gt)
     if not (np.all(np.isfinite(teacher)) and np.all(np.isfinite(student)) and np.all(np.isfinite(gt))):
@@ -135,13 +133,13 @@ def gate_decisions(
 
 
 def positive_component_update(
-    teacher: np.ndarray | Sequence[Box3D],
-    student: np.ndarray | Sequence[Box3D],
-    gt: np.ndarray | Sequence[Box3D],
+    teacher: np.ndarray,
+    student: np.ndarray,
+    gt: np.ndarray,
     eps: float = DEFAULT_GATE_EPS,
     components: Sequence[str] = COMPONENT_NAMES,
     decisions: np.ndarray | None = None,
-) -> np.ndarray | list[Box3D]:
+) -> np.ndarray:
     """Assemble per-box soft targets from gated teacher components.
 
     For every box and every component, the target takes the teacher's
@@ -149,13 +147,12 @@ def positive_component_update(
     detached snapshot) otherwise.  ``components`` restricts which
     components may ever be substituted; the rest always stay student-side
     (used by the single-component ablations).  ``decisions`` is a
-    precomputed :func:`gate_decisions` array.  Returns (n, 7) rows for
-    array inputs and Box3D targets for Box3D sequences.
+    precomputed :func:`gate_decisions` array.  Returns the (n, 7) target
+    rows.
     """
     unknown = set(components) - set(COMPONENT_NAMES)
     if unknown:
         raise ValueError(f"unknown components: {sorted(unknown)}")
-    as_rows = isinstance(teacher, np.ndarray)
     teacher, student, gt = _box_rows(teacher=teacher, student=student, gt=gt)
     if decisions is None:
         decisions = gate_decisions(teacher, student, gt, eps)
@@ -163,48 +160,33 @@ def positive_component_update(
         raise ValueError("decisions must be an (n, 3) array aligned with the boxes")
     allowed = np.array([name in components for name in COMPONENT_NAMES])
     take = (np.asarray(decisions, dtype=bool) & allowed)[:, _COMPONENT_OF_COLUMN]
-    targets = np.where(take, teacher, student)
-    return targets if as_rows else [Box3D.from_array(r) for r in targets]
-
-
-def _group_sizes(sizes: Sequence[int] | None, n: int) -> list[int]:
-    if sizes is None:
-        return [n]
-    sizes = [int(k) for k in sizes]
-    if any(k < 0 for k in sizes) or sum(sizes) != n:
-        raise ValueError(f"group sizes {sizes} do not partition {n} boxes")
-    return sizes
+    return np.where(take, teacher, student)
 
 
 def xgd_loss(
-    student_boxes: np.ndarray | Sequence[Box3D],
-    targets: np.ndarray | Sequence[Box3D],
-    normalization: str = "sum",
+    student_boxes: np.ndarray,
+    targets: np.ndarray,
     flags: GeometryFlags | None = None,
     sizes: Sequence[int] | None = None,
 ) -> float | list[float]:
     """Rotated-IoU distillation loss: sum of (1 - IoU3D) over box pairs.
 
-    Boxes are index-aligned (n, 7) rows or Box3D sequences; every pair is
-    scored in one batched :func:`iou3d` call.  Targets are treated as
-    constants.  ``normalization`` is "sum" (default) or "mean".  Without
-    ``sizes`` the result is one float, zero when there are no pairs.  With
-    ``sizes``, the lengths of consecutive groups of pairs, it is one loss
-    per group, each summed in pair order and normalized by its own length,
-    as if each group had been a separate call.
+    Boxes are index-aligned (n, 7) rows; every pair is scored in one
+    batched :func:`iou3d` call.  Targets are treated as constants.
+    Without ``sizes`` the result is one float, zero when there are no
+    pairs.  With ``sizes``, the lengths of consecutive groups of pairs, it
+    is one sum per group, in pair order, as if each group had been a
+    separate call.
     """
-    if normalization not in ("sum", "mean"):
-        raise ValueError(f"normalization must be 'sum' or 'mean', got {normalization!r}")
     student_rows, target_rows = _box_rows(student=student_boxes, targets=targets)
-    groups = _group_sizes(sizes, len(student_rows))
     terms = (1.0 - iou3d(student_rows, target_rows, flags)).tolist()
+    groups = [len(terms)] if sizes is None else [int(k) for k in sizes]
+    if any(k < 0 for k in groups) or sum(groups) != len(terms):
+        raise ValueError(f"group sizes {groups} do not partition {len(terms)} boxes")
     losses = []
     start = 0
     for k in groups:
-        total = sum(terms[start : start + k]) if k else 0.0
-        if normalization == "mean" and k:
-            total /= k
-        losses.append(total)
+        losses.append(sum(terms[start : start + k]) if k else 0.0)
         start += k
     return losses if sizes is not None else losses[0]
 
@@ -212,10 +194,8 @@ def xgd_loss(
 def xgd_loss_grad(
     student_deltas: np.ndarray,
     anchor_params: np.ndarray,
-    targets: np.ndarray | Sequence[Box3D],
-    normalization: str = "sum",
+    targets: np.ndarray,
     flags: GeometryFlags | None = None,
-    sizes: Sequence[int] | None = None,
     student_rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of :func:`xgd_loss` w.r.t. the student regression deltas.
@@ -225,8 +205,8 @@ def xgd_loss_grad(
     the (diagonal) Jacobian of the delta decoding.  Gate decisions are
     piecewise constant and contribute nothing.  Components steeper than
     GRAD_CLIP_FACTOR / step are clipped (contact noise).  ``targets`` are
-    (n, 7) rows or Box3D boxes.  ``sizes`` splits the rows into groups as
-    in :func:`xgd_loss` ("mean" divides each group by its own length).
+    (n, 7) rows.  Each row's gradient depends on that row alone, so rows
+    grouped by :func:`xgd_loss` ``sizes`` need no grouping here.
     ``student_rows`` is the decode of ``student_deltas`` when the caller
     already has it (its decode clamps already counted in ``flags``).
     """
@@ -236,7 +216,6 @@ def xgd_loss_grad(
     n = student_deltas.shape[0]
     if target_rows.shape[0] != n or anchor_params.shape[0] != n:
         raise ValueError("deltas, anchors, and targets must be index-aligned")
-    groups = _group_sizes(sizes, n)
     if n == 0:
         return np.zeros_like(student_deltas)
     clip = GRAD_CLIP_FACTOR / DEFAULT_FD_STEPS
@@ -257,10 +236,7 @@ def xgd_loss_grad(
     jac = np.column_stack(
         [diag, anchor_params[:, 5], diag, student_rows[:, 3:6], np.ones(n)]
     )
-    grad = g_box * jac
-    if normalization == "mean":
-        grad /= np.repeat(groups, groups)[:, None]
-    return grad
+    return g_box * jac
 
 
 def gate_keep_rates(decisions: np.ndarray) -> dict[str, float]:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from boxdistill.anchors import build_anchor_grid, decode_box, encode_box
+from boxdistill.anchors import build_anchor_grid, decode_deltas, encode_deltas
 from boxdistill.cld import LogitMap, cld_grad, cld_loss, unified_distribution
 from boxdistill.config import config_from_dict, default_config
 from boxdistill.experiments import (
@@ -63,6 +63,10 @@ def random_box(rng, spread=3.0):
         *np.exp(rng.uniform(-0.7, 0.9, 3)),
         rng.uniform(-math.pi, math.pi),
     )
+
+
+def rows(boxes):
+    return np.array([b.as_array() for b in boxes]).reshape(-1, 7)
 
 
 def overlapping_pair(rng):
@@ -196,9 +200,9 @@ def test_criterion_3_component_update_bruteforce(report):
             elif roll < 0.35:  # total coincidence
                 t = student[j]
             teacher.append(t)
-        got = positive_component_update(teacher, student, gt)
+        got = positive_component_update(rows(teacher), rows(student), rows(gt))
         want = _reference_component_update(teacher, student, gt)
-        if got != want:
+        if [Box3D.from_array(r) for r in got] != want:
             mismatches += 1
     report(3, "gated update vs brute force", mismatches == 0,
            f"1000 triplet lists, {mismatches} mismatches")
@@ -359,13 +363,9 @@ def test_criterion_6_training_gradients(report):
         # freeze distillation targets at the probe point
         pos = assignment.positive_indices
         anchor_params = grid.anchor_params[pos]
-        student_boxes0 = [
-            Box3D.from_array(r) for r in decode_deltas(out.deltas_flat[pos], anchor_params)
-        ]
-        teacher_boxes = [
-            Box3D.from_array(r) for r in decode_deltas(teacher.deltas_flat[pos], anchor_params)
-        ]
-        gt_boxes = [scene.gts[assignment.labels[i]][0] for i in pos]
+        student_boxes0 = decode_deltas(out.deltas_flat[pos], anchor_params)
+        teacher_boxes = decode_deltas(teacher.deltas_flat[pos], anchor_params)
+        gt_boxes = rows(scene.gts[assignment.labels[i]][0] for i in pos)
         frozen_targets = positive_component_update(teacher_boxes, student_boxes0, gt_boxes)
         fg = cld_positions(assignment, grid, cfg.loss.cld_region)
         teacher_dist = unified_distribution(
@@ -375,9 +375,7 @@ def test_criterion_6_training_gradients(report):
         def loss_of(p):
             o = student_forward(p, scene)
             value = base_loss(o, assignment, scene.gts, grid, cfg.loss)
-            boxes = [
-                Box3D.from_array(r) for r in decode_deltas(o.deltas_flat[pos], anchor_params)
-            ]
+            boxes = decode_deltas(o.deltas_flat[pos], anchor_params)
             value += cfg.loss.xgd_weight * xgd_loss(boxes, frozen_targets)
             student_dist = unified_distribution(
                 extract_logit_map(o, fg, grid.k_a), cfg.loss.tau
@@ -563,11 +561,11 @@ def test_criterion_10_reproducibility(tmp_path, report):
 def test_codec_round_trip_supplement():
     """Codec bijectivity at acceptance scale (supports criteria 3/6 chains)."""
     rng = np.random.default_rng(48)
-    worst = 0.0
-    for _ in range(10_000):
-        box, anchor = random_box(rng), random_box(rng)
-        back = decode_box(encode_box(box, anchor), anchor)
-        err = float(np.max(np.abs(back.as_array()[:6] - box.as_array()[:6])))
-        err = max(err, abs(wrap_angle(back.yaw - box.yaw)))
-        worst = max(worst, err)
+    pairs = [(random_box(rng), random_box(rng)) for _ in range(10_000)]
+    boxes = rows(box for box, _ in pairs)
+    anchors = rows(anchor for _, anchor in pairs)
+    back = decode_deltas(encode_deltas(boxes, anchors), anchors)
+    worst = float(np.max(np.abs(back[:, :6] - boxes[:, :6])))
+    for back_yaw, yaw in zip(back[:, 6].tolist(), boxes[:, 6].tolist()):
+        worst = max(worst, abs(wrap_angle(back_yaw - yaw)))
     assert worst < 1e-9

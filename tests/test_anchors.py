@@ -6,14 +6,11 @@ import pytest
 from boxdistill.anchors import (
     LABEL_IGNORE,
     LABEL_NEGATIVE,
-    BoxDelta,
     ClassSpec,
     GridConfig,
     assign_targets,
     build_anchor_grid,
-    decode_box,
     decode_deltas,
-    encode_box,
     encode_deltas,
     foreground_mask,
     positive_target_deltas,
@@ -101,60 +98,65 @@ class TestGridConstruction:
         assert grid.k_a == grid.k_c * 2
 
 
+def rows(boxes):
+    return np.array([b.as_array() for b in boxes]).reshape(-1, 7)
+
+
 class TestCodec:
     def test_identity(self):
-        anchor = Box3D(1, 0.5, 10, 3.9, 1.6, 1.56, 0)
-        delta = encode_box(anchor, anchor)
-        assert delta.as_array().tolist() == [0.0] * 7
+        anchor = rows([Box3D(1, 0.5, 10, 3.9, 1.6, 1.56, 0)])
+        assert encode_deltas(anchor, anchor).tolist() == [[0.0] * 7]
 
     def test_log_size_definition(self):
-        anchor = Box3D(0, 0, 0, 2, 1, 1, 0)
-        box = Box3D(0, 0, 0, 2 * math.e, 1, 1, 0)
-        assert encode_box(box, anchor).dl == pytest.approx(1.0, abs=1e-12)
+        anchor = rows([Box3D(0, 0, 0, 2, 1, 1, 0)])
+        box = rows([Box3D(0, 0, 0, 2 * math.e, 1, 1, 0)])
+        assert encode_deltas(box, anchor)[0, 3] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_delta_decodes_to_anchor(self):
-        anchor = Box3D(2, 1, 5, 1.8, 1.0, 1.2, 0.4)
-        assert decode_box(BoxDelta(0, 0, 0, 0, 0, 0, 0), anchor) == anchor
+        anchor = rows([Box3D(2, 1, 5, 1.8, 1.0, 1.2, 0.4)])
+        assert np.array_equal(decode_deltas(np.zeros((1, 7)), anchor), anchor)
 
     def test_pi_delta_wraps(self):
-        anchor = Box3D(0, 0, 0, 1, 1, 1, 0)
-        out = decode_box(BoxDelta(0, 0, 0, 0, 0, 0, math.pi), anchor)
-        assert out.yaw == pytest.approx(math.pi)
+        anchor = rows([Box3D(0, 0, 0, 1, 1, 1, 0)])
+        out = decode_deltas(np.array([[0, 0, 0, 0, 0, 0, math.pi]]), anchor)
+        assert out[0, 6] == pytest.approx(math.pi)
 
     def test_round_trip_property(self):
         rng = np.random.default_rng(0)
-        worst = 0.0
-        for _ in range(10_000):
-            box, anchor = random_box(rng), random_box(rng)
-            back = decode_box(encode_box(box, anchor), anchor)
-            err = np.max(np.abs(back.as_array()[:6] - box.as_array()[:6]))
-            err = max(err, abs(wrap_angle(back.yaw - box.yaw)))
-            worst = max(worst, err)
+        pairs = [(random_box(rng), random_box(rng)) for _ in range(10_000)]
+        boxes = rows(box for box, _ in pairs)
+        anchors = rows(anchor for _, anchor in pairs)
+        back = decode_deltas(encode_deltas(boxes, anchors), anchors)
+        worst = float(np.max(np.abs(back[:, :6] - boxes[:, :6])))
+        for back_yaw, yaw in zip(back[:, 6].tolist(), boxes[:, 6].tolist()):
+            worst = max(worst, abs(wrap_angle(back_yaw - yaw)))
         assert worst < 1e-9
 
     def test_vectorized_matches_scalar(self):
+        # Every row of a batch encodes and decodes as a one-row call does.
         rng = np.random.default_rng(1)
-        boxes = [random_box(rng) for _ in range(50)]
-        anchors = [random_box(rng) for _ in range(50)]
-        batch = encode_deltas(
-            np.array([b.as_array() for b in boxes]), np.array([a.as_array() for a in anchors])
-        )
-        for i, (b, a) in enumerate(zip(boxes, anchors)):
-            assert np.allclose(batch[i], encode_box(b, a).as_array(), atol=1e-12)
+        boxes = rows(random_box(rng) for _ in range(50))
+        anchors = rows(random_box(rng) for _ in range(50))
+        batch = encode_deltas(boxes, anchors)
+        decoded = decode_deltas(batch, anchors)
+        for i in range(50):
+            one = slice(i, i + 1)
+            assert np.allclose(batch[i], encode_deltas(boxes[one], anchors[one])[0], atol=1e-12)
+            assert np.allclose(decoded[i], decode_deltas(batch[one], anchors[one])[0], atol=1e-12)
 
     def test_decode_overflow_clamped_and_flagged(self):
         flags = GeometryFlags()
-        anchor = Box3D(0, 0, 0, 1, 1, 1, 0)
-        out = decode_box(BoxDelta(0, 0, 0, 50.0, 0, 0, 0), anchor, flags)
-        assert out.l == pytest.approx(1e6)
+        anchor = rows([Box3D(0, 0, 0, 1, 1, 1, 0)])
+        out = decode_deltas(np.array([[0, 0, 0, 50.0, 0, 0, 0]]), anchor, flags)
+        assert out[0, 3] == pytest.approx(1e6)
         assert flags.decode_clamped == 1
 
     def test_encode_rejects_non_positive_box(self):
         anchor = Box3D(0, 0, 0, 1, 1, 1, 0)
         with pytest.raises(ValueError):
             Box3D(0, 0, 0, -1, 1, 1, 0)
-        # encode goes through Box3D, so non-positive sizes cannot reach it;
-        # the vectorized path still rejects via log of non-positive ratio
+        # Box3D rejects non-positive sizes; the row encoder still rejects
+        # them via the log of a non-positive ratio
         with pytest.raises((ValueError, FloatingPointError)):
             with np.errstate(invalid="raise", divide="raise"):
                 encode_deltas(

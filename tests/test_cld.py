@@ -6,8 +6,6 @@ import pytest
 from boxdistill.cld import (
     LogitMap,
     UnifiedDistribution,
-    classical_logit_distill,
-    classical_logit_distill_grad,
     cld_grad,
     cld_loss,
     unified_distribution,
@@ -191,17 +189,26 @@ class TestCldGrad:
         assert grad.shape == (0, 3)
 
 
+def per_anchor(values, tau=1.0):
+    """The classical per-anchor softmax: the unified one, one anchor per position."""
+    return unified_distribution(LogitMap(values, k_a=1), tau)
+
+
+def classical_loss(t_vals, s_vals, tau=1.0):
+    return cld_loss(per_anchor(t_vals, tau), per_anchor(s_vals, tau))
+
+
 class TestClassicalDistill:
     def test_identical_is_zero(self):
         rng = np.random.default_rng(12)
         lm = LogitMap(rng.normal(size=(4, 3)), k_a=2)
-        assert classical_logit_distill(lm, lm) == 0.0
+        assert classical_loss(lm.values, lm.values) == 0.0
 
     def test_single_class_degenerate(self):
         rng = np.random.default_rng(13)
         t = LogitMap(rng.normal(size=(6, 1)), k_a=2)
         s = LogitMap(rng.normal(size=(6, 1)), k_a=2)
-        assert classical_logit_distill(t, s) == 0.0
+        assert classical_loss(t.values, s.values) == 0.0
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(14)
@@ -210,7 +217,7 @@ class TestClassicalDistill:
             tau = float(rng.uniform(0.5, 3))
             t_vals = rng.normal(0, 2, size=(n, k_c))
             s_vals = rng.normal(0, 2, size=(n, k_c))
-            got = classical_logit_distill(LogitMap(t_vals, k_a=2), LogitMap(s_vals, k_a=2), tau)
+            got = classical_loss(t_vals, s_vals, tau)
             acc = 0.0
             for i in range(n):
                 pt = np.exp(t_vals[i] / tau) / np.exp(t_vals[i] / tau).sum()
@@ -220,9 +227,9 @@ class TestClassicalDistill:
 
     def test_grad_matches_fd(self):
         rng = np.random.default_rng(15)
-        t = LogitMap(rng.normal(size=(4, 3)), k_a=2)
+        t_vals = rng.normal(size=(4, 3))
         s_vals = rng.normal(size=(4, 3))
-        analytic = classical_logit_distill_grad(t, LogitMap(s_vals, k_a=2))
+        analytic = cld_grad(per_anchor(t_vals), per_anchor(s_vals))
         h = 1e-5
         fd = np.zeros_like(s_vals)
         for i in range(4):
@@ -230,14 +237,14 @@ class TestClassicalDistill:
                 up, dn = s_vals.copy(), s_vals.copy()
                 up[i, j] += h
                 dn[i, j] -= h
-                fd[i, j] = (
-                    classical_logit_distill(t, LogitMap(up, k_a=2))
-                    - classical_logit_distill(t, LogitMap(dn, k_a=2))
-                ) / (2 * h)
+                fd[i, j] = (classical_loss(t_vals, up) - classical_loss(t_vals, dn)) / (2 * h)
         assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-4
 
     def test_layout_mismatch_rejected(self):
+        # Unified teacher rows cannot be compared with per-anchor student rows.
+        values = np.zeros((4, 3))
+        teacher = unified_distribution(LogitMap(values, k_a=2))
         with pytest.raises(ValueError):
-            classical_logit_distill(
-                LogitMap(np.zeros((4, 3)), k_a=2), LogitMap(np.zeros((4, 3)), k_a=1)
-            )
+            cld_loss(teacher, per_anchor(values))
+        with pytest.raises(ValueError):
+            cld_grad(teacher, per_anchor(values))

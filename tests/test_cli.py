@@ -3,7 +3,9 @@ import json
 import pytest
 
 from boxdistill.cli import main
-from boxdistill.config import config_from_dict, save_config
+from boxdistill.config import config_from_dict, load_config, save_config
+from boxdistill.experiments import build_dataset
+from boxdistill.sim import save_scenes
 
 
 @pytest.fixture()
@@ -44,6 +46,12 @@ def test_gen_data_writes_scene_files(tiny_config_path, tmp_path, capsys):
     assert len(lines) == 2
     record = json.loads(lines[0])
     assert set(record) == {"seed", "gts", "class_ids"}
+    # The files hold exactly the scenes build_dataset trains and scores on.
+    config = load_config(tiny_config_path)
+    dataset = build_dataset(config, 0)
+    for split, scenes in (("train", dataset.train_scenes), ("val", dataset.val_scenes)):
+        save_scenes(tmp_path / "expected.jsonl", scenes)
+        assert (out / f"{split}_seed0.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
 
 
 def test_train_then_eval(tiny_config_path, tmp_path, capsys):

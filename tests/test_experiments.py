@@ -63,6 +63,8 @@ class TestConfig:
     def test_unknown_key_reports_path(self):
         with pytest.raises(ConfigError, match=r"optimizer\.learning_rte"):
             config_from_dict({"optimizer": {"learning_rte": 0.1}})
+        with pytest.raises(ConfigError, match=r"loss\.xgd_normalization: unknown key"):
+            config_from_dict({"loss": {"xgd_normalization": "sum"}})
 
     def test_type_error_reports_path(self):
         with pytest.raises(ConfigError, match=r"loss\.tau"):

@@ -15,7 +15,6 @@ from boxdistill.geometry import (
     iou3d,
     iou3d_grad_fd,
     iou3d_mc_oracle,
-    iou3d_parts,
     wrap_angle,
 )
 from boxdistill.verify import CLIP_TIE_KINDS, clip_tie_cases
@@ -234,8 +233,7 @@ class TestIoU3D:
         tiny = 1e-7
         a = Box3D(0, 0, 0, tiny, tiny, tiny, 0)
         b = Box3D(100, 0, 0, tiny, tiny, tiny, 0)
-        res = iou3d_parts(a, b, flags)
-        assert res.iou == 0.0 and res.degenerate
+        assert iou3d(a, b, flags) == 0.0
         assert flags.degenerate_union == 1
 
     def test_bev_iou_identity_and_disjoint(self):
@@ -289,14 +287,19 @@ class TestMonteCarloOracle:
             iou3d_mc_oracle(box, box, 0, seed=0)
 
 
+def grad_fd(a, b, **kwargs):
+    """iou3d_grad_fd of one Box3D pair, as a (7,) gradient."""
+    return iou3d_grad_fd(a.as_array()[None, :], b.as_array()[None, :], **kwargs)[0]
+
+
 class TestIoUGradFD:
     def test_identical_boxes_center_components_vanish(self):
         box = Box3D(0, 0, 0, 1, 1, 1, 0)
-        grad = iou3d_grad_fd(box, box)
+        grad = grad_fd(box, box)
         assert np.all(np.abs(grad[:3]) < 1e-6)
 
     def test_trailing_cube_sign(self):
-        grad = iou3d_grad_fd(Box3D(0, 0, 0, 1, 1, 1, 0), Box3D(0.5, 0, 0, 1, 1, 1, 0))
+        grad = grad_fd(Box3D(0, 0, 0, 1, 1, 1, 0), Box3D(0.5, 0, 0, 1, 1, 1, 0))
         assert grad[0] > 0
 
     def test_step_halving_self_consistency(self):
@@ -306,8 +309,8 @@ class TestIoUGradFD:
             a, b = overlapping_pair(rng)
             if not 0.15 < iou3d(a, b) < 0.95:
                 continue
-            g1 = iou3d_grad_fd(a, b, steps=np.full(7, 1e-3))
-            g2 = iou3d_grad_fd(a, b, steps=np.full(7, 1e-4))
+            g1 = grad_fd(a, b, steps=np.full(7, 1e-3))
+            g2 = grad_fd(a, b, steps=np.full(7, 1e-4))
             denom = max(np.linalg.norm(g1), np.linalg.norm(g2))
             if denom < 1e-6:
                 continue
@@ -317,13 +320,13 @@ class TestIoUGradFD:
     def test_size_clamp_flagged(self):
         flags = GeometryFlags()
         a = Box3D(0, 0, 0, 1e-7, 1, 1, 0)
-        iou3d_grad_fd(a, Box3D(0, 0, 0, 1, 1, 1, 0), flags=flags)
+        grad_fd(a, Box3D(0, 0, 0, 1, 1, 1, 0), flags=flags)
         assert flags.size_clamped > 0
 
     def test_rejects_bad_steps(self):
         box = Box3D(0, 0, 0, 1, 1, 1, 0)
         with pytest.raises(ValueError):
-            iou3d_grad_fd(box, box, steps=np.zeros(7))
+            grad_fd(box, box, steps=np.zeros(7))
 
 
 def scalar_clip_area(a, b):
@@ -522,9 +525,10 @@ class TestIoUGradFDBatch:
         assert want_flags.size_clamped > 0 and want_flags.degenerate_union > 0
 
     def test_box_form_is_a_row_of_the_batch(self):
+        # A one-pair call equals that pair's row of the batch.
         pairs = self.pairs(np.random.default_rng(59))[:40]
         batch = iou3d_grad_fd(
             np.array([a.as_array() for a, _ in pairs]), np.array([b.as_array() for _, b in pairs])
         )
         for row, (a, b) in zip(batch, pairs):
-            assert np.array_equal(iou3d_grad_fd(a, b), row)
+            assert np.array_equal(grad_fd(a, b), row)

@@ -164,7 +164,51 @@ class TestStudentForward:
                 assert fd == pytest.approx(expected, abs=1e-8)
 
 
+def seed_teacher_predict(scene, profile, grid, assignment):
+    """The per-positive encode loop of teacher_predict as it stood before
+    one encode per scene."""
+    import boxdistill.sim as sim_mod
+    from boxdistill.anchors import encode_deltas
+
+    rng = np.random.default_rng(np.random.SeedSequence((scene.seed, sim_mod._STREAM_TEACHER)))
+    logits = np.full((grid.n_positions, grid.k_a, grid.k_c), sim_mod.BACKGROUND_LOGIT)
+    deltas = np.zeros((grid.n_positions, grid.k_a, 7))
+    per_gt = []
+    for box, class_id in scene.gts:
+        noisy = sim_mod._perturb_box(box, profile, rng)
+        reported = class_id
+        if profile.score_corruption > 0:
+            if rng.uniform() < profile.score_corruption:
+                reported = int(rng.integers(0, grid.k_c))
+            noisy = sim_mod._corrupt_components(noisy, profile.score_corruption, rng)
+        per_gt.append((noisy, reported, sim_mod.PEAK_LOGIT + rng.normal(0.0, 0.3)))
+    for idx in assignment.positive_indices:
+        noisy, reported, peak = per_gt[assignment.labels[idx]]
+        deltas.reshape(-1, 7)[idx] = encode_deltas(
+            noisy.as_array()[None, :], grid.anchor_params[idx][None, :]
+        )[0]
+        logits.reshape(-1, grid.k_c)[idx, reported] = peak
+    return logits, deltas
+
+
 class TestTeacherOracle:
+    def test_matches_per_positive_loop(self):
+        profiles = (
+            NoiseProfile(),
+            NoiseProfile(0.01, 0.005, 0.005, score_corruption=0.1, depth_bias=0.0002),
+            NoiseProfile(0.2, 0.1, 0.1, score_corruption=0.6, depth_bias=0.005),
+        )
+        n_pos = 0
+        for seed in range(8):
+            cfg, grid, scene, assignment = small_setup(seed=seed)
+            n_pos += assignment.n_pos
+            for profile in profiles:
+                out = teacher_predict(scene, profile, grid, assignment)
+                logits, deltas = seed_teacher_predict(scene, profile, grid, assignment)
+                assert np.array_equal(out.logits, logits)
+                assert np.array_equal(out.deltas, deltas)
+        assert n_pos > 0
+
     def test_zero_noise_recovers_gt_and_gates_open(self):
         cfg, grid, scene, assignment = small_setup()
         out = teacher_predict(scene, NoiseProfile(), grid, assignment)
@@ -175,10 +219,8 @@ class TestTeacherOracle:
             assert np.allclose(row[:6], gt.as_array()[:6], atol=1e-9)
         from boxdistill.xgd import gate_decisions
 
-        students = [Box3D.from_array(r) for r in grid.anchor_params[pos]]
-        teachers = [Box3D.from_array(r) for r in decoded]
-        gts = [scene.gts[assignment.labels[i]][0] for i in pos]
-        assert gate_decisions(teachers, students, gts).all()
+        gts = np.array([scene.gts[assignment.labels[i]][0].as_array() for i in pos])
+        assert gate_decisions(decoded, grid.anchor_params[pos], gts).all()
 
     def test_determinism(self):
         cfg, grid, scene, assignment = small_setup()
@@ -223,19 +265,10 @@ class TestTeacherOracle:
                 continue
             out = teacher_predict(scene, profile, grid, asg)
             pos = asg.positive_indices
-            teachers = [
-                Box3D.from_array(r)
-                for r in decode_deltas(out.deltas_flat[pos], grid.anchor_params[pos])
-            ]
+            teachers = decode_deltas(out.deltas_flat[pos], grid.anchor_params[pos])
+            gts = np.array([scene.gts[asg.labels[i]][0].as_array() for i in pos])
             # a mid-training student: halfway between anchor and gt
-            students = []
-            gts = []
-            for i in pos:
-                gt = scene.gts[asg.labels[i]][0]
-                anchor = grid.anchor_params[i]
-                mid = 0.5 * (anchor + gt.as_array())
-                students.append(Box3D.from_array(mid))
-                gts.append(gt)
+            students = 0.5 * (grid.anchor_params[pos] + gts)
             center_kept = gate_decisions(teachers, students, gts)[:, 0]
             kept += int(center_kept.sum())
             total += center_kept.size
@@ -365,11 +398,8 @@ class TestTotalLoss:
         teacher = teacher_predict(scene, NoiseProfile(), grid, assignment)
         bd = total_loss(out, teacher, scene, assignment, grid, LossConfig())
         pos = assignment.positive_indices
-        student_boxes = [
-            Box3D.from_array(r)
-            for r in decode_deltas(out.deltas_flat[pos], grid.anchor_params[pos])
-        ]
-        gt_boxes = [scene.gts[assignment.labels[i]][0] for i in pos]
+        student_boxes = decode_deltas(out.deltas_flat[pos], grid.anchor_params[pos])
+        gt_boxes = np.array([scene.gts[assignment.labels[i]][0].as_array() for i in pos])
         assert bd.xgd == pytest.approx(xgd_loss(student_boxes, gt_boxes), abs=1e-9)
         assert bd.gate_keep == {"center": 1.0, "size": 1.0, "angle": 1.0}
 
@@ -568,15 +598,9 @@ class TestNoiseMonotonicity:
                     continue
                 out = teacher_predict(scene, profile, grid, asg)
                 pos = asg.positive_indices
-                teachers = [
-                    Box3D.from_array(r)
-                    for r in decode_deltas(out.deltas_flat[pos], grid.anchor_params[pos])
-                ]
-                gts, students = [], []
-                for i in pos:
-                    gt = scene.gts[asg.labels[i]][0]
-                    students.append(Box3D.from_array(0.5 * (grid.anchor_params[i] + gt.as_array())))
-                    gts.append(gt)
+                teachers = decode_deltas(out.deltas_flat[pos], grid.anchor_params[pos])
+                gts = np.array([scene.gts[asg.labels[i]][0].as_array() for i in pos])
+                students = 0.5 * (grid.anchor_params[pos] + gts)
                 decisions = gate_decisions(teachers, students, gts)
                 kept += int(decisions.sum())
                 total += decisions.size

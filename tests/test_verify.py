@@ -81,15 +81,14 @@ def test_injected_update_rule_change_is_caught(monkeypatch):
 def test_injected_codec_bias_is_caught(monkeypatch):
     import boxdistill.anchors as anchors_mod
 
-    original = anchors_mod.decode_box
+    original = anchors_mod.decode_deltas
 
-    def biased(delta, anchor, flags=None):
-        box = original(delta, anchor, flags)
-        import dataclasses
+    def biased(deltas, anchor_params, flags=None):
+        boxes = original(deltas, anchor_params, flags)
+        boxes[:, 0] += 1e-6
+        return boxes
 
-        return dataclasses.replace(box, cx=box.cx + 1e-6)
-
-    monkeypatch.setattr(anchors_mod, "decode_box", biased)
+    monkeypatch.setattr(anchors_mod, "decode_deltas", biased)
     assert not check_codec_roundtrip(n_cases=300).passed
 
 

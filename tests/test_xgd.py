@@ -23,6 +23,10 @@ def random_box(rng, spread=3.0):
     )
 
 
+def rows(boxes):
+    return np.array([b.as_array() for b in boxes]).reshape(-1, 7)
+
+
 def reference_update(teacher, student, gt, eps=1e-9):
     """Independent re-implementation of the gated component update."""
     out = []
@@ -101,9 +105,9 @@ class TestComponentGate:
         # Same geometric configuration expressed across the wrap boundary
         # must gate identically.
         center_kept, size_kept, angle_kept = gate_decisions(
-            [Box3D(0, 0, 0, 1, 1, 1, math.pi - 0.05)],
-            [Box3D(0, 0, 0, 1, 1, 1, -math.pi + 0.1)],
-            [Box3D(0, 0, 0, 1, 1, 1, math.pi - 0.2)],
+            rows([Box3D(0, 0, 0, 1, 1, 1, math.pi - 0.05)]),
+            rows([Box3D(0, 0, 0, 1, 1, 1, -math.pi + 0.1)]),
+            rows([Box3D(0, 0, 0, 1, 1, 1, math.pi - 0.2)]),
         )[0]
         # teacher step: wrap(pi-0.05 - (-pi+0.1)) = -0.15; gt step: wrap(pi-0.2 + pi-0.1) = -0.3
         assert angle_kept
@@ -115,18 +119,18 @@ class TestPositiveComponentUpdate:
         gt = [random_box(rng) for _ in range(5)]
         teacher = list(gt)
         student = [random_box(rng) for _ in range(5)]
-        out = positive_component_update(teacher, student, gt)
-        assert out == gt
+        out = positive_component_update(rows(teacher), rows(student), rows(gt))
+        assert np.array_equal(out, rows(gt))
 
     def test_mixed_components(self):
         student = [Box3D(0, 0, 0, 1, 1, 1, 0.0)]
         gt = [Box3D(1, 0, 0, 2, 2, 2, 0.5)]
         # teacher center toward gt, size away from gt, angle toward gt
         teacher = [Box3D(0.5, 0, 0, 0.5, 0.5, 0.5, 0.3)]
-        out = positive_component_update(teacher, student, gt)[0]
-        assert (out.cx, out.cy, out.cz) == (0.5, 0.0, 0.0)  # teacher center kept
-        assert (out.l, out.w, out.h) == (1.0, 1.0, 1.0)  # student size kept
-        assert out.yaw == pytest.approx(0.3)  # teacher angle kept
+        out = positive_component_update(rows(teacher), rows(student), rows(gt))[0]
+        assert out[0:3].tolist() == [0.5, 0.0, 0.0]  # teacher center kept
+        assert out[3:6].tolist() == [1.0, 1.0, 1.0]  # student size kept
+        assert out[6] == pytest.approx(0.3)  # teacher angle kept
 
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(3)
@@ -148,28 +152,29 @@ class TestPositiveComponentUpdate:
                 elif roll < 0.4:  # full coincidence
                     t = student[j]
                 teacher.append(t)
-            assert positive_component_update(teacher, student, gt) == reference_update(
-                teacher, student, gt
-            ), f"case {case}"
+            got = positive_component_update(rows(teacher), rows(student), rows(gt))
+            want = reference_update(teacher, student, gt)
+            assert [Box3D.from_array(r) for r in got] == want, f"case {case}"
 
     def test_component_restriction(self):
         rng = np.random.default_rng(4)
         gt = [random_box(rng)]
         teacher = list(gt)
         student = [random_box(rng)]
-        out = positive_component_update(teacher, student, gt, components=("center",))[0]
-        assert (out.cx, out.cy, out.cz) == (gt[0].cx, gt[0].cy, gt[0].cz)
-        assert (out.l, out.w, out.h) == (student[0].l, student[0].w, student[0].h)
-        assert out.yaw == student[0].yaw
+        out = positive_component_update(
+            rows(teacher), rows(student), rows(gt), components=("center",)
+        )[0]
+        assert np.array_equal(out[0:3], gt[0].as_array()[0:3])
+        assert np.array_equal(out[3:7], student[0].as_array()[3:7])
 
     def test_rejects_unknown_component(self):
         with pytest.raises(ValueError):
-            positive_component_update([], [], [], components=("centre",))
+            positive_component_update(*[np.zeros((0, 7))] * 3, components=("centre",))
 
     def test_rejects_length_mismatch(self):
-        box = Box3D(0, 0, 0, 1, 1, 1, 0)
+        box = rows([Box3D(0, 0, 0, 1, 1, 1, 0)])
         with pytest.raises(ValueError):
-            positive_component_update([box], [box, box], [box])
+            positive_component_update(box, np.vstack([box, box]), box)
 
     def test_harmless_disable_leaves_student_components(self):
         rng = np.random.default_rng(5)
@@ -183,70 +188,56 @@ class TestPositiveComponentUpdate:
                 max(1e-3, 2 * s.l - g.l), max(1e-3, 2 * s.w - g.w), max(1e-3, 2 * s.h - g.h),
                 wrap_angle(s.yaw - wrap_angle(g.yaw - s.yaw) / 2),
             )
-            out = positive_component_update([t], student, gt)[0]
-            center_kept, size_kept, angle_kept = gate_decisions([t], student, gt)[0]
+            out = positive_component_update(rows([t]), rows(student), rows(gt))[0]
+            center_kept, size_kept, angle_kept = gate_decisions(rows([t]), rows(student), rows(gt))[0]
             if not center_kept:
-                assert (out.cx, out.cy, out.cz) == (s.cx, s.cy, s.cz)
+                assert np.array_equal(out[0:3], s.as_array()[0:3])
             if not size_kept:
-                assert (out.l, out.w, out.h) == (s.l, s.w, s.h)
+                assert np.array_equal(out[3:6], s.as_array()[3:6])
             if not angle_kept:
-                assert out.yaw == s.yaw
+                assert out[6] == s.yaw
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(6)
         n = 6
-        student = [random_box(rng) for _ in range(n)]
-        teacher = [random_box(rng) for _ in range(n)]
-        gt = [random_box(rng) for _ in range(n)]
+        student = rows([random_box(rng) for _ in range(n)])
+        teacher = rows([random_box(rng) for _ in range(n)])
+        gt = rows([random_box(rng) for _ in range(n)])
         base = positive_component_update(teacher, student, gt)
         perm = rng.permutation(n)
-        permuted = positive_component_update(
-            [teacher[i] for i in perm], [student[i] for i in perm], [gt[i] for i in perm]
-        )
-        assert permuted == [base[i] for i in perm]
+        permuted = positive_component_update(teacher[perm], student[perm], gt[perm])
+        assert np.array_equal(permuted, base[perm])
         assert xgd_loss(student, base) == pytest.approx(
-            xgd_loss([student[i] for i in perm], permuted), abs=1e-12
+            xgd_loss(student[perm], permuted), abs=1e-12
         )
 
 
 class TestXgdLoss:
     def test_zero_at_targets(self):
         rng = np.random.default_rng(7)
-        boxes = [random_box(rng) for _ in range(4)]
+        boxes = rows([random_box(rng) for _ in range(4)])
         assert xgd_loss(boxes, boxes) == 0.0
 
     def test_empty_sum(self):
-        assert xgd_loss([], []) == 0.0
+        assert xgd_loss(np.zeros((0, 7)), np.zeros((0, 7))) == 0.0
 
     def test_two_pair_arithmetic(self):
-        students = [Box3D(0, 0, 0, 1, 1, 1, 0), Box3D(5, 0, 5, 1, 1, 1, 0)]
-        targets = [Box3D(0.5, 0, 0, 1, 1, 1, 0), Box3D(5, 0, 5, 1, 1, 1, 0)]
+        students = rows([Box3D(0, 0, 0, 1, 1, 1, 0), Box3D(5, 0, 5, 1, 1, 1, 0)])
+        targets = rows([Box3D(0.5, 0, 0, 1, 1, 1, 0), Box3D(5, 0, 5, 1, 1, 1, 0)])
         assert xgd_loss(students, targets) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
-    def test_mean_normalization(self):
-        students = [Box3D(0, 0, 0, 1, 1, 1, 0), Box3D(5, 0, 5, 1, 1, 1, 0)]
-        targets = [Box3D(0.5, 0, 0, 1, 1, 1, 0), Box3D(5, 0, 5, 1, 1, 1, 0)]
-        assert xgd_loss(students, targets, "mean") == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-    def test_rejects_unknown_normalization(self):
-        with pytest.raises(ValueError):
-            xgd_loss([], [], "rms")
-
     def test_rows_equal_box_form(self):
+        # One batched call sums the scalar iou3d terms of the Box3D pairs.
         rng = np.random.default_rng(17)
         students = [random_box(rng) for _ in range(40)]
         targets = [
             Box3D.from_array(s.as_array() + rng.normal(0, 0.2, 7)) if i % 4 else s
             for i, s in enumerate(students)
         ]
-        rows_s = np.array([b.as_array() for b in students])
-        rows_t = np.array([b.as_array() for b in targets])
-        for normalization in ("sum", "mean"):
-            flags_rows, flags_boxes = GeometryFlags(), GeometryFlags()
-            got = xgd_loss(rows_s, rows_t, normalization, flags_rows)
-            assert got == xgd_loss(students, targets, normalization, flags_boxes)
-            assert flags_rows == flags_boxes
-        assert xgd_loss(np.zeros((0, 7)), np.zeros((0, 7))) == 0.0
+        flags_rows, flags_boxes = GeometryFlags(), GeometryFlags()
+        got = xgd_loss(rows(students), rows(targets), flags_rows)
+        assert got == sum(1.0 - iou3d(s, t, flags_boxes) for s, t in zip(students, targets))
+        assert flags_rows == flags_boxes
 
     def test_groups_equal_separate_calls(self):
         rng = np.random.default_rng(19)
@@ -254,27 +245,23 @@ class TestXgdLoss:
         targets = students + np.concatenate([rng.normal(0, 0.2, (12, 3)), np.zeros((12, 4))], axis=1)
         sizes = [5, 0, 3, 4]
         bounds = np.cumsum([0] + sizes)
-        for normalization in ("sum", "mean"):
-            got = xgd_loss(students, targets, normalization, sizes=sizes)
-            want = [
-                xgd_loss(students[lo:hi], targets[lo:hi], normalization)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            assert got == want
+        got = xgd_loss(students, targets, sizes=sizes)
+        want = [xgd_loss(students[lo:hi], targets[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        assert got == want
         with pytest.raises(ValueError):
             xgd_loss(students, targets, sizes=[5, 5])
 
 
 class TestXgdLossGrad:
     def test_zero_at_minimum(self):
-        anchor = Box3D(0, 0, 0, 1.8, 1.0, 1.2, 0.0).as_array()[None, :]
-        target = [Box3D(0, 0, 0, 1.8, 1.0, 1.2, 0.0)]
+        anchor = rows([Box3D(0, 0, 0, 1.8, 1.0, 1.2, 0.0)])
+        target = anchor.copy()
         grad = xgd_loss_grad(np.zeros((1, 7)), anchor, target)
         assert np.all(np.abs(grad[0, :3]) < 1e-6)
 
     def test_offset_cube_sign(self):
-        anchor = Box3D(0, 0, 0, 1, 1, 1, 0).as_array()[None, :]
-        target = [Box3D(0.5, 0, 0, 1, 1, 1, 0)]
+        anchor = rows([Box3D(0, 0, 0, 1, 1, 1, 0)])
+        target = rows([Box3D(0.5, 0, 0, 1, 1, 1, 0)])
         grad = xgd_loss_grad(np.zeros((1, 7)), anchor, target)
         # moving the student toward +x lowers the loss
         assert grad[0, 0] < 0
@@ -286,14 +273,13 @@ class TestXgdLossGrad:
             anchors = np.array([random_box(rng).as_array() for _ in range(3)])
             deltas = rng.normal(0, 0.05, size=(3, 7))
             boxes = decode_deltas(deltas, anchors)
-            targets = [
+            targets = rows(
                 Box3D.from_array(
                     row + np.concatenate([rng.normal(0, 0.1, 3), np.zeros(3), rng.normal(0, 0.1, 1)])
                 )
                 for row in boxes
-            ]
-            students = [Box3D.from_array(row) for row in boxes]
-            if any(iou3d(s, t) < 0.2 for s, t in zip(students, targets)):
+            )
+            if np.any(iou3d(boxes, targets) < 0.2):
                 continue
             analytic = xgd_loss_grad(deltas, anchors, targets)
             h = 1e-4
@@ -303,8 +289,8 @@ class TestXgdLossGrad:
                     up, dn = deltas.copy(), deltas.copy()
                     up[i, j] += h
                     dn[i, j] -= h
-                    lu = xgd_loss([Box3D.from_array(r) for r in decode_deltas(up, anchors)], targets)
-                    ld = xgd_loss([Box3D.from_array(r) for r in decode_deltas(dn, anchors)], targets)
+                    lu = xgd_loss(decode_deltas(up, anchors), targets)
+                    ld = xgd_loss(decode_deltas(dn, anchors), targets)
                     fd[i, j] = (lu - ld) / (2 * h)
             rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-2, rel
@@ -318,15 +304,15 @@ class TestXgdLossGrad:
 
         monkeypatch.setattr(xgd_mod, "iou3d_grad_fd", lambda a, b, **k: np.full(np.shape(a), 1e9))
         flags = GeometryFlags()
-        anchor = Box3D(0, 0, 0, 1, 1, 1, 0).as_array()[None, :]
-        target = [Box3D(0.2, 0, 0, 1, 1, 1, 0)]
+        anchor = rows([Box3D(0, 0, 0, 1, 1, 1, 0)])
+        target = rows([Box3D(0.2, 0, 0, 1, 1, 1, 0)])
         grad = xgd_loss_grad(np.zeros((1, 7)), anchor, target, flags=flags)
         assert flags.gradient_clipped == 7
         assert np.all(np.isfinite(grad))
         assert np.max(np.abs(grad[0][:3])) <= 1e4 * np.hypot(1, 1) + 1e-9
 
     def test_empty(self):
-        grad = xgd_loss_grad(np.zeros((0, 7)), np.zeros((0, 7)), [])
+        grad = xgd_loss_grad(np.zeros((0, 7)), np.zeros((0, 7)), np.zeros((0, 7)))
         assert grad.shape == (0, 7)
 
     def test_groups_and_decoded_rows_equal_separate_calls(self):
@@ -337,17 +323,14 @@ class TestXgdLossGrad:
         targets = decoded + np.concatenate([rng.normal(0, 0.1, (9, 3)), np.zeros((9, 4))], axis=1)
         sizes = [2, 4, 0, 3]
         bounds = np.cumsum([0] + sizes)
-        for normalization in ("sum", "mean"):
-            got = xgd_loss_grad(
-                deltas, anchors, targets, normalization, sizes=sizes, student_rows=decoded
-            )
-            want = np.concatenate(
-                [
-                    xgd_loss_grad(deltas[lo:hi], anchors[lo:hi], targets[lo:hi], normalization)
-                    for lo, hi in zip(bounds[:-1], bounds[1:])
-                ]
-            )
-            assert np.array_equal(got, want)
+        got = xgd_loss_grad(deltas, anchors, targets, student_rows=decoded)
+        want = np.concatenate(
+            [
+                xgd_loss_grad(deltas[lo:hi], anchors[lo:hi], targets[lo:hi])
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
+        )
+        assert np.array_equal(got, want)
         with pytest.raises(ValueError):
             xgd_loss_grad(deltas, anchors, targets, student_rows=decoded[:3])
 
@@ -359,8 +342,8 @@ class TestGateKeepRates:
 
     def test_rates_counted(self):
         rng = np.random.default_rng(9)
-        gt = [random_box(rng) for _ in range(4)]
-        decisions = gate_decisions(gt, [random_box(rng) for _ in range(4)], gt)
+        gt = rows([random_box(rng) for _ in range(4)])
+        decisions = gate_decisions(gt, rows([random_box(rng) for _ in range(4)]), gt)
         rates = gate_keep_rates(decisions)
         assert rates == {"center": 1.0, "size": 1.0, "angle": 1.0}
 
@@ -447,9 +430,6 @@ class TestArrayGate:
         got = gate_decisions(teacher, student, gt)
         assert np.array_equal(got, scalar_gate_verdicts(teacher, student, gt))
         assert got[:, 0].any() and not got[:, 0].all()
-        # Box3D sequences go through the same code.
-        boxes = [[Box3D.from_array(r) for r in arr] for arr in (teacher, student, gt)]
-        assert np.array_equal(gate_decisions(*boxes), got)
 
     def test_rejects_non_finite_and_misaligned(self):
         box = np.array([[0.0, 0, 0, 1, 1, 1, 0]])
