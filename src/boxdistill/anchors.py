@@ -234,9 +234,6 @@ class Assignment:
     def m_fore(self) -> int:
         return int(np.count_nonzero(self.foreground))
 
-    def n_fore(self, k_a: int) -> int:
-        return self.m_fore * k_a
-
 
 def _candidate_positions(grid: AnchorGrid, gt: Box3D, reach: float) -> np.ndarray:
     """Indices of grid positions whose center could overlap ``gt``."""

@@ -219,9 +219,6 @@ class EvalReport:
     def mean_ap3d(self) -> float:
         return float(np.mean([c.ap3d for c in self.per_class]))
 
-    def mean_ap_bev(self) -> float:
-        return float(np.mean([c.ap_bev for c in self.per_class]))
-
     def ap3d_by_class(self) -> dict[str, float]:
         return {c.class_name: c.ap3d for c in self.per_class}
 

@@ -9,11 +9,13 @@ inputs and explicit seeds.
 """
 from __future__ import annotations
 
+import contextvars
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -117,9 +119,6 @@ class Scene:
 
     def __post_init__(self) -> None:
         self.features.setflags(write=False)
-
-    def gt_boxes(self) -> list[Box3D]:
-        return [b for b, _ in self.gts]
 
 
 def generate_scene(rng_seed: int, config: SceneConfig, grid: AnchorGrid) -> Scene:
@@ -304,7 +303,7 @@ class DetectorParams:
 class StepWorkspace:
     """Arrays a training step writes into, kept from one step to the next.
 
-    ``train`` owns one per call, so the forward outputs, the focal-loss
+    ``train`` owns one per worker, so the forward outputs, the focal-loss
     temporaries and the dense gradients of every step reuse the arrays of
     the step before instead of allocating new ones.  An array handed out
     under a name stays valid until the next request for that name; public
@@ -335,6 +334,74 @@ class StepWorkspace:
             arr[self._written[name]] = 0.0
         self._written[name] = rows
         return arr
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _SceneWorkers:
+    """Workers for the per-scene phases of a minibatch; scene k always runs
+    on worker k mod n.
+
+    Worker 0 is the calling thread and uses ``workspace``.  Each other
+    worker is a one-thread executor with its own StepWorkspace, stopped by
+    ``close``; with one worker every call runs inline and no thread
+    starts.
+    """
+
+    def __init__(self, workspace: StepWorkspace, n: int = 1) -> None:
+        self.workspaces = [workspace] + [StepWorkspace() for _ in range(n - 1)]
+        self._helpers = []
+        if n > 1:
+            # Imported here so that importing the package stays as fast.
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._helpers = [ThreadPoolExecutor(max_workers=1) for _ in range(n - 1)]
+
+    def __enter__(self) -> "_SceneWorkers":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def map(self, fn: Callable[[int, StepWorkspace], object], n_items: int) -> list:
+        """``[fn(k, workspace) for k in range(n_items)]``, each call on scene
+        k's worker with that worker's workspace.  Returns once every call
+        has ended; if calls raised, raises the exception of the lowest k.
+        """
+        n = len(self.workspaces)
+        results: list = [None] * n_items
+        errors: dict[int, BaseException] = {}
+
+        def work(w: int) -> None:
+            for k in range(w, n_items, n):
+                try:
+                    results[k] = fn(k, self.workspaces[w])
+                except BaseException as exc:  # re-raised below, on the calling thread
+                    errors[k] = exc
+
+        # Each helper runs in a copy of the caller's context, so numpy's
+        # error state (np.errstate) holds on every worker.
+        pending = [
+            helper.submit(contextvars.copy_context().run, work, w)
+            for w, helper in enumerate(self._helpers[: n_items - 1], start=1)
+        ]
+        work(0)
+        for future in pending:
+            future.result()
+        if errors:
+            raise errors[min(errors)]
+        return results
+
+    def close(self) -> None:
+        """Stop the helper threads once they finish their current calls."""
+        for helper in self._helpers:
+            helper.shutdown()
 
 
 def student_forward(
@@ -756,49 +823,55 @@ def _xgd_terms(
 
 
 def _minibatch_losses(
-    students: Iterable[DetectorOutputs],
+    students: Callable[[int, StepWorkspace], DetectorOutputs],
     targets: Sequence[_SceneTargets],
     cfg: LossConfig,
     flags: GeometryFlags | None,
-    ws: StepWorkspace,
-    on_dlogits: Callable[[int, np.ndarray], None],
-    on_ddeltas: Callable[[int, np.ndarray], None],
-) -> list[LossBreakdown]:
-    """Losses and dense gradients of the scenes of one minibatch.
+    workers: _SceneWorkers,
+    logit_work: Callable[[int, np.ndarray], object],
+    delta_work: Callable[[int, np.ndarray], object],
+) -> tuple[list[LossBreakdown], list, list]:
+    """Losses of the scenes of one minibatch, in three phases.
 
-    ``students`` yields each scene's outputs in order and may reuse one
-    buffer: a scene's base loss, CLD and logit gradient are computed
-    before the next one is drawn.  XGD then runs once over all scenes.
-    The flat gradients are handed out as ``on_dlogits(k, dlogits)`` and
-    ``on_ddeltas(k, ddeltas)``, workspace arrays valid until the next
-    call.
+    A, per scene on ``workers``: ``students(k, workspace)`` gives scene k's
+    outputs, then its base loss, CLD and flat logit gradient, which
+    ``logit_work(k, dlogits)`` reads on the same worker.  B, on the calling
+    thread: one XGD pass over all scenes, the only phase that writes
+    ``flags``.  C, per scene on ``workers``: the flat delta gradient, read
+    by ``delta_work(k, ddeltas)``.  The gradients are workspace arrays,
+    overwritten by the worker's next scene.  Returns the breakdowns and
+    what ``logit_work`` and ``delta_work`` returned, in batch order.
     """
-    terms = []
-    for k, (t, student) in enumerate(zip(targets, students)):
-        scene_terms, dlogits = _scene_terms(student, t, cfg, ws)
-        on_dlogits(k, dlogits)
-        terms.append(scene_terms)
-    breakdowns = []
-    for k, (t, st, (xgd_term, gate_keep, g)) in enumerate(
-        zip(targets, terms, _xgd_terms(terms, targets, cfg, flags))
-    ):
+
+    def phase_a(k: int, ws: StepWorkspace) -> tuple[_SceneTerms, object]:
+        terms, dlogits = _scene_terms(students(k, ws), targets[k], cfg, ws)
+        return terms, logit_work(k, dlogits)
+
+    terms, logit_out = zip(*workers.map(phase_a, len(targets)))
+    xgd = _xgd_terms(terms, targets, cfg, flags)
+
+    def phase_c(k: int, ws: StepWorkspace) -> object:
+        t, st, g = targets[k], terms[k], xgd[k][2]
         # Only the positive rows of the delta gradient are ever nonzero.
         ddeltas = ws.zeros("ddeltas", (st.n_anchors, 7), t.pos)
         ddeltas[t.pos] = st.base_rows
         if g is not None:
             ddeltas[t.xgd_rows] += cfg.xgd_weight * g
-        on_ddeltas(k, ddeltas)
-        breakdowns.append(
-            LossBreakdown(
-                total=st.ori + cfg.xgd_weight * xgd_term + cfg.cld_weight * st.cld,
-                ori=st.ori,
-                xgd=xgd_term,
-                cld=st.cld,
-                n_pos=int(t.pos.size),
-                gate_keep=gate_keep,
-            )
+        return delta_work(k, ddeltas)
+
+    delta_out = workers.map(phase_c, len(targets))
+    breakdowns = [
+        LossBreakdown(
+            total=st.ori + cfg.xgd_weight * xgd_term + cfg.cld_weight * st.cld,
+            ori=st.ori,
+            xgd=xgd_term,
+            cld=st.cld,
+            n_pos=int(t.pos.size),
+            gate_keep=gate_keep,
         )
-    return breakdowns
+        for t, st, (xgd_term, gate_keep, _) in zip(targets, terms, xgd)
+    ]
+    return breakdowns, list(logit_out), delta_out
 
 
 def base_loss(
@@ -852,18 +925,15 @@ def total_loss_and_grad(
     """
     if student.logits.shape != teacher.logits.shape or student.deltas.shape != teacher.deltas.shape:
         raise ValueError("student and teacher outputs must share the grid layout")
-    ws = StepWorkspace() if workspace is None else workspace
-    grads: list[np.ndarray] = []
-    (breakdown,) = _minibatch_losses(
-        [student],
+    (breakdown,), (dlogits_flat,), (ddeltas_flat,) = _minibatch_losses(
+        lambda _, __: student,
         [_scene_targets(assignment, scene.gts, grid, cfg, teacher)],
         cfg,
         flags,
-        ws,
-        on_dlogits=lambda _, dlogits: grads.append(dlogits),
-        on_ddeltas=lambda _, ddeltas: grads.append(ddeltas),
+        _SceneWorkers(StepWorkspace() if workspace is None else workspace),
+        logit_work=lambda _, dlogits: dlogits,
+        delta_work=lambda _, ddeltas: ddeltas,
     )
-    dlogits_flat, ddeltas_flat = grads
     return (
         breakdown,
         dlogits_flat.reshape(student.logits.shape),
@@ -957,40 +1027,47 @@ def _minibatch_grads(
     targets: Sequence[_SceneTargets],
     cfg: LossConfig,
     flags: GeometryFlags | None,
-    ws: StepWorkspace,
+    workers: _SceneWorkers,
 ) -> tuple[list[LossBreakdown], list[np.ndarray]]:
     """One optimizer minibatch: per-scene breakdowns and the weight
     gradients (w_cls, b_cls, w_reg, b_reg) summed over its scenes.
 
-    Each scene's forward pass writes the workspace's outputs, so only one
-    scene's dense arrays exist at a time.  Raises _NonFiniteDeltas for the
-    first scene whose positive-anchor deltas are not finite.
+    Each scene's forward pass and weight-gradient products run on its
+    worker, in that worker's workspace.  Raises _NonFiniteDeltas for the
+    first scene in batch order whose positive-anchor deltas are not
+    finite.
     """
-    grads = [np.zeros_like(w) for w in (params.w_cls, params.b_cls, params.w_reg, params.b_reg)]
 
-    def students():
-        for scene, t in zip(scenes, targets):
-            outputs = student_forward(params, scene, ws)
-            # Decoding would reject non-finite deltas with a bare ValueError.
-            if not np.all(np.isfinite(outputs.deltas_flat[t.pos])):
-                raise _NonFiniteDeltas(scene.seed)
-            yield outputs
+    def forward(k: int, ws: StepWorkspace) -> DetectorOutputs:
+        outputs = student_forward(params, scenes[k], ws)
+        # Decoding would reject non-finite deltas with a bare ValueError.
+        if not np.all(np.isfinite(outputs.deltas_flat[targets[k].pos])):
+            raise _NonFiniteDeltas(scenes[k].seed)
+        return outputs
 
-    def logit_grads(k: int, dlogits: np.ndarray) -> None:
+    def logit_products(k: int, dlogits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         feats = scenes[k].features
         dl = dlogits.reshape(feats.shape[0], -1)
-        grads[0] += feats.T @ dl
-        grads[1] += dl.sum(axis=0)
+        return feats.T @ dl, dl.sum(axis=0)
 
-    def delta_grads(k: int, ddeltas: np.ndarray) -> None:
+    def delta_products(k: int, ddeltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         feats = scenes[k].features
         dd = ddeltas.reshape(feats.shape[0], -1)
-        grads[2] += feats.T @ dd
         # Rows without a positive are zero; an axis-0 sum adds rows in
         # order, so skipping them leaves every bit of the sum unchanged.
-        grads[3] += dd[targets[k].pos_positions].sum(axis=0)
+        return feats.T @ dd, dd[targets[k].pos_positions].sum(axis=0)
 
-    breakdowns = _minibatch_losses(students(), targets, cfg, flags, ws, logit_grads, delta_grads)
+    breakdowns, logit_out, delta_out = _minibatch_losses(
+        forward, targets, cfg, flags, workers, logit_products, delta_products
+    )
+    grads = [np.zeros_like(w) for w in (params.w_cls, params.b_cls, params.w_reg, params.b_reg)]
+    # Added in batch order, whichever worker finished first, so every sum
+    # is the same for any number of workers.
+    for (w_cls, b_cls), (w_reg, b_reg) in zip(logit_out, delta_out):
+        grads[0] += w_cls
+        grads[1] += b_cls
+        grads[2] += w_reg
+        grads[3] += b_reg
     return breakdowns, grads
 
 
@@ -1014,7 +1091,33 @@ def train(
     non-finite positive-anchor deltas of any scene are reported before a
     non-finite loss of any scene, each for the first such scene in batch
     order; non-finite weights are reported after the Adam step.
+
+    The per-scene work of a minibatch (forward pass, base loss, CLD, the
+    dense gradients and their weight-gradient products) runs on
+    min(batch size, scenes, usable CPUs) workers: this thread and threads
+    that live for this call, each with its own workspace.  XGD runs once
+    per minibatch on this thread.  Every scene goes through the same
+    operations on whichever worker runs it, and its products are added
+    into the weight gradients in batch order, so weights, history and
+    ``flags`` are the same bits for any number of workers.
     """
+    return _train(
+        grid, scenes, teacher_outputs, assignments, loss_cfg, opt_cfg, seed, flags, _usable_cpus()
+    )
+
+
+def _train(
+    grid: AnchorGrid,
+    scenes: Sequence[Scene],
+    teacher_outputs: Sequence[DetectorOutputs],
+    assignments: Sequence[Assignment],
+    loss_cfg: LossConfig,
+    opt_cfg: OptimizerConfig,
+    seed: int,
+    flags: GeometryFlags | None,
+    cpus: int,
+) -> TrainResult:
+    """``train`` on at most ``cpus`` workers."""
     if not (len(scenes) == len(teacher_outputs) == len(assignments)):
         raise ValueError("scenes, teacher outputs, and assignments must align")
     if not scenes:
@@ -1051,52 +1154,53 @@ def train(
             },
         )
 
-    workspace = StepWorkspace()
-    for epoch in range(opt_cfg.epochs):
-        order = shuffle_rng.permutation(len(scenes))
-        sums = np.zeros(4)
-        n_pos_sum = 0
-        keep_sums = {name: 0.0 for name in COMPONENT_NAMES}
-        keep_count = 0
-        for start in range(0, len(order), opt_cfg.batch_size):
-            batch = order[start : start + opt_cfg.batch_size]
-            try:
-                breakdowns, grads = _minibatch_grads(
-                    DetectorParams(weights[0], weights[1], weights[2], weights[3]),
-                    [scenes[si] for si in batch],
-                    [targets[si] for si in batch],
-                    loss_cfg,
-                    flags,
-                    workspace,
+    n_workers = min(opt_cfg.batch_size, len(scenes), cpus)
+    with _SceneWorkers(StepWorkspace(), n_workers) as workers:
+        for epoch in range(opt_cfg.epochs):
+            order = shuffle_rng.permutation(len(scenes))
+            sums = np.zeros(4)
+            n_pos_sum = 0
+            keep_sums = {name: 0.0 for name in COMPONENT_NAMES}
+            keep_count = 0
+            for start in range(0, len(order), opt_cfg.batch_size):
+                batch = order[start : start + opt_cfg.batch_size]
+                try:
+                    breakdowns, grads = _minibatch_grads(
+                        DetectorParams(weights[0], weights[1], weights[2], weights[3]),
+                        [scenes[si] for si in batch],
+                        [targets[si] for si in batch],
+                        loss_cfg,
+                        flags,
+                        workers,
+                    )
+                except _NonFiniteDeltas as exc:
+                    raise diverged("non-finite positive-anchor deltas", epoch, exc.scene_seed) from None
+                for si, breakdown in zip(batch, breakdowns):
+                    if not math.isfinite(breakdown.total):
+                        raise diverged("non-finite loss", epoch, scenes[si].seed, breakdown=breakdown)
+                    last_finite = breakdown
+                    sums += (breakdown.total, breakdown.ori, breakdown.xgd, breakdown.cld)
+                    n_pos_sum += breakdown.n_pos
+                    if breakdown.gate_keep and not math.isnan(breakdown.gate_keep["center"]):
+                        for name in COMPONENT_NAMES:
+                            keep_sums[name] += breakdown.gate_keep[name]
+                        keep_count += 1
+                last_grads = [g / len(batch) for g in grads]
+                weights = adam.step(weights, last_grads)
+                if not all(np.all(np.isfinite(w)) for w in weights):
+                    last_seed = scenes[batch[-1]].seed
+                    raise diverged("non-finite weights after the Adam step", epoch, last_seed)
+            n_seen = len(order)
+            history.append(
+                EpochStats(
+                    total=sums[0] / n_seen,
+                    ori=sums[1] / n_seen,
+                    xgd=sums[2] / n_seen,
+                    cld=sums[3] / n_seen,
+                    n_pos_mean=n_pos_sum / n_seen,
+                    gate_keep={k: v / keep_count for k, v in keep_sums.items()} if keep_count else {},
                 )
-            except _NonFiniteDeltas as exc:
-                raise diverged("non-finite positive-anchor deltas", epoch, exc.scene_seed) from None
-            for si, breakdown in zip(batch, breakdowns):
-                if not math.isfinite(breakdown.total):
-                    raise diverged("non-finite loss", epoch, scenes[si].seed, breakdown=breakdown)
-                last_finite = breakdown
-                sums += (breakdown.total, breakdown.ori, breakdown.xgd, breakdown.cld)
-                n_pos_sum += breakdown.n_pos
-                if breakdown.gate_keep and not math.isnan(breakdown.gate_keep["center"]):
-                    for name in COMPONENT_NAMES:
-                        keep_sums[name] += breakdown.gate_keep[name]
-                    keep_count += 1
-            last_grads = [g / len(batch) for g in grads]
-            weights = adam.step(weights, last_grads)
-            if not all(np.all(np.isfinite(w)) for w in weights):
-                last_seed = scenes[batch[-1]].seed
-                raise diverged("non-finite weights after the Adam step", epoch, last_seed)
-        n_seen = len(order)
-        history.append(
-            EpochStats(
-                total=sums[0] / n_seen,
-                ori=sums[1] / n_seen,
-                xgd=sums[2] / n_seen,
-                cld=sums[3] / n_seen,
-                n_pos_mean=n_pos_sum / n_seen,
-                gate_keep={k: v / keep_count for k, v in keep_sums.items()} if keep_count else {},
             )
-        )
     final = DetectorParams(weights[0], weights[1], weights[2], weights[3])
     return TrainResult(params=final, history=history)
 

@@ -20,7 +20,8 @@ from . import geometry as geom
 from . import sim as sim_mod
 from . import xgd as xgd_mod
 from .anchors import build_anchor_grid
-from .config import ExperimentConfig, config_from_dict
+from .config import ExperimentConfig, config_from_dict, default_arm_matrix
+from .experiments import build_dataset
 from .geometry import Box3D
 
 
@@ -550,6 +551,49 @@ def check_training_grad_fd(n_states: int = 5) -> CheckResult:
     )
 
 
+def check_threaded_step_bit_identity(n_train_scenes: int = 8, epochs: int = 2) -> CheckResult:
+    """Training on several workers vs inline training on one, for every
+    arm of the default matrix: the weights' bytes, the loss history and
+    the geometry flags must be equal.
+
+    The inline run is the oracle.  The threaded run uses the machine's
+    worker count, and at least two workers so that threads run on a
+    one-CPU machine too.
+    """
+    t0 = time.time()
+    cfg = _small_training_config()
+    cfg = replace(
+        cfg,
+        data=replace(cfg.data, n_train_scenes=n_train_scenes),
+        optimizer=replace(cfg.optimizer, epochs=epochs),
+    )
+    ds = build_dataset(cfg, 0)
+    n_workers = max(2, sim_mod._usable_cpus())
+    failures = []
+    for arm in default_arm_matrix():
+        runs = []
+        for cpus in (1, n_workers):
+            flags = geom.GeometryFlags()
+            result = sim_mod._train(
+                ds.grid, ds.train_scenes, ds.teacher_train, ds.train_assignments, arm.loss,
+                cfg.optimizer, ds.seed, flags, cpus,
+            )
+            p = result.params
+            weights = b"".join(w.tobytes() for w in (p.w_cls, p.b_cls, p.w_reg, p.b_reg))
+            runs.append((weights, repr(result.history), flags))
+        for what, inline, threaded in zip(("weights", "history", "flags"), *runs):
+            if inline != threaded:
+                failures.append(f"{arm.name}: {what} differ")
+    return CheckResult(
+        "threaded_step_bit_identity",
+        not failures,
+        "; ".join(failures)
+        or f"{len(default_arm_matrix())} arms, {epochs} epochs on {n_train_scenes} scenes: "
+        f"{n_workers} workers equal 1 worker byte for byte",
+        time.time() - t0,
+    )
+
+
 def verify_suite(fast: bool = False) -> list[CheckResult]:
     """Run all oracle-backed checks; `fast` shrinks the sample counts."""
     if fast:
@@ -564,6 +608,7 @@ def verify_suite(fast: bool = False) -> list[CheckResult]:
             check_iou_grad_self_consistency(n_cases=10),
             check_clip_kernel_bit_identity(n_random=200),
             check_training_grad_fd(n_states=2),
+            check_threaded_step_bit_identity(),
         ]
     else:
         checks = [
@@ -577,5 +622,6 @@ def verify_suite(fast: bool = False) -> list[CheckResult]:
             check_iou_grad_self_consistency(),
             check_clip_kernel_bit_identity(),
             check_training_grad_fd(),
+            check_threaded_step_bit_identity(),
         ]
     return checks

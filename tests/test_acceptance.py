@@ -37,6 +37,7 @@ from boxdistill.sim import (
     teacher_predict,
     total_loss_and_grad,
 )
+from boxdistill.verify import _reference_component_update
 from boxdistill.xgd import component_gate, positive_component_update
 
 pytestmark = pytest.mark.acceptance
@@ -138,49 +139,9 @@ def test_criterion_2_geometry_closed_forms(report):
     assert rot_err <= 1e-6
 
 
-def _reference_component_update(teacher, student, gt, eps=1e-9):
-    """Test-local brute force of the gated update, coded independently."""
-    result = []
-    for t_box, s_box, g_box in zip(teacher, student, gt):
-        pieces = {}
-        groups = {
-            "center": (
-                [t_box.cx, t_box.cy, t_box.cz],
-                [s_box.cx, s_box.cy, s_box.cz],
-                [g_box.cx, g_box.cy, g_box.cz],
-            ),
-            "size": (
-                [t_box.l, t_box.w, t_box.h],
-                [s_box.l, s_box.w, s_box.h],
-                [g_box.l, g_box.w, g_box.h],
-            ),
-            "angle": (
-                [wrap_angle(t_box.yaw - s_box.yaw)],
-                [0.0],
-                [wrap_angle(g_box.yaw - s_box.yaw)],
-            ),
-        }
-        for name, (t, s, g) in groups.items():
-            tv = [ti - si for ti, si in zip(t, s)]
-            gv = [gi - si for gi, si in zip(g, s)]
-            nt = math.sqrt(sum(v * v for v in tv))
-            ng = math.sqrt(sum(v * v for v in gv))
-            if nt < eps:
-                keep = True
-            elif ng < eps:
-                keep = False
-            else:
-                keep = sum(a * b for a, b in zip(tv, gv)) > 0.0
-            pieces[name] = keep
-        center = (t_box.cx, t_box.cy, t_box.cz) if pieces["center"] else (s_box.cx, s_box.cy, s_box.cz)
-        size = (t_box.l, t_box.w, t_box.h) if pieces["size"] else (s_box.l, s_box.w, s_box.h)
-        yaw = t_box.yaw if pieces["angle"] else s_box.yaw
-        result.append(Box3D(*center, *size, yaw))
-    return result
-
-
 def test_criterion_3_component_update_bruteforce(report):
     rng = np.random.default_rng(44)
+    eps = 1e-9
     mismatches = 0
     for case in range(1000):
         n = int(rng.integers(1, 5))
@@ -200,8 +161,8 @@ def test_criterion_3_component_update_bruteforce(report):
             elif roll < 0.35:  # total coincidence
                 t = student[j]
             teacher.append(t)
-        got = positive_component_update(rows(teacher), rows(student), rows(gt))
-        want = _reference_component_update(teacher, student, gt)
+        got = positive_component_update(rows(teacher), rows(student), rows(gt), eps)
+        want = _reference_component_update(teacher, student, gt, eps)
         if [Box3D.from_array(r) for r in got] != want:
             mismatches += 1
     report(3, "gated update vs brute force", mismatches == 0,

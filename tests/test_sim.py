@@ -753,7 +753,7 @@ class TestMinibatchStep:
     def test_equals_per_scene_loop_for_every_arm(self):
         from boxdistill.config import default_arm_matrix
         from boxdistill.geometry import GeometryFlags
-        from boxdistill.sim import StepWorkspace, _minibatch_grads, _scene_targets
+        from boxdistill.sim import StepWorkspace, _minibatch_grads, _scene_targets, _SceneWorkers
 
         ds, param_sets = self._dataset()
         batches = [[0, 1, 2, 3], [4], [3, 0]]
@@ -764,13 +764,13 @@ class TestMinibatchStep:
                 _scene_targets(a, s.gts, ds.grid, cfg, t)
                 for s, t, a in zip(ds.train_scenes, ds.teacher_train, ds.train_assignments)
             ]
-            ws = StepWorkspace()  # shared by every minibatch, as in train
+            workers = _SceneWorkers(StepWorkspace())  # shared by every minibatch, as in train
             for params in param_sets:
                 for batch in batches:
                     flags_step, flags_loop = GeometryFlags(), GeometryFlags()
                     got, grads = _minibatch_grads(
                         params, [ds.train_scenes[i] for i in batch], [targets[i] for i in batch],
-                        cfg, flags_step, ws,
+                        cfg, flags_step, workers,
                     )
                     want, want_grads = self._per_scene_loop(
                         params,
@@ -811,3 +811,127 @@ class TestMinibatchStep:
         train(ds.grid, ds.train_scenes, ds.teacher_train, ds.train_assignments, LossConfig(), opt, seed=0)
         # 5 scenes: batches of 4 and 1 per epoch; teacher boxes decoded once per scene.
         assert counts == {"gate": 4, "fd": 4, "iou3d": 4, "decode": 4 + 5}
+
+
+class TestWorkerCount:
+    """Training gives the same bits on any number of workers, and reports
+    the same failure."""
+
+    @staticmethod
+    def _dataset(n_train_scenes=16):
+        from boxdistill.config import DataConfig, default_config
+        from boxdistill.experiments import build_dataset
+
+        cfg = dataclasses.replace(
+            default_config(), data=DataConfig(n_train_scenes=n_train_scenes, n_val_scenes=1)
+        )
+        return build_dataset(cfg, 0)
+
+    @staticmethod
+    def _train_on(monkeypatch, cpus, ds, scenes, loss, epochs):
+        import boxdistill.sim as sim_mod
+        from boxdistill.geometry import GeometryFlags
+
+        monkeypatch.setattr(sim_mod, "_usable_cpus", lambda: cpus)
+        flags = GeometryFlags()
+        result = train(
+            ds.grid, scenes, ds.teacher_train, ds.train_assignments, loss,
+            OptimizerConfig(epochs=epochs), ds.seed, flags,
+        )
+        p = result.params
+        return [w.tobytes() for w in (p.w_cls, p.b_cls, p.w_reg, p.b_reg)], repr(result.history), flags
+
+    def test_every_arm_is_the_same_bits_on_1_2_and_3_workers(self, monkeypatch):
+        import sys
+        import threading
+
+        from boxdistill.config import default_arm_matrix
+
+        ds = self._dataset()
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside the phases, not only between them
+        try:
+            for arm in default_arm_matrix():
+                # 3 workers split a batch of 4 scenes 2 + 1 + 1.
+                inline, *threaded = (
+                    self._train_on(monkeypatch, cpus, ds, ds.train_scenes, arm.loss, epochs=3)
+                    for cpus in (1, 2, 3)
+                )
+                for run in threaded:
+                    assert run == inline, arm.name
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads  # every worker thread was joined
+
+    def test_first_scene_in_batch_order_is_reported(self, monkeypatch):
+        import threading
+        import time
+
+        import boxdistill.sim as sim_mod
+
+        ds = self._dataset(n_train_scenes=4)  # one batch of 4 scenes per epoch
+        order = np.random.default_rng(
+            np.random.SeedSequence((ds.seed, sim_mod._STREAM_SHUFFLE))
+        ).permutation(4)
+        k_a = ds.grid.k_a
+
+        def positive_positions(i):
+            return np.unique(ds.train_assignments[i].positive_indices // k_a)
+
+        def background_position(i):
+            asg = ds.train_assignments[i]
+            assert np.all(asg.labels[:k_a] == -1)  # position 0 holds only negatives
+            return np.array([0])
+
+        def spoiled(spoils):
+            scenes = list(ds.train_scenes)
+            for i, rows_of in spoils:
+                features = scenes[i].features.copy()
+                features[rows_of(i)] = np.inf
+                scenes[i] = Scene(gts=scenes[i].gts, features=features, seed=scenes[i].seed)
+            return scenes
+
+        # Batch positions 1 and 2 run on different workers of two.  The
+        # first holds its forward pass until the second has finished its
+        # own, so failures complete out of batch order.
+        first, second = order[1], order[2]
+        second_done = threading.Event()
+        forward = sim_mod.student_forward
+
+        def second_first(params, scene, workspace=None):
+            if scene.seed == ds.train_scenes[first].seed:
+                assert second_done.wait(timeout=10)
+                time.sleep(0.02)  # for the second scene's check to raise
+            out = forward(params, scene, workspace)
+            if scene.seed == ds.train_scenes[second].seed:
+                second_done.set()
+            return out
+
+        monkeypatch.setattr(sim_mod, "student_forward", second_first)
+        cases = [
+            ("non-finite positive-anchor deltas",
+             [(first, positive_positions), (second, positive_positions)], first),
+            ("non-finite loss", [(first, background_position), (second, background_position)], first),
+            # Deltas of any scene come before the loss of any scene.
+            ("non-finite positive-anchor deltas",
+             [(first, background_position), (second, positive_positions)], second),
+        ]
+        threads = threading.active_count()
+        for what, spoils, reported in cases:
+            second_done.clear()
+            with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as info:
+                self._train_on(monkeypatch, 2, ds, spoiled(spoils), LossConfig(), epochs=1)
+            assert str(info.value).startswith(what)
+            assert info.value.snapshot["scene_seed"] == ds.train_scenes[reported].seed
+        assert threading.active_count() == threads
+
+    def test_workers_keep_the_callers_numpy_error_state(self):
+        from boxdistill.sim import StepWorkspace, _SceneWorkers
+
+        def divide(k, _):
+            return np.ones(1) / np.zeros(1) if k == 1 else None  # item 1 runs on the helper
+
+        with _SceneWorkers(StepWorkspace(), 2) as workers, np.errstate(divide="raise"):
+            with pytest.raises(FloatingPointError):
+                workers.map(divide, 2)

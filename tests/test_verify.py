@@ -9,6 +9,7 @@ from boxdistill.verify import (
     check_component_update_bruteforce,
     check_gate_soundness,
     check_geometry_closed_forms,
+    check_threaded_step_bit_identity,
     verify_suite,
 )
 from boxdistill.xgd import ComponentGate
@@ -29,6 +30,7 @@ def test_fast_suite_passes():
         "iou_grad_self_consistency",
         "clip_kernel_bit_identity",
         "training_grad_fd",
+        "threaded_step_bit_identity",
     }
 
 
@@ -107,3 +109,24 @@ def test_injected_kernel_merge_tolerance_is_caught(monkeypatch):
     result = check_clip_kernel_bit_identity(n_random=200)
     assert not result.passed
     assert "mismatches" in result.detail
+
+
+def test_injected_worker_difference_is_caught(monkeypatch):
+    # Logit gradients computed on a worker thread come out one part in
+    # 2**40 larger than inline.
+    import threading
+
+    import boxdistill.sim as sim_mod
+
+    original = sim_mod._scene_terms
+
+    def off_on_workers(*args):
+        terms, dlogits = original(*args)
+        if threading.current_thread() is not threading.main_thread():
+            dlogits *= 1.0 + 2.0**-40
+        return terms, dlogits
+
+    monkeypatch.setattr(sim_mod, "_scene_terms", off_on_workers)
+    result = check_threaded_step_bit_identity()
+    assert not result.passed
+    assert "weights differ" in result.detail
