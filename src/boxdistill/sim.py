@@ -13,6 +13,7 @@ import contextvars
 import json
 import math
 import os
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -362,12 +363,6 @@ class _SceneWorkers:
             from concurrent.futures import ThreadPoolExecutor
 
             self._helpers = [ThreadPoolExecutor(max_workers=1) for _ in range(n - 1)]
-
-    def __enter__(self) -> "_SceneWorkers":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def map(self, fn: Callable[[int, StepWorkspace], object], n_items: int) -> list:
         """``[fn(k, workspace) for k in range(n_items)]``, each call on scene
@@ -1155,7 +1150,7 @@ def _train(
         )
 
     n_workers = min(opt_cfg.batch_size, len(scenes), cpus)
-    with _SceneWorkers(StepWorkspace(), n_workers) as workers:
+    with closing(_SceneWorkers(StepWorkspace(), n_workers)) as workers:
         for epoch in range(opt_cfg.epochs):
             order = shuffle_rng.permutation(len(scenes))
             sums = np.zeros(4)

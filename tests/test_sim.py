@@ -927,11 +927,13 @@ class TestWorkerCount:
         assert threading.active_count() == threads
 
     def test_workers_keep_the_callers_numpy_error_state(self):
+        from contextlib import closing
+
         from boxdistill.sim import StepWorkspace, _SceneWorkers
 
         def divide(k, _):
             return np.ones(1) / np.zeros(1) if k == 1 else None  # item 1 runs on the helper
 
-        with _SceneWorkers(StepWorkspace(), 2) as workers, np.errstate(divide="raise"):
+        with closing(_SceneWorkers(StepWorkspace(), 2)) as workers, np.errstate(divide="raise"):
             with pytest.raises(FloatingPointError):
                 workers.map(divide, 2)
