@@ -235,21 +235,24 @@ class Assignment:
         return int(np.count_nonzero(self.foreground))
 
 
-def _candidate_positions(grid: AnchorGrid, gt: Box3D, reach: float) -> np.ndarray:
-    """Indices of grid positions whose center could overlap ``gt``."""
+def _candidate_positions(grid: AnchorGrid, gt: Sequence[float], reach: float) -> np.ndarray:
+    """Indices of grid positions whose center could overlap the box row ``gt``."""
+    cx, _, cz, l, w, _, _ = gt
     centers = grid.position_centers
-    r = 0.5 * math.hypot(gt.l, gt.w) + reach
-    near = (np.abs(centers[:, 0] - gt.cx) <= r) & (np.abs(centers[:, 1] - gt.cz) <= r)
+    r = 0.5 * math.hypot(l, w) + reach
+    near = (np.abs(centers[:, 0] - cx) <= r) & (np.abs(centers[:, 1] - cz) <= r)
     return np.flatnonzero(near)
 
 
 def assign_targets(
     grid: AnchorGrid,
-    gts: Sequence[tuple[Box3D, int]],
+    boxes: np.ndarray,
+    class_ids: np.ndarray,
     thresholds: Mapping[int, tuple[float, float]] | tuple[float, float] = (0.6, 0.45),
     dilation: float = 0.5,
 ) -> Assignment:
-    """Label every anchor positive / negative / ignore against ``gts``.
+    """Label every anchor positive / negative / ignore against the (n_gt, 7)
+    ground-truth rows ``boxes`` of classes ``class_ids``.
 
     An anchor is positive when its BEV IoU with a same-class ground truth
     reaches the class positive threshold, or when it is that ground
@@ -266,7 +269,8 @@ def assign_targets(
             return thresholds
         return thresholds[class_id]
 
-    for class_id in {c for _, c in gts}:
+    classes = class_ids.tolist()
+    for class_id in set(classes):
         pos_thr, neg_thr = thr_for(class_id)
         if pos_thr < neg_thr:
             raise ValueError(
@@ -288,7 +292,7 @@ def assign_targets(
     # Every (anchor, gt) candidate of the scene is scored in one call, in
     # gt order and, per gt, in ascending anchor index.
     candidates: list[tuple[int, np.ndarray]] = []
-    for g, (gt, class_id) in enumerate(gts):
+    for g, (gt, class_id) in enumerate(zip(boxes.tolist(), classes)):
         slots = np.flatnonzero(slot_classes == class_id)
         if slots.size == 0:
             continue
@@ -296,9 +300,7 @@ def assign_targets(
         candidates.append((g, (positions[:, None] * k_a + slots[None, :]).ravel()))
     counts = [idx.size for _, idx in candidates]
     all_idx = np.concatenate([np.zeros(0, dtype=np.int64)] + [idx for _, idx in candidates])
-    gt_rows = np.repeat(
-        np.array([gts[g][0].as_array() for g, _ in candidates]).reshape(-1, 7), counts, axis=0
-    )
+    gt_rows = np.repeat(boxes[[g for g, _ in candidates]], counts, axis=0)
     ious = bev_iou(grid.anchor_params[all_idx], gt_rows)
     start = 0
     for (g, idx), count in zip(candidates, counts):
@@ -326,38 +328,33 @@ def assign_targets(
             continue
         labels[anchor] = g
 
-    fg = foreground_mask(grid, gts, dilation=dilation)
+    fg = foreground_mask(grid, boxes, dilation=dilation)
     return Assignment(labels=labels, max_iou=max_iou, foreground=fg)
 
 
-def foreground_mask(
-    grid: AnchorGrid, gts: Sequence[tuple[Box3D, int]], dilation: float = 0.5
-) -> np.ndarray:
-    """Flag positions whose center lies in any GT footprint dilated per side."""
+def foreground_mask(grid: AnchorGrid, boxes: np.ndarray, dilation: float = 0.5) -> np.ndarray:
+    """Flag positions whose center lies in any ``boxes`` footprint dilated per side."""
     if dilation < 0:
         raise ValueError(f"dilation must be >= 0, got {dilation}")
     centers = grid.position_centers
     mask = np.zeros(grid.n_positions, dtype=bool)
-    for gt, _ in gts:
-        dx = centers[:, 0] - gt.cx
-        dz = centers[:, 1] - gt.cz
-        c, s = math.cos(gt.yaw), math.sin(gt.yaw)
+    for cx, _, cz, l, w, _, yaw in boxes.tolist():
+        dx = centers[:, 0] - cx
+        dz = centers[:, 1] - cz
+        c, s = math.cos(yaw), math.sin(yaw)
         u = dx * c + dz * s
         v = -dx * s + dz * c
-        mask |= (np.abs(u) <= 0.5 * gt.l + dilation) & (np.abs(v) <= 0.5 * gt.w + dilation)
+        mask |= (np.abs(u) <= 0.5 * l + dilation) & (np.abs(v) <= 0.5 * w + dilation)
     return mask
 
 
 def positive_target_deltas(
-    grid: AnchorGrid, assignment: Assignment, gts: Sequence[tuple[Box3D, int]]
+    grid: AnchorGrid, assignment: Assignment, boxes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Encoded GT deltas for every positive anchor.
+    """Encoded deltas of the ground-truth rows ``boxes`` at every positive anchor.
 
     Returns (positive anchor indices, (n_pos, 7) encoded targets), both in
     ascending anchor order.
     """
     pos = assignment.positive_indices
-    if pos.size == 0:
-        return pos, np.zeros((0, 7))
-    gt_params = np.array([box.as_array() for box, _ in gts])
-    return pos, encode_deltas(gt_params[assignment.labels[pos]], grid.anchor_params[pos])
+    return pos, encode_deltas(boxes[assignment.labels[pos]], grid.anchor_params[pos])

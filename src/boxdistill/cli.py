@@ -109,7 +109,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     config = _load(args.config)
-    result, _ = run_ablations(config, out_dir=args.out, keep_params=False)
+    result = run_ablations(config, out_dir=args.out)
     agg = result.aggregate()
     for arm in sorted(agg):
         means = {cls: round(v["mean"], 4) for cls, v in sorted(agg[arm].items())}

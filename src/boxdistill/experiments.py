@@ -81,7 +81,7 @@ def build_dataset(config: ExperimentConfig, seed: int, grid: AnchorGrid | None =
     def prepare(scene_seeds: list[int]) -> tuple[list[Scene], list[Assignment], list[DetectorOutputs]]:
         scenes = [generate_scene(s, config.scene, grid) for s in scene_seeds]
         assignments = [
-            assign_targets(grid, sc.gts, thresholds, dilation=config.foreground_dilation)
+            assign_targets(grid, sc.boxes, sc.class_ids, thresholds, config.foreground_dilation)
             for sc in scenes
         ]
         teacher = [
@@ -301,12 +301,10 @@ def run_ablations(
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
     arms: Sequence[ArmConfig] | None = None,
-    keep_params: bool = True,
-) -> tuple[ExperimentResult, dict[tuple[str, int], DetectorParams]]:
+) -> ExperimentResult:
     """Train every arm on shared per-seed datasets and evaluate them."""
     arms = tuple(arms) if arms is not None else config.arms
     result = ExperimentResult(config=config)
-    trained: dict[tuple[str, int], DetectorParams] = {}
     grid = build_anchor_grid(config.grid)
     for seed in config.seeds:
         dataset = build_dataset(config, seed, grid)
@@ -316,11 +314,9 @@ def run_ablations(
                 train_result.params, dataset, config, metadata={"arm": arm.name}
             )
             result.records.append(RunRecord(arm.name, seed, report, train_result))
-            if keep_params:
-                trained[(arm.name, seed)] = train_result.params
     if out_dir is not None:
         _write_outputs(result, out_dir, "ablations")
-    return result, trained
+    return result
 
 
 REPLACEMENT_MODES = ("none", "regression", "classification", "both")

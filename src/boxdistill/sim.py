@@ -112,14 +112,22 @@ class SceneConfig:
 
 @dataclass(frozen=True)
 class Scene:
-    """Ground truth plus the (noisy) per-position features the student sees."""
+    """Ground truth plus the (noisy) per-position features the student sees;
+    all three arrays are read-only."""
 
-    gts: tuple[tuple[Box3D, int], ...]
+    boxes: np.ndarray  # (n_gt, 7) rows (cx, cy, cz, l, w, h, yaw)
+    class_ids: np.ndarray  # (n_gt,) int64, the class of each row
     features: np.ndarray  # (n_positions, feature_dim)
     seed: int
 
     def __post_init__(self) -> None:
-        self.features.setflags(write=False)
+        for arr in (self.boxes, self.class_ids, self.features):
+            arr.setflags(write=False)
+
+    @property
+    def gts(self) -> tuple[tuple[Box3D, int], ...]:
+        """(Box3D, class id) pairs for scalar code, rebuilt on each read."""
+        return tuple((Box3D.from_array(r), c) for r, c in zip(self.boxes, self.class_ids.tolist()))
 
 
 def generate_scene(rng_seed: int, config: SceneConfig, grid: AnchorGrid) -> Scene:
@@ -172,7 +180,8 @@ def generate_scene(rng_seed: int, config: SceneConfig, grid: AnchorGrid) -> Scen
             gts.append((box, class_id))
 
     features = _embed_features(gts, grid, config, rng)
-    return Scene(gts=tuple(gts), features=features, seed=rng_seed)
+    boxes = np.array([box.as_array() for box, _ in gts]).reshape(-1, 7)
+    return Scene(boxes, np.array([c for _, c in gts], dtype=np.int64), features, rng_seed)
 
 
 def _template_sizes(grid: AnchorGrid) -> dict[int, tuple[float, float, float]]:
@@ -431,7 +440,6 @@ def teacher_predict(
     profile: NoiseProfile,
     grid: AnchorGrid,
     assignment: Assignment,
-    seed: int | None = None,
 ) -> DetectorOutputs:
     """Oracle teacher: ground truth perturbed by the profile.
 
@@ -440,9 +448,7 @@ def teacher_predict(
     positive anchors carry that box's encoded offsets and a confident
     logit.  Everything else stays at the background logit.
     """
-    rng = np.random.default_rng(
-        np.random.SeedSequence((scene.seed if seed is None else seed, _STREAM_TEACHER))
-    )
+    rng = np.random.default_rng(np.random.SeedSequence((scene.seed, _STREAM_TEACHER)))
     k_a, k_c = grid.k_a, grid.k_c
     logits = np.full((grid.n_positions, k_a, k_c), BACKGROUND_LOGIT)
     deltas = np.zeros((grid.n_positions, k_a, 7))
@@ -680,15 +686,14 @@ class _SceneTargets:
 
 
 def _scene_targets(
+    scene: Scene,
     assignment: Assignment,
-    gts: Sequence[tuple[Box3D, int]],
     grid: AnchorGrid,
     cfg: LossConfig,
     teacher: DetectorOutputs | None = None,
 ) -> _SceneTargets:
     labels = assignment.labels
-    pos, target_deltas = positive_target_deltas(grid, assignment, gts)
-    gt_classes = np.array([c for _, c in gts], dtype=np.int64)
+    pos, target_deltas = positive_target_deltas(grid, assignment, scene.boxes)
     xgd_rows = pos[:0]
     xgd_anchors = xgd_teacher = xgd_gt = _NO_BOXES
     if teacher is not None and cfg.xgd_weight > 0 and pos.size:
@@ -696,7 +701,7 @@ def _scene_targets(
         teacher_rows = decode_deltas(teacher.deltas_flat[pos], anchors)
         if cfg.xgd_selection == "gate":
             xgd_rows, xgd_anchors, xgd_teacher = pos, anchors, teacher_rows
-            xgd_gt = np.array([box.as_array() for box, _ in gts])[labels[pos]]
+            xgd_gt = scene.boxes[labels[pos]]
         else:
             # Box-level alternative: keep whole teacher boxes whose best
             # class score clears the confidence threshold.
@@ -714,7 +719,7 @@ def _scene_targets(
             )
     return _SceneTargets(
         pos=pos,
-        pos_classes=gt_classes[labels[pos]],
+        pos_classes=scene.class_ids[labels[pos]],
         ignore_rows=np.flatnonzero(labels == -2),
         pos_positions=np.unique(pos // grid.k_a),
         target_deltas=target_deltas,
@@ -871,8 +876,8 @@ def _minibatch_losses(
 
 def base_loss(
     outputs: DetectorOutputs,
+    scene: Scene,
     assignment: Assignment,
-    gts: Sequence[tuple[Box3D, int]],
     grid: AnchorGrid,
     cfg: LossConfig = LossConfig(),
 ) -> float:
@@ -881,7 +886,7 @@ def base_loss(
     The classification term runs over all non-ignore anchors; both terms
     are normalized by max(1, n_pos).
     """
-    terms, _ = _scene_terms(outputs, _scene_targets(assignment, gts, grid, cfg), cfg, StepWorkspace())
+    terms, _ = _scene_terms(outputs, _scene_targets(scene, assignment, grid, cfg), cfg, StepWorkspace())
     return terms.ori
 
 
@@ -922,7 +927,7 @@ def total_loss_and_grad(
         raise ValueError("student and teacher outputs must share the grid layout")
     (breakdown,), (dlogits_flat,), (ddeltas_flat,) = _minibatch_losses(
         lambda _, __: student,
-        [_scene_targets(assignment, scene.gts, grid, cfg, teacher)],
+        [_scene_targets(scene, assignment, grid, cfg, teacher)],
         cfg,
         flags,
         _SceneWorkers(StepWorkspace() if workspace is None else workspace),
@@ -1127,7 +1132,7 @@ def _train(
     adam = _Adam(weights, opt_cfg)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_SHUFFLE)))
     targets = [
-        _scene_targets(a, s.gts, grid, loss_cfg, t)
+        _scene_targets(s, a, grid, loss_cfg, t)
         for s, t, a in zip(scenes, teacher_outputs, assignments)
     ]
     history: list[EpochStats] = []
@@ -1206,8 +1211,8 @@ def save_scenes(path: str | Path, scenes: Sequence[Scene]) -> None:
         for scene in scenes:
             record = {
                 "seed": scene.seed,
-                "gts": [list(b.as_array()) for b, _ in scene.gts],
-                "class_ids": [c for _, c in scene.gts],
+                "gts": scene.boxes.tolist(),
+                "class_ids": scene.class_ids.tolist(),
             }
             fh.write(json.dumps(record) + "\n")
 
@@ -1222,10 +1227,9 @@ def load_scenes(path: str | Path, config: SceneConfig, grid: AnchorGrid) -> list
             record = json.loads(line)
             scene = generate_scene(int(record["seed"]), config, grid)
             stored = np.array(record["gts"], dtype=float).reshape(-1, 7)
-            current = np.array([b.as_array() for b, _ in scene.gts]).reshape(-1, 7)
-            if stored.shape != current.shape or (
-                stored.size and np.max(np.abs(stored - current)) > 1e-9
-            ) or list(record["class_ids"]) != [c for _, c in scene.gts]:
+            if stored.shape != scene.boxes.shape or np.any(abs(stored - scene.boxes) > 1e-9) or (
+                record["class_ids"] != scene.class_ids.tolist()
+            ):
                 raise ValueError(
                     f"{path}:{line_no}: stored scene does not match regeneration "
                     "(was the scene config changed?)"

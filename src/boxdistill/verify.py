@@ -470,7 +470,7 @@ def check_training_grad_fd(n_states: int = 5) -> CheckResult:
             )
         scene = sim_mod.generate_scene(int(rng.integers(1 << 30)), cfg.scene, grid)
         assignment = anchors_mod.assign_targets(
-            grid, scene.gts, thresholds, dilation=cfg.foreground_dilation
+            grid, scene.boxes, scene.class_ids, thresholds, dilation=cfg.foreground_dilation
         )
         if assignment.n_pos == 0:
             continue
@@ -502,7 +502,7 @@ def check_training_grad_fd(n_states: int = 5) -> CheckResult:
         frozen_targets = xgd_mod.positive_component_update(
             anchors_mod.decode_deltas(teacher.deltas_flat[pos], anchor_params),
             anchors_mod.decode_deltas(out.deltas_flat[pos], anchor_params),
-            _rows(scene.gts[assignment.labels[i]][0] for i in pos),
+            scene.boxes[assignment.labels[pos]],
             cfg.loss.gate_eps,
             components=cfg.loss.xgd_components,
         )
@@ -513,7 +513,7 @@ def check_training_grad_fd(n_states: int = 5) -> CheckResult:
 
         def loss_of(p: sim_mod.DetectorParams) -> float:
             o = sim_mod.student_forward(p, scene)
-            value = sim_mod.base_loss(o, assignment, scene.gts, grid, cfg.loss)
+            value = sim_mod.base_loss(o, scene, assignment, grid, cfg.loss)
             boxes = anchors_mod.decode_deltas(o.deltas_flat[pos], anchor_params)
             value += cfg.loss.xgd_weight * xgd_mod.xgd_loss(boxes, frozen_targets)
             student_dist = cld_mod.unified_distribution(

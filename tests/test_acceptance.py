@@ -14,8 +14,10 @@ import pytest
 
 from boxdistill.anchors import build_anchor_grid, decode_deltas, encode_deltas
 from boxdistill.cld import LogitMap, cld_grad, cld_loss, unified_distribution
-from boxdistill.config import config_from_dict, default_config
+from boxdistill.config import config_from_dict, default_arm_matrix, default_config
 from boxdistill.experiments import (
+    ExperimentResult,
+    RunRecord,
     build_dataset,
     evaluate_params,
     run_experiment,
@@ -30,7 +32,6 @@ from boxdistill.geometry import (
 )
 from boxdistill.sim import (
     DetectorParams,
-    LossConfig,
     NoiseProfile,
     generate_scene,
     student_forward,
@@ -296,7 +297,9 @@ def test_criterion_6_training_gradients(report):
         attempts += 1
         assert attempts < 400, "could not sample enough smooth states"
         scene = generate_scene(int(rng.integers(1 << 30)), cfg.scene, grid)
-        assignment = assign_targets(grid, scene.gts, thresholds, dilation=cfg.foreground_dilation)
+        assignment = assign_targets(
+            grid, scene.boxes, scene.class_ids, thresholds, dilation=cfg.foreground_dilation
+        )
         if assignment.n_pos == 0:
             continue
         teacher = teacher_predict(scene, cfg.teacher_noise, grid, assignment)
@@ -326,7 +329,7 @@ def test_criterion_6_training_gradients(report):
         anchor_params = grid.anchor_params[pos]
         student_boxes0 = decode_deltas(out.deltas_flat[pos], anchor_params)
         teacher_boxes = decode_deltas(teacher.deltas_flat[pos], anchor_params)
-        gt_boxes = rows(scene.gts[assignment.labels[i]][0] for i in pos)
+        gt_boxes = scene.boxes[assignment.labels[pos]]
         frozen_targets = positive_component_update(teacher_boxes, student_boxes0, gt_boxes)
         fg = cld_positions(assignment, grid, cfg.loss.cld_region)
         teacher_dist = unified_distribution(
@@ -335,7 +338,7 @@ def test_criterion_6_training_gradients(report):
 
         def loss_of(p):
             o = student_forward(p, scene)
-            value = base_loss(o, assignment, scene.gts, grid, cfg.loss)
+            value = base_loss(o, scene, assignment, grid, cfg.loss)
             boxes = decode_deltas(o.deltas_flat[pos], anchor_params)
             value += cfg.loss.xgd_weight * xgd_loss(boxes, frozen_targets)
             student_dist = unified_distribution(
@@ -371,22 +374,19 @@ def test_criterion_6_training_gradients(report):
     assert worst < 1e-2
 
 
+SWEEP_ARMS = ("baseline", "xgd_center", "xgd_size", "xgd_angle", "high_quality_boxes", "xgd_cld")
+
+
 @pytest.fixture(scope="module")
 def sweep():
-    """Train the criterion-relevant arms over 5 paired seeds, once."""
+    """Train the criterion-relevant arms of the default matrix over 5 paired
+    seeds, once."""
     config = default_config()
     assert len(config.seeds) >= 5
-    arms = {
-        "baseline": LossConfig(xgd_weight=0.0, cld_weight=0.0),
-        "xgd_center": dataclasses.replace(LossConfig(), xgd_components=("center",)),
-        "xgd_size": dataclasses.replace(LossConfig(), xgd_components=("size",)),
-        "xgd_angle": dataclasses.replace(LossConfig(), xgd_components=("angle",)),
-        "high_quality_boxes": dataclasses.replace(LossConfig(), xgd_selection="confidence"),
-        "xgd_cld": LossConfig(),
-    }
+    arms = [arm for arm in default_arm_matrix() if arm.name in SWEEP_ARMS]
+    assert [arm.name for arm in arms] == list(SWEEP_ARMS)
     grid = build_anchor_grid(config.grid)
-    ap3d = {name: {} for name in arms}  # arm -> seed -> {class: ap}
-    params = {}
+    result = ExperimentResult(config=config)
     datasets = {}
     paired_sweep_seconds = 0.0
     for seed in config.seeds:
@@ -394,46 +394,31 @@ def sweep():
         dataset = build_dataset(config, seed, grid)
         dataset_seconds = time.time() - t0
         datasets[seed] = dataset
-        for name, loss_cfg in arms.items():
+        for arm in arms:
             t1 = time.time()
-            result = train_on_dataset(dataset, loss_cfg, config)
-            rep = evaluate_params(result.params, dataset, config)
+            trained = train_on_dataset(dataset, arm.loss, config)
+            rep = evaluate_params(trained.params, dataset, config)
             arm_seconds = time.time() - t1
-            ap3d[name][seed] = rep.ap3d_by_class()
-            params[(name, seed)] = result.params
-            if name in ("baseline", "xgd_cld"):
+            result.records.append(RunRecord(arm.name, seed, rep, trained))
+            if arm.name in ("baseline", "xgd_cld"):
                 paired_sweep_seconds += arm_seconds
         paired_sweep_seconds += dataset_seconds
     return {
         "config": config,
         "grid": grid,
-        "arms": list(arms),
-        "ap3d": ap3d,
-        "params": params,
+        "result": result,
         "datasets": datasets,
         "paired_sweep_seconds": paired_sweep_seconds,
     }
 
 
-def _seed_mean_by_class(ap3d_entry):
-    classes = list(next(iter(ap3d_entry.values())).keys())
-    return {c: float(np.mean([per_class[c] for per_class in ap3d_entry.values()])) for c in classes}
-
-
-def _seed_mean_map(ap3d_entry):
-    return float(np.mean(list(_seed_mean_by_class(ap3d_entry).values())))
-
-
 def test_criterion_7_distillation_beats_baseline(sweep, report):
-    base = _seed_mean_by_class(sweep["ap3d"]["baseline"])
-    full = _seed_mean_by_class(sweep["ap3d"]["xgd_cld"])
+    result = sweep["result"]
+    base = result.seed_mean_ap3d("baseline")
+    full = result.seed_mean_ap3d("xgd_cld")
     strict_wins = [c for c in base if full[c] > base[c]]
-    seeds = sweep["config"].seeds
-    paired = [
-        float(np.mean(list(sweep["ap3d"]["xgd_cld"][s].values())))
-        - float(np.mean(list(sweep["ap3d"]["baseline"][s].values())))
-        for s in seeds
-    ]
+    paired = list(result.paired_deltas("xgd_cld", "baseline").values())
+    assert len(paired) == len(sweep["config"].seeds)
     mean_delta = float(np.mean(paired))
     elapsed = sweep["paired_sweep_seconds"]
     ok = len(strict_wins) >= 2 and mean_delta > 0 and elapsed <= 600.0
@@ -464,7 +449,11 @@ def test_criterion_8_replacement_ordering(sweep, report):
             for scene, asg in zip(dataset.val_scenes, dataset.val_assignments)
         ]
         clean_dataset = dataclasses.replace(dataset, teacher_val=clean_teacher)
-        student = sweep["params"][("baseline", seed)]
+        (student,) = (
+            r.train_result.params
+            for r in sweep["result"].records
+            if (r.arm, r.seed) == ("baseline", seed)
+        )
         for mode in means:
             rep = evaluate_params(student, clean_dataset, config, replace_mode=mode)
             means[mode].append(rep.mean_ap3d())
@@ -480,12 +469,12 @@ def test_criterion_8_replacement_ordering(sweep, report):
 
 
 def test_criterion_9_ablation_orderings(sweep, report):
-    full = _seed_mean_map(sweep["ap3d"]["xgd_cld"])
+    result = sweep["result"]
+    full = result.seed_mean_map3d("xgd_cld")
     singles = {
-        name: _seed_mean_map(sweep["ap3d"][name])
-        for name in ("xgd_center", "xgd_size", "xgd_angle")
+        name: result.seed_mean_map3d(name) for name in ("xgd_center", "xgd_size", "xgd_angle")
     }
-    hq = _seed_mean_map(sweep["ap3d"]["high_quality_boxes"])
+    hq = result.seed_mean_map3d("high_quality_boxes")
     ok_components = all(full >= v for v in singles.values())
     ok_gate = full >= hq
     report(

@@ -102,6 +102,11 @@ def rows(boxes):
     return np.array([b.as_array() for b in boxes]).reshape(-1, 7)
 
 
+def gt_arrays(gts):
+    """(n, 7) rows and class ids of (Box3D, class id) pairs."""
+    return rows(b for b, _ in gts), np.array([c for _, c in gts], dtype=np.int64)
+
+
 class TestCodec:
     def test_identity(self):
         anchor = rows([Box3D(1, 0.5, 10, 3.9, 1.6, 1.56, 0)])
@@ -168,14 +173,14 @@ class TestAssignment:
     def test_exact_anchor_match_is_positive(self):
         grid = small_grid()
         gt = grid.anchor_box(20)  # slot 0 of some position
-        asg = assign_targets(grid, [(gt, 0)])
+        asg = assign_targets(grid, *gt_arrays([(gt, 0)]))
         assert asg.n_pos >= 1
         assert asg.labels[20] == 0
         assert asg.max_iou[20] == pytest.approx(1.0)
 
     def test_empty_scene_all_negative(self):
         grid = small_grid()
-        asg = assign_targets(grid, [])
+        asg = assign_targets(grid, *gt_arrays([]))
         assert asg.n_pos == 0
         assert np.all(asg.labels == LABEL_NEGATIVE)
         assert asg.m_fore == 0
@@ -185,7 +190,7 @@ class TestAssignment:
         # GT centered between two cells: below pos threshold everywhere,
         # still gets exactly its argmax anchor via the forced match.
         gt = Box3D(3.0, 0.0, 2.5, 1.8, 1.0, 1.0, 0.0)
-        asg = assign_targets(grid, [(gt, 0)], thresholds=(0.99, 0.45))
+        asg = assign_targets(grid, *gt_arrays([(gt, 0)]), thresholds=(0.99, 0.45))
         pos = asg.positive_indices
         assert len(pos) == 1
         # brute-force argmax over every anchor
@@ -200,7 +205,7 @@ class TestAssignment:
             )
         )
         gt = grid.anchor_box(0)  # class 0 template at position 0
-        asg = assign_targets(grid, [(gt, 1)])
+        asg = assign_targets(grid, *gt_arrays([(gt, 1)]))
         slot_classes = grid.slot_class_ids()
         for idx in asg.positive_indices:
             assert slot_classes[idx % grid.k_a] == 1
@@ -208,7 +213,7 @@ class TestAssignment:
     def test_threshold_validation(self):
         grid = small_grid()
         with pytest.raises(ValueError):
-            assign_targets(grid, [(grid.anchor_box(0), 0)], thresholds=(0.3, 0.6))
+            assign_targets(grid, *gt_arrays([(grid.anchor_box(0), 0)]), thresholds=(0.3, 0.6))
 
     def test_non_positive_pos_iou_rejected(self):
         # At pos_iou 0 an anchor with no overlap would become positive.
@@ -216,12 +221,12 @@ class TestAssignment:
         gt = [(grid.anchor_box(0), 0)]
         for thresholds in ((0.0, 0.0), {0: (0.0, 0.0)}, (-0.1, -0.2)):
             with pytest.raises(ValueError, match="must be > 0"):
-                assign_targets(grid, gt, thresholds=thresholds)
+                assign_targets(grid, *gt_arrays(gt), thresholds=thresholds)
 
     def test_ignore_band(self):
         grid = small_grid()
         gt = Box3D(2.7, 0.0, 2.5, 1.8, 1.0, 1.0, 0.0)
-        asg = assign_targets(grid, [(gt, 0)], thresholds=(0.9, 0.1))
+        asg = assign_targets(grid, *gt_arrays([(gt, 0)]), thresholds=(0.9, 0.1))
         assert np.any(asg.labels == LABEL_IGNORE)
 
     def test_determinism_bit_for_bit(self):
@@ -231,8 +236,8 @@ class TestAssignment:
             (Box3D(rng.uniform(1, 7), 0, rng.uniform(1, 7), 1.8, 1.0, 1.0, rng.uniform(-1, 1)), 0)
             for _ in range(4)
         ]
-        a1 = assign_targets(grid, gts)
-        a2 = assign_targets(grid, gts)
+        a1 = assign_targets(grid, *gt_arrays(gts))
+        a2 = assign_targets(grid, *gt_arrays(gts))
         assert np.array_equal(a1.labels, a2.labels)
         assert np.array_equal(a1.max_iou, a2.max_iou)
         assert np.array_equal(a1.foreground, a2.foreground)
@@ -251,7 +256,7 @@ class TestAssignment:
                     0,
                 )
             ]
-            asg = assign_targets(grid, gts, dilation=half_diag)
+            asg = assign_targets(grid, *gt_arrays(gts), dilation=half_diag)
             for idx in asg.positive_indices:
                 assert asg.foreground[idx // grid.k_a]
 
@@ -259,13 +264,13 @@ class TestAssignment:
 class TestForegroundMask:
     def test_no_gts_empty(self):
         grid = small_grid()
-        assert foreground_mask(grid, []).sum() == 0
+        assert foreground_mask(grid, np.zeros((0, 7))).sum() == 0
 
     def test_single_cell_zero_dilation(self):
         grid = small_grid()
         # footprint covering exactly one cell center
         gt = Box3D(2.5, 0.0, 3.5, 0.9, 0.9, 1.0, 0.0)
-        mask = foreground_mask(grid, [(gt, 0)], dilation=0.0)
+        mask = foreground_mask(grid, rows([gt]), dilation=0.0)
         assert mask.sum() == 1
 
     def test_matches_bruteforce_point_in_polygon(self):
@@ -283,7 +288,7 @@ class TestForegroundMask:
                 for _ in range(3)
             ]
             dilation = float(rng.uniform(0, 1))
-            mask = foreground_mask(grid, gts, dilation)
+            mask = foreground_mask(grid, rows(gt for gt, _ in gts), dilation)
             centers = grid.position_centers
             for p in range(grid.n_positions):
                 px, pz = centers[p]
@@ -300,22 +305,22 @@ class TestForegroundMask:
 
     def test_negative_dilation_rejected(self):
         with pytest.raises(ValueError):
-            foreground_mask(small_grid(), [], dilation=-0.1)
+            foreground_mask(small_grid(), np.zeros((0, 7)), dilation=-0.1)
 
 
 class TestPositiveTargets:
     def test_exact_gt_gives_zero_deltas_at_its_anchor(self):
         grid = small_grid()
         gt = grid.anchor_box(40)
-        asg = assign_targets(grid, [(gt, 0)])
-        pos, deltas = positive_target_deltas(grid, asg, [(gt, 0)])
+        asg = assign_targets(grid, *gt_arrays([(gt, 0)]))
+        pos, deltas = positive_target_deltas(grid, asg, rows([gt]))
         row = list(pos).index(40)
         assert np.allclose(deltas[row], 0.0, atol=1e-12)
 
     def test_empty(self):
         grid = small_grid()
-        asg = assign_targets(grid, [])
-        pos, deltas = positive_target_deltas(grid, asg, [])
+        asg = assign_targets(grid, *gt_arrays([]))
+        pos, deltas = positive_target_deltas(grid, asg, np.zeros((0, 7)))
         assert pos.size == 0 and deltas.shape == (0, 7)
 
     def test_decode_recovers_gt(self):
@@ -324,8 +329,8 @@ class TestPositiveTargets:
         gts = [
             (Box3D(rng.uniform(2, 6), 0.1, rng.uniform(2, 6), 1.9, 1.1, 1.0, 0.3), 0),
         ]
-        asg = assign_targets(grid, gts)
-        pos, deltas = positive_target_deltas(grid, asg, gts)
+        asg = assign_targets(grid, *gt_arrays(gts))
+        pos, deltas = positive_target_deltas(grid, asg, gt_arrays(gts)[0])
         decoded = decode_deltas(deltas, grid.anchor_params[pos])
         for i, row in enumerate(decoded):
             gt = gts[asg.labels[pos[i]]][0]
@@ -351,7 +356,7 @@ def seed_assign_targets(grid, gts, thresholds, dilation):
         if slots.size == 0:
             continue
         best_anchor, best_val = -1, 0.0
-        for p in _candidate_positions(grid, gt, max_template_reach):
+        for p in _candidate_positions(grid, gt.as_array(), max_template_reach):
             for slot in slots:
                 idx = int(p) * k_a + int(slot)
                 iou = bev_iou(grid.anchor_box(idx), gt)
@@ -373,7 +378,7 @@ def seed_assign_targets(grid, gts, thresholds, dilation):
         if labels[anchor] >= 0 and max_iou[anchor] > iou:
             continue
         labels[anchor] = g
-    return labels, max_iou, foreground_mask(grid, gts, dilation=dilation)
+    return labels, max_iou, foreground_mask(grid, gt_arrays(gts)[0], dilation=dilation)
 
 
 class TestBatchedAssignment:
@@ -391,9 +396,11 @@ class TestBatchedAssignment:
         grid = build_anchor_grid(cfg.grid)
         thresholds = cfg.assignment_thresholds()
         for seed in range(3):
-            gts = generate_scene(seed, scene_cfg, grid).gts
-            asg = assign_targets(grid, gts, thresholds, dilation=cfg.foreground_dilation)
-            want = seed_assign_targets(grid, gts, thresholds, cfg.foreground_dilation)
+            scene = generate_scene(seed, scene_cfg, grid)
+            asg = assign_targets(
+                grid, scene.boxes, scene.class_ids, thresholds, dilation=cfg.foreground_dilation
+            )
+            want = seed_assign_targets(grid, scene.gts, thresholds, cfg.foreground_dilation)
             labels, max_iou, fg = want
             assert np.array_equal(asg.labels, labels)
             assert np.array_equal(asg.max_iou, max_iou)
@@ -407,7 +414,7 @@ class TestBatchedAssignment:
         gts = [(grid.anchor_box(20), 0), (grid.anchor_box(20), 0), (grid.anchor_box(41), 0)]
         gts.append((Box3D(3.0, 0.0, 2.5, 1.8, 1.0, 1.0, 0.0), 0))
         for thresholds in ((0.6, 0.45), (0.99, 0.1)):
-            asg = assign_targets(grid, gts, thresholds)
+            asg = assign_targets(grid, *gt_arrays(gts), thresholds)
             labels, max_iou, fg = seed_assign_targets(grid, gts, thresholds, 0.5)
             assert np.array_equal(asg.labels, labels)
             assert np.array_equal(asg.max_iou, max_iou)

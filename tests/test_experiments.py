@@ -23,7 +23,7 @@ from boxdistill.experiments import (
     save_params,
     train_on_dataset,
 )
-from boxdistill.sim import LossConfig
+from boxdistill.sim import DetectorParams, LossConfig
 
 
 def tiny_config(**extra):
@@ -133,14 +133,12 @@ class TestRunExperiment:
         assert len(result.records) == 1
         rec = result.records[0]
         assert rec.train_result is not None and rec.train_result.history == []
-        from boxdistill.sim import DetectorParams
-
         init = DetectorParams.init(0, cfg.scene.feature_dim, 4, 2)
         assert np.array_equal(rec.train_result.params.w_cls, init.w_cls)
 
     def test_paired_deltas(self):
         cfg = tiny_config()
-        result, _ = run_ablations(
+        result = run_ablations(
             cfg,
             arms=[
                 ArmConfig("baseline", LossConfig(xgd_weight=0.0, cld_weight=0.0)),
@@ -159,13 +157,15 @@ class TestRunAblations:
             ArmConfig("xgd_cld", LossConfig()),
             ArmConfig("high_quality_boxes", LossConfig(xgd_selection="confidence")),
         ]
-        result, trained = run_ablations(cfg, out_dir=tmp_path, arms=arms)
+        result = run_ablations(cfg, out_dir=tmp_path, arms=arms)
         rows = result.rows()
         assert len(rows) == len(arms) * 2 * len(cfg.seeds)
         # completeness: every (arm, class, seed) appears exactly once
         keys = {(r["arm"], r["class"], r["seed"]) for r in rows}
         assert len(keys) == len(rows)
+        trained = {(r.arm, r.seed): r.train_result.params for r in result.records}
         assert set(trained) == {(a.name, s) for a in arms for s in cfg.seeds}
+        assert all(isinstance(p, DetectorParams) for p in trained.values())
 
     def test_gate_rate_columns_empty_for_baseline(self, tmp_path):
         cfg = tiny_config()
@@ -173,7 +173,7 @@ class TestRunAblations:
             ArmConfig("baseline", LossConfig(xgd_weight=0.0, cld_weight=0.0)),
             ArmConfig("xgd_cld", LossConfig()),
         ]
-        result, _ = run_ablations(cfg, out_dir=tmp_path, arms=arms)
+        result = run_ablations(cfg, out_dir=tmp_path, arms=arms)
         text = (tmp_path / "ablations.csv").read_text().strip().split("\n")
         header = text[0].split(",")
         idx = header.index("gate_keep_rate_center")

@@ -40,7 +40,8 @@ def small_setup(seed=0, n_objects=(2, 4)):
     grid = build_anchor_grid(cfg.grid)
     scene = generate_scene(seed, cfg.scene, grid)
     assignment = assign_targets(
-        grid, scene.gts, cfg.assignment_thresholds(), dilation=cfg.foreground_dilation
+        grid, scene.boxes, scene.class_ids, cfg.assignment_thresholds(),
+        dilation=cfg.foreground_dilation,
     )
     return cfg, grid, scene, assignment
 
@@ -59,13 +60,15 @@ class TestGenerateScene:
     def test_seed_determinism(self):
         cfg, grid, scene, _ = small_setup(seed=7)
         again = generate_scene(7, cfg.scene, grid)
-        assert scene.gts == again.gts
+        assert np.array_equal(scene.boxes, again.boxes)
+        assert np.array_equal(scene.class_ids, again.class_ids)
         assert np.array_equal(scene.features, again.features)
 
     def test_zero_objects(self):
         cfg, grid, *_ = small_setup()
         empty_cfg = dataclasses.replace(cfg.scene, n_objects=(0, 0))
         scene = generate_scene(3, empty_cfg, grid)
+        assert scene.boxes.shape == (0, 7) and scene.class_ids.shape == (0,)
         assert scene.gts == ()
 
     def test_footprints_pairwise_disjoint(self):
@@ -81,8 +84,8 @@ class TestGenerateScene:
         cfg, grid, *_ = small_setup()
         for seed in range(30):
             scene = generate_scene(seed, cfg.scene, grid)
-            for box, _ in scene.gts:
-                assert 0 <= box.cx <= 16 and 0 <= box.cz <= 16
+            centers = scene.boxes[:, [0, 2]]
+            assert np.all((0 <= centers) & (centers <= 16))
 
     def test_too_dense_raises(self):
         cfg, grid, *_ = small_setup()
@@ -104,7 +107,30 @@ class TestGenerateScene:
         )
         for seed in range(10):
             scene = generate_scene(seed, weighted, grid)
-            assert all(c == 0 for _, c in scene.gts)
+            assert np.all(scene.class_ids == 0)
+
+
+class TestSceneArrays:
+    def test_arrays_reject_writes(self):
+        _, _, scene, _ = small_setup()
+        assert scene.boxes.dtype == np.float64 and scene.class_ids.dtype == np.int64
+        with pytest.raises(ValueError):
+            scene.boxes[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            scene.class_ids[0] = 1
+
+    def test_gts_are_the_rows_as_boxes(self):
+        cfg, grid, *_ = small_setup()
+        for seed in range(10):
+            scene = generate_scene(seed, cfg.scene, grid)
+            want = tuple(
+                (Box3D.from_array(row), int(c)) for row, c in zip(scene.boxes, scene.class_ids)
+            )
+            assert scene.gts == want
+            assert all(type(c) is int for _, c in scene.gts)
+            # the view loses no bits: its boxes give back the stored rows
+            back = np.array([box.as_array() for box, _ in scene.gts]).reshape(-1, 7)
+            assert np.array_equal(back, scene.boxes)
 
 
 class TestStudentForward:
@@ -126,7 +152,7 @@ class TestStudentForward:
         cfg, grid, scene, _ = small_setup()
         feats = scene.features.copy()
         feats[5] = feats[3]
-        twin = Scene(gts=scene.gts, features=feats, seed=scene.seed)
+        twin = dataclasses.replace(scene, features=feats)
         params = DetectorParams.init(1, cfg.scene.feature_dim, grid.k_a, grid.k_c)
         out = student_forward(params, twin)
         assert np.array_equal(out.logits[5], out.logits[3])
@@ -214,12 +240,10 @@ class TestTeacherOracle:
         out = teacher_predict(scene, NoiseProfile(), grid, assignment)
         pos = assignment.positive_indices
         decoded = decode_deltas(out.deltas_flat[pos], grid.anchor_params[pos])
-        for idx, row in zip(pos, decoded):
-            gt = scene.gts[assignment.labels[idx]][0]
-            assert np.allclose(row[:6], gt.as_array()[:6], atol=1e-9)
+        gts = scene.boxes[assignment.labels[pos]]
+        assert np.allclose(decoded[:, :6], gts[:, :6], atol=1e-9)
         from boxdistill.xgd import gate_decisions
 
-        gts = np.array([scene.gts[assignment.labels[i]][0].as_array() for i in pos])
         assert gate_decisions(decoded, grid.anchor_params[pos], gts).all()
 
     def test_determinism(self):
@@ -238,10 +262,10 @@ class TestTeacherOracle:
         table = np.zeros((k, k))
         for seed in range(150):
             scene = generate_scene(seed, cfg.scene, grid)
-            asg = assign_targets(grid, scene.gts, cfg.assignment_thresholds())
+            asg = assign_targets(grid, scene.boxes, scene.class_ids, cfg.assignment_thresholds())
             out = teacher_predict(scene, profile, grid, asg)
             for idx in asg.positive_indices:
-                true_c = scene.gts[asg.labels[idx]][1]
+                true_c = scene.class_ids[asg.labels[idx]]
                 pred_c = int(out.logits_flat[idx].argmax())
                 table[true_c, pred_c] += 1
         n = table.sum()
@@ -260,13 +284,13 @@ class TestTeacherOracle:
         kept, total = 0, 0
         for seed in range(100):
             scene = generate_scene(seed, cfg.scene, grid)
-            asg = assign_targets(grid, scene.gts, cfg.assignment_thresholds())
+            asg = assign_targets(grid, scene.boxes, scene.class_ids, cfg.assignment_thresholds())
             if asg.n_pos == 0:
                 continue
             out = teacher_predict(scene, profile, grid, asg)
             pos = asg.positive_indices
             teachers = decode_deltas(out.deltas_flat[pos], grid.anchor_params[pos])
-            gts = np.array([scene.gts[asg.labels[i]][0].as_array() for i in pos])
+            gts = scene.boxes[asg.labels[pos]]
             # a mid-training student: halfway between anchor and gt
             students = 0.5 * (grid.anchor_params[pos] + gts)
             center_kept = gate_decisions(teachers, students, gts)[:, 0]
@@ -281,33 +305,37 @@ class TestBaseLoss:
         cfg, grid, scene, assignment = small_setup()
         from boxdistill.anchors import positive_target_deltas
 
-        pos, targets = positive_target_deltas(grid, assignment, scene.gts)
+        pos, targets = positive_target_deltas(grid, assignment, scene.boxes)
         logits = np.full((grid.n_positions, grid.k_a, grid.k_c), -12.0)
         deltas = np.zeros((grid.n_positions, grid.k_a, 7))
         flat_logits = logits.reshape(-1, grid.k_c)
         flat_deltas = deltas.reshape(-1, 7)
         for row, i in enumerate(pos):
-            flat_logits[i, scene.gts[assignment.labels[i]][1]] = 12.0
+            flat_logits[i, scene.class_ids[assignment.labels[i]]] = 12.0
             flat_deltas[i] = targets[row]
         out = DetectorOutputs(logits=logits, deltas=deltas)
-        value = base_loss(out, assignment, scene.gts, grid)
+        value = base_loss(out, scene, assignment, grid)
         assert value < 1e-3
 
     def test_no_positives_zero_regression(self):
         cfg, grid, scene, _ = small_setup()
-        empty = assign_targets(grid, [], cfg.assignment_thresholds())
+        bare = Scene(
+            boxes=np.zeros((0, 7)), class_ids=np.zeros(0, dtype=np.int64),
+            features=scene.features, seed=0,
+        )
+        empty = assign_targets(grid, bare.boxes, bare.class_ids, cfg.assignment_thresholds())
         params = DetectorParams.init(3, cfg.scene.feature_dim, grid.k_a, grid.k_c)
-        out = student_forward(params, Scene(gts=(), features=scene.features, seed=0))
-        cls_only = base_loss(out, empty, [], grid)
+        out = student_forward(params, bare)
+        cls_only = base_loss(out, bare, empty, grid)
         zero_reg = dataclasses.replace(out)
-        assert cls_only == base_loss(zero_reg, empty, [], grid)  # no reg contribution
+        assert cls_only == base_loss(zero_reg, bare, empty, grid)  # no reg contribution
 
     def test_matches_independent_reference(self):
         cfg, grid, scene, assignment = small_setup()
         params = DetectorParams.init(4, cfg.scene.feature_dim, grid.k_a, grid.k_c)
         out = student_forward(params, scene)
         lc = LossConfig()
-        got = base_loss(out, assignment, scene.gts, grid, lc)
+        got = base_loss(out, scene, assignment, grid, lc)
 
         # plain-loop reference
         from boxdistill.anchors import positive_target_deltas
@@ -323,13 +351,13 @@ class TestBaseLoss:
             for c in range(grid.k_c):
                 z = logits[i, c]
                 p = 1.0 / (1.0 + math.exp(-z))
-                y = 1.0 if (label >= 0 and scene.gts[label][1] == c) else 0.0
+                y = 1.0 if (label >= 0 and scene.class_ids[label] == c) else 0.0
                 if y:
                     cls += -alpha * (1 - p) ** gamma * math.log(p)
                 else:
                     cls += -(1 - alpha) * p**gamma * math.log(1 - p)
         cls /= max(1, n_pos)
-        pos, targets = positive_target_deltas(grid, assignment, scene.gts)
+        pos, targets = positive_target_deltas(grid, assignment, scene.boxes)
         reg = 0.0
         for row, i in enumerate(pos):
             for j in range(7):
@@ -347,7 +375,7 @@ class TestTotalLoss:
         teacher = teacher_predict(scene, NoiseProfile(), grid, assignment)
         lc = LossConfig(xgd_weight=0.0, cld_weight=0.0)
         breakdown = total_loss(out, teacher, scene, assignment, grid, lc)
-        assert breakdown.total == base_loss(out, assignment, scene.gts, grid, lc)
+        assert breakdown.total == base_loss(out, scene, assignment, grid, lc)
         assert breakdown.xgd == 0.0 and breakdown.cld == 0.0
 
     def test_student_equal_teacher_zero_distill_terms(self):
@@ -399,7 +427,7 @@ class TestTotalLoss:
         bd = total_loss(out, teacher, scene, assignment, grid, LossConfig())
         pos = assignment.positive_indices
         student_boxes = decode_deltas(out.deltas_flat[pos], grid.anchor_params[pos])
-        gt_boxes = np.array([scene.gts[assignment.labels[i]][0].as_array() for i in pos])
+        gt_boxes = scene.boxes[assignment.labels[pos]]
         assert bd.xgd == pytest.approx(xgd_loss(student_boxes, gt_boxes), abs=1e-9)
         assert bd.gate_keep == {"center": 1.0, "size": 1.0, "angle": 1.0}
 
@@ -458,7 +486,10 @@ class TestTrain:
         scenes, asgs, teachers = [], [], []
         for seed in range(n):
             sc = generate_scene(100 + seed, cfg.scene, grid)
-            a = assign_targets(grid, sc.gts, cfg.assignment_thresholds(), dilation=cfg.foreground_dilation)
+            a = assign_targets(
+                grid, sc.boxes, sc.class_ids, cfg.assignment_thresholds(),
+                dilation=cfg.foreground_dilation,
+            )
             scenes.append(sc)
             asgs.append(a)
             teachers.append(teacher_predict(sc, cfg.teacher_noise, grid, a))
@@ -548,7 +579,8 @@ class TestSceneSerialization:
         loaded = load_scenes(path, cfg.scene, grid)
         assert len(loaded) == 3
         for a, b in zip(scenes, loaded):
-            assert a.gts == b.gts
+            assert np.array_equal(a.boxes, b.boxes)
+            assert np.array_equal(a.class_ids, b.class_ids)
             assert np.array_equal(a.features, b.features)
 
     def test_config_mismatch_detected(self, tmp_path):
@@ -572,6 +604,25 @@ class TestSceneSerialization:
         rec = json.loads(lines[0])
         assert set(rec) == {"seed", "gts", "class_ids"}
 
+    def test_default_dataset_files_are_pinned(self, tmp_path):
+        # The on-disk scene format must not drift: these are the digests of
+        # the default config's seed-0 scene files, recorded when the scene
+        # still held (Box3D, class id) pairs.
+        import hashlib
+
+        from boxdistill.config import default_config
+        from boxdistill.experiments import build_dataset
+
+        dataset = build_dataset(default_config(), 0)
+        want = {
+            "train": "d2d61ea9dfceda6603e0821d41fd2ade22f32753beae428cb251a7805c7c3b51",
+            "val": "ec4036f3d173d87649caf1a8993e4ec0d5093e377343bba43866e5af9362859c",
+        }
+        for split, scenes in (("train", dataset.train_scenes), ("val", dataset.val_scenes)):
+            path = tmp_path / f"{split}.jsonl"
+            save_scenes(path, scenes)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == want[split], split
+
 
 class TestNoiseMonotonicity:
     def test_gate_keep_rate_rises_as_teacher_noise_vanishes(self):
@@ -593,13 +644,13 @@ class TestNoiseMonotonicity:
             kept = total = 0
             for seed in range(5):
                 scene = generate_scene(seed, cfg.scene, grid)
-                asg = assign_targets(grid, scene.gts, cfg.assignment_thresholds())
+                asg = assign_targets(grid, scene.boxes, scene.class_ids, cfg.assignment_thresholds())
                 if asg.n_pos == 0:
                     continue
                 out = teacher_predict(scene, profile, grid, asg)
                 pos = asg.positive_indices
                 teachers = decode_deltas(out.deltas_flat[pos], grid.anchor_params[pos])
-                gts = np.array([scene.gts[asg.labels[i]][0].as_array() for i in pos])
+                gts = scene.boxes[asg.labels[pos]]
                 students = 0.5 * (grid.anchor_params[pos] + gts)
                 decisions = gate_decisions(teachers, students, gts)
                 kept += int(decisions.sum())
@@ -621,12 +672,13 @@ class TestNoiseMonotonicity:
             vals = []
             for seed in range(5):
                 scene = generate_scene(seed, cfg.scene, grid)
-                asg = assign_targets(grid, scene.gts, cfg.assignment_thresholds())
+                asg = assign_targets(grid, scene.boxes, scene.class_ids, cfg.assignment_thresholds())
                 out = teacher_predict(scene, profile, grid, asg)
                 pos = asg.positive_indices
                 decoded = decode_deltas(out.deltas_flat[pos], grid.anchor_params[pos])
                 for i, row in zip(pos, decoded):
-                    vals.append(iou3d(Box3D.from_array(row), scene.gts[asg.labels[i]][0]))
+                    gt = Box3D.from_array(scene.boxes[asg.labels[i]])
+                    vals.append(iou3d(Box3D.from_array(row), gt))
             mean_ious.append(np.mean(vals))
         # Spearman rank correlation between sigma and fidelity is negative
         order = np.argsort(np.argsort(mean_ious))
@@ -699,7 +751,7 @@ class TestStepWorkspace:
         for s, t, a in args[1:]:
             later = student_forward(p2, s)
             total_loss_and_grad(later, t, s, a, ds.grid)
-            base_loss(later, a, s.gts, ds.grid)
+            base_loss(later, s, a, ds.grid)
         assert np.array_equal(out.logits, logits)
         assert np.array_equal(out.deltas, deltas)
         assert np.array_equal(dlogits, kept[0])
@@ -761,7 +813,7 @@ class TestMinibatchStep:
         for arm in default_arm_matrix():
             cfg = arm.loss
             targets = [
-                _scene_targets(a, s.gts, ds.grid, cfg, t)
+                _scene_targets(s, a, ds.grid, cfg, t)
                 for s, t, a in zip(ds.train_scenes, ds.teacher_train, ds.train_assignments)
             ]
             workers = _SceneWorkers(StepWorkspace())  # shared by every minibatch, as in train
@@ -889,7 +941,7 @@ class TestWorkerCount:
             for i, rows_of in spoils:
                 features = scenes[i].features.copy()
                 features[rows_of(i)] = np.inf
-                scenes[i] = Scene(gts=scenes[i].gts, features=features, seed=scenes[i].seed)
+                scenes[i] = dataclasses.replace(scenes[i], features=features)
             return scenes
 
         # Batch positions 1 and 2 run on different workers of two.  The
