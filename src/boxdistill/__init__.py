@@ -45,6 +45,7 @@ from .sim import (
     NoiseProfile,
     Scene,
     SceneConfig,
+    TeacherResponse,
     base_loss,
     generate_scene,
     replace_outputs,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .anchors import AnchorGrid, decode_deltas
 from .geometry import Box3D, bev_iou, iou3d
-from .sim import DetectorOutputs, _sigmoid
+from .sim import DetectorOutputs, sigmoid
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def decode_and_nms(
         raise ValueError(f"score_threshold must be in [0, 1], got {score_threshold}")
     if not 0.0 < nms_iou <= 1.0:
         raise ValueError(f"nms_iou must be in (0, 1], got {nms_iou}")
-    scores = _sigmoid(outputs.logits_flat)
+    scores = sigmoid(outputs.logits_flat)
     detections: list[Detection] = []
     for c in range(scores.shape[1]):
         cand = np.flatnonzero(scores[:, c] > score_threshold)

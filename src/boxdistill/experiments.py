@@ -20,10 +20,10 @@ from .anchors import AnchorGrid, Assignment, assign_targets, build_anchor_grid
 from .config import ArmConfig, ExperimentConfig, config_hash, config_to_dict
 from .evaluation import EvalReport, evaluate_outputs
 from .sim import (
-    DetectorOutputs,
     DetectorParams,
     LossConfig,
     Scene,
+    TeacherResponse,
     TrainResult,
     generate_scene,
     replace_outputs,
@@ -70,15 +70,17 @@ class SeedDataset:
     val_scenes: list[Scene]
     train_assignments: list[Assignment]
     val_assignments: list[Assignment]
-    teacher_train: list[DetectorOutputs]
-    teacher_val: list[DetectorOutputs]
+    # The teacher's positive-anchor rows; replace_outputs builds a dense
+    # head from them only to substitute it, one scene at a time.
+    teacher_train: list[TeacherResponse]
+    teacher_val: list[TeacherResponse]
 
 
 def build_dataset(config: ExperimentConfig, seed: int, grid: AnchorGrid | None = None) -> SeedDataset:
     grid = grid or build_anchor_grid(config.grid)
     thresholds = config.assignment_thresholds()
 
-    def prepare(scene_seeds: list[int]) -> tuple[list[Scene], list[Assignment], list[DetectorOutputs]]:
+    def prepare(scene_seeds: list[int]) -> tuple[list[Scene], list[Assignment], list[TeacherResponse]]:
         scenes = [generate_scene(s, config.scene, grid) for s in scene_seeds]
         assignments = [
             assign_targets(grid, sc.boxes, sc.class_ids, thresholds, config.foreground_dilation)

@@ -149,6 +149,10 @@ def generate_scene(rng_seed: int, config: SceneConfig, grid: AnchorGrid) -> Scen
 
     class_sizes = _template_sizes(grid)
     gts: list[tuple[Box3D, int]] = []
+    footprints: list[Box3D] = []  # each placed box grown by min_gap
+    # Checked and normalized at the first class draw: a scene that places
+    # no object never reads the weights.
+    class_p = None
     attempts = 0
     while len(gts) < n_target:
         attempts += 1
@@ -157,10 +161,12 @@ def generate_scene(rng_seed: int, config: SceneConfig, grid: AnchorGrid) -> Scen
                 f"failed to place object {len(gts) + 1}/{n_target} after {config.max_rejects} attempts"
             )
         if config.class_weights:
-            weights = np.asarray(config.class_weights, dtype=float)
-            if weights.size != grid.k_c or np.any(weights < 0) or weights.sum() <= 0:
-                raise ValueError(f"class_weights must be {grid.k_c} non-negative values")
-            class_id = int(rng.choice(grid.k_c, p=weights / weights.sum()))
+            if class_p is None:
+                weights = np.asarray(config.class_weights, dtype=float)
+                if weights.size != grid.k_c or np.any(weights < 0) or weights.sum() <= 0:
+                    raise ValueError(f"class_weights must be {grid.k_c} non-negative values")
+                class_p = weights / weights.sum()
+            class_id = int(rng.choice(grid.k_c, p=class_p))
         else:
             class_id = int(rng.integers(0, grid.k_c))
         base_l, base_w, base_h = class_sizes[class_id]
@@ -175,9 +181,9 @@ def generate_scene(rng_seed: int, config: SceneConfig, grid: AnchorGrid) -> Scen
             yaw=float(rng.uniform(*config.yaw_range)),
         )
         grown = replace(box, l=box.l + config.min_gap, w=box.w + config.min_gap)
-        if all(bev_iou(grown, replace(g, l=g.l + config.min_gap, w=g.w + config.min_gap)) == 0.0
-               for g, _ in gts):
+        if all(bev_iou(grown, g) == 0.0 for g in footprints):
             gts.append((box, class_id))
+            footprints.append(grown)
 
     features = _embed_features(gts, grid, config, rng)
     boxes = np.array([box.as_array() for box, _ in gts]).reshape(-1, 7)
@@ -276,6 +282,69 @@ class DetectorOutputs:
     @property
     def deltas_flat(self) -> np.ndarray:
         return self.deltas.reshape(-1, 7)
+
+
+@dataclass(frozen=True)
+class TeacherResponse:
+    """The oracle teacher's outputs, kept as its positive-anchor rows.
+
+    Off the positive anchors the teacher answers the constant background:
+    ``BACKGROUND_LOGIT`` for every class and zero deltas.  These rows
+    therefore determine its dense outputs (``dense``) and its CLD logit
+    maps (``logit_map``); the three arrays are read-only.
+    """
+
+    anchors: np.ndarray  # (n_pos,) positive anchor indices, ascending
+    logits: np.ndarray  # (n_pos, k_c): the peak at the reported class
+    deltas: np.ndarray  # (n_pos, 7) encoded teacher boxes
+    n_positions: int
+    k_a: int
+
+    def __post_init__(self) -> None:
+        n = self.anchors.size
+        rows_ok = self.anchors.shape == (n,) and self.logits.ndim == 2 and self.logits.shape[0] == n
+        if not rows_ok or self.deltas.shape != (n, 7):
+            raise ValueError("rows must be (n_pos,) anchors, (n_pos, k_c) logits and (n_pos, 7) deltas")
+        for arr in (self.anchors, self.logits, self.deltas):
+            arr.setflags(write=False)
+
+    @property
+    def k_c(self) -> int:
+        return self.logits.shape[1]
+
+    @property
+    def grid_shape(self) -> tuple[int, int, int]:
+        """Shape of the dense logits, (n_positions, k_a, k_c)."""
+        return self.n_positions, self.k_a, self.k_c
+
+    def dense(self) -> DetectorOutputs:
+        """The dense outputs these rows stand for."""
+        return DetectorOutputs(logits=self.dense_logits(), deltas=self.dense_deltas())
+
+    def dense_logits(self) -> np.ndarray:
+        """(n_positions, k_a, k_c) logits."""
+        out = np.full((self.n_positions * self.k_a, self.k_c), BACKGROUND_LOGIT)
+        out[self.anchors] = self.logits
+        return out.reshape(self.grid_shape)
+
+    def dense_deltas(self) -> np.ndarray:
+        """(n_positions, k_a, 7) deltas."""
+        # np.zeros leaves the pages that no positive touches unallocated.
+        out = np.zeros((self.n_positions * self.k_a, 7))
+        out[self.anchors] = self.deltas
+        return out.reshape(self.n_positions, self.k_a, 7)
+
+    def logit_map(self, positions: np.ndarray, k_a: int) -> LogitMap:
+        """``extract_logit_map(self.dense(), positions, k_a)`` without the
+        dense array: background rows over the (sorted) ``positions``, with
+        the positives found there written in; other positives are skipped."""
+        values = np.full((positions.size * self.k_a, self.k_c), BACKGROUND_LOGIT)
+        position = self.anchors // self.k_a
+        at = np.searchsorted(positions, position)
+        found = at < positions.size
+        found[found] = positions[at[found]] == position[found]
+        values[at[found] * self.k_a + self.anchors[found] % self.k_a] = self.logits[found]
+        return LogitMap(values=values, k_a=k_a)
 
 
 @dataclass(frozen=True)
@@ -440,18 +509,20 @@ def teacher_predict(
     profile: NoiseProfile,
     grid: AnchorGrid,
     assignment: Assignment,
-) -> DetectorOutputs:
+) -> TeacherResponse:
     """Oracle teacher: ground truth perturbed by the profile.
 
     Each object gets one perturbed box and one reported class (flipped to a
     random class with probability ``score_corruption``); all of its
     positive anchors carry that box's encoded offsets and a confident
-    logit.  Everything else stays at the background logit.
+    logit.  Everything else stays at the background logit, so the response
+    holds the positive-anchor rows only.
     """
     rng = np.random.default_rng(np.random.SeedSequence((scene.seed, _STREAM_TEACHER)))
-    k_a, k_c = grid.k_a, grid.k_c
-    logits = np.full((grid.n_positions, k_a, k_c), BACKGROUND_LOGIT)
-    deltas = np.zeros((grid.n_positions, k_a, 7))
+    k_c = grid.k_c
+    pos = assignment.positive_indices
+    logits = np.full((pos.size, k_c), BACKGROUND_LOGIT)
+    deltas = np.zeros((pos.size, 7))
 
     per_gt: list[tuple[np.ndarray, int, float]] = []
     for box, class_id in scene.gts:
@@ -467,13 +538,12 @@ def teacher_predict(
         peak = PEAK_LOGIT + rng.normal(0.0, 0.3)
         per_gt.append((noisy.as_array(), reported, peak))
 
-    pos = assignment.positive_indices
     if pos.size:
         # Each positive takes its object's row; one encode for the scene.
         rows, reported, peaks = (np.array(col)[assignment.labels[pos]] for col in zip(*per_gt))
-        deltas.reshape(-1, 7)[pos] = encode_deltas(rows, grid.anchor_params[pos])
-        logits.reshape(-1, k_c)[pos, reported] = peaks
-    return DetectorOutputs(logits=logits, deltas=deltas)
+        deltas = encode_deltas(rows, grid.anchor_params[pos])
+        logits[np.arange(pos.size), reported] = peaks
+    return TeacherResponse(anchors=pos, logits=logits, deltas=deltas, n_positions=grid.n_positions, k_a=grid.k_a)
 
 
 def _perturb_box(box: Box3D, profile: NoiseProfile, rng: np.random.Generator) -> Box3D:
@@ -549,7 +619,8 @@ class LossBreakdown:
     gate_keep: dict[str, float] = field(default_factory=dict)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function, without overflow for large |z|."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -690,22 +761,24 @@ def _scene_targets(
     assignment: Assignment,
     grid: AnchorGrid,
     cfg: LossConfig,
-    teacher: DetectorOutputs | None = None,
+    teacher: TeacherResponse | None = None,
 ) -> _SceneTargets:
     labels = assignment.labels
     pos, target_deltas = positive_target_deltas(grid, assignment, scene.boxes)
+    if teacher is not None and not np.array_equal(teacher.anchors, pos):
+        raise ValueError("the teacher response's anchors must be the assignment's positive anchors")
     xgd_rows = pos[:0]
     xgd_anchors = xgd_teacher = xgd_gt = _NO_BOXES
     if teacher is not None and cfg.xgd_weight > 0 and pos.size:
         anchors = grid.anchor_params[pos]
-        teacher_rows = decode_deltas(teacher.deltas_flat[pos], anchors)
+        teacher_rows = decode_deltas(teacher.deltas, anchors)
         if cfg.xgd_selection == "gate":
             xgd_rows, xgd_anchors, xgd_teacher = pos, anchors, teacher_rows
             xgd_gt = scene.boxes[labels[pos]]
         else:
             # Box-level alternative: keep whole teacher boxes whose best
             # class score clears the confidence threshold.
-            conf = _sigmoid(teacher.logits_flat[pos]).max(axis=1)
+            conf = sigmoid(teacher.logits).max(axis=1)
             chosen = np.flatnonzero(conf > cfg.confidence_threshold)
             xgd_rows, xgd_anchors, xgd_teacher = pos[chosen], anchors[chosen], teacher_rows[chosen]
     positions = pos[:0]
@@ -714,9 +787,7 @@ def _scene_targets(
     if teacher is not None and cfg.cld_weight > 0:
         positions = cld_positions(assignment, grid, cfg.cld_region)
         if positions.size:
-            teacher_dist = unified_distribution(
-                extract_logit_map(teacher, positions, cld_k_a), cfg.tau
-            )
+            teacher_dist = unified_distribution(teacher.logit_map(positions, cld_k_a), cfg.tau)
     return _SceneTargets(
         pos=pos,
         pos_classes=scene.class_ids[labels[pos]],
@@ -892,7 +963,7 @@ def base_loss(
 
 def total_loss(
     student: DetectorOutputs,
-    teacher: DetectorOutputs,
+    teacher: TeacherResponse,
     scene: Scene,
     assignment: Assignment,
     grid: AnchorGrid,
@@ -906,7 +977,7 @@ def total_loss(
 
 def total_loss_and_grad(
     student: DetectorOutputs,
-    teacher: DetectorOutputs,
+    teacher: TeacherResponse,
     scene: Scene,
     assignment: Assignment,
     grid: AnchorGrid,
@@ -923,7 +994,7 @@ def total_loss_and_grad(
     ``dlogits`` and ``ddeltas`` arrays, overwritten by the next call
     through it.
     """
-    if student.logits.shape != teacher.logits.shape or student.deltas.shape != teacher.deltas.shape:
+    if student.logits.shape != teacher.grid_shape:
         raise ValueError("student and teacher outputs must share the grid layout")
     (breakdown,), (dlogits_flat,), (ddeltas_flat,) = _minibatch_losses(
         lambda _, __: student,
@@ -942,15 +1013,16 @@ def total_loss_and_grad(
 
 
 def replace_outputs(
-    student: DetectorOutputs, teacher: DetectorOutputs, mode: str
+    student: DetectorOutputs, teacher: TeacherResponse, mode: str
 ) -> DetectorOutputs:
-    """Substitute the selected student head(s) with the teacher's."""
+    """Substitute the selected student head(s) with the teacher's; only the
+    substituted heads are built from the teacher's rows."""
     if mode not in ("regression", "classification", "both", "none"):
         raise ValueError(f"unknown replacement mode {mode!r}")
-    if student.logits.shape != teacher.logits.shape or student.deltas.shape != teacher.deltas.shape:
+    if student.logits.shape != teacher.grid_shape:
         raise ValueError("student and teacher outputs must share shapes")
-    logits = teacher.logits if mode in ("classification", "both") else student.logits
-    deltas = teacher.deltas if mode in ("regression", "both") else student.deltas
+    logits = teacher.dense_logits() if mode in ("classification", "both") else student.logits
+    deltas = teacher.dense_deltas() if mode in ("regression", "both") else student.deltas
     return DetectorOutputs(logits=logits, deltas=deltas)
 
 
@@ -1074,7 +1146,7 @@ def _minibatch_grads(
 def train(
     grid: AnchorGrid,
     scenes: Sequence[Scene],
-    teacher_outputs: Sequence[DetectorOutputs],
+    teacher_outputs: Sequence[TeacherResponse],
     assignments: Sequence[Assignment],
     loss_cfg: LossConfig,
     opt_cfg: OptimizerConfig,
@@ -1086,7 +1158,9 @@ def train(
     What depends only on a scene (encoded targets, teacher boxes and
     distributions) is built once per call; gates and distillation targets
     are recomputed at every step from the current student, with one XGD
-    pass per minibatch.  Raises TrainingDivergedError with a diagnostic
+    pass per minibatch.  Each teacher response must hold the positive
+    anchors of its scene's assignment (ValueError otherwise).  Raises
+    TrainingDivergedError with a diagnostic
     snapshot when training stops being finite.  Within a minibatch,
     non-finite positive-anchor deltas of any scene are reported before a
     non-finite loss of any scene, each for the first such scene in batch
@@ -1109,7 +1183,7 @@ def train(
 def _train(
     grid: AnchorGrid,
     scenes: Sequence[Scene],
-    teacher_outputs: Sequence[DetectorOutputs],
+    teacher_outputs: Sequence[TeacherResponse],
     assignments: Sequence[Assignment],
     loss_cfg: LossConfig,
     opt_cfg: OptimizerConfig,
@@ -1124,9 +1198,6 @@ def _train(
         raise ValueError("at least one training scene is required")
     if opt_cfg.epochs < 1:
         raise ValueError("train requires epochs >= 1; use the initialized model directly")
-    for scene, teacher in zip(scenes, teacher_outputs):
-        if teacher.logits.shape != (scene.features.shape[0], grid.k_a, grid.k_c):
-            raise ValueError("teacher outputs must match the scene positions and the anchor grid")
     params = DetectorParams.init(seed, scenes[0].features.shape[1], grid.k_a, grid.k_c)
     weights = [params.w_cls, params.b_cls, params.w_reg, params.b_reg]
     adam = _Adam(weights, opt_cfg)

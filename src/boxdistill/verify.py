@@ -499,8 +499,11 @@ def check_training_grad_fd(n_states: int = 5) -> CheckResult:
 
         pos = assignment.positive_indices
         anchor_params = grid.anchor_params[pos]
+        # The reference reads the teacher's dense outputs, not the rows
+        # that training reads.
+        dense_teacher = teacher.dense()
         frozen_targets = xgd_mod.positive_component_update(
-            anchors_mod.decode_deltas(teacher.deltas_flat[pos], anchor_params),
+            anchors_mod.decode_deltas(dense_teacher.deltas_flat[pos], anchor_params),
             anchors_mod.decode_deltas(out.deltas_flat[pos], anchor_params),
             scene.boxes[assignment.labels[pos]],
             cfg.loss.gate_eps,
@@ -508,7 +511,7 @@ def check_training_grad_fd(n_states: int = 5) -> CheckResult:
         )
         fg = sim_mod.cld_positions(assignment, grid, cfg.loss.cld_region)
         teacher_dist = cld_mod.unified_distribution(
-            sim_mod.extract_logit_map(teacher, fg, grid.k_a), cfg.loss.tau
+            sim_mod.extract_logit_map(dense_teacher, fg, grid.k_a), cfg.loss.tau
         )
 
         def loss_of(p: sim_mod.DetectorParams) -> float:

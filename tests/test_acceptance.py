@@ -328,12 +328,13 @@ def test_criterion_6_training_gradients(report):
         pos = assignment.positive_indices
         anchor_params = grid.anchor_params[pos]
         student_boxes0 = decode_deltas(out.deltas_flat[pos], anchor_params)
-        teacher_boxes = decode_deltas(teacher.deltas_flat[pos], anchor_params)
+        dense_teacher = teacher.dense()
+        teacher_boxes = decode_deltas(dense_teacher.deltas_flat[pos], anchor_params)
         gt_boxes = scene.boxes[assignment.labels[pos]]
         frozen_targets = positive_component_update(teacher_boxes, student_boxes0, gt_boxes)
         fg = cld_positions(assignment, grid, cfg.loss.cld_region)
         teacher_dist = unified_distribution(
-            extract_logit_map(teacher, fg, grid.k_a), cfg.loss.tau
+            extract_logit_map(dense_teacher, fg, grid.k_a), cfg.loss.tau
         )
 
         def loss_of(p):

@@ -85,9 +85,9 @@ class TestDecodeAndNms:
         got = decode_and_nms(out, grid, score_threshold=0.3, nms_iou=0.4)
 
         # brute force: same candidate construction, O(n^2) suppression
-        from boxdistill.sim import _sigmoid
+        from boxdistill.sim import sigmoid
 
-        scores = _sigmoid(out.logits_flat)
+        scores = sigmoid(out.logits_flat)
         cand = np.flatnonzero(scores[:, 0] > 0.3)
         order = np.lexsort((cand, -scores[cand, 0]))
         cand = cand[order][:256]

@@ -109,6 +109,16 @@ class TestGenerateScene:
             scene = generate_scene(seed, weighted, grid)
             assert np.all(scene.class_ids == 0)
 
+    def test_bad_class_weights_rejected_at_the_first_draw(self):
+        cfg, grid, *_ = small_setup()
+        for weights in ((1.0, 0.0), (1.0, -1.0, 1.0), (0.0, 0.0, 0.0)):
+            bad = dataclasses.replace(cfg.scene, n_objects=(2, 2), class_weights=weights)
+            with pytest.raises(ValueError, match="class_weights"):
+                generate_scene(0, bad, grid)
+            # A scene that places no object draws no class.
+            empty = generate_scene(0, dataclasses.replace(bad, n_objects=(0, 0)), grid)
+            assert empty.boxes.shape == (0, 7)
+
 
 class TestSceneArrays:
     def test_arrays_reject_writes(self):
@@ -229,7 +239,7 @@ class TestTeacherOracle:
             cfg, grid, scene, assignment = small_setup(seed=seed)
             n_pos += assignment.n_pos
             for profile in profiles:
-                out = teacher_predict(scene, profile, grid, assignment)
+                out = teacher_predict(scene, profile, grid, assignment).dense()
                 logits, deltas = seed_teacher_predict(scene, profile, grid, assignment)
                 assert np.array_equal(out.logits, logits)
                 assert np.array_equal(out.deltas, deltas)
@@ -239,7 +249,7 @@ class TestTeacherOracle:
         cfg, grid, scene, assignment = small_setup()
         out = teacher_predict(scene, NoiseProfile(), grid, assignment)
         pos = assignment.positive_indices
-        decoded = decode_deltas(out.deltas_flat[pos], grid.anchor_params[pos])
+        decoded = decode_deltas(out.dense().deltas_flat[pos], grid.anchor_params[pos])
         gts = scene.boxes[assignment.labels[pos]]
         assert np.allclose(decoded[:, :6], gts[:, :6], atol=1e-9)
         from boxdistill.xgd import gate_decisions
@@ -251,6 +261,7 @@ class TestTeacherOracle:
         profile = NoiseProfile(center_sigma=0.1, score_corruption=0.3)
         a = teacher_predict(scene, profile, grid, assignment)
         b = teacher_predict(scene, profile, grid, assignment)
+        assert np.array_equal(a.anchors, b.anchors)
         assert np.array_equal(a.logits, b.logits)
         assert np.array_equal(a.deltas, b.deltas)
 
@@ -263,7 +274,7 @@ class TestTeacherOracle:
         for seed in range(150):
             scene = generate_scene(seed, cfg.scene, grid)
             asg = assign_targets(grid, scene.boxes, scene.class_ids, cfg.assignment_thresholds())
-            out = teacher_predict(scene, profile, grid, asg)
+            out = teacher_predict(scene, profile, grid, asg).dense()
             for idx in asg.positive_indices:
                 true_c = scene.class_ids[asg.labels[idx]]
                 pred_c = int(out.logits_flat[idx].argmax())
@@ -287,7 +298,7 @@ class TestTeacherOracle:
             asg = assign_targets(grid, scene.boxes, scene.class_ids, cfg.assignment_thresholds())
             if asg.n_pos == 0:
                 continue
-            out = teacher_predict(scene, profile, grid, asg)
+            out = teacher_predict(scene, profile, grid, asg).dense()
             pos = asg.positive_indices
             teachers = decode_deltas(out.deltas_flat[pos], grid.anchor_params[pos])
             gts = scene.boxes[asg.labels[pos]]
@@ -298,6 +309,71 @@ class TestTeacherOracle:
             total += center_kept.size
         rate = kept / total
         assert 0.0 < rate < 1.0
+
+
+class TestTeacherResponse:
+    @pytest.fixture(scope="class")
+    def default_dataset(self):
+        from boxdistill.config import default_config
+        from boxdistill.experiments import build_dataset
+
+        return build_dataset(default_config(), 0)
+
+    def test_dense_outputs_are_pinned(self, default_dataset):
+        # Digests of the dense teacher outputs of the default config's
+        # seed-0 scenes, recorded when teacher_predict still returned them.
+        import hashlib
+
+        ds = default_dataset
+        want = {
+            "train": "90672f888bccc78c33b8f78267732c358af332c53ec18e4462e5ee6d22c7fbb5",
+            "val": "d3c4c78fc8015e56619e89015099c8fb1af572085009cc6c672a1c22cad6bd86",
+        }
+        for split, teachers in (("train", ds.teacher_train), ("val", ds.teacher_val)):
+            assert len(teachers) == 16
+            digest = hashlib.sha256()
+            for teacher in teachers:
+                dense = teacher.dense()
+                digest.update(dense.logits.tobytes())
+                digest.update(dense.deltas.tobytes())
+            assert digest.hexdigest() == want[split], split
+
+    def test_logit_map_equals_the_dense_slice(self):
+        from boxdistill.sim import cld_positions, extract_logit_map
+
+        outside = 0
+        for seed in range(6):
+            cfg, grid, scene, assignment = small_setup(seed=seed)
+            teacher = teacher_predict(scene, cfg.teacher_noise, grid, assignment)
+            dense = teacher.dense()
+            for region in ("foreground", "positive"):
+                positions = cld_positions(assignment, grid, region)
+                # Drop a position holding a positive: its rows must be skipped.
+                fewer = np.setdiff1d(positions, teacher.anchors[:1] // grid.k_a)
+                outside += positions.size - fewer.size
+                for chosen in (positions, fewer):
+                    for k_a in (grid.k_a, 1):
+                        got = teacher.logit_map(chosen, k_a)
+                        want = extract_logit_map(dense, chosen, k_a)
+                        assert got.k_a == want.k_a
+                        assert got.values.tobytes() == want.values.tobytes(), (seed, region, k_a)
+        assert outside > 0
+
+    def test_arrays_reject_writes(self):
+        cfg, grid, scene, assignment = small_setup()
+        teacher = teacher_predict(scene, cfg.teacher_noise, grid, assignment)
+        assert teacher.anchors.size > 0
+        for arr in (teacher.anchors, teacher.logits, teacher.deltas):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_default_scene_holds_rows_only(self, default_dataset):
+        ds = default_dataset
+        teacher = ds.teacher_train[0]
+        assert np.array_equal(teacher.anchors, ds.train_assignments[0].positive_indices)
+        assert teacher.logits.shape == (teacher.anchors.size, ds.grid.k_c)
+        assert teacher.deltas.shape == (teacher.anchors.size, 7)
+        assert teacher.anchors.nbytes + teacher.logits.nbytes + teacher.deltas.nbytes < 16 * 1024
 
 
 class TestBaseLoss:
@@ -381,7 +457,7 @@ class TestTotalLoss:
     def test_student_equal_teacher_zero_distill_terms(self):
         cfg, grid, scene, assignment = small_setup()
         teacher = teacher_predict(scene, NoiseProfile(), grid, assignment)
-        breakdown = total_loss(teacher, teacher, scene, assignment, grid, LossConfig())
+        breakdown = total_loss(teacher.dense(), teacher, scene, assignment, grid, LossConfig())
         assert breakdown.xgd == pytest.approx(0.0, abs=1e-12)
         assert breakdown.cld == pytest.approx(0.0, abs=1e-12)
 
@@ -457,14 +533,16 @@ class TestReplaceOutputs:
     def test_both_is_teacher(self):
         student, teacher = self._pair()
         out = replace_outputs(student, teacher, "both")
-        assert out.logits is teacher.logits and out.deltas is teacher.deltas
+        dense = teacher.dense()
+        assert np.array_equal(out.logits, dense.logits) and np.array_equal(out.deltas, dense.deltas)
 
     def test_single_head_modes(self):
         student, teacher = self._pair()
+        dense = teacher.dense()
         reg = replace_outputs(student, teacher, "regression")
-        assert reg.logits is student.logits and reg.deltas is teacher.deltas
+        assert reg.logits is student.logits and np.array_equal(reg.deltas, dense.deltas)
         cls = replace_outputs(student, teacher, "classification")
-        assert cls.logits is teacher.logits and cls.deltas is student.deltas
+        assert np.array_equal(cls.logits, dense.logits) and cls.deltas is student.deltas
 
     def test_unknown_mode_rejected(self):
         student, teacher = self._pair()
@@ -568,6 +646,10 @@ class TestTrain:
             train(grid, scenes[:2], teachers, asgs, LossConfig(), OptimizerConfig(), seed=0)
         with pytest.raises(ValueError):
             train(grid, [], [], [], LossConfig(), OptimizerConfig(), seed=0)
+        # Each response must hold its own scene's positive anchors.
+        assert not np.array_equal(teachers[0].anchors, teachers[1].anchors)
+        with pytest.raises(ValueError, match="positive anchors"):
+            train(grid, scenes, teachers[1::-1] + teachers[2:], asgs, LossConfig(), OptimizerConfig(), seed=0)
 
 
 class TestSceneSerialization:
@@ -647,7 +729,7 @@ class TestNoiseMonotonicity:
                 asg = assign_targets(grid, scene.boxes, scene.class_ids, cfg.assignment_thresholds())
                 if asg.n_pos == 0:
                     continue
-                out = teacher_predict(scene, profile, grid, asg)
+                out = teacher_predict(scene, profile, grid, asg).dense()
                 pos = asg.positive_indices
                 teachers = decode_deltas(out.deltas_flat[pos], grid.anchor_params[pos])
                 gts = scene.boxes[asg.labels[pos]]
@@ -673,7 +755,7 @@ class TestNoiseMonotonicity:
             for seed in range(5):
                 scene = generate_scene(seed, cfg.scene, grid)
                 asg = assign_targets(grid, scene.boxes, scene.class_ids, cfg.assignment_thresholds())
-                out = teacher_predict(scene, profile, grid, asg)
+                out = teacher_predict(scene, profile, grid, asg).dense()
                 pos = asg.positive_indices
                 decoded = decode_deltas(out.deltas_flat[pos], grid.anchor_params[pos])
                 for i, row in zip(pos, decoded):
