@@ -204,29 +204,54 @@ def encode_deltas(box_params: np.ndarray, anchor_params: np.ndarray) -> np.ndarr
 
 @dataclass(frozen=True)
 class Assignment:
-    """Per-anchor labels plus the foreground position mask.
+    """One scene's target assignment, kept as read-only rows.
 
-    ``labels[i]`` is the matched ground-truth index when >= 0,
-    LABEL_NEGATIVE, or LABEL_IGNORE.  ``max_iou[i]`` is the best BEV IoU
-    against a same-class ground truth (0 when there is none).
+    Every anchor is positive (matched to a ground truth), ignored, or
+    negative.  ``positive_indices`` (ascending) holds the positives and
+    ``matched`` the ground-truth index of each; ``ignore_indices``
+    (ascending) the ignored anchors; ``overlap_indices`` (ascending) the
+    anchors whose best BEV IoU against a same-class ground truth is
+    nonzero, and ``overlap_iou`` that IoU.  ``labels`` and ``max_iou``
+    rebuild the dense per-anchor arrays from these rows.
     """
 
-    labels: np.ndarray
-    max_iou: np.ndarray
-    foreground: np.ndarray
+    positive_indices: np.ndarray
+    matched: np.ndarray
+    ignore_indices: np.ndarray
+    overlap_indices: np.ndarray
+    overlap_iou: np.ndarray
+    foreground: np.ndarray  # (n_positions,) bool
+    n_anchors: int
 
     def __post_init__(self) -> None:
-        self.labels.setflags(write=False)
-        self.max_iou.setflags(write=False)
-        self.foreground.setflags(write=False)
+        if self.matched.shape != self.positive_indices.shape or (
+            self.overlap_iou.shape != self.overlap_indices.shape
+        ):
+            raise ValueError("each index row needs one matched index or IoU")
+        for arr in (
+            self.positive_indices, self.matched, self.ignore_indices,
+            self.overlap_indices, self.overlap_iou, self.foreground,
+        ):
+            arr.setflags(write=False)
 
-    @cached_property
-    def positive_indices(self) -> np.ndarray:
-        pos = np.flatnonzero(self.labels >= 0)
-        pos.setflags(write=False)
-        return pos
+    @property
+    def labels(self) -> np.ndarray:
+        """(n_anchors,) int64: the matched ground-truth index of a positive,
+        LABEL_IGNORE or LABEL_NEGATIVE; rebuilt on each read."""
+        out = np.full(self.n_anchors, LABEL_NEGATIVE, dtype=np.int64)
+        out[self.ignore_indices] = LABEL_IGNORE
+        out[self.positive_indices] = self.matched
+        return out
 
-    @cached_property
+    @property
+    def max_iou(self) -> np.ndarray:
+        """(n_anchors,) best same-class BEV IoU, 0 where there is none;
+        rebuilt on each read."""
+        out = np.zeros(self.n_anchors)
+        out[self.overlap_indices] = self.overlap_iou
+        return out
+
+    @property
     def n_pos(self) -> int:
         return int(self.positive_indices.size)
 
@@ -328,8 +353,18 @@ def assign_targets(
             continue
         labels[anchor] = g
 
-    fg = foreground_mask(grid, boxes, dilation=dilation)
-    return Assignment(labels=labels, max_iou=max_iou, foreground=fg)
+    # The dense temporaries are freed on return; the rows are kept.
+    pos = np.flatnonzero(labels >= 0)
+    overlap = np.flatnonzero(max_iou)
+    return Assignment(
+        positive_indices=pos,
+        matched=labels[pos],
+        ignore_indices=np.flatnonzero(labels == LABEL_IGNORE),
+        overlap_indices=overlap,
+        overlap_iou=max_iou[overlap],
+        foreground=foreground_mask(grid, boxes, dilation=dilation),
+        n_anchors=grid.n_anchors,
+    )
 
 
 def foreground_mask(grid: AnchorGrid, boxes: np.ndarray, dilation: float = 0.5) -> np.ndarray:
@@ -357,4 +392,4 @@ def positive_target_deltas(
     ascending anchor order.
     """
     pos = assignment.positive_indices
-    return pos, encode_deltas(boxes[assignment.labels[pos]], grid.anchor_params[pos])
+    return pos, encode_deltas(boxes[assignment.matched], grid.anchor_params[pos])

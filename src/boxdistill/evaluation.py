@@ -8,8 +8,10 @@ of the interpolated precision at recall 1/40 .. 40/40.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,14 +50,19 @@ def decode_and_nms(
         raise ValueError(f"score_threshold must be in [0, 1], got {score_threshold}")
     if not 0.0 < nms_iou <= 1.0:
         raise ValueError(f"nms_iou must be in (0, 1], got {nms_iou}")
-    scores = sigmoid(outputs.logits_flat)
+    logits = outputs.logits_flat
+    floor = _logit_floor(score_threshold)
     detections: list[Detection] = []
-    for c in range(scores.shape[1]):
-        cand = np.flatnonzero(scores[:, c] > score_threshold)
+    for c in range(logits.shape[1]):
+        # Only logits above the floor can score above the threshold.
+        cand = np.flatnonzero(logits[:, c] > floor)
+        scores = sigmoid(logits[cand, c])
+        above = scores > score_threshold
+        cand, scores = cand[above], scores[above]
         if cand.size == 0:
             continue
-        order = np.lexsort((cand, -scores[cand, c]))
-        cand = cand[order][:pre_nms_top_k]
+        order = np.lexsort((cand, -scores))[:pre_nms_top_k]
+        cand, scores = cand[order], scores[order]
         boxes = [
             Box3D.from_array(p)
             for p in decode_deltas(outputs.deltas_flat[cand], grid.anchor_params[cand])
@@ -65,12 +72,26 @@ def decode_and_nms(
             Detection(
                 box=boxes[i],
                 class_id=c,
-                score=float(scores[cand[i], c]),
+                score=float(scores[i]),
                 anchor_index=int(cand[i]),
             )
             for i in keep
         )
     return detections
+
+
+def _logit_floor(p: float) -> float:
+    """A logit at or below which the sigmoid score stays below ``p``.
+
+    It is one unit under ``logit(p)``, where the odds s / (1 - s) are e
+    times below p's: too far below ``p`` for the sigmoid's rounding to
+    lift a score over it.
+    """
+    if p <= 0.0:
+        return -math.inf
+    if p >= 1.0:
+        return math.inf
+    return math.log(p) - math.log1p(-p) - 1.0
 
 
 def _greedy_nms(boxes: Sequence[Box3D], nms_iou: float) -> list[int]:
@@ -224,7 +245,7 @@ class EvalReport:
 
 
 def evaluate_outputs(
-    per_scene_outputs: Sequence[DetectorOutputs],
+    per_scene_outputs: Iterable[DetectorOutputs],
     scenes: Sequence,
     grid: AnchorGrid,
     score_threshold: float = 0.1,
@@ -236,11 +257,19 @@ def evaluate_outputs(
     config_hash: str = "",
     metadata: dict | None = None,
 ) -> EvalReport:
-    """Decode, suppress, and score a detector over a validation scene set."""
-    scene_dets = [
-        decode_and_nms(out, grid, score_threshold, nms_iou, pre_nms_top_k)
-        for out in per_scene_outputs
-    ]
+    """Decode, suppress, and score a detector over a validation scene set.
+
+    ``per_scene_outputs`` may be any iterable.  Each scene's outputs are
+    released once decoded, before the next are read, so a generator keeps
+    one scene's outputs alive at a time.
+    """
+    decode = partial(
+        decode_and_nms, grid=grid, score_threshold=score_threshold, nms_iou=nms_iou,
+        pre_nms_top_k=pre_nms_top_k,
+    )
+    # map, unlike a loop variable, keeps no reference to outputs it has
+    # decoded while it reads the next.
+    scene_dets = list(map(decode, per_scene_outputs))
     scene_gts = [scene.gts for scene in scenes]
     per_class = []
     class_specs = {t.class_id for t in grid.templates}

@@ -143,16 +143,25 @@ def evaluate_params(
     """Run the student on the validation scenes and score it.
 
     ``replace_mode`` substitutes the teacher's heads before decoding, which
-    realizes the upper-bound substitution study.
+    realizes the upper-bound substitution study; with ``"both"`` no student
+    forward pass runs.  Scenes are decoded one at a time, so one scene's
+    dense outputs are alive at once.
     """
-    outputs = []
-    for scene, teacher_out in zip(dataset.val_scenes, dataset.teacher_val):
-        student_out = student_forward(params, scene)
-        outputs.append(replace_outputs(student_out, teacher_out, replace_mode))
+    grid = dataset.grid
+    if params.w_cls.shape[1] != grid.k_a * grid.k_c or params.w_reg.shape[1] != grid.k_a * 7:
+        raise ValueError("student and teacher outputs must share shapes")
+
+    def outputs():
+        for scene, teacher in zip(dataset.val_scenes, dataset.teacher_val):
+            if replace_mode == "both":
+                yield teacher.dense()
+            else:
+                yield replace_outputs(student_forward(params, scene), teacher, replace_mode)
+
     return evaluate_outputs(
-        outputs,
+        outputs(),
         dataset.val_scenes,
-        dataset.grid,
+        grid,
         score_threshold=config.eval.score_threshold,
         nms_iou=config.eval.nms_iou,
         pre_nms_top_k=config.eval.pre_nms_top_k,

@@ -394,15 +394,17 @@ def _bev_iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"box arrays differ in shape: {a.shape} vs {b.shape}")
     out = np.zeros(len(a))
-    ra = [0.5 * math.hypot(l, w) for l, w in zip(a[:, 3].tolist(), a[:, 4].tolist())]
-    rb = [0.5 * math.hypot(l, w) for l, w in zip(b[:, 3].tolist(), b[:, 4].tolist())]
-    reach = [
-        math.hypot(x0 - x1, z0 - z1) <= r0 + r1
-        for x0, z0, x1, z1, r0, r1 in zip(
-            a[:, 0].tolist(), a[:, 2].tolist(), b[:, 0].tolist(), b[:, 2].tolist(), ra, rb
-        )
-    ]
-    idx = np.flatnonzero(reach)
+    # Circumcircle reject, as in the scalar path.  Rows near the tie are
+    # recomputed with math.hypot, which np.hypot may miss by one ulp.
+    dx, dz = a[:, 0] - b[:, 0], a[:, 2] - b[:, 2]
+    la, wa, lb, wb = a[:, 3], a[:, 4], b[:, 3], b[:, 4]
+    dist, ha, hb = np.hypot(dx, dz), np.hypot(la, wa), np.hypot(lb, wb)
+    reach = 0.5 * ha + 0.5 * hb
+    near = np.abs(dist - reach) <= 1e-12 * reach
+    if np.any(near):
+        dist = _math_hypot_at(dist, dx, dz, near)
+        reach = 0.5 * _math_hypot_at(ha, la, wa, near) + 0.5 * _math_hypot_at(hb, lb, wb, near)
+    idx = np.flatnonzero(dist <= reach)
     a, b = a[idx], b[idx]
     key = [0, 2, 3, 4, 6]  # (cx, cz, l, w, yaw), the scalar clip order
     first = _lex_le(a[:, key], b[:, key])[:, None]

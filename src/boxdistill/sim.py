@@ -185,9 +185,9 @@ def generate_scene(rng_seed: int, config: SceneConfig, grid: AnchorGrid) -> Scen
             gts.append((box, class_id))
             footprints.append(grown)
 
-    features = _embed_features(gts, grid, config, rng)
     boxes = np.array([box.as_array() for box, _ in gts]).reshape(-1, 7)
-    return Scene(boxes, np.array([c for _, c in gts], dtype=np.int64), features, rng_seed)
+    class_ids = np.array([c for _, c in gts], dtype=np.int64)
+    return Scene(boxes, class_ids, _embed_features(boxes, class_ids, grid, config, rng), rng_seed)
 
 
 def _template_sizes(grid: AnchorGrid) -> dict[int, tuple[float, float, float]]:
@@ -198,7 +198,8 @@ def _template_sizes(grid: AnchorGrid) -> dict[int, tuple[float, float, float]]:
 
 
 def _embed_features(
-    gts: Sequence[tuple[Box3D, int]],
+    boxes: np.ndarray,
+    class_ids: np.ndarray,
     grid: AnchorGrid,
     config: SceneConfig,
     rng: np.random.Generator,
@@ -221,39 +222,48 @@ def _embed_features(
 
     visible_gt = np.full(n, -1, dtype=np.int64)
     best_d2 = np.full(n, np.inf)
-    for g, (box, _) in enumerate(gts):
-        dx = centers[:, 0] - box.cx
-        dz = centers[:, 1] - box.cz
-        c, s = math.cos(box.yaw), math.sin(box.yaw)
+    for g, (cx, _, cz, l, w, _, yaw) in enumerate(boxes.tolist()):
+        dx = centers[:, 0] - cx
+        dz = centers[:, 1] - cz
+        c, s = math.cos(yaw), math.sin(yaw)
         u = dx * c + dz * s
         v = -dx * s + dz * c
-        inside = (np.abs(u) <= 0.5 * box.l + config.feature_dilation) & (
-            np.abs(v) <= 0.5 * box.w + config.feature_dilation
+        inside = (np.abs(u) <= 0.5 * l + config.feature_dilation) & (
+            np.abs(v) <= 0.5 * w + config.feature_dilation
         )
         d2 = dx * dx + dz * dz
         take = inside & (d2 < best_d2)
         visible_gt[take] = g
         best_d2[take] = d2[take]
 
-    for p in np.flatnonzero(visible_gt >= 0):
-        box, class_id = gts[visible_gt[p]]
-        px, pz = centers[p]
-        ncx = box.cx + rng.normal(0.0, noise.center_sigma)
-        ncy = box.cy + rng.normal(0.0, noise.center_sigma)
-        ncz = box.cz + rng.normal(0.0, noise.center_sigma + noise.depth_bias * box.cz)
-        nl, nw, nh = (box.l, box.w, box.h) * np.exp(rng.normal(0.0, noise.size_sigma, size=3))
-        nyaw = box.yaw + rng.normal(0.0, noise.yaw_sigma)
-        seen_class = class_id
-        if noise.score_corruption > 0 and rng.uniform() < noise.score_corruption:
-            seen_class = int(rng.integers(0, k_c))
-        dx, dz = ncx - px, ncz - pz
-        features[p, 0] = 1.0
-        features[p, 1:4] = (dx, ncy - 1.0, dz)
-        features[p, 4:7] = (nl, nw, nh)
-        features[p, 7] = math.sin(nyaw)
-        features[p, 8] = math.cos(nyaw)
-        features[p, 9 + seen_class] = 1.0
-        features[p, 9 + k_c] = dx * dx + dz * dz
+    # Each visible position draws seven normals (center x, y, z, log sizes,
+    # yaw), then the class-corruption coin and, if it lands, a class.
+    visible = np.flatnonzero(visible_gt >= 0)
+    obj = boxes[visible_gt[visible]]
+    seen_class = class_ids[visible_gt[visible]]
+    normals = np.empty((visible.size, 7))
+    for k in range(visible.size):
+        rng.standard_normal(out=normals[k])
+        if noise.score_corruption > 0 and rng.random() < noise.score_corruption:
+            seen_class[k] = rng.integers(0, k_c)
+    scale = np.empty_like(normals)
+    scale[:, 0:2] = noise.center_sigma
+    scale[:, 2] = noise.center_sigma + noise.depth_bias * obj[:, 2]
+    scale[:, 3:6] = noise.size_sigma
+    scale[:, 6] = noise.yaw_sigma
+    shift = 0.0 + scale * normals  # as rng.normal(0.0, scale) draws it
+    dx = obj[:, 0] + shift[:, 0] - centers[visible, 0]
+    dz = obj[:, 2] + shift[:, 2] - centers[visible, 1]
+    yaw = (obj[:, 6] + shift[:, 6]).tolist()
+    features[visible, 0] = 1.0
+    features[visible, 1] = dx
+    features[visible, 2] = obj[:, 1] + shift[:, 1] - 1.0
+    features[visible, 3] = dz
+    features[visible, 4:7] = obj[:, 3:6] * np.exp(shift[:, 3:6])
+    features[visible, 7] = np.fromiter(map(math.sin, yaw), float, len(yaw))
+    features[visible, 8] = np.fromiter(map(math.cos, yaw), float, len(yaw))
+    features[visible, 9 + seen_class] = 1.0
+    features[visible, 9 + k_c] = dx * dx + dz * dz
     if config.ambient_noise > 0:
         features += rng.normal(0.0, config.ambient_noise, size=features.shape)
     return features
@@ -540,7 +550,7 @@ def teacher_predict(
 
     if pos.size:
         # Each positive takes its object's row; one encode for the scene.
-        rows, reported, peaks = (np.array(col)[assignment.labels[pos]] for col in zip(*per_gt))
+        rows, reported, peaks = (np.array(col)[assignment.matched] for col in zip(*per_gt))
         deltas = encode_deltas(rows, grid.anchor_params[pos])
         logits[np.arange(pos.size), reported] = peaks
     return TeacherResponse(anchors=pos, logits=logits, deltas=deltas, n_positions=grid.n_positions, k_a=grid.k_a)
@@ -763,7 +773,6 @@ def _scene_targets(
     cfg: LossConfig,
     teacher: TeacherResponse | None = None,
 ) -> _SceneTargets:
-    labels = assignment.labels
     pos, target_deltas = positive_target_deltas(grid, assignment, scene.boxes)
     if teacher is not None and not np.array_equal(teacher.anchors, pos):
         raise ValueError("the teacher response's anchors must be the assignment's positive anchors")
@@ -774,7 +783,7 @@ def _scene_targets(
         teacher_rows = decode_deltas(teacher.deltas, anchors)
         if cfg.xgd_selection == "gate":
             xgd_rows, xgd_anchors, xgd_teacher = pos, anchors, teacher_rows
-            xgd_gt = scene.boxes[labels[pos]]
+            xgd_gt = scene.boxes[assignment.matched]
         else:
             # Box-level alternative: keep whole teacher boxes whose best
             # class score clears the confidence threshold.
@@ -790,8 +799,8 @@ def _scene_targets(
             teacher_dist = unified_distribution(teacher.logit_map(positions, cld_k_a), cfg.tau)
     return _SceneTargets(
         pos=pos,
-        pos_classes=scene.class_ids[labels[pos]],
-        ignore_rows=np.flatnonzero(labels == -2),
+        pos_classes=scene.class_ids[assignment.matched],
+        ignore_rows=assignment.ignore_indices,
         pos_positions=np.unique(pos // grid.k_a),
         target_deltas=target_deltas,
         xgd_rows=xgd_rows,

@@ -20,7 +20,7 @@ from . import geometry as geom
 from . import sim as sim_mod
 from . import xgd as xgd_mod
 from .anchors import build_anchor_grid
-from .config import ExperimentConfig, config_from_dict, default_arm_matrix
+from .config import ExperimentConfig, config_from_dict, default_arm_matrix, default_config
 from .experiments import build_dataset
 from .geometry import Box3D
 
@@ -328,6 +328,92 @@ def check_codec_roundtrip(n_cases: int = 10_000) -> CheckResult:
     )
 
 
+def _loop_assignment(grid, boxes, class_ids, thresholds, dilation):
+    """Dense labels and max IoU from a per-anchor Box3D + scalar bev_iou
+    loop, the form assign_targets had before it was batched."""
+
+    def thr_for(class_id):
+        return thresholds if isinstance(thresholds, tuple) else thresholds[class_id]
+
+    k_a = grid.k_a
+    max_iou = np.zeros(grid.n_anchors)
+    best_gt = np.full(grid.n_anchors, -1, dtype=np.int64)
+    forced = []
+    slot_classes = grid.slot_class_ids()
+    max_template_reach = max((0.5 * math.hypot(t.l, t.w) for t in grid.templates), default=0.0)
+    for g, (row, class_id) in enumerate(zip(boxes, class_ids.tolist())):
+        gt = Box3D.from_array(row)
+        slots = np.flatnonzero(slot_classes == class_id)
+        if slots.size == 0:
+            continue
+        best_anchor, best_val = -1, 0.0
+        for p in anchors_mod._candidate_positions(grid, row, max_template_reach):
+            for slot in slots:
+                idx = int(p) * k_a + int(slot)
+                iou = geom.bev_iou(grid.anchor_box(idx), gt)
+                if iou > max_iou[idx] or (iou == max_iou[idx] and best_gt[idx] < 0):
+                    max_iou[idx] = iou
+                    best_gt[idx] = g
+                if iou > best_val:
+                    best_val, best_anchor = iou, idx
+        if best_anchor >= 0 and best_val > 0.0:
+            forced.append((best_anchor, best_val, g))
+    labels = np.full(grid.n_anchors, anchors_mod.LABEL_NEGATIVE, dtype=np.int64)
+    slot_of = np.tile(np.arange(k_a), grid.n_positions)
+    pos_thr = np.array([thr_for(int(c))[0] for c in slot_classes])[slot_of]
+    neg_thr = np.array([thr_for(int(c))[1] for c in slot_classes])[slot_of]
+    pos_mask = max_iou >= pos_thr
+    labels[~pos_mask & (max_iou >= neg_thr)] = anchors_mod.LABEL_IGNORE
+    labels[pos_mask] = best_gt[pos_mask]
+    for anchor, iou, g in forced:
+        if labels[anchor] >= 0 and max_iou[anchor] > iou:
+            continue
+        labels[anchor] = g
+    return labels, max_iou
+
+
+def assignment_mismatches(grid, boxes, class_ids, thresholds, dilation) -> list[str]:
+    """Where the dense views of ``assign_targets``' rows differ, by bytes,
+    from the per-anchor loop; empty when they agree.  A case with no
+    positive anchor is reported too, since it tests no match."""
+    asg = anchors_mod.assign_targets(grid, boxes, class_ids, thresholds, dilation)
+    labels, max_iou = _loop_assignment(grid, boxes, class_ids, thresholds, dilation)
+    views = (
+        ("labels", asg.labels, labels),
+        ("max_iou", asg.max_iou, max_iou),
+        ("foreground", asg.foreground, anchors_mod.foreground_mask(grid, boxes, dilation)),
+    )
+    out = [f"{name} differ" for name, got, want in views if got.tobytes() != want.tobytes()]
+    if asg.n_pos == 0:
+        out.append("no positive anchor")
+    return out
+
+
+def check_assignment_bruteforce(n_scenes: int = 3) -> CheckResult:
+    """Target assignment vs the per-anchor loop on default-config scenes,
+    at the default density and at 16-24 objects."""
+    t0 = time.time()
+    cfg = default_config()
+    grid = build_anchor_grid(cfg.grid)
+    failures = []
+    for n_objects in (cfg.scene.n_objects, (16, 24)):
+        scene_cfg = replace(cfg.scene, n_objects=n_objects)
+        for seed in range(n_scenes):
+            scene = sim_mod.generate_scene(seed, scene_cfg, grid)
+            for problem in assignment_mismatches(
+                grid, scene.boxes, scene.class_ids, cfg.assignment_thresholds(),
+                cfg.foreground_dilation,
+            ):
+                failures.append(f"{n_objects} objects, scene {seed}: {problem}")
+    return CheckResult(
+        "assignment_bruteforce",
+        not failures,
+        "; ".join(failures)
+        or f"{2 * n_scenes} scenes: labels, max_iou and foreground equal the per-anchor loop",
+        time.time() - t0,
+    )
+
+
 def check_iou_grad_self_consistency(n_cases: int = 40) -> CheckResult:
     """Coarse and fine finite-difference steps must agree away from contact."""
     t0 = time.time()
@@ -505,7 +591,7 @@ def check_training_grad_fd(n_states: int = 5) -> CheckResult:
         frozen_targets = xgd_mod.positive_component_update(
             anchors_mod.decode_deltas(dense_teacher.deltas_flat[pos], anchor_params),
             anchors_mod.decode_deltas(out.deltas_flat[pos], anchor_params),
-            scene.boxes[assignment.labels[pos]],
+            scene.boxes[assignment.matched],
             cfg.loss.gate_eps,
             components=cfg.loss.xgd_components,
         )
@@ -608,6 +694,7 @@ def verify_suite(fast: bool = False) -> list[CheckResult]:
             check_cld_invariants(),
             check_cld_grad_fd(n_maps=20),
             check_codec_roundtrip(n_cases=1_000),
+            check_assignment_bruteforce(n_scenes=1),
             check_iou_grad_self_consistency(n_cases=10),
             check_clip_kernel_bit_identity(n_random=200),
             check_training_grad_fd(n_states=2),
@@ -622,6 +709,7 @@ def verify_suite(fast: bool = False) -> list[CheckResult]:
             check_cld_invariants(),
             check_cld_grad_fd(),
             check_codec_roundtrip(),
+            check_assignment_bruteforce(),
             check_iou_grad_self_consistency(),
             check_clip_kernel_bit_identity(),
             check_training_grad_fd(),

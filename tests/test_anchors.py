@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from boxdistill.anchors import (
     positive_target_deltas,
 )
 from boxdistill.geometry import Box3D, GeometryFlags, bev_iou, wrap_angle
+from boxdistill.verify import assignment_mismatches
 
 
 def small_grid(cell=1.0, extent=8.0, classes=None, rotations=(0.0, math.pi / 2)):
@@ -261,6 +263,55 @@ class TestAssignment:
                 assert asg.foreground[idx // grid.k_a]
 
 
+class TestAssignmentRows:
+    def _scene_assignment(self):
+        from boxdistill.config import default_config
+        from boxdistill.sim import generate_scene
+
+        cfg = default_config()
+        grid = build_anchor_grid(cfg.grid)
+        scene = generate_scene(0, cfg.scene, grid)
+        asg = assign_targets(
+            grid, scene.boxes, scene.class_ids, cfg.assignment_thresholds(), cfg.foreground_dilation
+        )
+        return grid, asg
+
+    def test_rows_are_the_dense_views(self):
+        grid, asg = self._scene_assignment()
+        labels, max_iou = asg.labels, asg.max_iou
+        assert labels.shape == max_iou.shape == (grid.n_anchors,) == (asg.n_anchors,)
+        assert np.array_equal(asg.positive_indices, np.flatnonzero(labels >= 0))
+        assert np.array_equal(asg.matched, labels[asg.positive_indices])
+        assert np.array_equal(asg.ignore_indices, np.flatnonzero(labels == LABEL_IGNORE))
+        assert np.array_equal(asg.overlap_indices, np.flatnonzero(max_iou))
+        assert np.array_equal(asg.overlap_iou, max_iou[asg.overlap_indices])
+        # Every positive and every ignored anchor overlaps its ground truth.
+        held = np.concatenate([asg.positive_indices, asg.ignore_indices])
+        assert set(held.tolist()) <= set(asg.overlap_indices.tolist())
+        assert asg.n_pos > 0 and asg.ignore_indices.size > 0
+        # The rows hold far fewer entries than the grid has anchors.
+        assert asg.overlap_indices.size < grid.n_anchors // 20
+
+    def test_rows_are_read_only_and_views_fresh(self):
+        _, asg = self._scene_assignment()
+        for arr in (
+            asg.positive_indices, asg.matched, asg.ignore_indices,
+            asg.overlap_indices, asg.overlap_iou, asg.foreground,
+        ):
+            with pytest.raises(ValueError):
+                arr[:1] = 0
+        labels = asg.labels
+        labels[:] = 7
+        assert not np.any(asg.labels == 7)
+
+    def test_mismatched_rows_rejected(self):
+        _, asg = self._scene_assignment()
+        with pytest.raises(ValueError, match="one matched index or IoU"):
+            dataclasses.replace(asg, matched=asg.matched[:-1].copy())
+        with pytest.raises(ValueError, match="one matched index or IoU"):
+            dataclasses.replace(asg, overlap_iou=asg.overlap_iou[:-1].copy())
+
+
 class TestForegroundMask:
     def test_no_gts_empty(self):
         grid = small_grid()
@@ -338,54 +389,9 @@ class TestPositiveTargets:
             assert abs(wrap_angle(row[6] - gt.yaw)) < 1e-9
 
 
-def seed_assign_targets(grid, gts, thresholds, dilation):
-    """The per-anchor Box3D + bev_iou loop as it stood before batching."""
-    from boxdistill.anchors import _candidate_positions
-
-    def thr_for(class_id):
-        return thresholds if isinstance(thresholds, tuple) else thresholds[class_id]
-
-    k_a = grid.k_a
-    max_iou = np.zeros(grid.n_anchors)
-    best_gt = np.full(grid.n_anchors, -1, dtype=np.int64)
-    forced = []
-    slot_classes = grid.slot_class_ids()
-    max_template_reach = max((0.5 * math.hypot(t.l, t.w) for t in grid.templates), default=0.0)
-    for g, (gt, class_id) in enumerate(gts):
-        slots = np.flatnonzero(slot_classes == class_id)
-        if slots.size == 0:
-            continue
-        best_anchor, best_val = -1, 0.0
-        for p in _candidate_positions(grid, gt.as_array(), max_template_reach):
-            for slot in slots:
-                idx = int(p) * k_a + int(slot)
-                iou = bev_iou(grid.anchor_box(idx), gt)
-                if iou > max_iou[idx] or (iou == max_iou[idx] and best_gt[idx] < 0):
-                    max_iou[idx] = iou
-                    best_gt[idx] = g
-                if iou > best_val:
-                    best_val, best_anchor = iou, idx
-        if best_anchor >= 0 and best_val > 0.0:
-            forced.append((best_anchor, best_val, g))
-    labels = np.full(grid.n_anchors, LABEL_NEGATIVE, dtype=np.int64)
-    slot_of = np.tile(np.arange(k_a), grid.n_positions)
-    pos_thr = np.array([thr_for(int(c))[0] for c in slot_classes])[slot_of]
-    neg_thr = np.array([thr_for(int(c))[1] for c in slot_classes])[slot_of]
-    pos_mask = max_iou >= pos_thr
-    labels[~pos_mask & (max_iou >= neg_thr)] = LABEL_IGNORE
-    labels[pos_mask] = best_gt[pos_mask]
-    for anchor, iou, g in forced:
-        if labels[anchor] >= 0 and max_iou[anchor] > iou:
-            continue
-        labels[anchor] = g
-    return labels, max_iou, foreground_mask(grid, gt_arrays(gts)[0], dilation=dilation)
-
-
 class TestBatchedAssignment:
     @pytest.mark.parametrize("n_objects", [None, (16, 24)])
     def test_matches_seed_loop(self, n_objects):
-        import dataclasses
-
         from boxdistill.config import default_config
         from boxdistill.sim import generate_scene
 
@@ -397,15 +403,10 @@ class TestBatchedAssignment:
         thresholds = cfg.assignment_thresholds()
         for seed in range(3):
             scene = generate_scene(seed, scene_cfg, grid)
-            asg = assign_targets(
-                grid, scene.boxes, scene.class_ids, thresholds, dilation=cfg.foreground_dilation
+            problems = assignment_mismatches(
+                grid, scene.boxes, scene.class_ids, thresholds, cfg.foreground_dilation
             )
-            want = seed_assign_targets(grid, scene.gts, thresholds, cfg.foreground_dilation)
-            labels, max_iou, fg = want
-            assert np.array_equal(asg.labels, labels)
-            assert np.array_equal(asg.max_iou, max_iou)
-            assert np.array_equal(asg.foreground, fg)
-            assert asg.n_pos > 0
+            assert not problems, (seed, problems)
 
     def test_matches_seed_loop_on_ties(self):
         # GTs sitting exactly on anchors, and two identical GTs, exercise the
@@ -414,8 +415,5 @@ class TestBatchedAssignment:
         gts = [(grid.anchor_box(20), 0), (grid.anchor_box(20), 0), (grid.anchor_box(41), 0)]
         gts.append((Box3D(3.0, 0.0, 2.5, 1.8, 1.0, 1.0, 0.0), 0))
         for thresholds in ((0.6, 0.45), (0.99, 0.1)):
-            asg = assign_targets(grid, *gt_arrays(gts), thresholds)
-            labels, max_iou, fg = seed_assign_targets(grid, gts, thresholds, 0.5)
-            assert np.array_equal(asg.labels, labels)
-            assert np.array_equal(asg.max_iou, max_iou)
-            assert np.array_equal(asg.foreground, fg)
+            problems = assignment_mismatches(grid, *gt_arrays(gts), thresholds, 0.5)
+            assert not problems, (thresholds, problems)

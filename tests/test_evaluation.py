@@ -109,6 +109,42 @@ class TestDecodeAndNms:
         dets = decode_and_nms(out, grid, score_threshold=0.5)
         assert [d.anchor_index for d in dets] == [3, 20]
 
+    def test_logits_straddling_the_threshold(self):
+        # Scores one ulp either side of the threshold, and logits around the
+        # pre-threshold floor, pick the same candidates as sigmoid over all.
+        from boxdistill.sim import sigmoid
+
+        grid = build_anchor_grid(
+            GridConfig(
+                x_range=(0.0, 16.0),
+                z_range=(0.0, 16.0),
+                cell=(1.0, 1.0),
+                classes=(ClassSpec("box", 1.8, 1.0, 1.0, cy=0.0),),
+                rotations=(0.0,),
+            )
+        )
+        rng = np.random.default_rng(11)
+        for thr in (0.1, 0.5, 1e-6, 1.0 - 1e-12, 0.0, 1.0):
+            if 0.0 < thr < 1.0:
+                edge = math.log(thr) - math.log1p(-thr)
+                step = np.spacing(max(1.0, abs(edge)))
+                near = edge + np.concatenate(
+                    [np.arange(-40, 41) * step, rng.uniform(-1.5, 0.5, 40)]
+                )
+            else:
+                near = rng.uniform(-50, 50, 120)
+            logits = np.full((grid.n_positions, grid.k_a, grid.k_c), -30.0)
+            flat = logits.reshape(-1, grid.k_c)
+            flat[: near.size, 0] = near
+            outputs = DetectorOutputs(logits=logits, deltas=np.zeros((grid.n_positions, grid.k_a, 7)))
+            dets = decode_and_nms(outputs, grid, score_threshold=thr, nms_iou=1.0, pre_nms_top_k=10_000)
+            scores = sigmoid(flat[:, 0])
+            want = np.flatnonzero(scores > thr)
+            assert sorted(d.anchor_index for d in dets) == want.tolist(), thr
+            assert all(d.score == scores[d.anchor_index] for d in dets)
+            if 0.0 < thr < 1.0:
+                assert 0 < want.size < near.size, thr  # the case straddles
+
     def test_invalid_parameters_rejected(self):
         grid = tiny_grid()
         out = outputs_with(grid, [])
@@ -241,3 +277,19 @@ class TestEvaluateOutputs:
         assert ce.n_gt == 1 and ce.tp == 1 and ce.fn == 0
         assert len(ce.precision_samples) == 40
         assert report.seed == 3
+
+    def test_generator_gives_the_list_report(self):
+        grid = tiny_grid()
+
+        class FakeScene:
+            def __init__(self, gts):
+                self.gts = gts
+
+        gt_box = Box3D(2.5, 0.0, 2.5, 1.8, 1.0, 1.0, 0.0)
+        near_box = Box3D(3.3, 0.0, 2.6, 1.8, 1.0, 1.0, 0.2)
+        scenes = [FakeScene(((gt_box, 0),)), FakeScene(((near_box, 0), (gt_box, 0)))]
+        raised = [[(14, 0, 2.0, gt_box), (9, 0, 0.5, near_box)], [(15, 0, 1.0, near_box)]]
+        listed = evaluate_outputs([outputs_with(grid, r) for r in raised], scenes, grid)
+        streamed = evaluate_outputs((outputs_with(grid, r) for r in raised), scenes, grid)
+        assert repr(streamed) == repr(listed)
+        assert listed.per_class[0].tp >= 1

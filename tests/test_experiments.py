@@ -207,6 +207,24 @@ class TestReplacementStudy:
         assert len(result.records) == len(cfg.seeds)
 
 
+    def test_both_runs_no_student_and_params_must_fit_the_grid(self, monkeypatch):
+        import boxdistill.experiments as ex
+
+        cfg = tiny_config()
+        ds = build_dataset(cfg, 0)
+        params = DetectorParams.init(0, cfg.scene.feature_dim, ds.grid.k_a, ds.grid.k_c)
+        teacher_only = ex.evaluate_outputs(
+            [t.dense() for t in ds.teacher_val], ds.val_scenes, ds.grid,
+            iou_thresholds=cfg.eval_iou_thresholds(), seed=ds.seed, config_hash=config_hash(cfg),
+        )
+        monkeypatch.setattr(ex, "student_forward", lambda *args: pytest.fail("student ran"))
+        report = ex.evaluate_params(params, ds, cfg, replace_mode="both")
+        assert repr(report.per_class) == repr(teacher_only.per_class)
+        wrong = DetectorParams.init(0, cfg.scene.feature_dim, ds.grid.k_a + 1, ds.grid.k_c)
+        for mode in ("none", "both"):
+            with pytest.raises(ValueError, match="must share shapes"):
+                ex.evaluate_params(wrong, ds, cfg, replace_mode=mode)
+
 class TestParamsSerialization:
     def test_round_trip(self, tmp_path):
         cfg = tiny_config()
@@ -226,3 +244,72 @@ class TestParamsSerialization:
         assert payload["experiment"] == "tiny"
         assert "aggregate_ap3d" in payload
         assert "default" in payload["aggregate_ap3d"]
+
+
+class TestDefaultDatasetStorage:
+    """The default seed-0 dataset: its bytes pinned, its size bounded."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return build_dataset(default_config(), 0)
+
+    def test_features_and_dense_assignments_are_pinned(self, dataset):
+        # Digests recorded while scenes drew their feature noise per call
+        # and assignments still stored dense labels and max_iou arrays.
+        import hashlib
+
+        want = {
+            "train": (
+                "110977da5d1ddee35635798c94b0d0b4454aed8bd4c75b8ba628ede36c51a231",
+                "a32ec9aa62c81716f0d56b2267add4fa179820f839508b448051e84ff5db53d7",
+                "014e703a1815b9cddf835ccbd5e542de7e8740597c01645e49ca891ca69e9218",
+            ),
+            "val": (
+                "4893acb7d52328b14cddc68bf1f20b2c287b25c42b997f8df6d7adf312f240f3",
+                "f546e04579dfc40ed151d651090fa8a2d7c84b716122ccaff9c1bda2c889e2b4",
+                "dc8d4216ebad8e25145bdde00446579f1bac49c369467cfe2228db2ff5037b66",
+            ),
+        }
+        for split in ("train", "val"):
+            digests = [hashlib.sha256() for _ in range(3)]
+            scenes = getattr(dataset, f"{split}_scenes")
+            assignments = getattr(dataset, f"{split}_assignments")
+            for scene, asg in zip(scenes, assignments):
+                for digest, arr in zip(digests, (scene.features, asg.labels, asg.max_iou)):
+                    digest.update(arr.tobytes())
+            assert tuple(d.hexdigest() for d in digests) == want[split], split
+
+    def test_arrays_total_under_24_mb(self, dataset):
+        import dataclasses
+
+        records = (
+            dataset.train_scenes + dataset.val_scenes + dataset.train_assignments
+            + dataset.val_assignments + dataset.teacher_train + dataset.teacher_val
+        )
+        total = 0
+        for record in records:
+            for f in dataclasses.fields(record):
+                value = getattr(record, f.name)
+                if isinstance(value, np.ndarray):
+                    total += value.nbytes
+        # 38.9 MB while assignments held dense per-anchor arrays.
+        assert total < 24e6, total
+
+    def test_evaluation_holds_one_scene_at_a_time(self, dataset):
+        import gc
+        import tracemalloc
+
+        from boxdistill.experiments import evaluate_params
+
+        cfg = default_config()
+        params = DetectorParams.init(0, cfg.scene.feature_dim, dataset.grid.k_a, dataset.grid.k_c)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            evaluate_params(params, dataset, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One scene's dense outputs take 2.6 MB; keeping all 16 in a list
+        # peaked at 44.7 MB, and two scenes alive at once at 5.3 MB.
+        assert peak < 4e6, peak

@@ -372,6 +372,33 @@ class TestClipKernel:
         got = bev_iou(a, b)
         assert all(g == bev_iou(x, y) for g, (x, y) in zip(got, pairs))
 
+    def test_array_bev_iou_at_touching_circumcircles(self, monkeypatch):
+        # 3 x 4 footprints have 2.5 m circumradii, so centers 5 m apart
+        # touch exactly (at a corner when both yaws are 0); one ulp nearer
+        # or farther falls either side of the tie.
+        flagged = []
+        original = geom._math_hypot_at
+
+        def recorded(h, dx, dz, near):
+            flagged.append(int(np.count_nonzero(near)))
+            return original(h, dx, dz, near)
+
+        monkeypatch.setattr(geom, "_math_hypot_at", recorded)
+        a = Box3D(1.0, 0.0, 2.0, 3.0, 4.0, 1.0, 0.0)
+        pairs = []
+        for dx, dz in ((5.0, 0.0), (0.0, 5.0), (3.0, 4.0), (-4.0, 3.0)):
+            cx = a.cx + dx
+            for x in (np.nextafter(cx, -math.inf), cx, np.nextafter(cx, math.inf)):
+                for yaw in (0.0, math.pi / 2, 0.3):
+                    pairs.append((a, Box3D(float(x), 0.0, a.cz + dz, 3.0, 4.0, 1.0, yaw)))
+        rows_a = np.array([p[0].as_array() for p in pairs])
+        rows_b = np.array([p[1].as_array() for p in pairs])
+        got = bev_iou(rows_a, rows_b)
+        assert got.tolist() == [bev_iou(x, y) for x, y in pairs]
+        # Every pair lies within 1e-12 of the tie, so each is recomputed
+        # by math.hypot: the distance and both radii.
+        assert flagged[:3] == [len(pairs)] * 3
+
     def test_array_bev_iou_rejects_bad_rows(self):
         good = Box3D(0, 0, 0, 1, 1, 1, 0).as_array()[None, :]
         with pytest.raises(ValueError):

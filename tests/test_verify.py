@@ -3,6 +3,7 @@ injected defects (mutation smoke tests)."""
 import boxdistill.cld as cld_mod
 import boxdistill.xgd as xgd_mod
 from boxdistill.verify import (
+    check_assignment_bruteforce,
     check_cld_invariants,
     check_clip_kernel_bit_identity,
     check_codec_roundtrip,
@@ -27,6 +28,7 @@ def test_fast_suite_passes():
         "cld_invariants",
         "cld_grad_fd",
         "codec_roundtrip",
+        "assignment_bruteforce",
         "iou_grad_self_consistency",
         "clip_kernel_bit_identity",
         "training_grad_fd",
@@ -130,3 +132,15 @@ def test_injected_worker_difference_is_caught(monkeypatch):
     result = check_threaded_step_bit_identity()
     assert not result.passed
     assert "weights differ" in result.detail
+
+
+def test_injected_assignment_defect_is_caught(monkeypatch):
+    # The batched assignment sees IoUs one part in 2**40 high; the
+    # per-anchor loop reads geometry.bev_iou directly and is unaffected.
+    import boxdistill.anchors as anchors_mod
+
+    original = anchors_mod.bev_iou
+    monkeypatch.setattr(anchors_mod, "bev_iou", lambda a, b: original(a, b) * (1.0 + 2.0**-40))
+    result = check_assignment_bruteforce(n_scenes=1)
+    assert not result.passed
+    assert "max_iou differ" in result.detail
