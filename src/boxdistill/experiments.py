@@ -117,7 +117,7 @@ def train_on_dataset(
         # evaluation-only runs score the freshly initialized student
         params = DetectorParams.init(
             dataset.seed,
-            dataset.train_scenes[0].features.shape[1],
+            dataset.train_scenes[0].feature_dim,
             dataset.grid.k_a,
             dataset.grid.k_c,
         )

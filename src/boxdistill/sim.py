@@ -27,6 +27,7 @@ from .anchors import (
     encode_deltas,
     positive_target_deltas,
 )
+from .blas import openblas_threads_set
 from .cld import LogitMap, UnifiedDistribution, cld_grad, cld_loss, unified_distribution
 from .geometry import Box3D, GeometryFlags, bev_iou
 from .xgd import (
@@ -113,16 +114,62 @@ class SceneConfig:
 @dataclass(frozen=True)
 class Scene:
     """Ground truth plus the (noisy) per-position features the student sees;
-    all three arrays are read-only."""
+    every array is read-only.
+
+    The features are zero away from objects apart from ambient noise, so a
+    scene keeps only the rows of the positions near an object (``visible``,
+    ascending, and their noise-free ``rows``) and the state of the noise
+    stream just before its ambient draw (``noise_state``, None without
+    ambient noise).  ``features`` rebuilds the dense array from these on
+    each read.  A scene built from arbitrary dense features
+    (``from_features``) has every position visible and no noise state.
+    """
 
     boxes: np.ndarray  # (n_gt, 7) rows (cx, cy, cz, l, w, h, yaw)
     class_ids: np.ndarray  # (n_gt,) int64, the class of each row
-    features: np.ndarray  # (n_positions, feature_dim)
+    visible: np.ndarray  # (n_vis,) int64 position indices, ascending
+    rows: np.ndarray  # (n_vis, feature_dim) features at ``visible`` before ambient noise
+    n_positions: int
     seed: int
+    noise_state: dict | None = None  # PCG64 state before the ambient draw
+    ambient_noise: float = 0.0  # standard deviation of that draw
 
     def __post_init__(self) -> None:
-        for arr in (self.boxes, self.class_ids, self.features):
+        for arr in (self.boxes, self.class_ids, self.visible, self.rows):
             arr.setflags(write=False)
+
+    @classmethod
+    def from_features(
+        cls, boxes: np.ndarray, class_ids: np.ndarray, features: np.ndarray, seed: int
+    ) -> "Scene":
+        """A scene whose ``features`` are the given dense array itself."""
+        n = features.shape[0]
+        return cls(boxes, class_ids, np.arange(n), features, n, seed)
+
+    @property
+    def feature_dim(self) -> int:
+        return self.rows.shape[1]
+
+    @property
+    def features(self) -> np.ndarray:
+        """Dense read-only (n_positions, feature_dim) features, rebuilt bit
+        for bit on each read: the ambient noise redrawn from its stream
+        state, plus the visible rows.  A scene with every position visible
+        and no noise returns its rows."""
+        if self.noise_state is None:
+            if self.visible.size == self.n_positions:
+                return self.rows
+            features = np.zeros((self.n_positions, self.feature_dim))
+            features[self.visible] = self.rows
+        else:
+            bits = np.random.PCG64(0)
+            bits.state = self.noise_state
+            features = np.random.Generator(bits).normal(
+                0.0, self.ambient_noise, (self.n_positions, self.feature_dim)
+            )
+            features[self.visible] += self.rows
+        features.setflags(write=False)
+        return features
 
     @property
     def gts(self) -> tuple[tuple[Box3D, int], ...]:
@@ -187,7 +234,13 @@ def generate_scene(rng_seed: int, config: SceneConfig, grid: AnchorGrid) -> Scen
 
     boxes = np.array([box.as_array() for box, _ in gts]).reshape(-1, 7)
     class_ids = np.array([c for _, c in gts], dtype=np.int64)
-    return Scene(boxes, class_ids, _embed_features(boxes, class_ids, grid, config, rng), rng_seed)
+    visible, rows = _embed_features(boxes, class_ids, grid, config, rng)
+    # The ambient noise is the stream's last draw: keep the state that
+    # draws it, not the (n_positions, feature_dim) noise.
+    noise_state = rng.bit_generator.state if config.ambient_noise > 0 else None
+    return Scene(
+        boxes, class_ids, visible, rows, grid.n_positions, rng_seed, noise_state, config.ambient_noise
+    )
 
 
 def _template_sizes(grid: AnchorGrid) -> dict[int, tuple[float, float, float]]:
@@ -203,8 +256,9 @@ def _embed_features(
     grid: AnchorGrid,
     config: SceneConfig,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Per-position geometry embedding seen through the student modality.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-position geometry embedding seen through the student modality,
+    before ambient noise: the positions near an object and their rows.
 
     Layout: [occupancy, dx, dy, dz, l, w, h, sin yaw, cos yaw,
     one-hot class (k_c), squared BEV offset, zero padding].  Noise enters
@@ -217,7 +271,6 @@ def _embed_features(
         raise ValueError(f"feature_dim {dim} too small; need >= {10 + k_c}")
     centers = grid.position_centers
     n = centers.shape[0]
-    features = np.zeros((n, dim))
     noise = config.student_noise
 
     visible_gt = np.full(n, -1, dtype=np.int64)
@@ -255,18 +308,17 @@ def _embed_features(
     dx = obj[:, 0] + shift[:, 0] - centers[visible, 0]
     dz = obj[:, 2] + shift[:, 2] - centers[visible, 1]
     yaw = (obj[:, 6] + shift[:, 6]).tolist()
-    features[visible, 0] = 1.0
-    features[visible, 1] = dx
-    features[visible, 2] = obj[:, 1] + shift[:, 1] - 1.0
-    features[visible, 3] = dz
-    features[visible, 4:7] = obj[:, 3:6] * np.exp(shift[:, 3:6])
-    features[visible, 7] = np.fromiter(map(math.sin, yaw), float, len(yaw))
-    features[visible, 8] = np.fromiter(map(math.cos, yaw), float, len(yaw))
-    features[visible, 9 + seen_class] = 1.0
-    features[visible, 9 + k_c] = dx * dx + dz * dz
-    if config.ambient_noise > 0:
-        features += rng.normal(0.0, config.ambient_noise, size=features.shape)
-    return features
+    rows = np.zeros((visible.size, dim))
+    rows[:, 0] = 1.0
+    rows[:, 1] = dx
+    rows[:, 2] = obj[:, 1] + shift[:, 1] - 1.0
+    rows[:, 3] = dz
+    rows[:, 4:7] = obj[:, 3:6] * np.exp(shift[:, 3:6])
+    rows[:, 7] = np.fromiter(map(math.sin, yaw), float, len(yaw))
+    rows[:, 8] = np.fromiter(map(math.cos, yaw), float, len(yaw))
+    rows[np.arange(visible.size), 9 + seen_class] = 1.0
+    rows[:, 9 + k_c] = dx * dx + dz * dz
+    return visible, rows
 
 
 @dataclass(frozen=True)
@@ -1164,10 +1216,10 @@ def train(
 ) -> TrainResult:
     """Adam over the combined loss; deterministic given the seed.
 
-    What depends only on a scene (encoded targets, teacher boxes and
-    distributions) is built once per call; gates and distillation targets
-    are recomputed at every step from the current student, with one XGD
-    pass per minibatch.  Each teacher response must hold the positive
+    What depends only on a scene (its dense features, encoded targets,
+    teacher boxes and distributions) is built once per call; gates and
+    distillation targets are recomputed at every step from the current
+    student, with one XGD pass per minibatch.  Each teacher response must hold the positive
     anchors of its scene's assignment (ValueError otherwise).  Raises
     TrainingDivergedError with a diagnostic
     snapshot when training stops being finite.  Within a minibatch,
@@ -1182,7 +1234,9 @@ def train(
     per minibatch on this thread.  Every scene goes through the same
     operations on whichever worker runs it, and its products are added
     into the weight gradients in batch order, so weights, history and
-    ``flags`` are the same bits for any number of workers.
+    ``flags`` are the same bits for any number of workers.  OpenBLAS runs
+    on one thread during training, and the caller's thread count is
+    restored when training returns or raises.
     """
     return _train(
         grid, scenes, teacher_outputs, assignments, loss_cfg, opt_cfg, seed, flags, _usable_cpus()
@@ -1207,7 +1261,7 @@ def _train(
         raise ValueError("at least one training scene is required")
     if opt_cfg.epochs < 1:
         raise ValueError("train requires epochs >= 1; use the initialized model directly")
-    params = DetectorParams.init(seed, scenes[0].features.shape[1], grid.k_a, grid.k_c)
+    params = DetectorParams.init(seed, scenes[0].feature_dim, grid.k_a, grid.k_c)
     weights = [params.w_cls, params.b_cls, params.w_reg, params.b_reg]
     adam = _Adam(weights, opt_cfg)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_SHUFFLE)))
@@ -1215,6 +1269,8 @@ def _train(
         _scene_targets(s, a, grid, loss_cfg, t)
         for s, t, a in zip(scenes, teacher_outputs, assignments)
     ]
+    # Every step reads each scene's dense features: rebuild them once here.
+    scenes = [Scene.from_features(s.boxes, s.class_ids, s.features, s.seed) for s in scenes]
     history: list[EpochStats] = []
     last_finite: LossBreakdown | None = None
     last_grads: list[np.ndarray] = []
@@ -1235,7 +1291,8 @@ def _train(
         )
 
     n_workers = min(opt_cfg.batch_size, len(scenes), cpus)
-    with closing(_SceneWorkers(StepWorkspace(), n_workers)) as workers:
+    # OpenBLAS's own threads would compete with the workers for the cores.
+    with openblas_threads_set(1), closing(_SceneWorkers(StepWorkspace(), n_workers)) as workers:
         for epoch in range(opt_cfg.epochs):
             order = shuffle_rng.permutation(len(scenes))
             sums = np.zeros(4)

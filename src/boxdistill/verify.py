@@ -560,6 +560,9 @@ def check_training_grad_fd(n_states: int = 5) -> CheckResult:
         )
         if assignment.n_pos == 0:
             continue
+        # Rebuilt once: every forward pass below reads these features.
+        features = scene.features
+        scene = sim_mod.Scene.from_features(scene.boxes, scene.class_ids, features, scene.seed)
         teacher = sim_mod.teacher_predict(scene, cfg.teacher_noise, grid, assignment)
         params = sim_mod.DetectorParams.init(int(rng.integers(1 << 30)), 16, grid.k_a, grid.k_c)
         params = sim_mod.DetectorParams(
@@ -575,11 +578,11 @@ def check_training_grad_fd(n_states: int = 5) -> CheckResult:
         )
         if flags.gradient_clipped or flags.degenerate_union or flags.size_clamped:
             continue  # stay away from flagged non-smooth configurations
-        n = scene.features.shape[0]
+        n = features.shape[0]
         grads = {
-            "w_cls": scene.features.T @ dlog.reshape(n, -1),
+            "w_cls": features.T @ dlog.reshape(n, -1),
             "b_cls": dlog.reshape(n, -1).sum(axis=0),
-            "w_reg": scene.features.T @ ddel.reshape(n, -1),
+            "w_reg": features.T @ ddel.reshape(n, -1),
             "b_reg": ddel.reshape(n, -1).sum(axis=0),
         }
 

@@ -1,38 +1,52 @@
-"""The test session runs numpy's OpenBLAS on the thread count conftest.py sets."""
-import ctypes
+"""The test session runs numpy's OpenBLAS on the thread count conftest.py
+sets, and training runs it on one thread without changing the caller's
+count."""
+import dataclasses
 import os
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-
-def openblas_threads():
-    """Thread count of the loaded OpenBLAS, or None when none is found."""
-    maps = Path("/proc/self/maps")
-    if not maps.is_file():
-        return None
-    libs = sorted(
-        {line.split()[-1] for line in maps.read_text().splitlines() if "openblas" in line.lower() and ".so" in line}
-    )
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            fn = getattr(handle, symbol, None)
-            if fn is not None:
-                fn.restype = ctypes.c_int
-                fn.argtypes = []
-                return int(fn())
-    return None
+from boxdistill.blas import openblas_threads, openblas_threads_set
 
 
-def test_openblas_runs_the_configured_thread_count():
+def _loaded_openblas_threads():
     np.ones((64, 64)) @ np.ones((64, 64))  # the BLAS library is loaded by now
     threads = openblas_threads()
     if threads is None:
         pytest.skip("numpy is not linked against a loadable OpenBLAS here")
+    return threads
+
+
+def test_openblas_runs_the_configured_thread_count():
     # 1 unless the caller set OPENBLAS_NUM_THREADS explicitly.
-    assert threads == int(os.environ["OPENBLAS_NUM_THREADS"])
+    assert _loaded_openblas_threads() == int(os.environ["OPENBLAS_NUM_THREADS"])
+
+
+def test_training_runs_openblas_on_one_thread_and_restores_the_count(monkeypatch):
+    import boxdistill.sim as sim_mod
+    from boxdistill.experiments import build_dataset, train_on_dataset
+    from boxdistill.verify import _small_training_config
+
+    _loaded_openblas_threads()
+    seen = set()
+    forward = sim_mod.student_forward
+
+    def recording(*args):
+        seen.add(openblas_threads())
+        return forward(*args)
+
+    monkeypatch.setattr(sim_mod, "student_forward", recording)
+    cfg = _small_training_config()
+    dataset = build_dataset(cfg, 0)
+    # The first step lands the weights near 1e308 and the next one diverges.
+    diverging = dataclasses.replace(
+        cfg, optimizer=dataclasses.replace(cfg.optimizer, learning_rate=1e308, epochs=3)
+    )
+    with openblas_threads_set(2):
+        train_on_dataset(dataset, sim_mod.LossConfig(), cfg)
+        assert openblas_threads() == 2
+        with np.errstate(all="ignore"), pytest.raises(sim_mod.TrainingDivergedError):
+            train_on_dataset(dataset, sim_mod.LossConfig(), diverging)
+        assert openblas_threads() == 2
+    assert seen == {1}

@@ -295,6 +295,23 @@ class TestDefaultDatasetStorage:
         # 38.9 MB while assignments held dense per-anchor arrays.
         assert total < 24e6, total
 
+    def test_scenes_hold_their_features_as_rows(self, dataset):
+        import dataclasses
+
+        def array_bytes(record):
+            values = (getattr(record, f.name) for f in dataclasses.fields(record))
+            return sum(v.nbytes for v in values if isinstance(v, np.ndarray))
+
+        scenes = dataset.train_scenes + dataset.val_scenes
+        # The dense (5400, 16) features took 691 KB per scene.
+        assert max(map(array_bytes, scenes)) < 64 * 1024
+        records = scenes + (
+            dataset.train_assignments + dataset.val_assignments + dataset.teacher_train
+            + dataset.teacher_val
+        )
+        total = sum(map(array_bytes, records))
+        assert total < 2e6, total
+
     def test_evaluation_holds_one_scene_at_a_time(self, dataset):
         import gc
         import tracemalloc

@@ -129,6 +129,30 @@ class TestSceneArrays:
         with pytest.raises(ValueError):
             scene.class_ids[0] = 1
 
+    def test_features_are_read_only_and_equal_on_every_read(self):
+        _, _, scene, _ = small_setup()
+        first, second = scene.features, scene.features
+        assert np.array_equal(first, second)
+        for features in (first, second):
+            with pytest.raises(ValueError):
+                features[0, 0] = 1.0
+        dense = Scene.from_features(scene.boxes, scene.class_ids, first, scene.seed)
+        assert dense.features is first and dense.visible.size == dense.n_positions
+
+    def test_features_are_the_visible_rows_plus_ambient_noise(self):
+        cfg, grid, scene, _ = small_setup()
+        quiet = generate_scene(scene.seed, dataclasses.replace(cfg.scene, ambient_noise=0.0), grid)
+        assert quiet.noise_state is None and scene.noise_state is not None
+        # The noise is the scene's last draw, so the rows do not depend on it.
+        assert np.array_equal(quiet.visible, scene.visible)
+        assert np.array_equal(quiet.rows, scene.rows)
+        assert np.all(np.diff(scene.visible) > 0)
+        dense = np.zeros((grid.n_positions, cfg.scene.feature_dim))
+        dense[quiet.visible] = quiet.rows
+        assert np.array_equal(quiet.features, dense)
+        noise = scene.features - dense
+        assert 0 < np.std(noise) < 2 * cfg.scene.ambient_noise
+
     def test_gts_are_the_rows_as_boxes(self):
         cfg, grid, *_ = small_setup()
         for seed in range(10):
@@ -162,7 +186,7 @@ class TestStudentForward:
         cfg, grid, scene, _ = small_setup()
         feats = scene.features.copy()
         feats[5] = feats[3]
-        twin = dataclasses.replace(scene, features=feats)
+        twin = Scene.from_features(scene.boxes, scene.class_ids, feats, scene.seed)
         params = DetectorParams.init(1, cfg.scene.feature_dim, grid.k_a, grid.k_c)
         out = student_forward(params, twin)
         assert np.array_equal(out.logits[5], out.logits[3])
@@ -395,7 +419,7 @@ class TestBaseLoss:
 
     def test_no_positives_zero_regression(self):
         cfg, grid, scene, _ = small_setup()
-        bare = Scene(
+        bare = Scene.from_features(
             boxes=np.zeros((0, 7)), class_ids=np.zeros(0, dtype=np.int64),
             features=scene.features, seed=0,
         )
@@ -627,6 +651,20 @@ class TestTrain:
                 grid, scenes, teachers, asgs, LossConfig(xgd_weight=0, cld_weight=0), opt, seed=seed
             )
             assert result.history[-1].ori < result.history[0].ori
+
+    def test_features_are_rebuilt_once_per_call(self, monkeypatch):
+        cfg, grid, scenes, teachers, asgs = self._datasets()
+        reads = {id(sc): 0 for sc in scenes}
+        rebuild = Scene.features.fget
+
+        def counted(scene):
+            if id(scene) in reads:
+                reads[id(scene)] += 1
+            return rebuild(scene)
+
+        monkeypatch.setattr(Scene, "features", property(counted))
+        train(grid, scenes, teachers, asgs, LossConfig(), OptimizerConfig(epochs=3, batch_size=2), seed=0)
+        assert list(reads.values()) == [1, 1, 1]
 
     def test_zero_epochs_rejected_by_train(self):
         cfg, grid, scenes, teachers, asgs = self._datasets()
@@ -1021,9 +1059,10 @@ class TestWorkerCount:
         def spoiled(spoils):
             scenes = list(ds.train_scenes)
             for i, rows_of in spoils:
-                features = scenes[i].features.copy()
+                scene = scenes[i]
+                features = scene.features.copy()
                 features[rows_of(i)] = np.inf
-                scenes[i] = dataclasses.replace(scenes[i], features=features)
+                scenes[i] = Scene.from_features(scene.boxes, scene.class_ids, features, scene.seed)
             return scenes
 
         # Batch positions 1 and 2 run on different workers of two.  The
