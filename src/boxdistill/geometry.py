@@ -213,6 +213,15 @@ def _box_rows(boxes: np.ndarray, name: str) -> np.ndarray:
     return boxes
 
 
+def _box_pairs(a: np.ndarray, b: np.ndarray, b_name: str = "b") -> tuple[np.ndarray, np.ndarray]:
+    """Validated, index-aligned (n, 7) box rows ``a`` and ``b``."""
+    a = _box_rows(a, "a")
+    b = _box_rows(b, b_name)
+    if a.shape != b.shape:
+        raise ValueError(f"box arrays differ in shape: {a.shape} vs {b.shape}")
+    return a, b
+
+
 # Corner order of _bev_corners: (u, v) = (+-hl, +-hw).  Multiplying by -1
 # is an exact negation.
 _CORNER_U = np.array([1.0, -1.0, -1.0, 1.0])
@@ -389,10 +398,7 @@ def _lex_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _bev_iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = _box_rows(a, "a")
-    b = _box_rows(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"box arrays differ in shape: {a.shape} vs {b.shape}")
+    a, b = _box_pairs(a, b)
     out = np.zeros(len(a))
     # Circumcircle reject, as in the scalar path.  Rows near the tie are
     # recomputed with math.hypot, which np.hypot may miss by one ulp.
@@ -443,34 +449,52 @@ def bev_iou(a: Box3D | np.ndarray, b: Box3D | np.ndarray) -> float | np.ndarray:
     return min(1.0, inter / union)
 
 
-def _iou3d_rows(a: np.ndarray, b: np.ndarray, flags: GeometryFlags | None) -> np.ndarray:
-    a = _box_rows(a, "a")
-    b = _box_rows(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"box arrays differ in shape: {a.shape} vs {b.shape}")
+def _y_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Vertical overlap of boxes ``a`` and ``b``, rows (..., 7) that broadcast."""
     # Python's min(x, y) is y only when y < x; max(x, y) only when y > x.
-    a_top, b_top = a[:, 1] + 0.5 * a[:, 5], b[:, 1] + 0.5 * b[:, 5]
-    a_bottom, b_bottom = a[:, 1] - 0.5 * a[:, 5], b[:, 1] - 0.5 * b[:, 5]
-    y_overlap = np.where(b_top < a_top, b_top, a_top) - np.where(
+    a_top, b_top = a[..., 1] + 0.5 * a[..., 5], b[..., 1] + 0.5 * b[..., 5]
+    a_bottom, b_bottom = a[..., 1] - 0.5 * a[..., 5], b[..., 1] - 0.5 * b[..., 5]
+    return np.where(b_top < a_top, b_top, a_top) - np.where(
         b_bottom > a_bottom, b_bottom, a_bottom
     )
-    inter = np.zeros(len(a))
-    idx = np.flatnonzero(y_overlap > 0.0)
-    if idx.size:
-        ai, bi = a[idx], b[idx]
-        first = _lex_le(ai, bi)[:, None]  # the scalar path's 7-key clip order
-        areas = _clip_area_rows(
-            *_bev_corners_rows(np.where(first, ai, bi)), *_bev_corners_rows(np.where(first, bi, ai))
-        )
-        inter[idx] = areas * y_overlap[idx]
-    union = a[:, 3] * a[:, 4] * a[:, 5] + b[:, 3] * b[:, 4] * b[:, 5] - inter
+
+
+def _iou_from_bev(
+    bev: np.ndarray, y_overlap: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """IoU of boxes ``a`` and ``b`` whose footprints overlap by ``bev``.
+
+    The scalar iou3d's arithmetic after the clip: intersection volume,
+    union, degenerate test and clamp to [0, 1].  Returns the IoUs and the
+    degenerate-union mask, for the caller to count.
+    """
+    inter = np.where(y_overlap > 0.0, bev * y_overlap, 0.0)
+    union = a[..., 3] * a[..., 4] * a[..., 5] + b[..., 3] * b[..., 4] * b[..., 5] - inter
     degenerate = union <= DEGENERATE_UNION
-    if flags is not None:
-        flags.degenerate_union += int(np.count_nonzero(degenerate))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = inter / union
     ratio = np.where(ratio > 0.0, ratio, 0.0)
-    return np.where(degenerate, 0.0, np.where(ratio < 1.0, ratio, 1.0))
+    return np.where(degenerate, 0.0, np.where(ratio < 1.0, ratio, 1.0)), degenerate
+
+
+def _clip_order(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Subject and clip rows of each pair, in the scalar iou3d's 7-key order."""
+    first = _lex_le(a, b)[:, None]
+    return np.where(first, a, b), np.where(first, b, a)
+
+
+def _iou3d_rows(a: np.ndarray, b: np.ndarray, flags: GeometryFlags | None) -> np.ndarray:
+    a, b = _box_pairs(a, b)
+    y_overlap = _y_overlap(a, b)
+    bev = np.zeros(len(a))
+    idx = np.flatnonzero(y_overlap > 0.0)
+    if idx.size:
+        subject, clip = _clip_order(a[idx], b[idx])
+        bev[idx] = _clip_area_rows(*_bev_corners_rows(subject), *_bev_corners_rows(clip))
+    iou, degenerate = _iou_from_bev(bev, y_overlap, a, b)
+    if flags is not None:
+        flags.degenerate_union += int(np.count_nonzero(degenerate))
+    return iou
 
 
 def iou3d(
@@ -568,29 +592,25 @@ SIZE_FLOOR = 1e-6
 _FOOTPRINT_PARAMS = [0, 2, 3, 4, 6]
 
 
-def iou3d_grad_fd(
+def _fd_steps(steps: np.ndarray | None) -> np.ndarray:
+    steps = DEFAULT_FD_STEPS if steps is None else np.asarray(steps, dtype=float)
+    # A positive test, so that NaN steps fail it too.
+    if steps.shape != (7,) or not np.all((steps > 0) & (steps < math.inf)):
+        raise ValueError("steps must be 7 positive values")
+    return steps
+
+
+def _iou3d_grad_fd_rows(
     a: np.ndarray,
     b_const: np.ndarray,
-    steps: np.ndarray | None = None,
-    flags: GeometryFlags | None = None,
-) -> np.ndarray:
-    """Central-difference gradient of iou3d w.r.t. the 7 parameters of ``a``.
-
-    ``a`` and ``b_const`` are (n, 7) arrays of box parameters; ``b_const``
-    is held fixed (the stop-gradient target).  Returns the (n, 7) row-wise
-    gradients, from one batched clip for the base and all footprint
-    perturbations.
-    Perturbations that would drive an extent non-positive are clamped at
-    SIZE_FLOOR and counted in ``flags.size_clamped``; the actual parameter
-    difference is used as the divisor so the estimate stays consistent.
-    """
-    steps = DEFAULT_FD_STEPS if steps is None else np.asarray(steps, dtype=float)
-    if steps.shape != (7,) or np.any(steps <= 0):
-        raise ValueError("steps must be 7 positive values")
-    a = _box_rows(a, "a")
-    b = _box_rows(b_const, "b_const")
-    if a.shape != b.shape:
-        raise ValueError(f"box arrays differ in shape: {a.shape} vs {b.shape}")
+    steps: np.ndarray | None,
+    flags: GeometryFlags | None,
+    with_iou: bool,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The IoUs (with ``with_iou``, else None) and the central-difference
+    gradients of n box pairs, from one batched clip."""
+    steps = _fd_steps(steps)
+    a, b = _box_pairs(a, b_const, "b_const")
     n = len(a)
     eye = np.eye(7, dtype=bool)
     # (n, 7, 7): row i of plus/minus perturbs parameter i only.
@@ -606,38 +626,77 @@ def iou3d_grad_fd(
                 flags.size_clamped += len(rows)
     span = plus[:, eye] - minus[:, eye]  # (n, 7)
 
+    # Clip rows: each a against b (the base footprint), the footprint
+    # perturbations against b, then, for the IoUs, the pairs with vertical
+    # overlap in iou3d's clip order.  The kernel is row-independent, so
+    # every area equals that of a separate call.
     k = len(_FOOTPRINT_PARAMS)
-    foot = np.concatenate(
-        [a, plus[:, _FOOTPRINT_PARAMS].reshape(-1, 7), minus[:, _FOOTPRINT_PARAMS].reshape(-1, 7)]
-    )
-    b_corners = [
-        np.concatenate([c, np.repeat(c, k, axis=0), np.repeat(c, k, axis=0)])
-        for c in _bev_corners_rows(b)
+    subjects = [a] + [pert[:, _FOOTPRINT_PARAMS].reshape(-1, 7) for pert in (plus, minus)]
+    clip_corners = [
+        [c, np.repeat(c, k, axis=0), np.repeat(c, k, axis=0)] for c in _bev_corners_rows(b)
     ]
-    areas = _clip_area_rows(*_bev_corners_rows(foot), *b_corners)
+    if with_iou:
+        y_overlap = _y_overlap(a, b)
+        idx = np.flatnonzero(y_overlap > 0.0)
+        subject, clip = _clip_order(a[idx], b[idx])
+        subjects.append(subject)
+        for corners, c in zip(clip_corners, _bev_corners_rows(clip)):
+            corners.append(c)
+    areas = _clip_area_rows(
+        *_bev_corners_rows(np.concatenate(subjects)), *(np.concatenate(c) for c in clip_corners)
+    )
     bev = np.empty((n, 7, 2))  # (box, parameter, plus / minus)
     bev[:] = areas[:n, None, None]
     bev[:, _FOOTPRINT_PARAMS, 0] = areas[n : n + n * k].reshape(n, k)
-    bev[:, _FOOTPRINT_PARAMS, 1] = areas[n + n * k :].reshape(n, k)
+    bev[:, _FOOTPRINT_PARAMS, 1] = areas[n + n * k : n + 2 * n * k].reshape(n, k)
 
     p = np.stack([plus, minus], axis=2)  # (n, 7, 2, 7)
-    cy, l, w, h = p[..., 1], p[..., 3], p[..., 4], p[..., 5]
-    b_yhi = (b[:, 1] + 0.5 * b[:, 5])[:, None, None]
-    b_ylo = (b[:, 1] - 0.5 * b[:, 5])[:, None, None]
-    b_vol = (b[:, 3] * b[:, 4] * b[:, 5])[:, None, None]
-    top, bottom = cy + 0.5 * h, cy - 0.5 * h
-    y_overlap = np.where(b_yhi < top, b_yhi, top) - np.where(b_ylo > bottom, b_ylo, bottom)
-    inter = np.where(y_overlap > 0.0, bev * y_overlap, 0.0)
-    union = l * w * h + b_vol - inter
-    degenerate = union <= DEGENERATE_UNION
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = inter / union
-    ratio = np.where(ratio > 0.0, ratio, 0.0)
-    value = np.where(degenerate, 0.0, np.where(ratio < 1.0, ratio, 1.0))
-
+    b_p = b[:, None, None, :]
+    value, degenerate = _iou_from_bev(bev, _y_overlap(p, b_p), p, b_p)
     moved = span != 0.0  # a zero span skips the evaluation, and its flags
     if flags is not None:
         flags.degenerate_union += int(np.count_nonzero(degenerate & moved[:, :, None]))
     grad = np.zeros((n, 7))
     grad[moved] = (value[..., 0][moved] - value[..., 1][moved]) / span[moved]
-    return grad
+    if not with_iou:
+        return None, grad
+    pair_bev = np.zeros(n)
+    pair_bev[idx] = areas[n + 2 * n * k :]
+    iou, degenerate = _iou_from_bev(pair_bev, y_overlap, a, b)
+    if flags is not None:
+        flags.degenerate_union += int(np.count_nonzero(degenerate))
+    return iou, grad
+
+
+def iou3d_grad_fd(
+    a: np.ndarray,
+    b_const: np.ndarray,
+    steps: np.ndarray | None = None,
+    flags: GeometryFlags | None = None,
+) -> np.ndarray:
+    """Central-difference gradient of iou3d w.r.t. the 7 parameters of ``a``.
+
+    ``a`` and ``b_const`` are (n, 7) arrays of box parameters; ``b_const``
+    is held fixed (the stop-gradient target).  Returns the (n, 7) row-wise
+    gradients, from one batched clip for the base and all footprint
+    perturbations.  ``steps`` must be 7 finite positive values.
+    Perturbations that would drive an extent non-positive are clamped at
+    SIZE_FLOOR and counted in ``flags.size_clamped``; the actual parameter
+    difference is used as the divisor so the estimate stays consistent.
+    """
+    return _iou3d_grad_fd_rows(a, b_const, steps, flags, with_iou=False)[1]
+
+
+def iou3d_and_grad_fd(
+    a: np.ndarray,
+    b_const: np.ndarray,
+    steps: np.ndarray | None = None,
+    flags: GeometryFlags | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``iou3d(a, b_const, flags)`` and ``iou3d_grad_fd(a, b_const, steps,
+    flags)`` from one batched clip.
+
+    Both arrays are bit-identical to the separate calls, and ``flags``
+    counts what the two calls would count together.
+    """
+    return _iou3d_grad_fd_rows(a, b_const, steps, flags, with_iou=True)

@@ -13,6 +13,7 @@ import contextvars
 import json
 import math
 import os
+import threading
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -35,8 +36,9 @@ from .xgd import (
     gate_decisions,
     gate_keep_rates,
     positive_component_update,
-    xgd_loss,
-    xgd_loss_grad,
+    xgd_loss,  # noqa: F401  (benchmarks/spans.py wraps sim.xgd_loss and sim.xgd_loss_grad)
+    xgd_loss_and_grad,
+    xgd_loss_grad,  # noqa: F401
 )
 
 # Stream tags mixed into SeedSequence entropy; they keep scene sampling,
@@ -486,57 +488,90 @@ def _usable_cpus() -> int:
 
 
 class _SceneWorkers:
-    """Workers for the per-scene phases of a minibatch; scene k always runs
-    on worker k mod n.
+    """Workers for the per-scene phases of a minibatch.
 
-    Worker 0 is the calling thread and uses ``workspace``.  Each other
-    worker is a one-thread executor with its own StepWorkspace, stopped by
-    ``close``; with one worker every call runs inline and no thread
+    Worker 0 is the calling thread and uses ``workspace``; the others are
+    threads of one pool, each running with its own StepWorkspace, stopped
+    by ``close``.  With one worker every call runs inline and no thread
     starts.
     """
 
     def __init__(self, workspace: StepWorkspace, n: int = 1) -> None:
         self.workspaces = [workspace] + [StepWorkspace() for _ in range(n - 1)]
-        self._helpers = []
+        self._pool = None
         if n > 1:
             # Imported here so that importing the package stays as fast.
             from concurrent.futures import ThreadPoolExecutor
 
-            self._helpers = [ThreadPoolExecutor(max_workers=1) for _ in range(n - 1)]
+            self._pool = ThreadPoolExecutor(max_workers=n - 1)
 
-    def map(self, fn: Callable[[int, StepWorkspace], object], n_items: int) -> list:
-        """``[fn(k, workspace) for k in range(n_items)]``, each call on scene
-        k's worker with that worker's workspace.  Returns once every call
-        has ended; if calls raised, raises the exception of the lowest k.
+    def map(
+        self,
+        fn: Callable[[int, StepWorkspace], object],
+        n_items: int,
+        first: Callable[[], object] | None = None,
+    ) -> list:
+        """``[fn(k, workspace) for k in range(n_items)]``, in batch order.
+
+        Each worker takes the next item from a shared counter and runs it
+        with its own workspace, so items start in batch order but may end
+        in any order.  With ``first``, the calling thread runs ``first()``
+        while the other workers take items, and takes items itself once it
+        returns.  Returns once every call has ended; if calls raised,
+        raises the exception of the lowest k, else that of ``first``.
         """
-        n = len(self.workspaces)
         results: list = [None] * n_items
         errors: dict[int, BaseException] = {}
+        items = iter(range(n_items))
+        lock = threading.Lock()
 
-        def work(w: int) -> None:
-            for k in range(w, n_items, n):
+        def work(ws: StepWorkspace) -> None:
+            while True:
+                with lock:
+                    k = next(items, None)
+                if k is None:
+                    return
                 try:
-                    results[k] = fn(k, self.workspaces[w])
+                    results[k] = fn(k, ws)
                 except BaseException as exc:  # re-raised below, on the calling thread
                     errors[k] = exc
 
+        # The calling thread takes an item at once unless it runs ``first``.
+        helpers = self.workspaces[1 : 1 + max(0, n_items - (first is None))]
         # Each helper runs in a copy of the caller's context, so numpy's
         # error state (np.errstate) holds on every worker.
-        pending = [
-            helper.submit(contextvars.copy_context().run, work, w)
-            for w, helper in enumerate(self._helpers[: n_items - 1], start=1)
-        ]
-        work(0)
+        pending = [self._pool.submit(contextvars.copy_context().run, work, ws) for ws in helpers]
+        first_error = None
+        if first is not None:
+            try:
+                first()
+            except BaseException as exc:  # re-raised below, after the items
+                first_error = exc
+        work(self.workspaces[0])
         for future in pending:
             future.result()
         if errors:
             raise errors[min(errors)]
+        if first_error is not None:
+            raise first_error
         return results
 
     def close(self) -> None:
         """Stop the helper threads once they finish their current calls."""
-        for helper in self._helpers:
-            helper.shutdown()
+        if self._pool is not None:
+            self._pool.shutdown()
+
+
+def _head(
+    feats: np.ndarray, w: np.ndarray, b: np.ndarray, ws: StepWorkspace, name: str, width: int
+) -> np.ndarray:
+    """One linear head at every position, ``feats @ w + b``, computed into
+    the workspace array ``name`` and returned as (n_anchors, width) rows."""
+    if feats.shape[1] != w.shape[0]:
+        raise ValueError(f"feature dim {feats.shape[1]} does not match params ({w.shape[0]})")
+    out = np.matmul(feats, w, out=ws.array(name, (feats.shape[0], w.shape[1])))
+    out += b
+    return out.reshape(-1, width)
 
 
 def student_forward(
@@ -548,22 +583,13 @@ def student_forward(
     arrays, overwritten by the next forward pass through it.
     """
     feats = scene.features
-    if feats.shape[1] != params.w_cls.shape[0]:
-        raise ValueError(
-            f"feature dim {feats.shape[1]} does not match params ({params.w_cls.shape[0]})"
-        )
     ws = StepWorkspace() if workspace is None else workspace
     n = feats.shape[0]
-    k_ac = params.w_cls.shape[1]
-    k_a7 = params.w_reg.shape[1]
-    k_a = k_a7 // 7
-    logits = np.matmul(feats, params.w_cls, out=ws.array("logits", (n, k_ac)))
-    logits += params.b_cls
-    deltas = np.matmul(feats, params.w_reg, out=ws.array("deltas", (n, k_a7)))
-    deltas += params.b_reg
-    return DetectorOutputs(
-        logits=logits.reshape(n, k_a, k_ac // k_a), deltas=deltas.reshape(n, k_a, 7)
-    )
+    k_a = params.w_reg.shape[1] // 7
+    k_c = params.w_cls.shape[1] // k_a
+    logits = _head(feats, params.w_cls, params.b_cls, ws, "logits", k_c)
+    deltas = _head(feats, params.w_reg, params.b_reg, ws, "deltas", 7)
+    return DetectorOutputs(logits=logits.reshape(n, k_a, k_c), deltas=deltas.reshape(n, k_a, 7))
 
 
 def teacher_predict(
@@ -867,50 +893,50 @@ def _scene_targets(
 
 
 @dataclass(frozen=True)
-class _SceneTerms:
-    """One scene's loss terms before XGD, and the small arrays XGD and the
-    delta gradient read later (no dense buffer is kept)."""
+class _RegressionTerms:
+    """One scene's smooth-L1 term, and the small arrays XGD and the delta
+    gradient read later (no dense buffer is kept)."""
 
-    ori: float
-    cld: float
+    reg: float
     base_rows: np.ndarray  # smooth-L1 gradient at the positives, / norm
     xgd_deltas: np.ndarray  # student deltas at the XGD rows
     n_anchors: int
 
 
-def _scene_terms(
-    student: DetectorOutputs, t: _SceneTargets, cfg: LossConfig, ws: StepWorkspace
-) -> tuple[_SceneTerms, np.ndarray]:
-    """Focal + smooth-L1 base loss and CLD of one scene, plus the flat logit
-    gradient (the workspace's ``dlogits``, complete: XGD adds none)."""
-    floss, dlogits = _focal_terms(
-        student.logits_flat, t.pos, t.pos_classes, t.ignore_rows, cfg.focal_gamma,
-        cfg.focal_alpha, ws,
+def _regression_terms(
+    deltas_flat: np.ndarray, t: _SceneTargets, cfg: LossConfig
+) -> _RegressionTerms:
+    """Smooth-L1 regression term of one scene from its flat student deltas."""
+    sl, sg = _smooth_l1(deltas_flat[t.pos] - t.target_deltas, cfg.smooth_l1_beta)
+    return _RegressionTerms(
+        reg=float(sl.sum()) / t.norm,
+        base_rows=sg / t.norm,
+        xgd_deltas=deltas_flat[t.xgd_rows],
+        n_anchors=deltas_flat.shape[0],
     )
-    cls_term = floss / t.norm
-    dlogits /= t.norm
-    sl, sg = _smooth_l1(student.deltas_flat[t.pos] - t.target_deltas, cfg.smooth_l1_beta)
-    reg_term = float(sl.sum()) / t.norm
 
+
+def _classification_terms(
+    logits_flat: np.ndarray, t: _SceneTargets, cfg: LossConfig, ws: StepWorkspace
+) -> tuple[float, float, np.ndarray]:
+    """Focal term and CLD of one scene from its flat student logits, plus
+    the flat logit gradient (the workspace's ``dlogits``, complete: XGD
+    adds none)."""
+    floss, dlogits = _focal_terms(
+        logits_flat, t.pos, t.pos_classes, t.ignore_rows, cfg.focal_gamma, cfg.focal_alpha, ws
+    )
+    dlogits /= t.norm
     cld_term = 0.0
     if t.teacher_dist is not None:
-        s_dist = unified_distribution(
-            extract_logit_map(student, t.cld_positions, t.cld_k_a), cfg.tau
-        )
+        student_map = LogitMap(values=logits_flat[t.cld_rows], k_a=t.cld_k_a)
+        s_dist = unified_distribution(student_map, cfg.tau)
         cld_term = cld_loss(t.teacher_dist, s_dist)
         dlogits[t.cld_rows] += cfg.cld_weight * cld_grad(t.teacher_dist, s_dist, cfg.tau)
-    terms = _SceneTerms(
-        ori=cls_term + reg_term,
-        cld=cld_term,
-        base_rows=sg / t.norm,
-        xgd_deltas=student.deltas_flat[t.xgd_rows],
-        n_anchors=student.deltas_flat.shape[0],
-    )
-    return terms, dlogits
+    return floss / t.norm, cld_term, dlogits
 
 
 def _xgd_terms(
-    terms: Sequence[_SceneTerms],
+    terms: Sequence[_RegressionTerms],
     targets: Sequence[_SceneTargets],
     cfg: LossConfig,
     flags: GeometryFlags | None,
@@ -919,7 +945,8 @@ def _xgd_terms(
 
     Returns, per scene, the loss term, the gate keep rates and the delta
     gradient at its XGD rows (None without rows).  Every value equals a
-    separate pass over that scene alone.
+    separate pass over that scene alone.  The losses and the gradient come
+    from one batched clip.
     """
     sizes = [t.xgd_rows.size for t in targets]
     if not any(sizes):
@@ -942,8 +969,9 @@ def _xgd_terms(
         )
     else:
         box_targets = teacher_rows
-    losses = xgd_loss(student_rows, box_targets, flags, sizes=sizes)
-    grad = xgd_loss_grad(deltas, anchors, box_targets, flags, student_rows=student_rows)
+    losses, grad = xgd_loss_and_grad(
+        deltas, anchors, box_targets, sizes, flags, student_rows=student_rows
+    )
     out = []
     start = 0
     for loss, n in zip(losses, sizes):
@@ -955,7 +983,8 @@ def _xgd_terms(
 
 
 def _minibatch_losses(
-    students: Callable[[int, StepWorkspace], DetectorOutputs],
+    deltas_of: Callable[[int, StepWorkspace], np.ndarray],
+    logits_of: Callable[[int, StepWorkspace], np.ndarray],
     targets: Sequence[_SceneTargets],
     cfg: LossConfig,
     flags: GeometryFlags | None,
@@ -965,45 +994,79 @@ def _minibatch_losses(
 ) -> tuple[list[LossBreakdown], list, list]:
     """Losses of the scenes of one minibatch, in three phases.
 
-    A, per scene on ``workers``: ``students(k, workspace)`` gives scene k's
-    outputs, then its base loss, CLD and flat logit gradient, which
-    ``logit_work(k, dlogits)`` reads on the same worker.  B, on the calling
-    thread: one XGD pass over all scenes, the only phase that writes
-    ``flags``.  C, per scene on ``workers``: the flat delta gradient, read
-    by ``delta_work(k, ddeltas)``.  The gradients are workspace arrays,
-    overwritten by the worker's next scene.  Returns the breakdowns and
-    what ``logit_work`` and ``delta_work`` returned, in batch order.
+    1, per scene on ``workers``: ``deltas_of(k, workspace)`` gives scene
+    k's flat regression deltas, from which its smooth-L1 term and XGD rows
+    are taken.  2, one XGD pass over all scenes on the calling thread, the
+    only part that writes ``flags``, while the other workers run each
+    scene's classification side: ``logits_of(k, workspace)``, the focal
+    loss, CLD and the flat logit gradient, which ``logit_work(k,
+    dlogits)`` reads on the same worker.  Once XGD ends, the calling
+    thread takes classification work too.  3, per scene on ``workers``:
+    the flat delta gradient, read by ``delta_work(k, ddeltas)``.  The
+    gradients are workspace arrays, overwritten by the worker's next
+    scene.  Returns the breakdowns and what ``logit_work`` and
+    ``delta_work`` returned, in batch order.
     """
+    n = len(targets)
+    regression = workers.map(lambda k, ws: _regression_terms(deltas_of(k, ws), targets[k], cfg), n)
 
-    def phase_a(k: int, ws: StepWorkspace) -> tuple[_SceneTerms, object]:
-        terms, dlogits = _scene_terms(students(k, ws), targets[k], cfg, ws)
-        return terms, logit_work(k, dlogits)
+    def classification(k: int, ws: StepWorkspace) -> tuple[float, float, object]:
+        cls_term, cld_term, dlogits = _classification_terms(logits_of(k, ws), targets[k], cfg, ws)
+        return cls_term, cld_term, logit_work(k, dlogits)
 
-    terms, logit_out = zip(*workers.map(phase_a, len(targets)))
-    xgd = _xgd_terms(terms, targets, cfg, flags)
+    xgd: list = []
+    classified = workers.map(
+        classification, n, first=lambda: xgd.extend(_xgd_terms(regression, targets, cfg, flags))
+    )
 
-    def phase_c(k: int, ws: StepWorkspace) -> object:
-        t, st, g = targets[k], terms[k], xgd[k][2]
+    def gradient(k: int, ws: StepWorkspace) -> object:
+        t, r, g = targets[k], regression[k], xgd[k][2]
         # Only the positive rows of the delta gradient are ever nonzero.
-        ddeltas = ws.zeros("ddeltas", (st.n_anchors, 7), t.pos)
-        ddeltas[t.pos] = st.base_rows
+        ddeltas = ws.zeros("ddeltas", (r.n_anchors, 7), t.pos)
+        ddeltas[t.pos] = r.base_rows
         if g is not None:
             ddeltas[t.xgd_rows] += cfg.xgd_weight * g
         return delta_work(k, ddeltas)
 
-    delta_out = workers.map(phase_c, len(targets))
-    breakdowns = [
-        LossBreakdown(
-            total=st.ori + cfg.xgd_weight * xgd_term + cfg.cld_weight * st.cld,
-            ori=st.ori,
-            xgd=xgd_term,
-            cld=st.cld,
-            n_pos=int(t.pos.size),
-            gate_keep=gate_keep,
+    delta_out = workers.map(gradient, n)
+    breakdowns = []
+    for t, r, (cls_term, cld_term, _), (xgd_term, gate_keep, _) in zip(
+        targets, regression, classified, xgd
+    ):
+        ori = cls_term + r.reg
+        breakdowns.append(
+            LossBreakdown(
+                total=ori + cfg.xgd_weight * xgd_term + cfg.cld_weight * cld_term,
+                ori=ori,
+                xgd=xgd_term,
+                cld=cld_term,
+                n_pos=int(t.pos.size),
+                gate_keep=gate_keep,
+            )
         )
-        for t, st, (xgd_term, gate_keep, _) in zip(targets, terms, xgd)
-    ]
-    return breakdowns, list(logit_out), delta_out
+    return breakdowns, [c[2] for c in classified], delta_out
+
+
+def _one_scene(
+    student: DetectorOutputs,
+    targets: _SceneTargets,
+    cfg: LossConfig,
+    flags: GeometryFlags | None,
+    workspace: StepWorkspace,
+) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
+    """The minibatch step on one scene with given outputs, inline: its
+    breakdown and flat logit and delta gradients."""
+    (breakdown,), (dlogits,), (ddeltas,) = _minibatch_losses(
+        lambda _, __: student.deltas_flat,
+        lambda _, __: student.logits_flat,
+        [targets],
+        cfg,
+        flags,
+        _SceneWorkers(workspace),
+        logit_work=lambda _, dlogits: dlogits,
+        delta_work=lambda _, ddeltas: ddeltas,
+    )
+    return breakdown, dlogits, ddeltas
 
 
 def base_loss(
@@ -1018,8 +1081,8 @@ def base_loss(
     The classification term runs over all non-ignore anchors; both terms
     are normalized by max(1, n_pos).
     """
-    terms, _ = _scene_terms(outputs, _scene_targets(scene, assignment, grid, cfg), cfg, StepWorkspace())
-    return terms.ori
+    targets = _scene_targets(scene, assignment, grid, cfg)
+    return _one_scene(outputs, targets, cfg, None, StepWorkspace())[0].ori
 
 
 def total_loss(
@@ -1057,14 +1120,12 @@ def total_loss_and_grad(
     """
     if student.logits.shape != teacher.grid_shape:
         raise ValueError("student and teacher outputs must share the grid layout")
-    (breakdown,), (dlogits_flat,), (ddeltas_flat,) = _minibatch_losses(
-        lambda _, __: student,
-        [_scene_targets(scene, assignment, grid, cfg, teacher)],
+    breakdown, dlogits_flat, ddeltas_flat = _one_scene(
+        student,
+        _scene_targets(scene, assignment, grid, cfg, teacher),
         cfg,
         flags,
-        _SceneWorkers(StepWorkspace() if workspace is None else workspace),
-        logit_work=lambda _, dlogits: dlogits,
-        delta_work=lambda _, ddeltas: ddeltas,
+        StepWorkspace() if workspace is None else workspace,
     )
     return (
         breakdown,
@@ -1165,18 +1226,24 @@ def _minibatch_grads(
     """One optimizer minibatch: per-scene breakdowns and the weight
     gradients (w_cls, b_cls, w_reg, b_reg) summed over its scenes.
 
-    Each scene's forward pass and weight-gradient products run on its
-    worker, in that worker's workspace.  Raises _NonFiniteDeltas for the
-    first scene in batch order whose positive-anchor deltas are not
-    finite.
+    Each scene's two heads and weight-gradient products run on the
+    workers, in the workspace of the worker that runs them.  Raises
+    _NonFiniteDeltas for the first scene in batch order whose
+    positive-anchor deltas are not finite.
     """
 
-    def forward(k: int, ws: StepWorkspace) -> DetectorOutputs:
-        outputs = student_forward(params, scenes[k], ws)
+    k_a = params.w_reg.shape[1] // 7
+    k_c = params.w_cls.shape[1] // k_a
+
+    def deltas_of(k: int, ws: StepWorkspace) -> np.ndarray:
+        deltas = _head(scenes[k].features, params.w_reg, params.b_reg, ws, "deltas", 7)
         # Decoding would reject non-finite deltas with a bare ValueError.
-        if not np.all(np.isfinite(outputs.deltas_flat[targets[k].pos])):
+        if not np.all(np.isfinite(deltas[targets[k].pos])):
             raise _NonFiniteDeltas(scenes[k].seed)
-        return outputs
+        return deltas
+
+    def logits_of(k: int, ws: StepWorkspace) -> np.ndarray:
+        return _head(scenes[k].features, params.w_cls, params.b_cls, ws, "logits", k_c)
 
     def logit_products(k: int, dlogits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         feats = scenes[k].features
@@ -1191,7 +1258,7 @@ def _minibatch_grads(
         return feats.T @ dd, dd[targets[k].pos_positions].sum(axis=0)
 
     breakdowns, logit_out, delta_out = _minibatch_losses(
-        forward, targets, cfg, flags, workers, logit_products, delta_products
+        deltas_of, logits_of, targets, cfg, flags, workers, logit_products, delta_products
     )
     grads = [np.zeros_like(w) for w in (params.w_cls, params.b_cls, params.w_reg, params.b_reg)]
     # Added in batch order, whichever worker finished first, so every sum
@@ -1219,19 +1286,24 @@ def train(
     What depends only on a scene (its dense features, encoded targets,
     teacher boxes and distributions) is built once per call; gates and
     distillation targets are recomputed at every step from the current
-    student, with one XGD pass per minibatch.  Each teacher response must hold the positive
-    anchors of its scene's assignment (ValueError otherwise).  Raises
-    TrainingDivergedError with a diagnostic
-    snapshot when training stops being finite.  Within a minibatch,
-    non-finite positive-anchor deltas of any scene are reported before a
-    non-finite loss of any scene, each for the first such scene in batch
-    order; non-finite weights are reported after the Adam step.
+    student, with one XGD pass per minibatch.  Each teacher response must
+    hold the positive anchors of its scene's assignment (ValueError
+    otherwise).  Raises TrainingDivergedError with a diagnostic snapshot
+    when training stops being finite.  Within a minibatch, non-finite
+    positive-anchor deltas of any scene are reported before a non-finite
+    loss of any scene, each for the first such scene in batch order;
+    non-finite weights are reported after the Adam step.
 
-    The per-scene work of a minibatch (forward pass, base loss, CLD, the
-    dense gradients and their weight-gradient products) runs on
-    min(batch size, scenes, usable CPUs) workers: this thread and threads
-    that live for this call, each with its own workspace.  XGD runs once
-    per minibatch on this thread.  Every scene goes through the same
+    A minibatch runs in three phases on min(batch size, scenes, usable
+    CPUs) workers: this thread and threads that live for this call, each
+    with its own workspace, taking scenes in batch order as they come
+    free.  First, per scene, the regression head, the finiteness check of
+    the positive deltas and the smooth-L1 term.  Second, the XGD pass over
+    the whole minibatch on this thread (one batched clip for its losses
+    and its IoU gradient), while the other workers run each scene's
+    classification head, focal loss, CLD and logit-gradient products;
+    this thread joins them when XGD ends.  Third, per scene, the
+    delta-gradient products.  Every scene goes through the same
     operations on whichever worker runs it, and its products are added
     into the weight gradients in batch order, so weights, history and
     ``flags`` are the same bits for any number of workers.  OpenBLAS runs

@@ -483,8 +483,9 @@ def clip_tie_cases(rng: np.random.Generator, n_each: int) -> dict[str, list[tupl
 
 
 def check_clip_kernel_bit_identity(n_random: int = 1000) -> CheckResult:
-    """Batched clip kernel, array bev_iou and array iou3d vs the scalar
-    path, with ==."""
+    """Batched clip kernel, array bev_iou, array iou3d and the fused
+    IoU-and-gradient call vs the scalar path (the gradient vs
+    iou3d_grad_fd on the same rows), with ==."""
     t0 = time.time()
     rng = np.random.default_rng(37)
     pairs = [_near_pair(rng) for _ in range(n_random)]
@@ -498,6 +499,8 @@ def check_clip_kernel_bit_identity(n_random: int = 1000) -> CheckResult:
     iou_rows = geom.bev_iou(a_rows, b_rows)
     flags_rows, flags_pairs = geom.GeometryFlags(), geom.GeometryFlags()
     iou3d_rows = geom.iou3d(a_rows, b_rows, flags_rows)
+    flags_fused = geom.GeometryFlags()
+    fused_rows, fused_grad = geom.iou3d_and_grad_fd(a_rows, b_rows, flags=flags_fused)
     failures = []
     for k, (a, b) in enumerate(pairs):
         area = max(0.0, geom._signed_area(geom._clip(geom._bev_corners(a), geom._bev_corners(b))))
@@ -508,14 +511,25 @@ def check_clip_kernel_bit_identity(n_random: int = 1000) -> CheckResult:
         iou = geom.iou3d(a, b, flags_pairs)
         if iou3d_rows[k] != iou:
             failures.append(f"iou3d {iou3d_rows[k]!r} != {iou!r} for {a} / {b}")
+        if fused_rows[k] != iou:
+            failures.append(f"fused iou3d {fused_rows[k]!r} != {iou!r} for {a} / {b}")
     if flags_rows != flags_pairs:
         failures.append(f"iou3d flags {flags_rows} != {flags_pairs}")
+    flags_apart = replace(flags_pairs)
+    grad_rows = geom.iou3d_grad_fd(a_rows, b_rows, flags=flags_apart)
+    differ = np.flatnonzero(np.any(fused_grad != grad_rows, axis=1))
+    if differ.size:
+        first = pairs[differ[0]]
+        failures.append(f"fused gradient != iou3d_grad_fd in {differ.size} rows, first {first}")
+    if flags_fused != flags_apart:
+        failures.append(f"fused flags {flags_fused} != {flags_apart}")
     return CheckResult(
         "clip_kernel_bit_identity",
         not failures,
         f"{len(failures)} mismatches, first: {failures[0]}"
         if failures
-        else f"{len(pairs)} pairs: kernel areas, array bev_iou and array iou3d equal the scalar path",
+        else f"{len(pairs)} pairs: kernel areas, array bev_iou, array iou3d and the fused "
+        "IoU and gradient equal the scalar path and iou3d_grad_fd",
         time.time() - t0,
     )
 

@@ -23,6 +23,7 @@ from .geometry import (
     DEFAULT_FD_STEPS,
     GeometryFlags,
     iou3d,
+    iou3d_and_grad_fd,
     iou3d_grad_fd,
     wrap_angle_array,
 )
@@ -163,6 +164,20 @@ def positive_component_update(
     return np.where(take, teacher, student)
 
 
+def _group_sums(terms: list[float], sizes: Sequence[int] | None) -> float | list[float]:
+    """One sum per group of consecutive ``terms`` (one sum without
+    ``sizes``), in order; zero for an empty group."""
+    groups = [len(terms)] if sizes is None else [int(k) for k in sizes]
+    if any(k < 0 for k in groups) or sum(groups) != len(terms):
+        raise ValueError(f"group sizes {groups} do not partition {len(terms)} boxes")
+    losses = []
+    start = 0
+    for k in groups:
+        losses.append(sum(terms[start : start + k]) if k else 0.0)
+        start += k
+    return losses if sizes is not None else losses[0]
+
+
 def xgd_loss(
     student_boxes: np.ndarray,
     targets: np.ndarray,
@@ -179,16 +194,52 @@ def xgd_loss(
     separate call.
     """
     student_rows, target_rows = _box_rows(student=student_boxes, targets=targets)
-    terms = (1.0 - iou3d(student_rows, target_rows, flags)).tolist()
-    groups = [len(terms)] if sizes is None else [int(k) for k in sizes]
-    if any(k < 0 for k in groups) or sum(groups) != len(terms):
-        raise ValueError(f"group sizes {groups} do not partition {len(terms)} boxes")
-    losses = []
-    start = 0
-    for k in groups:
-        losses.append(sum(terms[start : start + k]) if k else 0.0)
-        start += k
-    return losses if sizes is not None else losses[0]
+    return _group_sums((1.0 - iou3d(student_rows, target_rows, flags)).tolist(), sizes)
+
+
+def _loss_and_grad(
+    student_deltas: np.ndarray,
+    anchor_params: np.ndarray,
+    targets: np.ndarray,
+    flags: GeometryFlags | None,
+    student_rows: np.ndarray | None,
+    sizes: Sequence[int] | None,
+) -> tuple[list[float] | None, np.ndarray]:
+    """The grouped :func:`xgd_loss` (None without ``sizes``) and
+    :func:`xgd_loss_grad`, from one batched clip."""
+    student_deltas = np.asarray(student_deltas, dtype=float)
+    anchor_params = np.asarray(anchor_params, dtype=float)
+    (target_rows,) = _box_rows(targets=targets)
+    n = student_deltas.shape[0]
+    if target_rows.shape[0] != n or anchor_params.shape[0] != n:
+        raise ValueError("deltas, anchors, and targets must be index-aligned")
+    if n == 0:
+        return (None if sizes is None else _group_sums([], sizes)), np.zeros_like(student_deltas)
+    clip = GRAD_CLIP_FACTOR / DEFAULT_FD_STEPS
+    if student_rows is None:
+        student_rows = decode_deltas(student_deltas, anchor_params, flags)
+    elif np.shape(student_rows) != (n, 7):
+        raise ValueError("student_rows must be the (n, 7) decode of student_deltas")
+    # The IoU calls reject a non-finite or non-positive decode.
+    losses = None
+    if sizes is None:
+        g_box = -iou3d_grad_fd(student_rows, target_rows, flags=flags)
+    else:
+        iou, g_box = iou3d_and_grad_fd(student_rows, target_rows, flags=flags)
+        losses = _group_sums((1.0 - iou).tolist(), sizes)
+        g_box = -g_box
+    over = np.abs(g_box) > clip
+    if np.any(over):
+        g_box = np.clip(g_box, -clip, clip)
+        if flags is not None:
+            flags.gradient_clipped += int(np.count_nonzero(over))
+    # d(box)/d(delta): centers scale by diag / anchor height, extents by
+    # the decoded extent itself, yaw passes through.
+    diag = np.hypot(anchor_params[:, 3], anchor_params[:, 4])
+    jac = np.column_stack(
+        [diag, anchor_params[:, 5], diag, student_rows[:, 3:6], np.ones(n)]
+    )
+    return losses, g_box * jac
 
 
 def xgd_loss_grad(
@@ -210,33 +261,24 @@ def xgd_loss_grad(
     ``student_rows`` is the decode of ``student_deltas`` when the caller
     already has it (its decode clamps already counted in ``flags``).
     """
-    student_deltas = np.asarray(student_deltas, dtype=float)
-    anchor_params = np.asarray(anchor_params, dtype=float)
-    (target_rows,) = _box_rows(targets=targets)
-    n = student_deltas.shape[0]
-    if target_rows.shape[0] != n or anchor_params.shape[0] != n:
-        raise ValueError("deltas, anchors, and targets must be index-aligned")
-    if n == 0:
-        return np.zeros_like(student_deltas)
-    clip = GRAD_CLIP_FACTOR / DEFAULT_FD_STEPS
-    if student_rows is None:
-        student_rows = decode_deltas(student_deltas, anchor_params, flags)
-    elif np.shape(student_rows) != (n, 7):
-        raise ValueError("student_rows must be the (n, 7) decode of student_deltas")
-    # iou3d_grad_fd rejects a non-finite or non-positive decode.
-    g_box = -iou3d_grad_fd(student_rows, target_rows, flags=flags)
-    over = np.abs(g_box) > clip
-    if np.any(over):
-        g_box = np.clip(g_box, -clip, clip)
-        if flags is not None:
-            flags.gradient_clipped += int(np.count_nonzero(over))
-    # d(box)/d(delta): centers scale by diag / anchor height, extents by
-    # the decoded extent itself, yaw passes through.
-    diag = np.hypot(anchor_params[:, 3], anchor_params[:, 4])
-    jac = np.column_stack(
-        [diag, anchor_params[:, 5], diag, student_rows[:, 3:6], np.ones(n)]
-    )
-    return g_box * jac
+    return _loss_and_grad(student_deltas, anchor_params, targets, flags, student_rows, None)[1]
+
+
+def xgd_loss_and_grad(
+    student_deltas: np.ndarray,
+    anchor_params: np.ndarray,
+    targets: np.ndarray,
+    sizes: Sequence[int],
+    flags: GeometryFlags | None = None,
+    student_rows: np.ndarray | None = None,
+) -> tuple[list[float], np.ndarray]:
+    """``xgd_loss(student_rows, targets, flags, sizes)`` and
+    :func:`xgd_loss_grad` from one batched clip (:func:`iou3d_and_grad_fd`).
+
+    Both are bit-identical to the separate calls, and ``flags`` counts
+    what the two calls would count together.
+    """
+    return _loss_and_grad(student_deltas, anchor_params, targets, flags, student_rows, sizes)
 
 
 def gate_keep_rates(decisions: np.ndarray) -> dict[str, float]:

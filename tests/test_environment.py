@@ -30,13 +30,13 @@ def test_training_runs_openblas_on_one_thread_and_restores_the_count(monkeypatch
 
     _loaded_openblas_threads()
     seen = set()
-    forward = sim_mod.student_forward
+    head = sim_mod._head  # each head of every forward pass, in training and out
 
     def recording(*args):
         seen.add(openblas_threads())
-        return forward(*args)
+        return head(*args)
 
-    monkeypatch.setattr(sim_mod, "student_forward", recording)
+    monkeypatch.setattr(sim_mod, "_head", recording)
     cfg = _small_training_config()
     dataset = build_dataset(cfg, 0)
     # The first step lands the weights near 1e308 and the next one diverges.

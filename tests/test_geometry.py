@@ -13,6 +13,7 @@ from boxdistill.geometry import (
     _signed_area,
     bev_iou,
     iou3d,
+    iou3d_and_grad_fd,
     iou3d_grad_fd,
     iou3d_mc_oracle,
     wrap_angle,
@@ -327,6 +328,13 @@ class TestIoUGradFD:
         box = Box3D(0, 0, 0, 1, 1, 1, 0)
         with pytest.raises(ValueError):
             grad_fd(box, box, steps=np.zeros(7))
+        rows = box.as_array()[None, :]
+        for bad in (math.nan, math.inf):
+            steps = np.full(7, 1e-3)
+            steps[6] = bad
+            for call in (iou3d_grad_fd, iou3d_and_grad_fd):
+                with pytest.raises(ValueError, match="steps must be 7 positive values"):
+                    call(rows, rows, steps=steps)
 
 
 def scalar_clip_area(a, b):
@@ -559,3 +567,86 @@ class TestIoUGradFDBatch:
         )
         for row, (a, b) in zip(batch, pairs):
             assert np.array_equal(grad_fd(a, b), row)
+
+
+class TestIoUAndGradFD:
+    """The fused call equals iou3d and iou3d_grad_fd bit for bit, flags
+    included, from one clip-kernel call."""
+
+    @staticmethod
+    def assert_matches_separate_calls(pairs, steps=None):
+        a = np.array([p[0].as_array() for p in pairs]).reshape(-1, 7)
+        b = np.array([p[1].as_array() for p in pairs]).reshape(-1, 7)
+        flags_fused, flags_apart = GeometryFlags(), GeometryFlags()
+        iou, grad = iou3d_and_grad_fd(a, b, steps=steps, flags=flags_fused)
+        want_iou = iou3d(a, b, flags_apart)
+        want_grad = iou3d_grad_fd(a, b, steps=steps, flags=flags_apart)
+        assert iou.shape == (len(pairs),) and grad.shape == (len(pairs), 7)
+        assert np.array_equal(iou, want_iou)
+        assert np.array_equal(grad, want_grad)
+        assert flags_fused == flags_apart
+        return iou, flags_fused
+
+    def test_random_near_and_identical_pairs(self):
+        rng = np.random.default_rng(67)
+        pairs = [overlapping_pair(rng) for _ in range(200)]
+        pairs += [(a, a) for a, _ in pairs[:50]]
+        pairs += [(b, a) for a, b in pairs]
+        iou, _ = self.assert_matches_separate_calls(pairs)
+        assert np.count_nonzero(iou == 1.0) >= 50
+
+    @pytest.mark.parametrize("kind", CLIP_TIE_KINDS)
+    def test_tie_cases(self, kind):
+        pairs = clip_tie_cases(np.random.default_rng(71), 25)[kind]
+        self.assert_matches_separate_calls(pairs + [(b, a) for a, b in pairs])
+
+    def test_vertically_disjoint_pairs_get_no_clip_row(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        pairs = []
+        for _ in range(30):
+            a = random_box(rng)
+            pairs.append((a, replace(a, cy=a.cy + 2.0 * a.h)))
+        pairs += [overlapping_pair(rng) for _ in range(10)]
+        rows = []
+        clip = geom._clip_area_rows
+
+        def counting(*corners):
+            rows.append(len(corners[0]))
+            return clip(*corners)
+
+        monkeypatch.setattr(geom, "_clip_area_rows", counting)
+        iou, _ = self.assert_matches_separate_calls(pairs)
+        assert not np.any(iou[:30])
+        n_overlap = sum(
+            min(a.cy + 0.5 * a.h, b.cy + 0.5 * b.h) - max(a.cy - 0.5 * a.h, b.cy - 0.5 * b.h) > 0.0
+            for a, b in pairs
+        )
+        assert 0 < n_overlap <= 10
+        # Calls: fused, iou3d, iou3d_grad_fd.  The fused call clips the FD
+        # rows (base plus 2 x 5 footprint perturbations per pair) and one
+        # row per pair with vertical overlap.
+        n = len(pairs)
+        assert rows == [11 * n + n_overlap, n_overlap, 11 * n]
+
+    def test_size_floor_clamps_and_degenerate_unions(self):
+        rng = np.random.default_rng(79)
+        pairs = []
+        for _ in range(20):
+            a = random_box(rng)
+            pairs.append((replace(a, l=1e-7, w=5e-4, h=1e-5), replace(a, l=1e-5, w=1e-5, h=1e-5)))
+        _, flags = self.assert_matches_separate_calls(pairs)
+        assert flags.size_clamped > 0 and flags.degenerate_union > 0
+        _, flags = self.assert_matches_separate_calls(pairs, steps=np.full(7, 1e-20))
+        assert flags.degenerate_union > 0
+
+    def test_empty_batch(self):
+        flags = GeometryFlags()
+        iou, grad = iou3d_and_grad_fd(np.zeros((0, 7)), np.zeros((0, 7)), flags=flags)
+        assert iou.shape == (0,) and grad.shape == (0, 7)
+        assert flags == GeometryFlags()
+
+    def test_rejects_bad_rows_as_the_separate_calls_do(self):
+        good = Box3D(0, 0, 0, 1, 1, 1, 0).as_array()[None, :]
+        for bad in (np.zeros((2, 7)), np.array([[0, 0, 0, 1, 0.0, 1, 0]]), np.full((1, 7), np.nan)):
+            with pytest.raises(ValueError):
+                iou3d_and_grad_fd(good, bad)

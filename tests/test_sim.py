@@ -958,13 +958,58 @@ class TestMinibatchStep:
                     clamps += flags_step.decode_clamped
         assert clamps > 0
 
+    def test_xgd_pass_equals_grouped_xgd_loss_and_its_gradient(self):
+        # The pass scores its losses and gradient in one clip; they must
+        # equal xgd_loss(..., sizes=...) and xgd_loss_grad over the same rows.
+        from boxdistill.config import default_arm_matrix
+        from boxdistill.geometry import GeometryFlags
+        from boxdistill.sim import _regression_terms, _scene_targets, _xgd_terms
+        from boxdistill.xgd import positive_component_update, xgd_loss, xgd_loss_grad
+
+        ds, param_sets = self._dataset()
+        arms = [a for a in default_arm_matrix() if a.loss.xgd_weight > 0]
+        assert {a.loss.xgd_selection for a in arms} == {"gate", "confidence"}
+        for arm in arms:
+            cfg = arm.loss
+            targets = [
+                _scene_targets(s, a, ds.grid, cfg, t)
+                for s, t, a in zip(ds.train_scenes, ds.teacher_train, ds.train_assignments)
+            ]
+            sizes = [t.xgd_rows.size for t in targets]
+            assert all(sizes)
+            anchors = np.concatenate([t.xgd_anchors for t in targets])
+            teacher_rows = np.concatenate([t.xgd_teacher for t in targets])
+            for params in param_sets:
+                terms = [
+                    _regression_terms(student_forward(params, s).deltas_flat, t, cfg)
+                    for s, t in zip(ds.train_scenes, targets)
+                ]
+                flags_pass, flags_apart = GeometryFlags(), GeometryFlags()
+                got = _xgd_terms(terms, targets, cfg, flags_pass)
+
+                deltas = np.concatenate([r.xgd_deltas for r in terms])
+                student_rows = decode_deltas(deltas, anchors, flags_apart)
+                box_targets = teacher_rows
+                if cfg.xgd_selection == "gate":
+                    box_targets = positive_component_update(
+                        teacher_rows, student_rows, np.concatenate([t.xgd_gt for t in targets]),
+                        cfg.gate_eps, components=cfg.xgd_components,
+                    )
+                want = xgd_loss(student_rows, box_targets, flags_apart, sizes=sizes)
+                want_grad = xgd_loss_grad(
+                    deltas, anchors, box_targets, flags_apart, student_rows=student_rows
+                )
+                assert [loss for loss, _, _ in got] == want, arm.name
+                assert np.array_equal(np.concatenate([g for _, _, g in got]), want_grad), arm.name
+                assert flags_pass == flags_apart, arm.name
+
     def test_one_xgd_pass_per_minibatch(self, monkeypatch):
         import boxdistill.geometry as geometry_mod
         import boxdistill.sim as sim_mod
         import boxdistill.xgd as xgd_mod
 
         ds, _ = self._dataset()
-        counts = {"gate": 0, "fd": 0, "iou3d": 0, "decode": 0}
+        counts = {"gate": 0, "fused": 0, "fd": 0, "iou3d": 0, "decode": 0}
 
         def counting(module, name, key):
             original = getattr(module, name)
@@ -976,13 +1021,15 @@ class TestMinibatchStep:
             monkeypatch.setattr(module, name, wrapped)
 
         counting(sim_mod, "gate_decisions", "gate")
+        counting(xgd_mod, "iou3d_and_grad_fd", "fused")
         counting(xgd_mod, "iou3d_grad_fd", "fd")
         counting(xgd_mod, "iou3d", "iou3d")
         counting(sim_mod, "decode_deltas", "decode")
         opt = OptimizerConfig(epochs=2, batch_size=4)
         train(ds.grid, ds.train_scenes, ds.teacher_train, ds.train_assignments, LossConfig(), opt, seed=0)
-        # 5 scenes: batches of 4 and 1 per epoch; teacher boxes decoded once per scene.
-        assert counts == {"gate": 4, "fd": 4, "iou3d": 4, "decode": 4 + 5}
+        # 5 scenes: batches of 4 and 1 per epoch; teacher boxes decoded once
+        # per scene.  Each pass scores its losses and gradient in one clip.
+        assert counts == {"gate": 4, "fused": 4, "fd": 0, "iou3d": 0, "decode": 4 + 5}
 
 
 class TestWorkerCount:
@@ -1056,6 +1103,8 @@ class TestWorkerCount:
             assert np.all(asg.labels[:k_a] == -1)  # position 0 holds only negatives
             return np.array([0])
 
+        features_of = {}
+
         def spoiled(spoils):
             scenes = list(ds.train_scenes)
             for i, rows_of in spoils:
@@ -1063,25 +1112,26 @@ class TestWorkerCount:
                 features = scene.features.copy()
                 features[rows_of(i)] = np.inf
                 scenes[i] = Scene.from_features(scene.boxes, scene.class_ids, features, scene.seed)
+                features_of[i] = features  # what training's heads read
             return scenes
 
         # Batch positions 1 and 2 run on different workers of two.  The
-        # first holds its forward pass until the second has finished its
-        # own, so failures complete out of batch order.
+        # first holds each of its heads until the second has finished the
+        # same head, so failures complete out of batch order.
         first, second = order[1], order[2]
-        second_done = threading.Event()
-        forward = sim_mod.student_forward
+        second_done = {"deltas": threading.Event(), "logits": threading.Event()}
+        head = sim_mod._head
 
-        def second_first(params, scene, workspace=None):
-            if scene.seed == ds.train_scenes[first].seed:
-                assert second_done.wait(timeout=10)
+        def second_first(feats, w, b, ws, name, width):
+            if feats is features_of[first]:
+                assert second_done[name].wait(timeout=10)
                 time.sleep(0.02)  # for the second scene's check to raise
-            out = forward(params, scene, workspace)
-            if scene.seed == ds.train_scenes[second].seed:
-                second_done.set()
+            out = head(feats, w, b, ws, name, width)
+            if feats is features_of[second]:
+                second_done[name].set()
             return out
 
-        monkeypatch.setattr(sim_mod, "student_forward", second_first)
+        monkeypatch.setattr(sim_mod, "_head", second_first)
         cases = [
             ("non-finite positive-anchor deltas",
              [(first, positive_positions), (second, positive_positions)], first),
@@ -1092,7 +1142,8 @@ class TestWorkerCount:
         ]
         threads = threading.active_count()
         for what, spoils, reported in cases:
-            second_done.clear()
+            for event in second_done.values():
+                event.clear()
             with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as info:
                 self._train_on(monkeypatch, 2, ds, spoiled(spoils), LossConfig(), epochs=1)
             assert str(info.value).startswith(what)
@@ -1100,13 +1151,136 @@ class TestWorkerCount:
         assert threading.active_count() == threads
 
     def test_workers_keep_the_callers_numpy_error_state(self):
+        import threading
         from contextlib import closing
 
         from boxdistill.sim import StepWorkspace, _SceneWorkers
 
-        def divide(k, _):
-            return np.ones(1) / np.zeros(1) if k == 1 else None  # item 1 runs on the helper
+        on_helper = threading.Event()
 
+        def divide(k, _):
+            if threading.current_thread() is threading.main_thread():
+                return None
+            try:
+                return np.ones(1) / np.zeros(1)
+            finally:
+                on_helper.set()
+
+        # The calling thread waits in ``first`` until an item has run on the helper.
         with closing(_SceneWorkers(StepWorkspace(), 2)) as workers, np.errstate(divide="raise"):
             with pytest.raises(FloatingPointError):
-                workers.map(divide, 2)
+                workers.map(divide, 2, first=lambda: on_helper.wait(timeout=10))
+
+
+class TestSceneWorkers:
+    """The scheduler of the minibatch phases: a shared item counter, and an
+    optional first callable on the calling thread."""
+
+    @staticmethod
+    def _workers(n):
+        from boxdistill.sim import StepWorkspace, _SceneWorkers
+
+        return _SceneWorkers(StepWorkspace(), n)
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_every_item_runs_once_and_results_keep_batch_order(self, n_workers):
+        import sys
+        import threading
+        import time
+        from collections import Counter
+        from contextlib import closing
+
+        runs = Counter()
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads between taking and running items
+        try:
+            with closing(self._workers(n_workers)) as workers:
+                for n_items, pause in ((0, 0.0), (1, 0.0), (2, 0.0), (5, 0.002), (9, 0.002), (300, 0.0)):
+                    runs.clear()
+
+                    def fn(k, ws):
+                        runs[k] += 1
+                        time.sleep(pause * ((7 * k) % 3))  # later items may end first
+                        return k * k, ws
+
+                    out = workers.map(fn, n_items)
+                    assert [r for r, _ in out] == [k * k for k in range(n_items)]
+                    assert runs == Counter(range(n_items))
+                    # Every workspace is one of the workers' own.
+                    assert all(any(ws is w for w in workers.workspaces) for _, ws in out)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads  # every worker thread was joined
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_first_runs_on_the_calling_thread_while_helpers_take_items(self, n_workers):
+        import threading
+        from contextlib import closing
+
+        ran_on = {}
+        first_log = []
+        helper_ran = threading.Event()
+
+        def fn(k, ws):
+            ran_on[k] = threading.current_thread()
+            if ran_on[k] is not threading.main_thread():
+                helper_ran.set()
+            return k
+
+        def first():
+            first_log.append((threading.current_thread(), dict(ran_on)))
+            if n_workers > 1:
+                # Items keep running on the helpers while this thread waits.
+                assert helper_ran.wait(timeout=10)
+
+        threads = threading.active_count()
+        with closing(self._workers(n_workers)) as workers:
+            assert workers.map(fn, 4, first=first) == [0, 1, 2, 3]
+        assert threading.active_count() == threads
+        (thread, seen_before), = first_log
+        assert thread is threading.main_thread()
+        assert sorted(ran_on) == [0, 1, 2, 3]
+        if n_workers == 1:
+            assert seen_before == {}  # inline: first, then every item
+            assert set(ran_on.values()) == {threading.main_thread()}
+        else:
+            assert any(t is not threading.main_thread() for t in ran_on.values())
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_lowest_item_error_comes_before_the_first_callables(self, n_workers):
+        import threading
+        from collections import Counter
+        from contextlib import closing
+
+        class ItemError(Exception):
+            pass
+
+        class FirstError(Exception):
+            pass
+
+        runs = Counter()
+
+        def fn(k, ws):
+            runs[k] += 1
+            if k in (2, 4):
+                raise ItemError(k)
+            return k
+
+        def first():
+            raise FirstError()
+
+        threads = threading.active_count()
+        with closing(self._workers(n_workers)) as workers:
+            with pytest.raises(ItemError) as info:
+                workers.map(fn, 6, first=first)
+            assert info.value.args == (2,)
+            assert runs == Counter(range(6))  # the calling thread still took items
+            runs.clear()
+            with pytest.raises(FirstError):
+                workers.map(lambda k, ws: runs.update([k]), 3, first=first)
+            assert runs == Counter(range(3))
+            with pytest.raises(ItemError) as info:
+                workers.map(fn, 6)
+            assert info.value.args == (2,)
+        assert threading.active_count() == threads

@@ -113,6 +113,30 @@ def test_injected_kernel_merge_tolerance_is_caught(monkeypatch):
     assert "mismatches" in result.detail
 
 
+def test_injected_fused_value_defect_is_caught(monkeypatch):
+    # Rebuild the fused IoU-and-gradient routine over a copy of the module
+    # globals in which only its IoU rows see areas one part in 2**40 high;
+    # the gradient rows and every other call are untouched.
+    import types
+
+    import boxdistill.geometry as geom
+
+    def scaled_iou_from_bev(bev, *args):
+        if bev.ndim == 1:  # the value rows, not the (n, 7, 2) perturbations
+            bev = bev * (1.0 + 2.0**-40)
+        return geom._iou_from_bev(bev, *args)
+
+    fn = geom._iou3d_grad_fd_rows
+    fake_globals = dict(vars(geom), _iou_from_bev=scaled_iou_from_bev)
+    monkeypatch.setattr(
+        geom, "_iou3d_grad_fd_rows",
+        types.FunctionType(fn.__code__, fake_globals, fn.__name__, fn.__defaults__),
+    )
+    result = check_clip_kernel_bit_identity(n_random=200)
+    assert not result.passed
+    assert "fused iou3d" in result.detail
+
+
 def test_injected_worker_difference_is_caught(monkeypatch):
     # Logit gradients computed on a worker thread come out one part in
     # 2**40 larger than inline.
@@ -120,15 +144,15 @@ def test_injected_worker_difference_is_caught(monkeypatch):
 
     import boxdistill.sim as sim_mod
 
-    original = sim_mod._scene_terms
+    original = sim_mod._classification_terms
 
     def off_on_workers(*args):
-        terms, dlogits = original(*args)
+        cls_term, cld_term, dlogits = original(*args)
         if threading.current_thread() is not threading.main_thread():
             dlogits *= 1.0 + 2.0**-40
-        return terms, dlogits
+        return cls_term, cld_term, dlogits
 
-    monkeypatch.setattr(sim_mod, "_scene_terms", off_on_workers)
+    monkeypatch.setattr(sim_mod, "_classification_terms", off_on_workers)
     result = check_threaded_step_bit_identity()
     assert not result.passed
     assert "weights differ" in result.detail

@@ -11,6 +11,7 @@ from boxdistill.xgd import (
     gate_keep_rates,
     positive_component_update,
     xgd_loss,
+    xgd_loss_and_grad,
     xgd_loss_grad,
 )
 
@@ -333,6 +334,38 @@ class TestXgdLossGrad:
         assert np.array_equal(got, want)
         with pytest.raises(ValueError):
             xgd_loss_grad(deltas, anchors, targets, student_rows=decoded[:3])
+
+
+class TestXgdLossAndGrad:
+    def test_equals_the_separate_calls(self):
+        # Groups, identical pairs, clamped decodes and vertically disjoint
+        # pairs: the one-clip form equals xgd_loss and xgd_loss_grad.
+        rng = np.random.default_rng(23)
+        n = 30
+        anchors = np.array([random_box(rng).as_array() for _ in range(n)])
+        deltas = rng.normal(0, 0.3, (n, 7))
+        deltas[::7, 3] = 14.0  # past the decode cap
+        students = decode_deltas(deltas, anchors)
+        targets = students + np.concatenate([rng.normal(0, 0.3, (n, 3)), np.zeros((n, 4))], axis=1)
+        targets[::5] = students[::5]
+        targets[1::6, 1] += 10.0
+        sizes = [12, 0, 7, 11]
+        flags_fused, flags_apart = GeometryFlags(), GeometryFlags()
+        losses, grad = xgd_loss_and_grad(deltas, anchors, targets, sizes, flags_fused)
+        want_rows = decode_deltas(deltas, anchors, flags_apart)
+        want = xgd_loss(want_rows, targets, flags_apart, sizes=sizes)
+        want_grad = xgd_loss_grad(deltas, anchors, targets, flags_apart, student_rows=want_rows)
+        assert losses == want
+        assert np.array_equal(grad, want_grad)
+        assert flags_fused == flags_apart
+        assert flags_apart.decode_clamped > 0
+
+    def test_empty_groups(self):
+        empty = np.zeros((0, 7))
+        losses, grad = xgd_loss_and_grad(empty, empty, empty, [0, 0])
+        assert losses == [0.0, 0.0] and grad.shape == (0, 7)
+        with pytest.raises(ValueError):
+            xgd_loss_and_grad(empty, empty, empty, [1])
 
 
 class TestGateKeepRates:
