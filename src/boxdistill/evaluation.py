@@ -50,6 +50,8 @@ def decode_and_nms(
         raise ValueError(f"score_threshold must be in [0, 1], got {score_threshold}")
     if not 0.0 < nms_iou <= 1.0:
         raise ValueError(f"nms_iou must be in (0, 1], got {nms_iou}")
+    if pre_nms_top_k < 1:
+        raise ValueError(f"pre_nms_top_k must be >= 1, got {pre_nms_top_k}")
     logits = outputs.logits_flat
     floor = _logit_floor(score_threshold)
     detections: list[Detection] = []
@@ -170,6 +172,8 @@ def evaluate_class(
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     if recall_positions < 1:
         raise ValueError("recall_positions must be >= 1")
+    if measure not in ("3d", "bev"):
+        raise ValueError(f"measure must be '3d' or 'bev', got {measure!r}")
     records: list[tuple[float, int, int, bool]] = []
     n_gt = 0
     for scene_idx, (dets, gts) in enumerate(zip(scene_detections, scene_gts)):

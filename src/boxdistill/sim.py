@@ -30,7 +30,7 @@ from .anchors import (
 )
 from .blas import openblas_threads_set
 from .cld import LogitMap, UnifiedDistribution, cld_grad, cld_loss, unified_distribution
-from .geometry import Box3D, GeometryFlags, bev_iou
+from .geometry import Box3D, GeometryFlags, bev_iou, wrap_angle
 from .xgd import (
     COMPONENT_NAMES,
     gate_decisions,
@@ -111,6 +111,11 @@ class SceneConfig:
         depth_bias=0.002,
     )
     max_rejects: int = 10_000
+
+    def __post_init__(self) -> None:
+        # Written as a positive test so that NaN fails too.
+        if not self.ambient_noise >= 0:
+            raise ValueError(f"ambient_noise must be >= 0, got {self.ambient_noise}")
 
 
 @dataclass(frozen=True)
@@ -449,9 +454,9 @@ class StepWorkspace:
     ``train`` owns one per worker, so the forward outputs, the focal-loss
     temporaries and the dense gradients of every step reuse the arrays of
     the step before instead of allocating new ones.  An array handed out
-    under a name stays valid until the next request for that name; public
-    functions take a fresh workspace per call, so what they return is
-    never overwritten.
+    under a name stays valid until the next request for that name; the
+    one-scene public functions run on fresh workers, so what they return
+    is never overwritten.
     """
 
     def __init__(self) -> None:
@@ -490,14 +495,13 @@ def _usable_cpus() -> int:
 class _SceneWorkers:
     """Workers for the per-scene phases of a minibatch.
 
-    Worker 0 is the calling thread and uses ``workspace``; the others are
-    threads of one pool, each running with its own StepWorkspace, stopped
-    by ``close``.  With one worker every call runs inline and no thread
-    starts.
+    Worker 0 is the calling thread; the others are threads of one pool,
+    stopped by ``close``.  Each worker runs with its own StepWorkspace.
+    With one worker every call runs inline and no thread starts.
     """
 
-    def __init__(self, workspace: StepWorkspace, n: int = 1) -> None:
-        self.workspaces = [workspace] + [StepWorkspace() for _ in range(n - 1)]
+    def __init__(self, n: int = 1) -> None:
+        self.workspaces = [StepWorkspace() for _ in range(n)]
         self._pool = None
         if n > 1:
             # Imported here so that importing the package stays as fast.
@@ -574,16 +578,10 @@ def _head(
     return out.reshape(-1, width)
 
 
-def student_forward(
-    params: DetectorParams, scene: Scene, workspace: StepWorkspace | None = None
-) -> DetectorOutputs:
-    """Linear per-position heads; deterministic in (params, scene).
-
-    With a ``workspace`` the outputs are its ``logits`` and ``deltas``
-    arrays, overwritten by the next forward pass through it.
-    """
+def student_forward(params: DetectorParams, scene: Scene) -> DetectorOutputs:
+    """Linear per-position heads; deterministic in (params, scene)."""
     feats = scene.features
-    ws = StepWorkspace() if workspace is None else workspace
+    ws = StepWorkspace()
     n = feats.shape[0]
     k_a = params.w_reg.shape[1] // 7
     k_c = params.w_cls.shape[1] // k_a
@@ -604,64 +602,58 @@ def teacher_predict(
     random class with probability ``score_corruption``); all of its
     positive anchors carry that box's encoded offsets and a confident
     logit.  Everything else stays at the background logit, so the response
-    holds the positive-anchor rows only.
+    holds the positive-anchor rows only.  Raises ValueError when the noise
+    leaves a box non-finite or without positive extents.
     """
     rng = np.random.default_rng(np.random.SeedSequence((scene.seed, _STREAM_TEACHER)))
     k_c = grid.k_c
+    rate = profile.score_corruption
+    n_gt = scene.boxes.shape[0]
+    noisy = np.empty((n_gt, 7))
+    reported = scene.class_ids.copy()
+    peaks = np.empty(n_gt)
+    for i, (cx, cy, cz, l, w, h, yaw) in enumerate(scene.boxes.tolist()):
+        # Small noise on every component; depth noise grows with distance.
+        cx += rng.normal(0.0, profile.center_sigma)
+        cy += rng.normal(0.0, profile.center_sigma)
+        cz += rng.normal(0.0, profile.center_sigma + profile.depth_bias * cz)
+        l, w, h = (l, w, h) * np.exp(rng.normal(0.0, profile.size_sigma, size=3))
+        yaw = wrap_angle(yaw + rng.normal(0.0, profile.yaw_sigma))
+        if rate > 0:
+            # Each response component flips independently: the reported
+            # class becomes random; the center jumps by about half the
+            # footprint diagonal, the sizes by tens of percent, the yaw by
+            # up to a quarter turn.  The oracle stays confident about its
+            # mistakes.
+            class_flipped = rng.uniform() < rate
+            if class_flipped:
+                reported[i] = rng.integers(0, k_c)
+            center_corrupted = rng.uniform() < rate
+            if center_corrupted:
+                diag = math.hypot(l, w)
+                cx += rng.normal(0.0, 0.5 * diag)
+                cy += rng.normal(0.0, 0.25 * h)
+                cz += rng.normal(0.0, 0.5 * diag)
+            size_corrupted = rng.uniform() < rate
+            if size_corrupted:
+                l, w, h = (l, w, h) * np.exp(rng.normal(0.0, 0.35, size=3))
+            angle_corrupted = rng.uniform() < rate
+            if angle_corrupted:
+                yaw = wrap_angle(yaw + rng.uniform(-math.pi / 4, math.pi / 4))
+        peaks[i] = PEAK_LOGIT + rng.normal(0.0, 0.3)
+        noisy[i] = cx, cy, cz, l, w, h, yaw
+    if not (np.all(np.isfinite(noisy)) and np.all(noisy[:, 3:6] > 0)):
+        raise ValueError("teacher noise left a box non-finite or without positive extents")
+
     pos = assignment.positive_indices
     logits = np.full((pos.size, k_c), BACKGROUND_LOGIT)
     deltas = np.zeros((pos.size, 7))
-
-    per_gt: list[tuple[np.ndarray, int, float]] = []
-    for box, class_id in scene.gts:
-        noisy = _perturb_box(box, profile, rng)
-        reported = class_id
-        if profile.score_corruption > 0:
-            # Each response component flips independently: the reported
-            # class becomes random, box components take gross errors.  The
-            # oracle stays confident about its mistakes.
-            if rng.uniform() < profile.score_corruption:
-                reported = int(rng.integers(0, k_c))
-            noisy = _corrupt_components(noisy, profile.score_corruption, rng)
-        peak = PEAK_LOGIT + rng.normal(0.0, 0.3)
-        per_gt.append((noisy.as_array(), reported, peak))
-
     if pos.size:
         # Each positive takes its object's row; one encode for the scene.
-        rows, reported, peaks = (np.array(col)[assignment.matched] for col in zip(*per_gt))
-        deltas = encode_deltas(rows, grid.anchor_params[pos])
-        logits[np.arange(pos.size), reported] = peaks
+        m = assignment.matched
+        deltas = encode_deltas(noisy[m], grid.anchor_params[pos])
+        logits[np.arange(pos.size), reported[m]] = peaks[m]
     return TeacherResponse(anchors=pos, logits=logits, deltas=deltas, n_positions=grid.n_positions, k_a=grid.k_a)
-
-
-def _perturb_box(box: Box3D, profile: NoiseProfile, rng: np.random.Generator) -> Box3D:
-    cx = box.cx + rng.normal(0.0, profile.center_sigma)
-    cy = box.cy + rng.normal(0.0, profile.center_sigma)
-    cz = box.cz + rng.normal(0.0, profile.center_sigma + profile.depth_bias * box.cz)
-    l, w, h = (box.l, box.w, box.h) * np.exp(rng.normal(0.0, profile.size_sigma, size=3))
-    yaw = box.yaw + rng.normal(0.0, profile.yaw_sigma)
-    return Box3D(cx, cy, cz, float(l), float(w), float(h), yaw)
-
-
-def _corrupt_components(box: Box3D, rate: float, rng: np.random.Generator) -> Box3D:
-    """Gross per-component errors, each flipped with probability ``rate``.
-
-    Center jumps by about half the footprint diagonal, sizes by tens of
-    percent, yaw by up to a quarter turn.
-    """
-    cx, cy, cz, l, w, h, yaw = box.cx, box.cy, box.cz, box.l, box.w, box.h, box.yaw
-    diag = math.hypot(l, w)
-    if rng.uniform() < rate:
-        cx, cy, cz = (
-            cx + rng.normal(0.0, 0.5 * diag),
-            cy + rng.normal(0.0, 0.25 * h),
-            cz + rng.normal(0.0, 0.5 * diag),
-        )
-    if rng.uniform() < rate:
-        l, w, h = (l, w, h) * np.exp(rng.normal(0.0, 0.35, size=3))
-    if rng.uniform() < rate:
-        yaw = yaw + rng.uniform(-math.pi / 4, math.pi / 4)
-    return Box3D(cx, cy, cz, float(l), float(w), float(h), yaw)
 
 
 @dataclass(frozen=True)
@@ -1052,17 +1044,16 @@ def _one_scene(
     targets: _SceneTargets,
     cfg: LossConfig,
     flags: GeometryFlags | None,
-    workspace: StepWorkspace,
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
-    """The minibatch step on one scene with given outputs, inline: its
-    breakdown and flat logit and delta gradients."""
+    """The minibatch step on one scene with given outputs, inline on fresh
+    workers: its breakdown and flat logit and delta gradients."""
     (breakdown,), (dlogits,), (ddeltas,) = _minibatch_losses(
         lambda _, __: student.deltas_flat,
         lambda _, __: student.logits_flat,
         [targets],
         cfg,
         flags,
-        _SceneWorkers(workspace),
+        _SceneWorkers(),
         logit_work=lambda _, dlogits: dlogits,
         delta_work=lambda _, ddeltas: ddeltas,
     )
@@ -1082,7 +1073,7 @@ def base_loss(
     are normalized by max(1, n_pos).
     """
     targets = _scene_targets(scene, assignment, grid, cfg)
-    return _one_scene(outputs, targets, cfg, None, StepWorkspace())[0].ori
+    return _one_scene(outputs, targets, cfg, None)[0].ori
 
 
 def total_loss(
@@ -1107,26 +1098,18 @@ def total_loss_and_grad(
     grid: AnchorGrid,
     cfg: LossConfig = LossConfig(),
     flags: GeometryFlags | None = None,
-    workspace: StepWorkspace | None = None,
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
     """Loss breakdown plus gradients w.r.t. student logits and deltas.
 
     The one-scene case of the training step.  Distillation targets (gated
     boxes, teacher distributions) are detached snapshots; the gate itself
     never contributes gradient.  Returned arrays have the dense
-    (n_positions, k_a, *) shape; with a ``workspace`` they are its
-    ``dlogits`` and ``ddeltas`` arrays, overwritten by the next call
-    through it.
+    (n_positions, k_a, *) shape.
     """
     if student.logits.shape != teacher.grid_shape:
         raise ValueError("student and teacher outputs must share the grid layout")
-    breakdown, dlogits_flat, ddeltas_flat = _one_scene(
-        student,
-        _scene_targets(scene, assignment, grid, cfg, teacher),
-        cfg,
-        flags,
-        StepWorkspace() if workspace is None else workspace,
-    )
+    targets = _scene_targets(scene, assignment, grid, cfg, teacher)
+    breakdown, dlogits_flat, ddeltas_flat = _one_scene(student, targets, cfg, flags)
     return (
         breakdown,
         dlogits_flat.reshape(student.logits.shape),
@@ -1364,7 +1347,7 @@ def _train(
 
     n_workers = min(opt_cfg.batch_size, len(scenes), cpus)
     # OpenBLAS's own threads would compete with the workers for the cores.
-    with openblas_threads_set(1), closing(_SceneWorkers(StepWorkspace(), n_workers)) as workers:
+    with openblas_threads_set(1), closing(_SceneWorkers(n_workers)) as workers:
         for epoch in range(opt_cfg.epochs):
             order = shuffle_rng.permutation(len(scenes))
             sums = np.zeros(4)

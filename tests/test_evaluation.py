@@ -153,6 +153,16 @@ class TestDecodeAndNms:
         with pytest.raises(ValueError):
             decode_and_nms(out, grid, nms_iou=0.0)
 
+    def test_pre_nms_top_k_below_one_rejected(self):
+        # 0 used to return no detections and -1 to drop each class's
+        # lowest-ranked candidate, both silently.
+        grid = tiny_grid()
+        out = outputs_with(grid, [(i, 0, 3.0, None) for i in (0, 14, 28)])
+        assert len(decode_and_nms(out, grid, pre_nms_top_k=1)) == 1
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="pre_nms_top_k"):
+                decode_and_nms(out, grid, pre_nms_top_k=k)
+
 
 class TestApR40:
     def test_single_match_is_one(self):
@@ -254,6 +264,15 @@ class TestApR40:
         gts = [(gt_box, 0)]
         assert ap_r40([d], gts, 0, 0.5, measure="bev") == 1.0
         assert ap_r40([d], gts, 0, 0.5, measure="3d") == 0.0
+
+    def test_unknown_measure_rejected(self):
+        # Anything but "3d" used to score BEV silently.
+        gts = [(Box3D(2, 0, 2, 1.8, 1.0, 1.0, 0), 0)]
+        for measure in ("3D", "volume", "BEV"):
+            with pytest.raises(ValueError, match="measure"):
+                ap_r40([det(2, 2, 0.9)], gts, 0, 0.5, measure=measure)
+            with pytest.raises(ValueError, match="measure"):
+                evaluate_class([[]], [[]], 0, 0.5, measure=measure)
 
 
 class TestEvaluateOutputs:

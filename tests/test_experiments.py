@@ -79,6 +79,8 @@ class TestConfig:
             config_from_dict({"optimizer": {"batch_size": 0}})
         with pytest.raises(ConfigError, match="optimizer"):
             config_from_dict({"optimizer": {"epochs": -1}})
+        with pytest.raises(ConfigError, match=r"scene: ambient_noise"):
+            config_from_dict({"scene": {"ambient_noise": -0.02}})
 
     def test_file_round_trip(self, tmp_path):
         cfg = tiny_config()

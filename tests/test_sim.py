@@ -14,6 +14,7 @@ from boxdistill.sim import (
     NoiseProfile,
     OptimizerConfig,
     Scene,
+    SceneConfig,
     SceneTooDenseError,
     TrainingDivergedError,
     base_loss,
@@ -54,6 +55,15 @@ class TestNoiseProfile:
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             NoiseProfile(score_corruption=1.5)
+
+
+class TestSceneConfig:
+    def test_rejects_negative_or_nan_ambient_noise(self):
+        # Both used to be treated as no noise: the scene kept no noise state.
+        for bad in (-0.02, float("nan")):
+            with pytest.raises(ValueError, match="ambient_noise"):
+                SceneConfig(ambient_noise=bad)
+        assert SceneConfig(ambient_noise=0.0).ambient_noise == 0.0
 
 
 class TestGenerateScene:
@@ -225,22 +235,40 @@ class TestStudentForward:
 
 
 def seed_teacher_predict(scene, profile, grid, assignment):
-    """The per-positive encode loop of teacher_predict as it stood before
-    one encode per scene."""
+    """teacher_predict as it stood with one Box3D per object, which wraps
+    the yaw and checks the box, and one encode per positive."""
     import boxdistill.sim as sim_mod
     from boxdistill.anchors import encode_deltas
 
     rng = np.random.default_rng(np.random.SeedSequence((scene.seed, sim_mod._STREAM_TEACHER)))
     logits = np.full((grid.n_positions, grid.k_a, grid.k_c), sim_mod.BACKGROUND_LOGIT)
     deltas = np.zeros((grid.n_positions, grid.k_a, 7))
+    rate = profile.score_corruption
     per_gt = []
     for box, class_id in scene.gts:
-        noisy = sim_mod._perturb_box(box, profile, rng)
+        cx = box.cx + rng.normal(0.0, profile.center_sigma)
+        cy = box.cy + rng.normal(0.0, profile.center_sigma)
+        cz = box.cz + rng.normal(0.0, profile.center_sigma + profile.depth_bias * box.cz)
+        l, w, h = (box.l, box.w, box.h) * np.exp(rng.normal(0.0, profile.size_sigma, size=3))
+        yaw = box.yaw + rng.normal(0.0, profile.yaw_sigma)
+        noisy = Box3D(cx, cy, cz, float(l), float(w), float(h), yaw)
         reported = class_id
-        if profile.score_corruption > 0:
-            if rng.uniform() < profile.score_corruption:
+        if rate > 0:
+            if rng.uniform() < rate:
                 reported = int(rng.integers(0, grid.k_c))
-            noisy = sim_mod._corrupt_components(noisy, profile.score_corruption, rng)
+            cx, cy, cz, l, w, h, yaw = noisy.cx, noisy.cy, noisy.cz, noisy.l, noisy.w, noisy.h, noisy.yaw
+            diag = math.hypot(l, w)
+            if rng.uniform() < rate:
+                cx, cy, cz = (
+                    cx + rng.normal(0.0, 0.5 * diag),
+                    cy + rng.normal(0.0, 0.25 * h),
+                    cz + rng.normal(0.0, 0.5 * diag),
+                )
+            if rng.uniform() < rate:
+                l, w, h = (l, w, h) * np.exp(rng.normal(0.0, 0.35, size=3))
+            if rng.uniform() < rate:
+                yaw = yaw + rng.uniform(-math.pi / 4, math.pi / 4)
+            noisy = Box3D(cx, cy, cz, float(l), float(w), float(h), yaw)
         per_gt.append((noisy, reported, sim_mod.PEAK_LOGIT + rng.normal(0.0, 0.3)))
     for idx in assignment.positive_indices:
         noisy, reported, peak = per_gt[assignment.labels[idx]]
@@ -251,16 +279,32 @@ def seed_teacher_predict(scene, profile, grid, assignment):
     return logits, deltas
 
 
+def dense_setup(seed):
+    """A default-grid scene of 16-24 objects, as the dense evaluation draws."""
+    from boxdistill.config import default_config
+
+    cfg = default_config()
+    grid = build_anchor_grid(cfg.grid)
+    scene = generate_scene(seed, dataclasses.replace(cfg.scene, n_objects=(16, 24)), grid)
+    assignment = assign_targets(
+        grid, scene.boxes, scene.class_ids, cfg.assignment_thresholds(),
+        dilation=cfg.foreground_dilation,
+    )
+    return cfg, grid, scene, assignment
+
+
 class TestTeacherOracle:
     def test_matches_per_positive_loop(self):
         profiles = (
             NoiseProfile(),
             NoiseProfile(0.01, 0.005, 0.005, score_corruption=0.1, depth_bias=0.0002),
             NoiseProfile(0.2, 0.1, 0.1, score_corruption=0.6, depth_bias=0.005),
+            # Wide yaw noise and frequent corruption: the yaw wraps often.
+            NoiseProfile(yaw_sigma=5.0, score_corruption=0.9),
         )
+        setups = [small_setup(seed=seed) for seed in range(8)] + [dense_setup(seed) for seed in range(4)]
         n_pos = 0
-        for seed in range(8):
-            cfg, grid, scene, assignment = small_setup(seed=seed)
+        for cfg, grid, scene, assignment in setups:
             n_pos += assignment.n_pos
             for profile in profiles:
                 out = teacher_predict(scene, profile, grid, assignment).dense()
@@ -268,6 +312,16 @@ class TestTeacherOracle:
                 assert np.array_equal(out.logits, logits)
                 assert np.array_equal(out.deltas, deltas)
         assert n_pos > 0
+        assert all(16 <= s.boxes.shape[0] <= 24 for *_, s, _ in setups[8:])
+
+    def test_extreme_size_noise_rejected(self):
+        # exp(N(0, 1e4)) overflows or underflows: no box keeps finite,
+        # positive extents.
+        cfg, grid, scene, assignment = small_setup()
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for rate in (0.0, 0.5):
+                with pytest.raises(ValueError):
+                    teacher_predict(scene, NoiseProfile(size_sigma=1e4, score_corruption=rate), grid, assignment)
 
     def test_zero_noise_recovers_gt_and_gates_open(self):
         cfg, grid, scene, assignment = small_setup()
@@ -828,36 +882,6 @@ class TestStepWorkspace:
         ]
         return ds, params
 
-    def test_workspace_path_equals_fresh_path_for_every_arm(self):
-        from boxdistill.config import default_arm_matrix
-        from boxdistill.geometry import GeometryFlags
-        from boxdistill.sim import StepWorkspace, total_loss_and_grad
-
-        ds, params = self._seed0_dataset()
-        for arm in default_arm_matrix():
-            # One workspace across scenes and parameter sets, so every step
-            # writes over the arrays of a different step.
-            ws = StepWorkspace()
-            steps = []
-            for p in params:
-                for scene, teacher, asg in zip(ds.train_scenes, ds.teacher_train, ds.train_assignments):
-                    flags_fresh, flags_ws = GeometryFlags(), GeometryFlags()
-                    fresh = total_loss_and_grad(
-                        student_forward(p, scene), teacher, scene, asg, ds.grid, arm.loss, flags_fresh
-                    )
-                    reused = total_loss_and_grad(
-                        student_forward(p, scene, ws), teacher, scene, asg, ds.grid, arm.loss,
-                        flags_ws, workspace=ws,
-                    )
-                    assert reused[0] == fresh[0], arm.name
-                    assert np.array_equal(reused[1], fresh[1]), arm.name
-                    assert np.array_equal(reused[2], fresh[2]), arm.name
-                    assert flags_ws == flags_fresh, arm.name
-                    steps.append(reused)
-            # The workspace really hands every step the same arrays.
-            for _, dlogits, ddeltas in steps:
-                assert np.shares_memory(dlogits, steps[0][1]) and np.shares_memory(ddeltas, steps[0][2])
-
     def test_public_results_survive_later_calls(self):
         from boxdistill.sim import total_loss_and_grad
 
@@ -925,7 +949,7 @@ class TestMinibatchStep:
     def test_equals_per_scene_loop_for_every_arm(self):
         from boxdistill.config import default_arm_matrix
         from boxdistill.geometry import GeometryFlags
-        from boxdistill.sim import StepWorkspace, _minibatch_grads, _scene_targets, _SceneWorkers
+        from boxdistill.sim import _minibatch_grads, _scene_targets, _SceneWorkers
 
         ds, param_sets = self._dataset()
         batches = [[0, 1, 2, 3], [4], [3, 0]]
@@ -936,7 +960,8 @@ class TestMinibatchStep:
                 _scene_targets(s, a, ds.grid, cfg, t)
                 for s, t, a in zip(ds.train_scenes, ds.teacher_train, ds.train_assignments)
             ]
-            workers = _SceneWorkers(StepWorkspace())  # shared by every minibatch, as in train
+            workers = _SceneWorkers()  # shared by every minibatch, as in train
+            held = None
             for params in param_sets:
                 for batch in batches:
                     flags_step, flags_loop = GeometryFlags(), GeometryFlags()
@@ -956,6 +981,10 @@ class TestMinibatchStep:
                         assert np.array_equal(g, w), (arm.name, batch)
                     assert flags_step == flags_loop, (arm.name, batch)
                     clamps += flags_step.decode_clamped
+                    # Every minibatch writes over the arrays of the one before.
+                    arrays = workers.workspaces[0]._arrays
+                    held = dict(arrays) if held is None else held
+                    assert all(arrays[name] is arr for name, arr in held.items()), (arm.name, batch)
         assert clamps > 0
 
     def test_xgd_pass_equals_grouped_xgd_loss_and_its_gradient(self):
@@ -1154,7 +1183,7 @@ class TestWorkerCount:
         import threading
         from contextlib import closing
 
-        from boxdistill.sim import StepWorkspace, _SceneWorkers
+        from boxdistill.sim import _SceneWorkers
 
         on_helper = threading.Event()
 
@@ -1167,7 +1196,7 @@ class TestWorkerCount:
                 on_helper.set()
 
         # The calling thread waits in ``first`` until an item has run on the helper.
-        with closing(_SceneWorkers(StepWorkspace(), 2)) as workers, np.errstate(divide="raise"):
+        with closing(_SceneWorkers(2)) as workers, np.errstate(divide="raise"):
             with pytest.raises(FloatingPointError):
                 workers.map(divide, 2, first=lambda: on_helper.wait(timeout=10))
 
@@ -1178,9 +1207,9 @@ class TestSceneWorkers:
 
     @staticmethod
     def _workers(n):
-        from boxdistill.sim import StepWorkspace, _SceneWorkers
+        from boxdistill.sim import _SceneWorkers
 
-        return _SceneWorkers(StepWorkspace(), n)
+        return _SceneWorkers(n)
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     def test_every_item_runs_once_and_results_keep_batch_order(self, n_workers):
