@@ -82,10 +82,11 @@ class NoiseProfile:
     depth_bias: float = 0.0
 
     def __post_init__(self) -> None:
+        # Positive tests, so that NaN fails too.
         for name in ("center_sigma", "size_sigma", "yaw_sigma", "score_corruption", "depth_bias"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.score_corruption > 1:
+        if not self.score_corruption <= 1:
             raise ValueError("score_corruption is a probability")
 
 
@@ -455,8 +456,8 @@ class StepWorkspace:
     temporaries and the dense gradients of every step reuse the arrays of
     the step before instead of allocating new ones.  An array handed out
     under a name stays valid until the next request for that name; the
-    one-scene public functions run on fresh workers, so what they return
-    is never overwritten.
+    one-scene public functions run on a fresh workspace, so what they
+    return is never overwritten.
     """
 
     def __init__(self) -> None:
@@ -674,9 +675,10 @@ class LossConfig:
     smooth_l1_beta: float = 1.0 / 9.0
 
     def __post_init__(self) -> None:
-        if self.xgd_weight < 0 or self.cld_weight < 0:
+        # Positive tests, so that NaN fails too.
+        if not (self.xgd_weight >= 0 and self.cld_weight >= 0):
             raise ValueError("loss weights must be >= 0")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError("tau must be positive")
         if self.xgd_selection not in ("gate", "confidence"):
             raise ValueError(f"unknown xgd_selection {self.xgd_selection!r}")
@@ -751,12 +753,7 @@ def _focal_terms(
     np.divide(e, one_plus_e, out=p)
     np.divide(1.0, one_plus_e, out=p, where=z >= 0.0)
     pp = p[pos_rows, cols]
-    if gamma == 2.0:  # integer powers dominate this hot path
-        p_g = np.multiply(p, p, out=e)
-        q_g_of = lambda q: q * q
-    else:
-        p_g = p**gamma
-        q_g_of = lambda q: q**gamma
+    p_g = np.power(p, gamma, out=e)
     # loss = -(1 - alpha) * p_g * ln_1mp
     loss = np.multiply(p_g, -(1.0 - alpha), out=scratch)
     loss *= ln_1mp
@@ -771,7 +768,7 @@ def _focal_terms(
 
     if pos_rows.size:
         qq = 1.0 - pp
-        q_g = q_g_of(qq)
+        q_g = qq**gamma
         loss[pos_rows, cols] = -alpha * q_g * ln_p
         grad[pos_rows, cols] = alpha * (gamma * pp * q_g * ln_p - q_g * qq)
     if ignore_rows.size:
@@ -937,8 +934,9 @@ def _xgd_terms(
 
     Returns, per scene, the loss term, the gate keep rates and the delta
     gradient at its XGD rows (None without rows).  Every value equals a
-    separate pass over that scene alone.  The losses and the gradient come
-    from one batched clip.
+    separate pass over that scene alone: each scene's loss sums its slice
+    of the per-pair terms.  The terms and the gradient come from one
+    batched clip.
     """
     sizes = [t.xgd_rows.size for t in targets]
     if not any(sizes):
@@ -961,82 +959,57 @@ def _xgd_terms(
         )
     else:
         box_targets = teacher_rows
-    losses, grad = xgd_loss_and_grad(
-        deltas, anchors, box_targets, sizes, flags, student_rows=student_rows
+    pair_terms, grad = xgd_loss_and_grad(
+        deltas, anchors, box_targets, flags, student_rows=student_rows
     )
+    pair_terms = pair_terms.tolist()
     out = []
     start = 0
-    for loss, n in zip(losses, sizes):
+    for n in sizes:
         rows = slice(start, start + n)
+        loss = sum(pair_terms[rows]) if n else 0.0
         keep = gate_keep_rates(decisions[rows]) if gated and n else {}
         out.append((loss, keep, grad[rows] if n else None))
         start += n
     return out
 
 
-def _minibatch_losses(
-    deltas_of: Callable[[int, StepWorkspace], np.ndarray],
-    logits_of: Callable[[int, StepWorkspace], np.ndarray],
-    targets: Sequence[_SceneTargets],
+def _delta_grad(
+    r: _RegressionTerms,
+    t: _SceneTargets,
+    xgd_grad: np.ndarray | None,
     cfg: LossConfig,
-    flags: GeometryFlags | None,
-    workers: _SceneWorkers,
-    logit_work: Callable[[int, np.ndarray], object],
-    delta_work: Callable[[int, np.ndarray], object],
-) -> tuple[list[LossBreakdown], list, list]:
-    """Losses of the scenes of one minibatch, in three phases.
+    ws: StepWorkspace,
+) -> np.ndarray:
+    """Flat delta gradient of one scene, the workspace's ``ddeltas``: the
+    smooth-L1 rows plus the weighted XGD rows."""
+    # Only the positive rows of the delta gradient are ever nonzero.
+    ddeltas = ws.zeros("ddeltas", (r.n_anchors, 7), t.pos)
+    ddeltas[t.pos] = r.base_rows
+    if xgd_grad is not None:
+        ddeltas[t.xgd_rows] += cfg.xgd_weight * xgd_grad
+    return ddeltas
 
-    1, per scene on ``workers``: ``deltas_of(k, workspace)`` gives scene
-    k's flat regression deltas, from which its smooth-L1 term and XGD rows
-    are taken.  2, one XGD pass over all scenes on the calling thread, the
-    only part that writes ``flags``, while the other workers run each
-    scene's classification side: ``logits_of(k, workspace)``, the focal
-    loss, CLD and the flat logit gradient, which ``logit_work(k,
-    dlogits)`` reads on the same worker.  Once XGD ends, the calling
-    thread takes classification work too.  3, per scene on ``workers``:
-    the flat delta gradient, read by ``delta_work(k, ddeltas)``.  The
-    gradients are workspace arrays, overwritten by the worker's next
-    scene.  Returns the breakdowns and what ``logit_work`` and
-    ``delta_work`` returned, in batch order.
-    """
-    n = len(targets)
-    regression = workers.map(lambda k, ws: _regression_terms(deltas_of(k, ws), targets[k], cfg), n)
 
-    def classification(k: int, ws: StepWorkspace) -> tuple[float, float, object]:
-        cls_term, cld_term, dlogits = _classification_terms(logits_of(k, ws), targets[k], cfg, ws)
-        return cls_term, cld_term, logit_work(k, dlogits)
-
-    xgd: list = []
-    classified = workers.map(
-        classification, n, first=lambda: xgd.extend(_xgd_terms(regression, targets, cfg, flags))
+def _breakdown(
+    t: _SceneTargets,
+    r: _RegressionTerms,
+    cls_term: float,
+    cld_term: float,
+    xgd_term: float,
+    gate_keep: dict[str, float],
+    cfg: LossConfig,
+) -> LossBreakdown:
+    """The loss breakdown of one scene from its terms."""
+    ori = cls_term + r.reg
+    return LossBreakdown(
+        total=ori + cfg.xgd_weight * xgd_term + cfg.cld_weight * cld_term,
+        ori=ori,
+        xgd=xgd_term,
+        cld=cld_term,
+        n_pos=int(t.pos.size),
+        gate_keep=gate_keep,
     )
-
-    def gradient(k: int, ws: StepWorkspace) -> object:
-        t, r, g = targets[k], regression[k], xgd[k][2]
-        # Only the positive rows of the delta gradient are ever nonzero.
-        ddeltas = ws.zeros("ddeltas", (r.n_anchors, 7), t.pos)
-        ddeltas[t.pos] = r.base_rows
-        if g is not None:
-            ddeltas[t.xgd_rows] += cfg.xgd_weight * g
-        return delta_work(k, ddeltas)
-
-    delta_out = workers.map(gradient, n)
-    breakdowns = []
-    for t, r, (cls_term, cld_term, _), (xgd_term, gate_keep, _) in zip(
-        targets, regression, classified, xgd
-    ):
-        ori = cls_term + r.reg
-        breakdowns.append(
-            LossBreakdown(
-                total=ori + cfg.xgd_weight * xgd_term + cfg.cld_weight * cld_term,
-                ori=ori,
-                xgd=xgd_term,
-                cld=cld_term,
-                n_pos=int(t.pos.size),
-                gate_keep=gate_keep,
-            )
-        )
-    return breakdowns, [c[2] for c in classified], delta_out
 
 
 def _one_scene(
@@ -1045,19 +1018,16 @@ def _one_scene(
     cfg: LossConfig,
     flags: GeometryFlags | None,
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
-    """The minibatch step on one scene with given outputs, inline on fresh
-    workers: its breakdown and flat logit and delta gradients."""
-    (breakdown,), (dlogits,), (ddeltas,) = _minibatch_losses(
-        lambda _, __: student.deltas_flat,
-        lambda _, __: student.logits_flat,
-        [targets],
-        cfg,
-        flags,
-        _SceneWorkers(),
-        logit_work=lambda _, dlogits: dlogits,
-        delta_work=lambda _, ddeltas: ddeltas,
-    )
-    return breakdown, dlogits, ddeltas
+    """The minibatch step's phases on one scene with given outputs, in
+    order, on one fresh workspace: its breakdown and flat logit and delta
+    gradients.  Classification runs before XGD, so when both raise, the
+    error is the one the step raises."""
+    ws = StepWorkspace()
+    r = _regression_terms(student.deltas_flat, targets, cfg)
+    cls_term, cld_term, dlogits = _classification_terms(student.logits_flat, targets, cfg, ws)
+    ((xgd_term, gate_keep, xgd_grad),) = _xgd_terms([r], [targets], cfg, flags)
+    ddeltas = _delta_grad(r, targets, xgd_grad, cfg, ws)
+    return _breakdown(targets, r, cls_term, cld_term, xgd_term, gate_keep, cfg), dlogits, ddeltas
 
 
 def base_loss(
@@ -1142,11 +1112,12 @@ class OptimizerConfig:
     batch_size: int = 4
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0 or self.weight_decay < 0:
+        # Positive tests, so that NaN fails too.
+        if not (self.learning_rate >= 0 and self.weight_decay >= 0):
             raise ValueError("learning_rate and weight_decay must be >= 0")
-        if self.epochs < 0:
+        if not self.epochs >= 0:
             raise ValueError("epochs must be >= 0 (0 evaluates the initialized model)")
-        if self.batch_size < 1:
+        if not self.batch_size >= 1:
             raise ValueError("batch_size must be >= 1")
 
 
@@ -1209,48 +1180,59 @@ def _minibatch_grads(
     """One optimizer minibatch: per-scene breakdowns and the weight
     gradients (w_cls, b_cls, w_reg, b_reg) summed over its scenes.
 
-    Each scene's two heads and weight-gradient products run on the
-    workers, in the workspace of the worker that runs them.  Raises
-    _NonFiniteDeltas for the first scene in batch order whose
-    positive-anchor deltas are not finite.
+    Runs the three phases that ``train`` describes; the XGD pass is the
+    only part that writes ``flags``.  Each scene runs in the workspace of
+    the worker that takes it.  Raises _NonFiniteDeltas for the first scene
+    in batch order whose positive-anchor deltas are not finite.
     """
-
     k_a = params.w_reg.shape[1] // 7
     k_c = params.w_cls.shape[1] // k_a
+    n = len(targets)
 
-    def deltas_of(k: int, ws: StepWorkspace) -> np.ndarray:
+    def regression(k: int, ws: StepWorkspace) -> _RegressionTerms:
         deltas = _head(scenes[k].features, params.w_reg, params.b_reg, ws, "deltas", 7)
         # Decoding would reject non-finite deltas with a bare ValueError.
         if not np.all(np.isfinite(deltas[targets[k].pos])):
             raise _NonFiniteDeltas(scenes[k].seed)
-        return deltas
+        return _regression_terms(deltas, targets[k], cfg)
 
-    def logits_of(k: int, ws: StepWorkspace) -> np.ndarray:
-        return _head(scenes[k].features, params.w_cls, params.b_cls, ws, "logits", k_c)
+    regressed = workers.map(regression, n)
 
-    def logit_products(k: int, dlogits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def classification(k: int, ws: StepWorkspace) -> tuple[float, float, np.ndarray, np.ndarray]:
         feats = scenes[k].features
+        logits = _head(feats, params.w_cls, params.b_cls, ws, "logits", k_c)
+        cls_term, cld_term, dlogits = _classification_terms(logits, targets[k], cfg, ws)
         dl = dlogits.reshape(feats.shape[0], -1)
-        return feats.T @ dl, dl.sum(axis=0)
+        return cls_term, cld_term, feats.T @ dl, dl.sum(axis=0)
 
-    def delta_products(k: int, ddeltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    xgd: list = []
+    classified = workers.map(
+        classification, n, first=lambda: xgd.extend(_xgd_terms(regressed, targets, cfg, flags))
+    )
+
+    def delta_products(k: int, ws: StepWorkspace) -> tuple[np.ndarray, np.ndarray]:
         feats = scenes[k].features
+        ddeltas = _delta_grad(regressed[k], targets[k], xgd[k][2], cfg, ws)
         dd = ddeltas.reshape(feats.shape[0], -1)
         # Rows without a positive are zero; an axis-0 sum adds rows in
         # order, so skipping them leaves every bit of the sum unchanged.
         return feats.T @ dd, dd[targets[k].pos_positions].sum(axis=0)
 
-    breakdowns, logit_out, delta_out = _minibatch_losses(
-        deltas_of, logits_of, targets, cfg, flags, workers, logit_products, delta_products
-    )
+    products = workers.map(delta_products, n)
     grads = [np.zeros_like(w) for w in (params.w_cls, params.b_cls, params.w_reg, params.b_reg)]
     # Added in batch order, whichever worker finished first, so every sum
     # is the same for any number of workers.
-    for (w_cls, b_cls), (w_reg, b_reg) in zip(logit_out, delta_out):
+    for (_, _, w_cls, b_cls), (w_reg, b_reg) in zip(classified, products):
         grads[0] += w_cls
         grads[1] += b_cls
         grads[2] += w_reg
         grads[3] += b_reg
+    breakdowns = [
+        _breakdown(t, r, cls_term, cld_term, xgd_term, gate_keep, cfg)
+        for t, r, (cls_term, cld_term, _, _), (xgd_term, gate_keep, _) in zip(
+            targets, regressed, classified, xgd
+        )
+    ]
     return breakdowns, grads
 
 

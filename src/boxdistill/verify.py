@@ -700,36 +700,23 @@ def check_threaded_step_bit_identity(n_train_scenes: int = 8, epochs: int = 2) -
     )
 
 
+# Every check with the arguments that shrink its sample counts for --fast.
+_SUITE = (
+    (check_mc_iou_agreement, {"n_pairs": 40, "n_samples": 20_000}),
+    (check_geometry_closed_forms, {}),
+    (check_component_update_bruteforce, {"n_cases": 200}),
+    (check_gate_soundness, {"n_cases": 10_000}),
+    (check_cld_invariants, {}),
+    (check_cld_grad_fd, {"n_maps": 20}),
+    (check_codec_roundtrip, {"n_cases": 1_000}),
+    (check_assignment_bruteforce, {"n_scenes": 1}),
+    (check_iou_grad_self_consistency, {"n_cases": 10}),
+    (check_clip_kernel_bit_identity, {"n_random": 200}),
+    (check_training_grad_fd, {"n_states": 2}),
+    (check_threaded_step_bit_identity, {}),
+)
+
+
 def verify_suite(fast: bool = False) -> list[CheckResult]:
     """Run all oracle-backed checks; `fast` shrinks the sample counts."""
-    if fast:
-        checks = [
-            check_mc_iou_agreement(n_pairs=40, n_samples=20_000),
-            check_geometry_closed_forms(),
-            check_component_update_bruteforce(n_cases=200),
-            check_gate_soundness(n_cases=10_000),
-            check_cld_invariants(),
-            check_cld_grad_fd(n_maps=20),
-            check_codec_roundtrip(n_cases=1_000),
-            check_assignment_bruteforce(n_scenes=1),
-            check_iou_grad_self_consistency(n_cases=10),
-            check_clip_kernel_bit_identity(n_random=200),
-            check_training_grad_fd(n_states=2),
-            check_threaded_step_bit_identity(),
-        ]
-    else:
-        checks = [
-            check_mc_iou_agreement(),
-            check_geometry_closed_forms(),
-            check_component_update_bruteforce(),
-            check_gate_soundness(),
-            check_cld_invariants(),
-            check_cld_grad_fd(),
-            check_codec_roundtrip(),
-            check_assignment_bruteforce(),
-            check_iou_grad_self_consistency(),
-            check_clip_kernel_bit_identity(),
-            check_training_grad_fd(),
-            check_threaded_step_bit_identity(),
-        ]
-    return checks
+    return [check(**(fast_args if fast else {})) for check, fast_args in _SUITE]

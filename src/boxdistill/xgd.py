@@ -164,37 +164,20 @@ def positive_component_update(
     return np.where(take, teacher, student)
 
 
-def _group_sums(terms: list[float], sizes: Sequence[int] | None) -> float | list[float]:
-    """One sum per group of consecutive ``terms`` (one sum without
-    ``sizes``), in order; zero for an empty group."""
-    groups = [len(terms)] if sizes is None else [int(k) for k in sizes]
-    if any(k < 0 for k in groups) or sum(groups) != len(terms):
-        raise ValueError(f"group sizes {groups} do not partition {len(terms)} boxes")
-    losses = []
-    start = 0
-    for k in groups:
-        losses.append(sum(terms[start : start + k]) if k else 0.0)
-        start += k
-    return losses if sizes is not None else losses[0]
-
-
 def xgd_loss(
     student_boxes: np.ndarray,
     targets: np.ndarray,
     flags: GeometryFlags | None = None,
-    sizes: Sequence[int] | None = None,
-) -> float | list[float]:
+) -> float:
     """Rotated-IoU distillation loss: sum of (1 - IoU3D) over box pairs.
 
     Boxes are index-aligned (n, 7) rows; every pair is scored in one
-    batched :func:`iou3d` call.  Targets are treated as constants.
-    Without ``sizes`` the result is one float, zero when there are no
-    pairs.  With ``sizes``, the lengths of consecutive groups of pairs, it
-    is one sum per group, in pair order, as if each group had been a
-    separate call.
+    batched :func:`iou3d` call.  Targets are treated as constants.  Zero
+    when there are no pairs.
     """
     student_rows, target_rows = _box_rows(student=student_boxes, targets=targets)
-    return _group_sums((1.0 - iou3d(student_rows, target_rows, flags)).tolist(), sizes)
+    terms = (1.0 - iou3d(student_rows, target_rows, flags)).tolist()
+    return sum(terms) if terms else 0.0
 
 
 def _loss_and_grad(
@@ -203,10 +186,10 @@ def _loss_and_grad(
     targets: np.ndarray,
     flags: GeometryFlags | None,
     student_rows: np.ndarray | None,
-    sizes: Sequence[int] | None,
-) -> tuple[list[float] | None, np.ndarray]:
-    """The grouped :func:`xgd_loss` (None without ``sizes``) and
-    :func:`xgd_loss_grad`, from one batched clip."""
+    with_terms: bool,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The per-pair terms of :func:`xgd_loss` (None without
+    ``with_terms``) and :func:`xgd_loss_grad`, from one batched clip."""
     student_deltas = np.asarray(student_deltas, dtype=float)
     anchor_params = np.asarray(anchor_params, dtype=float)
     (target_rows,) = _box_rows(targets=targets)
@@ -214,20 +197,20 @@ def _loss_and_grad(
     if target_rows.shape[0] != n or anchor_params.shape[0] != n:
         raise ValueError("deltas, anchors, and targets must be index-aligned")
     if n == 0:
-        return (None if sizes is None else _group_sums([], sizes)), np.zeros_like(student_deltas)
+        return (np.zeros(0) if with_terms else None), np.zeros_like(student_deltas)
     clip = GRAD_CLIP_FACTOR / DEFAULT_FD_STEPS
     if student_rows is None:
         student_rows = decode_deltas(student_deltas, anchor_params, flags)
     elif np.shape(student_rows) != (n, 7):
         raise ValueError("student_rows must be the (n, 7) decode of student_deltas")
     # The IoU calls reject a non-finite or non-positive decode.
-    losses = None
-    if sizes is None:
-        g_box = -iou3d_grad_fd(student_rows, target_rows, flags=flags)
-    else:
+    terms = None
+    if with_terms:
         iou, g_box = iou3d_and_grad_fd(student_rows, target_rows, flags=flags)
-        losses = _group_sums((1.0 - iou).tolist(), sizes)
-        g_box = -g_box
+        terms = 1.0 - iou
+    else:
+        g_box = iou3d_grad_fd(student_rows, target_rows, flags=flags)
+    g_box = -g_box
     over = np.abs(g_box) > clip
     if np.any(over):
         g_box = np.clip(g_box, -clip, clip)
@@ -239,7 +222,7 @@ def _loss_and_grad(
     jac = np.column_stack(
         [diag, anchor_params[:, 5], diag, student_rows[:, 3:6], np.ones(n)]
     )
-    return losses, g_box * jac
+    return terms, g_box * jac
 
 
 def xgd_loss_grad(
@@ -256,29 +239,29 @@ def xgd_loss_grad(
     the (diagonal) Jacobian of the delta decoding.  Gate decisions are
     piecewise constant and contribute nothing.  Components steeper than
     GRAD_CLIP_FACTOR / step are clipped (contact noise).  ``targets`` are
-    (n, 7) rows.  Each row's gradient depends on that row alone, so rows
-    grouped by :func:`xgd_loss` ``sizes`` need no grouping here.
+    (n, 7) rows.  Each row's gradient depends on that row alone.
     ``student_rows`` is the decode of ``student_deltas`` when the caller
     already has it (its decode clamps already counted in ``flags``).
     """
-    return _loss_and_grad(student_deltas, anchor_params, targets, flags, student_rows, None)[1]
+    return _loss_and_grad(student_deltas, anchor_params, targets, flags, student_rows, False)[1]
 
 
 def xgd_loss_and_grad(
     student_deltas: np.ndarray,
     anchor_params: np.ndarray,
     targets: np.ndarray,
-    sizes: Sequence[int],
     flags: GeometryFlags | None = None,
     student_rows: np.ndarray | None = None,
-) -> tuple[list[float], np.ndarray]:
-    """``xgd_loss(student_rows, targets, flags, sizes)`` and
-    :func:`xgd_loss_grad` from one batched clip (:func:`iou3d_and_grad_fd`).
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-pair terms (1 - IoU3D), in pair order, and
+    :func:`xgd_loss_grad`, from one batched clip (:func:`iou3d_and_grad_fd`).
 
-    Both are bit-identical to the separate calls, and ``flags`` counts
-    what the two calls would count together.
+    Summing a slice of the terms (zero for an empty slice) gives
+    :func:`xgd_loss` on that slice's pairs, and the gradient equals the
+    separate call, bit for bit; ``flags`` counts what the two calls would
+    count together.
     """
-    return _loss_and_grad(student_deltas, anchor_params, targets, flags, student_rows, sizes)
+    return _loss_and_grad(student_deltas, anchor_params, targets, flags, student_rows, True)
 
 
 def gate_keep_rates(decisions: np.ndarray) -> dict[str, float]:

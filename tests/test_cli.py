@@ -84,10 +84,13 @@ def test_replace_single_mode(tiny_config_path, tmp_path, capsys):
 
 
 def test_config_error_exit_code(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"optimizer": {"epoch": 3}}))
-    assert main(["train", str(bad), "--out", str(tmp_path / "x")]) == 2
-    assert "config error" in capsys.readouterr().err
+    # An evaluation setting out of range is refused before training too.
+    for bad_config in ({"optimizer": {"epoch": 3}}, {"eval": {"nms_iou": 0}}):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(bad_config))
+        assert main(["train", str(bad), "--out", str(tmp_path / "x")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 def test_default_config_when_omitted(tmp_path, capsys, monkeypatch):

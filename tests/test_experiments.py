@@ -81,6 +81,14 @@ class TestConfig:
             config_from_dict({"optimizer": {"epochs": -1}})
         with pytest.raises(ConfigError, match=r"scene: ambient_noise"):
             config_from_dict({"scene": {"ambient_noise": -0.02}})
+        for key, bad in (
+            ("score_threshold", 1.5),
+            ("nms_iou", 0),
+            ("pre_nms_top_k", 0),
+            ("recall_positions", 0),
+        ):
+            with pytest.raises(ConfigError, match=f"eval: {key}"):
+                config_from_dict({"eval": {key: bad}})
 
     def test_file_round_trip(self, tmp_path):
         cfg = tiny_config()

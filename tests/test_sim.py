@@ -51,10 +51,30 @@ class TestNoiseProfile:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             NoiseProfile(center_sigma=-0.1)
+        for name in ("center_sigma", "size_sigma", "yaw_sigma", "score_corruption", "depth_bias"):
+            with pytest.raises(ValueError, match=name):
+                NoiseProfile(**{name: float("nan")})
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             NoiseProfile(score_corruption=1.5)
+        # NaN used to pass and gave an uncorrupted teacher.
+        with pytest.raises(ValueError):
+            NoiseProfile(score_corruption=float("nan"))
+
+
+class TestLossAndOptimizerConfig:
+    def test_rejects_out_of_range_or_nan(self):
+        nan = float("nan")
+        for bad in ({"xgd_weight": -1.0}, {"xgd_weight": nan}, {"cld_weight": -1.0},
+                    {"cld_weight": nan}, {"tau": 0.0}, {"tau": nan}):
+            with pytest.raises(ValueError):
+                LossConfig(**bad)
+        for bad in ({"learning_rate": -1.0}, {"learning_rate": nan}, {"weight_decay": -1.0},
+                    {"weight_decay": nan}, {"epochs": -1}, {"epochs": nan},
+                    {"batch_size": 0}, {"batch_size": nan}):
+            with pytest.raises(ValueError):
+                OptimizerConfig(**bad)
 
 
 class TestSceneConfig:
@@ -484,11 +504,12 @@ class TestBaseLoss:
         zero_reg = dataclasses.replace(out)
         assert cls_only == base_loss(zero_reg, bare, empty, grid)  # no reg contribution
 
-    def test_matches_independent_reference(self):
+    @pytest.mark.parametrize("focal_gamma", [2.0, 1.5, 0.0])
+    def test_matches_independent_reference(self, focal_gamma):
         cfg, grid, scene, assignment = small_setup()
         params = DetectorParams.init(4, cfg.scene.feature_dim, grid.k_a, grid.k_c)
         out = student_forward(params, scene)
-        lc = LossConfig()
+        lc = LossConfig(focal_gamma=focal_gamma)
         got = base_loss(out, scene, assignment, grid, lc)
 
         # plain-loop reference
@@ -904,8 +925,9 @@ class TestStepWorkspace:
 
 
 class TestMinibatchStep:
-    """The minibatch step (one XGD pass for all its scenes) must equal a
-    per-scene loop over the public total_loss_and_grad, bit for bit."""
+    """The minibatch step (three phases on workers, one XGD pass for all
+    its scenes) must equal a per-scene loop over the public
+    total_loss_and_grad, which runs the phases in order, bit for bit."""
 
     @staticmethod
     def _dataset():
@@ -988,8 +1010,9 @@ class TestMinibatchStep:
         assert clamps > 0
 
     def test_xgd_pass_equals_grouped_xgd_loss_and_its_gradient(self):
-        # The pass scores its losses and gradient in one clip; they must
-        # equal xgd_loss(..., sizes=...) and xgd_loss_grad over the same rows.
+        # The pass scores its losses and gradient in one clip; each scene's
+        # loss must equal xgd_loss on that scene's rows, and the gradient
+        # xgd_loss_grad over all rows.
         from boxdistill.config import default_arm_matrix
         from boxdistill.geometry import GeometryFlags
         from boxdistill.sim import _regression_terms, _scene_targets, _xgd_terms
@@ -1006,6 +1029,7 @@ class TestMinibatchStep:
             ]
             sizes = [t.xgd_rows.size for t in targets]
             assert all(sizes)
+            bounds = np.cumsum([0] + sizes)
             anchors = np.concatenate([t.xgd_anchors for t in targets])
             teacher_rows = np.concatenate([t.xgd_teacher for t in targets])
             for params in param_sets:
@@ -1024,7 +1048,10 @@ class TestMinibatchStep:
                         teacher_rows, student_rows, np.concatenate([t.xgd_gt for t in targets]),
                         cfg.gate_eps, components=cfg.xgd_components,
                     )
-                want = xgd_loss(student_rows, box_targets, flags_apart, sizes=sizes)
+                want = [
+                    xgd_loss(student_rows[lo:hi], box_targets[lo:hi], flags_apart)
+                    for lo, hi in zip(bounds[:-1], bounds[1:])
+                ]
                 want_grad = xgd_loss_grad(
                     deltas, anchors, box_targets, flags_apart, student_rows=student_rows
                 )

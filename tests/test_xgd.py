@@ -5,6 +5,7 @@ import pytest
 
 from boxdistill.anchors import decode_deltas
 from boxdistill.geometry import Box3D, GeometryFlags, iou3d, wrap_angle
+from boxdistill.verify import _reference_component_update
 from boxdistill.xgd import (
     component_gate,
     gate_decisions,
@@ -26,39 +27,6 @@ def random_box(rng, spread=3.0):
 
 def rows(boxes):
     return np.array([b.as_array() for b in boxes]).reshape(-1, 7)
-
-
-def reference_update(teacher, student, gt, eps=1e-9):
-    """Independent re-implementation of the gated component update."""
-    out = []
-    for t_box, s_box, g_box in zip(teacher, student, gt):
-        parts = []
-        for key in ("center", "size", "angle"):
-            if key == "center":
-                tv = np.array([t_box.cx - s_box.cx, t_box.cy - s_box.cy, t_box.cz - s_box.cz])
-                gv = np.array([g_box.cx - s_box.cx, g_box.cy - s_box.cy, g_box.cz - s_box.cz])
-                t_val = (t_box.cx, t_box.cy, t_box.cz)
-                s_val = (s_box.cx, s_box.cy, s_box.cz)
-            elif key == "size":
-                tv = np.array([t_box.l - s_box.l, t_box.w - s_box.w, t_box.h - s_box.h])
-                gv = np.array([g_box.l - s_box.l, g_box.w - s_box.w, g_box.h - s_box.h])
-                t_val = (t_box.l, t_box.w, t_box.h)
-                s_val = (s_box.l, s_box.w, s_box.h)
-            else:
-                tv = np.array([wrap_angle(t_box.yaw - s_box.yaw)])
-                gv = np.array([wrap_angle(g_box.yaw - s_box.yaw)])
-                t_val = t_box.yaw
-                s_val = s_box.yaw
-            nt, ng = np.linalg.norm(tv), np.linalg.norm(gv)
-            if nt < eps:
-                keep = True
-            elif ng < eps:
-                keep = False
-            else:
-                keep = float(tv @ gv) / (nt * ng) > 0.0
-            parts.append(t_val if keep else s_val)
-        out.append(Box3D(*parts[0], *parts[1], parts[2]))
-    return out
 
 
 class TestComponentGate:
@@ -154,7 +122,7 @@ class TestPositiveComponentUpdate:
                     t = student[j]
                 teacher.append(t)
             got = positive_component_update(rows(teacher), rows(student), rows(gt))
-            want = reference_update(teacher, student, gt)
+            want = _reference_component_update(teacher, student, gt, eps=1e-9)
             assert [Box3D.from_array(r) for r in got] == want, f"case {case}"
 
     def test_component_restriction(self):
@@ -241,16 +209,17 @@ class TestXgdLoss:
         assert flags_rows == flags_boxes
 
     def test_groups_equal_separate_calls(self):
+        # Summing a slice of one batched call's terms equals xgd_loss on the
+        # slice, empty slices included: the per-scene split of training.
         rng = np.random.default_rng(19)
         students = np.array([random_box(rng).as_array() for _ in range(12)])
         targets = students + np.concatenate([rng.normal(0, 0.2, (12, 3)), np.zeros((12, 4))], axis=1)
-        sizes = [5, 0, 3, 4]
-        bounds = np.cumsum([0] + sizes)
-        got = xgd_loss(students, targets, sizes=sizes)
-        want = [xgd_loss(students[lo:hi], targets[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        assert got == want
-        with pytest.raises(ValueError):
-            xgd_loss(students, targets, sizes=[5, 5])
+        bounds = np.cumsum([0, 5, 0, 3, 4])
+        terms = (1.0 - iou3d(students, targets)).tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            got = sum(terms[lo:hi]) if hi > lo else 0.0
+            assert got == xgd_loss(students[lo:hi], targets[lo:hi])
+        assert sum(terms) == xgd_loss(students, targets)
 
 
 class TestXgdLossGrad:
@@ -336,10 +305,18 @@ class TestXgdLossGrad:
             xgd_loss_grad(deltas, anchors, targets, student_rows=decoded[:3])
 
 
+def slice_sums(terms, sizes):
+    """Per-slice sums of the per-pair terms, zero for an empty slice."""
+    terms = terms.tolist()
+    bounds = np.cumsum([0] + list(sizes))
+    return [sum(terms[lo:hi]) if hi > lo else 0.0 for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 class TestXgdLossAndGrad:
     def test_equals_the_separate_calls(self):
-        # Groups, identical pairs, clamped decodes and vertically disjoint
-        # pairs: the one-clip form equals xgd_loss and xgd_loss_grad.
+        # Slices, identical pairs, clamped decodes and vertically disjoint
+        # pairs: each slice of the one-clip terms sums to xgd_loss on the
+        # slice, and the gradient equals xgd_loss_grad.
         rng = np.random.default_rng(23)
         n = 30
         anchors = np.array([random_box(rng).as_array() for _ in range(n)])
@@ -350,22 +327,28 @@ class TestXgdLossAndGrad:
         targets[::5] = students[::5]
         targets[1::6, 1] += 10.0
         sizes = [12, 0, 7, 11]
+        bounds = np.cumsum([0] + sizes)
         flags_fused, flags_apart = GeometryFlags(), GeometryFlags()
-        losses, grad = xgd_loss_and_grad(deltas, anchors, targets, sizes, flags_fused)
+        terms, grad = xgd_loss_and_grad(deltas, anchors, targets, flags_fused)
+        assert terms.shape == (n,)
         want_rows = decode_deltas(deltas, anchors, flags_apart)
-        want = xgd_loss(want_rows, targets, flags_apart, sizes=sizes)
+        want = [
+            xgd_loss(want_rows[lo:hi], targets[lo:hi], flags_apart)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
         want_grad = xgd_loss_grad(deltas, anchors, targets, flags_apart, student_rows=want_rows)
-        assert losses == want
+        assert slice_sums(terms, sizes) == want
         assert np.array_equal(grad, want_grad)
         assert flags_fused == flags_apart
         assert flags_apart.decode_clamped > 0
 
     def test_empty_groups(self):
         empty = np.zeros((0, 7))
-        losses, grad = xgd_loss_and_grad(empty, empty, empty, [0, 0])
-        assert losses == [0.0, 0.0] and grad.shape == (0, 7)
+        terms, grad = xgd_loss_and_grad(empty, empty, empty)
+        assert terms.shape == (0,) and grad.shape == (0, 7)
+        assert slice_sums(terms, [0, 0]) == [0.0, 0.0]
         with pytest.raises(ValueError):
-            xgd_loss_and_grad(empty, empty, empty, [1])
+            xgd_loss_and_grad(empty, empty, np.zeros((1, 7)))
 
 
 class TestGateKeepRates:
