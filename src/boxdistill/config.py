@@ -106,6 +106,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        # A repeated seed would be trained and averaged twice.
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
 
     def assignment_thresholds(self) -> dict[int, tuple[float, float]]:
         return {

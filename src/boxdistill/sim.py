@@ -90,27 +90,33 @@ class NoiseProfile:
             raise ValueError("score_corruption is a probability")
 
 
+# Fixed scene-sampler conventions: each object's heading, its size scale
+# per extent (relative to its class template), and its height; the BEV
+# clearance kept between footprints; how far past a footprint its features
+# reach; and the student modality's error model.
+YAW_RANGE = (-math.pi / 3, math.pi / 3)
+SIZE_SCALE_RANGE = (0.9, 1.15)
+CY_RANGE = (0.9, 1.1)
+MIN_GAP = 0.5
+FEATURE_DILATION = 0.9
+STUDENT_NOISE = NoiseProfile(
+    center_sigma=0.06,
+    size_sigma=0.04,
+    yaw_sigma=0.05,
+    score_corruption=0.08,
+    depth_bias=0.002,
+)
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     n_objects: tuple[int, int] = (6, 11)
     # sampling weights per class id; empty means uniform.  The default
     # mirrors street scenes where car-sized objects dominate.
     class_weights: tuple[float, ...] = (0.45, 0.3, 0.25)
-    yaw_range: tuple[float, float] = (-math.pi / 3, math.pi / 3)
-    size_scale_range: tuple[float, float] = (0.9, 1.15)
-    cy_range: tuple[float, float] = (0.9, 1.1)
     border_margin: float = 2.5
-    min_gap: float = 0.5
     feature_dim: int = 16
-    feature_dilation: float = 0.9
     ambient_noise: float = 0.02
-    student_noise: NoiseProfile = NoiseProfile(
-        center_sigma=0.06,
-        size_sigma=0.04,
-        yaw_sigma=0.05,
-        score_corruption=0.08,
-        depth_bias=0.002,
-    )
     max_rejects: int = 10_000
 
     def __post_init__(self) -> None:
@@ -188,7 +194,7 @@ class Scene:
 def generate_scene(rng_seed: int, config: SceneConfig, grid: AnchorGrid) -> Scene:
     """Sample a scene with pairwise-disjoint footprints, fully seeded.
 
-    Object footprints keep ``min_gap`` meters of BEV clearance, so no two
+    Object footprints keep ``MIN_GAP`` meters of BEV clearance, so no two
     ground truths ever overlap.  Features encode the nearest visible
     object's geometry as estimated through the student modality's noise.
     """
@@ -204,7 +210,7 @@ def generate_scene(rng_seed: int, config: SceneConfig, grid: AnchorGrid) -> Scen
 
     class_sizes = _template_sizes(grid)
     gts: list[tuple[Box3D, int]] = []
-    footprints: list[Box3D] = []  # each placed box grown by min_gap
+    footprints: list[Box3D] = []  # each placed box grown by MIN_GAP
     # Checked and normalized at the first class draw: a scene that places
     # no object never reads the weights.
     class_p = None
@@ -225,17 +231,17 @@ def generate_scene(rng_seed: int, config: SceneConfig, grid: AnchorGrid) -> Scen
         else:
             class_id = int(rng.integers(0, grid.k_c))
         base_l, base_w, base_h = class_sizes[class_id]
-        sl, sw, sh = rng.uniform(*config.size_scale_range, size=3)
+        sl, sw, sh = rng.uniform(*SIZE_SCALE_RANGE, size=3)
         box = Box3D(
             cx=float(rng.uniform(x_lo, x_hi)),
-            cy=float(rng.uniform(*config.cy_range)),
+            cy=float(rng.uniform(*CY_RANGE)),
             cz=float(rng.uniform(z_lo, z_hi)),
             l=base_l * sl,
             w=base_w * sw,
             h=base_h * sh,
-            yaw=float(rng.uniform(*config.yaw_range)),
+            yaw=float(rng.uniform(*YAW_RANGE)),
         )
-        grown = replace(box, l=box.l + config.min_gap, w=box.w + config.min_gap)
+        grown = replace(box, l=box.l + MIN_GAP, w=box.w + MIN_GAP)
         if all(bev_iou(grown, g) == 0.0 for g in footprints):
             gts.append((box, class_id))
             footprints.append(grown)
@@ -279,7 +285,7 @@ def _embed_features(
         raise ValueError(f"feature_dim {dim} too small; need >= {10 + k_c}")
     centers = grid.position_centers
     n = centers.shape[0]
-    noise = config.student_noise
+    noise = STUDENT_NOISE
 
     visible_gt = np.full(n, -1, dtype=np.int64)
     best_d2 = np.full(n, np.inf)
@@ -289,8 +295,8 @@ def _embed_features(
         c, s = math.cos(yaw), math.sin(yaw)
         u = dx * c + dz * s
         v = -dx * s + dz * c
-        inside = (np.abs(u) <= 0.5 * l + config.feature_dilation) & (
-            np.abs(v) <= 0.5 * w + config.feature_dilation
+        inside = (np.abs(u) <= 0.5 * l + FEATURE_DILATION) & (
+            np.abs(v) <= 0.5 * w + FEATURE_DILATION
         )
         d2 = dx * dx + dz * dz
         take = inside & (d2 < best_d2)
@@ -657,6 +663,13 @@ def teacher_predict(
     return TeacherResponse(anchors=pos, logits=logits, deltas=deltas, n_positions=grid.n_positions, k_a=grid.k_a)
 
 
+# Fixed hard-label loss conventions: RetinaNet's focal gamma and alpha
+# (Lin et al., ICCV 2017) and the smooth-L1 transition point.
+FOCAL_GAMMA = 2.0
+FOCAL_ALPHA = 0.25
+SMOOTH_L1_BETA = 1.0 / 9.0
+
+
 @dataclass(frozen=True)
 class LossConfig:
     """Weights and switches for the combined training objective."""
@@ -664,15 +677,11 @@ class LossConfig:
     xgd_weight: float = 1.0
     cld_weight: float = 1.0
     tau: float = 1.0
-    gate_eps: float = 1e-9
     xgd_components: tuple[str, ...] = COMPONENT_NAMES
     xgd_selection: str = "gate"  # "gate" | "confidence"
     confidence_threshold: float = 0.3
     cld_region: str = "foreground"  # "foreground" | "positive"
     cld_mode: str = "unified"  # "unified" | "classical"
-    focal_gamma: float = 2.0
-    focal_alpha: float = 0.25
-    smooth_l1_beta: float = 1.0 / 9.0
 
     def __post_init__(self) -> None:
         # Positive tests, so that NaN fails too.
@@ -680,6 +689,9 @@ class LossConfig:
             raise ValueError("loss weights must be >= 0")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
+        # Values above 1 are legal and select no box.
+        if not math.isfinite(self.confidence_threshold):
+            raise ValueError(f"confidence_threshold must be finite, got {self.confidence_threshold}")
         if self.xgd_selection not in ("gate", "confidence"):
             raise ValueError(f"unknown xgd_selection {self.xgd_selection!r}")
         if self.cld_region not in ("foreground", "positive"):
@@ -896,7 +908,7 @@ def _regression_terms(
     deltas_flat: np.ndarray, t: _SceneTargets, cfg: LossConfig
 ) -> _RegressionTerms:
     """Smooth-L1 regression term of one scene from its flat student deltas."""
-    sl, sg = _smooth_l1(deltas_flat[t.pos] - t.target_deltas, cfg.smooth_l1_beta)
+    sl, sg = _smooth_l1(deltas_flat[t.pos] - t.target_deltas, SMOOTH_L1_BETA)
     return _RegressionTerms(
         reg=float(sl.sum()) / t.norm,
         base_rows=sg / t.norm,
@@ -912,7 +924,7 @@ def _classification_terms(
     the flat logit gradient (the workspace's ``dlogits``, complete: XGD
     adds none)."""
     floss, dlogits = _focal_terms(
-        logits_flat, t.pos, t.pos_classes, t.ignore_rows, cfg.focal_gamma, cfg.focal_alpha, ws
+        logits_flat, t.pos, t.pos_classes, t.ignore_rows, FOCAL_GAMMA, FOCAL_ALPHA, ws
     )
     dlogits /= t.norm
     cld_term = 0.0
@@ -948,12 +960,11 @@ def _xgd_terms(
     gated = cfg.xgd_selection == "gate"
     if gated:
         gt_rows = np.concatenate([t.xgd_gt for t in targets])
-        decisions = gate_decisions(teacher_rows, student_rows, gt_rows, cfg.gate_eps)
+        decisions = gate_decisions(teacher_rows, student_rows, gt_rows)
         box_targets = positive_component_update(
             teacher_rows,
             student_rows,
             gt_rows,
-            cfg.gate_eps,
             components=cfg.xgd_components,
             decisions=decisions,
         )
@@ -1101,13 +1112,16 @@ def replace_outputs(
     return DetectorOutputs(logits=logits, deltas=deltas)
 
 
+# Adam's moment decay rates and denominator guard, at Kingma and Ba's defaults.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     learning_rate: float = 0.003
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 60
     batch_size: int = 4
 
@@ -1155,11 +1169,11 @@ class _Adam:
         self.t += 1
         out = []
         for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = c.beta1 * self.m[i] + (1 - c.beta1) * g
-            self.v[i] = c.beta2 * self.v[i] + (1 - c.beta2) * g * g
-            m_hat = self.m[i] / (1 - c.beta1**self.t)
-            v_hat = self.v[i] / (1 - c.beta2**self.t)
-            out.append(p - c.learning_rate * (m_hat / (np.sqrt(v_hat) + c.eps) + c.weight_decay * p))
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1 - ADAM_BETA2) * g * g
+            m_hat = self.m[i] / (1 - ADAM_BETA1**self.t)
+            v_hat = self.v[i] / (1 - ADAM_BETA2**self.t)
+            out.append(p - c.learning_rate * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + c.weight_decay * p))
         return out
 
 

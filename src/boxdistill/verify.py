@@ -33,7 +33,7 @@ class CheckResult:
     seconds: float
 
 
-def _random_box(rng: np.random.Generator, spread: float = 3.0) -> Box3D:
+def random_box(rng: np.random.Generator, spread: float = 3.0) -> Box3D:
     return Box3D(
         *rng.uniform(-spread, spread, 3),
         *np.exp(rng.uniform(-0.7, 0.9, 3)),
@@ -41,13 +41,13 @@ def _random_box(rng: np.random.Generator, spread: float = 3.0) -> Box3D:
     )
 
 
-def _rows(boxes) -> np.ndarray:
+def rows(boxes) -> np.ndarray:
     """(n, 7) parameter rows of an iterable of boxes."""
     return np.array([b.as_array() for b in boxes]).reshape(-1, 7)
 
 
-def _near_pair(rng: np.random.Generator) -> tuple[Box3D, Box3D]:
-    a = _random_box(rng)
+def near_pair(rng: np.random.Generator) -> tuple[Box3D, Box3D]:
+    a = random_box(rng)
     b = Box3D(
         a.cx + rng.normal(0, 0.4 * a.l),
         a.cy + rng.normal(0, 0.4 * a.h),
@@ -74,7 +74,7 @@ def check_mc_iou_agreement(n_pairs: int = 500, n_samples: int = 100_000) -> Chec
                 "mc_iou_agreement", False, "could not sample enough overlapping pairs",
                 time.time() - t0,
             )
-        a, b = _near_pair(rng)
+        a, b = near_pair(rng)
         exact = geom.iou3d(a, b)
         if exact <= 0.05:
             continue
@@ -159,11 +159,11 @@ def check_component_update_bruteforce(n_cases: int = 1000) -> CheckResult:
     eps = 1e-9
     for case in range(n_cases):
         n = int(rng.integers(1, 5))
-        student = [_random_box(rng) for _ in range(n)]
-        gt = [_random_box(rng) for _ in range(n)]
+        student = [random_box(rng) for _ in range(n)]
+        gt = [random_box(rng) for _ in range(n)]
         teacher = []
         for j in range(n):
-            t = _random_box(rng)
+            t = random_box(rng)
             # exercise the degeneracy rules
             roll = rng.uniform()
             if roll < 0.15:
@@ -173,7 +173,7 @@ def check_component_update_bruteforce(n_cases: int = 1000) -> CheckResult:
                 gt[j] = Box3D(student[j].cx, student[j].cy, student[j].cz,
                               gt[j].l, gt[j].w, gt[j].h, gt[j].yaw)
             teacher.append(t)
-        got = xgd_mod.positive_component_update(_rows(teacher), _rows(student), _rows(gt), eps)
+        got = xgd_mod.positive_component_update(rows(teacher), rows(student), rows(gt), eps)
         want = _reference_component_update(teacher, student, gt, eps)
         for g_box, w_box in zip(map(Box3D.from_array, got), want):
             if g_box != w_box:
@@ -262,8 +262,8 @@ def check_cld_invariants() -> CheckResult:
     # highlighting: argmax of the unified row is the max-logit (anchor, class)
     for _ in range(100):
         lm = cld_mod.LogitMap(rng.normal(0, 2, size=(3 * 2, 4)), k_a=2)
-        rows = cld_mod.unified_distribution(lm).rows
-        if not np.array_equal(rows.argmax(axis=1), lm.flattened().argmax(axis=1)):
+        dist_rows = cld_mod.unified_distribution(lm).rows
+        if not np.array_equal(dist_rows.argmax(axis=1), lm.flattened().argmax(axis=1)):
             failures.append("highlighting property broken")
             break
     return CheckResult(
@@ -312,9 +312,9 @@ def check_codec_roundtrip(n_cases: int = 10_000) -> CheckResult:
     """encode_deltas then decode_deltas recovers random boxes."""
     t0 = time.time()
     rng = np.random.default_rng(23)
-    pairs = [(_random_box(rng), _random_box(rng)) for _ in range(n_cases)]
-    boxes = _rows(box for box, _ in pairs)
-    anchors = _rows(anchor for _, anchor in pairs)
+    pairs = [(random_box(rng), random_box(rng)) for _ in range(n_cases)]
+    boxes = rows(box for box, _ in pairs)
+    anchors = rows(anchor for _, anchor in pairs)
     back = anchors_mod.decode_deltas(anchors_mod.encode_deltas(boxes, anchors), anchors)
     err = np.abs(back[:, :6] - boxes[:, :6]).max(axis=1)
     # yaw may round-trip to the equivalent angle across the wrap boundary
@@ -421,11 +421,11 @@ def check_iou_grad_self_consistency(n_cases: int = 40) -> CheckResult:
     checked = 0
     worst = 0.0
     while checked < n_cases:
-        a, b = _near_pair(rng)
+        a, b = near_pair(rng)
         if not 0.15 < geom.iou3d(a, b) < 0.95:
             continue
-        g1 = geom.iou3d_grad_fd(_rows([a]), _rows([b]), steps=np.full(7, 1e-3))[0]
-        g2 = geom.iou3d_grad_fd(_rows([a]), _rows([b]), steps=np.full(7, 1e-4))[0]
+        g1 = geom.iou3d_grad_fd(rows([a]), rows([b]), steps=np.full(7, 1e-3))[0]
+        g2 = geom.iou3d_grad_fd(rows([a]), rows([b]), steps=np.full(7, 1e-4))[0]
         denom = max(np.linalg.norm(g1), np.linalg.norm(g2), 1e-12)
         if denom < 1e-6:
             continue
@@ -457,7 +457,7 @@ def clip_tie_cases(rng: np.random.Generator, n_each: int) -> dict[str, list[tupl
     axis-aligned boxes share edge lines and corners."""
     cases: dict[str, list[tuple[Box3D, Box3D]]] = {kind: [] for kind in CLIP_TIE_KINDS}
     for _ in range(n_each):
-        a = _random_box(rng)
+        a = random_box(rng)
         turn = rng.uniform(-math.pi, math.pi)
         shift = 10.0 ** rng.uniform(-9, 0)
         cases["identical"].append((a, a))
@@ -488,13 +488,13 @@ def check_clip_kernel_bit_identity(n_random: int = 1000) -> CheckResult:
     iou3d_grad_fd on the same rows), with ==."""
     t0 = time.time()
     rng = np.random.default_rng(37)
-    pairs = [_near_pair(rng) for _ in range(n_random)]
-    pairs += [(_random_box(rng), _random_box(rng)) for _ in range(n_random)]
+    pairs = [near_pair(rng) for _ in range(n_random)]
+    pairs += [(random_box(rng), random_box(rng)) for _ in range(n_random)]
     for group in clip_tie_cases(rng, max(1, n_random // 4)).values():
         pairs += group
     pairs += [(b, a) for a, b in pairs]
-    a_rows = _rows(a for a, _ in pairs)
-    b_rows = _rows(b for _, b in pairs)
+    a_rows = rows(a for a, _ in pairs)
+    b_rows = rows(b for _, b in pairs)
     kernel = geom._clip_area_rows(*geom._bev_corners_rows(a_rows), *geom._bev_corners_rows(b_rows))
     iou_rows = geom.bev_iou(a_rows, b_rows)
     flags_rows, flags_pairs = geom.GeometryFlags(), geom.GeometryFlags()
@@ -609,7 +609,6 @@ def check_training_grad_fd(n_states: int = 5) -> CheckResult:
             anchors_mod.decode_deltas(dense_teacher.deltas_flat[pos], anchor_params),
             anchors_mod.decode_deltas(out.deltas_flat[pos], anchor_params),
             scene.boxes[assignment.matched],
-            cfg.loss.gate_eps,
             components=cfg.loss.xgd_components,
         )
         fg = sim_mod.cld_positions(assignment, grid, cfg.loss.cld_region)

@@ -38,7 +38,7 @@ from boxdistill.sim import (
     teacher_predict,
     total_loss_and_grad,
 )
-from boxdistill.verify import _reference_component_update
+from boxdistill.verify import _reference_component_update, near_pair, random_box, rows
 from boxdistill.xgd import component_gate, positive_component_update
 
 pytestmark = pytest.mark.acceptance
@@ -59,32 +59,6 @@ def report(capfd):
     return _report
 
 
-def random_box(rng, spread=3.0):
-    return Box3D(
-        *rng.uniform(-spread, spread, 3),
-        *np.exp(rng.uniform(-0.7, 0.9, 3)),
-        rng.uniform(-math.pi, math.pi),
-    )
-
-
-def rows(boxes):
-    return np.array([b.as_array() for b in boxes]).reshape(-1, 7)
-
-
-def overlapping_pair(rng):
-    a = random_box(rng)
-    b = Box3D(
-        a.cx + rng.normal(0, 0.4 * a.l),
-        a.cy + rng.normal(0, 0.4 * a.h),
-        a.cz + rng.normal(0, 0.4 * a.w),
-        a.l * math.exp(rng.normal(0, 0.25)),
-        a.w * math.exp(rng.normal(0, 0.25)),
-        a.h * math.exp(rng.normal(0, 0.25)),
-        a.yaw + rng.normal(0, 0.6),
-    )
-    return a, b
-
-
 def test_criterion_1_mc_oracle_agreement(report):
     """500 random overlapping pairs: |exact - MC(1e5)| <= 0.01, under 60 s."""
     t0 = time.time()
@@ -92,7 +66,7 @@ def test_criterion_1_mc_oracle_agreement(report):
     worst = 0.0
     checked = 0
     while checked < 500:
-        a, b = overlapping_pair(rng)
+        a, b = near_pair(rng)
         exact = iou3d(a, b)
         if exact <= 0.05:
             continue

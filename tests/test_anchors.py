@@ -17,7 +17,7 @@ from boxdistill.anchors import (
     positive_target_deltas,
 )
 from boxdistill.geometry import Box3D, GeometryFlags, bev_iou, wrap_angle
-from boxdistill.verify import assignment_mismatches
+from boxdistill.verify import assignment_mismatches, random_box, rows
 
 
 def small_grid(cell=1.0, extent=8.0, classes=None, rotations=(0.0, math.pi / 2)):
@@ -30,14 +30,6 @@ def small_grid(cell=1.0, extent=8.0, classes=None, rotations=(0.0, math.pi / 2))
             classes=tuple(classes),
             rotations=rotations,
         )
-    )
-
-
-def random_box(rng, spread=3.0):
-    return Box3D(
-        *rng.uniform(-spread, spread, 3),
-        *np.exp(rng.uniform(-0.7, 0.9, 3)),
-        rng.uniform(-math.pi, math.pi),
     )
 
 
@@ -98,10 +90,6 @@ class TestGridConstruction:
     def test_k_a_is_classes_times_rotations(self):
         grid = build_anchor_grid(GridConfig())
         assert grid.k_a == grid.k_c * 2
-
-
-def rows(boxes):
-    return np.array([b.as_array() for b in boxes]).reshape(-1, 7)
 
 
 def gt_arrays(gts):

@@ -84,8 +84,17 @@ def test_replace_single_mode(tiny_config_path, tmp_path, capsys):
 
 
 def test_config_error_exit_code(tmp_path, capsys):
-    # An evaluation setting out of range is refused before training too.
-    for bad_config in ({"optimizer": {"epoch": 3}}, {"eval": {"nms_iou": 0}}):
+    # An evaluation setting out of range is refused before training too, and
+    # so are the keys of the fixed conventions (Adam's beta1, the scene
+    # sampler's gap, the smooth-L1 beta) and a repeated seed.
+    for bad_config in (
+        {"optimizer": {"epoch": 3}},
+        {"eval": {"nms_iou": 0}},
+        {"optimizer": {"beta1": 1.0}},
+        {"scene": {"min_gap": -5.0}},
+        {"loss": {"smooth_l1_beta": 0.0}},
+        {"seeds": [0, 0]},
+    ):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(bad_config))
         assert main(["train", str(bad), "--out", str(tmp_path / "x")]) == 2

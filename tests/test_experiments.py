@@ -89,6 +89,9 @@ class TestConfig:
         ):
             with pytest.raises(ConfigError, match=f"eval: {key}"):
                 config_from_dict({"eval": {key: bad}})
+        # A repeated seed used to train twice and count twice in the means.
+        with pytest.raises(ConfigError, match="seeds must be distinct"):
+            config_from_dict({"seeds": [0, 0, 1]})
 
     def test_file_round_trip(self, tmp_path):
         cfg = tiny_config()

@@ -18,32 +18,10 @@ from boxdistill.geometry import (
     iou3d_mc_oracle,
     wrap_angle,
 )
-from boxdistill.verify import CLIP_TIE_KINDS, clip_tie_cases
+from boxdistill.verify import CLIP_TIE_KINDS, clip_tie_cases, near_pair, random_box
 
 OCTAGON_AREA = 2.0 * (math.sqrt(2.0) - 1.0)  # unit square clipped by its 45-degree copy
 ROT45_IOU = OCTAGON_AREA / (2.0 - OCTAGON_AREA)
-
-
-def random_box(rng, spread=3.0):
-    return Box3D(
-        *rng.uniform(-spread, spread, 3),
-        *np.exp(rng.uniform(-0.7, 0.9, 3)),
-        rng.uniform(-math.pi, math.pi),
-    )
-
-
-def overlapping_pair(rng):
-    a = random_box(rng)
-    b = Box3D(
-        a.cx + rng.normal(0, 0.4 * a.l),
-        a.cy + rng.normal(0, 0.4 * a.h),
-        a.cz + rng.normal(0, 0.4 * a.w),
-        a.l * math.exp(rng.normal(0, 0.25)),
-        a.w * math.exp(rng.normal(0, 0.25)),
-        a.h * math.exp(rng.normal(0, 0.25)),
-        a.yaw + rng.normal(0, 0.6),
-    )
-    return a, b
 
 
 class TestWrapAngle:
@@ -185,13 +163,13 @@ class TestIoU3D:
     def test_symmetry_bit_identical(self):
         rng = np.random.default_rng(3)
         for _ in range(300):
-            a, b = overlapping_pair(rng)
+            a, b = near_pair(rng)
             assert iou3d(a, b) == iou3d(b, a)
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
-            a, b = overlapping_pair(rng)
+            a, b = near_pair(rng)
             base = iou3d(a, b)
             tx, ty, tz = rng.uniform(-20, 20, 3)
             phi = rng.uniform(-math.pi, math.pi)
@@ -274,7 +252,7 @@ class TestMonteCarloOracle:
         rng = np.random.default_rng(8)
         checked = 0
         while checked < 40:
-            a, b = overlapping_pair(rng)
+            a, b = near_pair(rng)
             exact = iou3d(a, b)
             if exact <= 0.05:
                 continue
@@ -307,7 +285,7 @@ class TestIoUGradFD:
         rng = np.random.default_rng(9)
         checked = 0
         while checked < 25:
-            a, b = overlapping_pair(rng)
+            a, b = near_pair(rng)
             if not 0.15 < iou3d(a, b) < 0.95:
                 continue
             g1 = grad_fd(a, b, steps=np.full(7, 1e-3))
@@ -352,7 +330,7 @@ class TestClipKernel:
 
     def test_random_pairs(self):
         rng = np.random.default_rng(41)
-        pairs = [overlapping_pair(rng) for _ in range(400)]
+        pairs = [near_pair(rng) for _ in range(400)]
         pairs += [(random_box(rng), random_box(rng)) for _ in range(400)]
         got = kernel_clip_areas(pairs)
         assert all(g == scalar_clip_area(a, b) for g, (a, b) in zip(got, pairs))
@@ -372,7 +350,7 @@ class TestClipKernel:
 
     def test_array_bev_iou_matches_pairs(self):
         rng = np.random.default_rng(47)
-        pairs = [overlapping_pair(rng) for _ in range(200)]
+        pairs = [near_pair(rng) for _ in range(200)]
         for group in clip_tie_cases(rng, 40).values():
             pairs += group
         a = np.array([p[0].as_array() for p in pairs])
@@ -432,7 +410,7 @@ class TestArrayIoU3D:
 
     def test_random_pairs_and_swaps(self):
         rng = np.random.default_rng(53)
-        pairs = [overlapping_pair(rng) for _ in range(300)]
+        pairs = [near_pair(rng) for _ in range(300)]
         pairs += [(random_box(rng), random_box(rng)) for _ in range(100)]
         for group in clip_tie_cases(rng, 20).values():
             pairs += group
@@ -530,7 +508,7 @@ def seed_iou3d_grad_fd(a, b_const, steps=None, flags=None):
 
 class TestIoUGradFDBatch:
     def pairs(self, rng):
-        pairs = [overlapping_pair(rng) for _ in range(150)]
+        pairs = [near_pair(rng) for _ in range(150)]
         pairs += [(random_box(rng), random_box(rng)) for _ in range(50)]
         for group in clip_tie_cases(rng, 10).values():
             pairs += group
@@ -589,7 +567,7 @@ class TestIoUAndGradFD:
 
     def test_random_near_and_identical_pairs(self):
         rng = np.random.default_rng(67)
-        pairs = [overlapping_pair(rng) for _ in range(200)]
+        pairs = [near_pair(rng) for _ in range(200)]
         pairs += [(a, a) for a, _ in pairs[:50]]
         pairs += [(b, a) for a, b in pairs]
         iou, _ = self.assert_matches_separate_calls(pairs)
@@ -606,7 +584,7 @@ class TestIoUAndGradFD:
         for _ in range(30):
             a = random_box(rng)
             pairs.append((a, replace(a, cy=a.cy + 2.0 * a.h)))
-        pairs += [overlapping_pair(rng) for _ in range(10)]
+        pairs += [near_pair(rng) for _ in range(10)]
         rows = []
         clip = geom._clip_area_rows
 

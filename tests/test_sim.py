@@ -67,7 +67,8 @@ class TestLossAndOptimizerConfig:
     def test_rejects_out_of_range_or_nan(self):
         nan = float("nan")
         for bad in ({"xgd_weight": -1.0}, {"xgd_weight": nan}, {"cld_weight": -1.0},
-                    {"cld_weight": nan}, {"tau": 0.0}, {"tau": nan}):
+                    {"cld_weight": nan}, {"tau": 0.0}, {"tau": nan},
+                    {"confidence_threshold": nan}):
             with pytest.raises(ValueError):
                 LossConfig(**bad)
         for bad in ({"learning_rate": -1.0}, {"learning_rate": nan}, {"weight_decay": -1.0},
@@ -505,17 +506,21 @@ class TestBaseLoss:
         assert cls_only == base_loss(zero_reg, bare, empty, grid)  # no reg contribution
 
     @pytest.mark.parametrize("focal_gamma", [2.0, 1.5, 0.0])
-    def test_matches_independent_reference(self, focal_gamma):
+    def test_matches_independent_reference(self, focal_gamma, monkeypatch):
+        import boxdistill.sim as sim_mod
+
+        # The focal loss has one code path for every gamma; gammas other
+        # than the fixed 2.0 are reached by patching the constant it reads.
+        monkeypatch.setattr(sim_mod, "FOCAL_GAMMA", focal_gamma)
         cfg, grid, scene, assignment = small_setup()
         params = DetectorParams.init(4, cfg.scene.feature_dim, grid.k_a, grid.k_c)
         out = student_forward(params, scene)
-        lc = LossConfig(focal_gamma=focal_gamma)
-        got = base_loss(out, scene, assignment, grid, lc)
+        got = base_loss(out, scene, assignment, grid, LossConfig())
 
         # plain-loop reference
         from boxdistill.anchors import positive_target_deltas
 
-        gamma, alpha, beta = lc.focal_gamma, lc.focal_alpha, lc.smooth_l1_beta
+        gamma, alpha, beta = focal_gamma, sim_mod.FOCAL_ALPHA, sim_mod.SMOOTH_L1_BETA
         logits = out.logits_flat
         n_pos = assignment.n_pos
         cls = 0.0
@@ -1046,7 +1051,7 @@ class TestMinibatchStep:
                 if cfg.xgd_selection == "gate":
                     box_targets = positive_component_update(
                         teacher_rows, student_rows, np.concatenate([t.xgd_gt for t in targets]),
-                        cfg.gate_eps, components=cfg.xgd_components,
+                        components=cfg.xgd_components,
                     )
                 want = [
                     xgd_loss(student_rows[lo:hi], box_targets[lo:hi], flags_apart)
