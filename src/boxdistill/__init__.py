@@ -51,7 +51,6 @@ from .sim import (
     replace_outputs,
     student_forward,
     teacher_predict,
-    total_loss,
     train,
 )
 from .xgd import (

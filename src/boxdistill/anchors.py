@@ -255,10 +255,6 @@ class Assignment:
     def n_pos(self) -> int:
         return int(self.positive_indices.size)
 
-    @property
-    def m_fore(self) -> int:
-        return int(np.count_nonzero(self.foreground))
-
 
 def _candidate_positions(grid: AnchorGrid, gt: Sequence[float], reach: float) -> np.ndarray:
     """Indices of grid positions whose center could overlap the box row ``gt``."""

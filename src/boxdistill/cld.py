@@ -48,10 +48,6 @@ class LogitMap:
         object.__setattr__(self, "values", values)
 
     @property
-    def n_fore(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def m_fore(self) -> int:
         return self.values.shape[0] // self.k_a
 

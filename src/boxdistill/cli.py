@@ -67,10 +67,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
         (out / f"history_seed{seed}.json").write_text(
             json.dumps(history, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-        print(
-            f"seed {seed}: final total={result.history[-1].total:.4f} "
-            f"ori={result.history[-1].ori:.4f} -> {out / f'params_seed{seed}.json'}"
-        )
+        if result.history:
+            final = result.history[-1]
+            summary = f"final total={final.total:.4f} ori={final.ori:.4f}"
+        else:
+            summary = "0 epochs, initialized model"
+        print(f"seed {seed}: {summary} -> {out / f'params_seed{seed}.json'}")
     return 0
 
 

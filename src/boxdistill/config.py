@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Any, get_args, get_origin
 
 from .anchors import GridConfig
+from .evaluation import EvalSettings
 from .sim import LossConfig, NoiseProfile, OptimizerConfig, SceneConfig
 
 
@@ -30,26 +31,6 @@ class DataConfig:
     def __post_init__(self) -> None:
         if self.n_train_scenes < 1 or self.n_val_scenes < 1:
             raise ValueError("scene counts must be >= 1")
-
-
-@dataclass(frozen=True)
-class EvalSettings:
-    score_threshold: float = 0.1
-    nms_iou: float = 0.5
-    pre_nms_top_k: int = 256
-    recall_positions: int = 40  # 11 is accepted for coarser protocols
-
-    def __post_init__(self) -> None:
-        # The ranges decode_and_nms and evaluate_class check, written as
-        # positive tests so that NaN fails too.
-        if not 0.0 <= self.score_threshold <= 1.0:
-            raise ValueError(f"score_threshold must be in [0, 1], got {self.score_threshold}")
-        if not 0.0 < self.nms_iou <= 1.0:
-            raise ValueError(f"nms_iou must be in (0, 1], got {self.nms_iou}")
-        if not self.pre_nms_top_k >= 1:
-            raise ValueError(f"pre_nms_top_k must be >= 1, got {self.pre_nms_top_k}")
-        if not self.recall_positions >= 1:
-            raise ValueError(f"recall_positions must be >= 1, got {self.recall_positions}")
 
 
 @dataclass(frozen=True)

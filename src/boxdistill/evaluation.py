@@ -21,6 +21,28 @@ from .sim import DetectorOutputs, sigmoid
 
 
 @dataclass(frozen=True)
+class EvalSettings:
+    """Decoding and AP settings. Their ranges are checked here only:
+    ``decode_and_nms`` and ``evaluate_outputs`` take them as they are."""
+
+    score_threshold: float = 0.1
+    nms_iou: float = 0.5
+    pre_nms_top_k: int = 256
+    recall_positions: int = 40  # 11 is accepted for coarser protocols
+
+    def __post_init__(self) -> None:
+        # Positive tests, so that NaN fails too.
+        if not 0.0 <= self.score_threshold <= 1.0:
+            raise ValueError(f"score_threshold must be in [0, 1], got {self.score_threshold}")
+        if not 0.0 < self.nms_iou <= 1.0:
+            raise ValueError(f"nms_iou must be in (0, 1], got {self.nms_iou}")
+        if not self.pre_nms_top_k >= 1:
+            raise ValueError(f"pre_nms_top_k must be >= 1, got {self.pre_nms_top_k}")
+        if not self.recall_positions >= 1:
+            raise ValueError(f"recall_positions must be >= 1, got {self.recall_positions}")
+
+
+@dataclass(frozen=True)
 class Detection:
     box: Box3D
     class_id: int
@@ -35,41 +57,33 @@ class Detection:
 def decode_and_nms(
     outputs: DetectorOutputs,
     grid: AnchorGrid,
-    score_threshold: float = 0.1,
-    nms_iou: float = 0.5,
-    pre_nms_top_k: int = 256,
+    settings: EvalSettings = EvalSettings(),
 ) -> list[Detection]:
     """Sigmoid-score, decode, and greedily suppress per class.
 
-    Candidates above the score threshold are ranked score-descending with
-    ties broken by anchor index, capped at ``pre_nms_top_k`` per class, and
-    suppressed when their BEV IoU with an already kept detection exceeds
-    ``nms_iou``.
+    Candidates above ``settings.score_threshold`` are ranked score-descending
+    with ties broken by anchor index, capped at ``settings.pre_nms_top_k`` per
+    class, and suppressed when their BEV IoU with an already kept detection
+    exceeds ``settings.nms_iou``.
     """
-    if not 0.0 <= score_threshold <= 1.0:
-        raise ValueError(f"score_threshold must be in [0, 1], got {score_threshold}")
-    if not 0.0 < nms_iou <= 1.0:
-        raise ValueError(f"nms_iou must be in (0, 1], got {nms_iou}")
-    if pre_nms_top_k < 1:
-        raise ValueError(f"pre_nms_top_k must be >= 1, got {pre_nms_top_k}")
     logits = outputs.logits_flat
-    floor = _logit_floor(score_threshold)
+    floor = _logit_floor(settings.score_threshold)
     detections: list[Detection] = []
     for c in range(logits.shape[1]):
         # Only logits above the floor can score above the threshold.
         cand = np.flatnonzero(logits[:, c] > floor)
         scores = sigmoid(logits[cand, c])
-        above = scores > score_threshold
+        above = scores > settings.score_threshold
         cand, scores = cand[above], scores[above]
         if cand.size == 0:
             continue
-        order = np.lexsort((cand, -scores))[:pre_nms_top_k]
+        order = np.lexsort((cand, -scores))[: settings.pre_nms_top_k]
         cand, scores = cand[order], scores[order]
         boxes = [
             Box3D.from_array(p)
             for p in decode_deltas(outputs.deltas_flat[cand], grid.anchor_params[cand])
         ]
-        keep = _greedy_nms(boxes, nms_iou)
+        keep = _greedy_nms(boxes, settings.nms_iou)
         detections.extend(
             Detection(
                 box=boxes[i],
@@ -252,10 +266,7 @@ def evaluate_outputs(
     per_scene_outputs: Iterable[DetectorOutputs],
     scenes: Sequence,
     grid: AnchorGrid,
-    score_threshold: float = 0.1,
-    nms_iou: float = 0.5,
-    pre_nms_top_k: int = 256,
-    recall_positions: int = 40,
+    settings: EvalSettings = EvalSettings(),
     iou_thresholds: dict[int, float] | None = None,
     seed: int = -1,
     config_hash: str = "",
@@ -267,20 +278,18 @@ def evaluate_outputs(
     released once decoded, before the next are read, so a generator keeps
     one scene's outputs alive at a time.
     """
-    decode = partial(
-        decode_and_nms, grid=grid, score_threshold=score_threshold, nms_iou=nms_iou,
-        pre_nms_top_k=pre_nms_top_k,
-    )
+    decode = partial(decode_and_nms, grid=grid, settings=settings)
     # map, unlike a loop variable, keeps no reference to outputs it has
     # decoded while it reads the next.
     scene_dets = list(map(decode, per_scene_outputs))
     scene_gts = [scene.gts for scene in scenes]
     per_class = []
+    positions = settings.recall_positions
     class_specs = {t.class_id for t in grid.templates}
     for class_id in sorted(class_specs):
         thr = (iou_thresholds or {}).get(class_id, 0.5)
-        res3d = evaluate_class(scene_dets, scene_gts, class_id, thr, recall_positions, "3d")
-        res_bev = evaluate_class(scene_dets, scene_gts, class_id, thr, recall_positions, "bev")
+        res3d = evaluate_class(scene_dets, scene_gts, class_id, thr, positions, "3d")
+        res_bev = evaluate_class(scene_dets, scene_gts, class_id, thr, positions, "bev")
         per_class.append(
             ClassEval(
                 class_id=class_id,

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .anchors import AnchorGrid, Assignment, assign_targets, build_anchor_grid
-from .config import ArmConfig, ExperimentConfig, config_hash, config_to_dict
+from .config import ExperimentConfig, config_hash, config_to_dict
 from .evaluation import EvalReport, evaluate_outputs
 from .sim import (
     DetectorParams,
@@ -162,10 +162,7 @@ def evaluate_params(
         outputs(),
         dataset.val_scenes,
         grid,
-        score_threshold=config.eval.score_threshold,
-        nms_iou=config.eval.nms_iou,
-        pre_nms_top_k=config.eval.pre_nms_top_k,
-        recall_positions=config.eval.recall_positions,
+        config.eval,
         iou_thresholds=config.eval_iou_thresholds(),
         seed=dataset.seed,
         config_hash=config_hash(config),
@@ -288,38 +285,16 @@ def _format_cell(value: object) -> str:
     return str(value)
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    out_dir: str | Path | None = None,
-    arm_name: str = "default",
-) -> ExperimentResult:
-    """Train and evaluate the configured loss over every seed."""
-    result = ExperimentResult(config=config)
-    grid = build_anchor_grid(config.grid)
-    for seed in config.seeds:
-        dataset = build_dataset(config, seed, grid)
-        train_result = train_on_dataset(dataset, config.loss, config)
-        report = evaluate_params(
-            train_result.params, dataset, config, metadata={"arm": arm_name}
-        )
-        result.records.append(RunRecord(arm_name, seed, report, train_result))
-    if out_dir is not None:
-        _write_outputs(result, out_dir, "experiment")
-    return result
-
-
 def run_ablations(
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
-    arms: Sequence[ArmConfig] | None = None,
 ) -> ExperimentResult:
-    """Train every arm on shared per-seed datasets and evaluate them."""
-    arms = tuple(arms) if arms is not None else config.arms
+    """Train every configured arm on shared per-seed datasets and evaluate them."""
     result = ExperimentResult(config=config)
     grid = build_anchor_grid(config.grid)
     for seed in config.seeds:
         dataset = build_dataset(config, seed, grid)
-        for arm in arms:
+        for arm in config.arms:
             train_result = train_on_dataset(dataset, arm.loss, config)
             report = evaluate_params(
                 train_result.params, dataset, config, metadata={"arm": arm.name}
@@ -337,28 +312,21 @@ def run_replacement_study(
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
     modes: Sequence[str] = REPLACEMENT_MODES,
-    params_by_seed: dict[int, DetectorParams] | None = None,
 ) -> ExperimentResult:
     """Evaluate a hard-label student with teacher heads substituted in.
 
-    Students are trained per seed with distillation off (the substitution
-    study measures head quality, not distillation) unless pre-trained
-    parameters are supplied.
+    Students are trained per seed with distillation off: the substitution
+    study measures head quality, not distillation.
     """
     result = ExperimentResult(config=config)
     grid = build_anchor_grid(config.grid)
     hard_label = LossConfig(xgd_weight=0.0, cld_weight=0.0)
     for seed in config.seeds:
         dataset = build_dataset(config, seed, grid)
-        if params_by_seed is not None and seed in params_by_seed:
-            params = params_by_seed[seed]
-            train_result = None
-        else:
-            train_result = train_on_dataset(dataset, hard_label, config)
-            params = train_result.params
+        train_result = train_on_dataset(dataset, hard_label, config)
         for mode in modes:
             report = evaluate_params(
-                params, dataset, config, replace_mode=mode, metadata={"arm": mode}
+                train_result.params, dataset, config, replace_mode=mode, metadata={"arm": mode}
             )
             result.records.append(RunRecord(mode, seed, report, train_result))
     if out_dir is not None:

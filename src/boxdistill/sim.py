@@ -698,6 +698,10 @@ class LossConfig:
             raise ValueError(f"unknown cld_region {self.cld_region!r}")
         if self.cld_mode not in ("unified", "classical"):
             raise ValueError(f"unknown cld_mode {self.cld_mode!r}")
+        # With no component the gate keeps nothing, and the XGD term only
+        # pays for its IoU pass.
+        if not self.xgd_components:
+            raise ValueError("xgd_components must name at least one component")
         unknown = set(self.xgd_components) - set(COMPONENT_NAMES)
         if unknown:
             raise ValueError(f"unknown XGD components {sorted(unknown)}")
@@ -1055,20 +1059,6 @@ def base_loss(
     """
     targets = _scene_targets(scene, assignment, grid, cfg)
     return _one_scene(outputs, targets, cfg, None)[0].ori
-
-
-def total_loss(
-    student: DetectorOutputs,
-    teacher: TeacherResponse,
-    scene: Scene,
-    assignment: Assignment,
-    grid: AnchorGrid,
-    cfg: LossConfig = LossConfig(),
-    flags: GeometryFlags | None = None,
-) -> LossBreakdown:
-    """Combined objective; a zero weight disables a term exactly."""
-    breakdown, _, _ = total_loss_and_grad(student, teacher, scene, assignment, grid, cfg, flags)
-    return breakdown
 
 
 def total_loss_and_grad(

@@ -20,25 +20,18 @@ from boxdistill.experiments import (
     RunRecord,
     build_dataset,
     evaluate_params,
-    run_experiment,
+    run_ablations,
     train_on_dataset,
 )
-from boxdistill.geometry import (
-    Box3D,
-    GeometryFlags,
-    iou3d,
-    iou3d_mc_oracle,
-    wrap_angle,
+from boxdistill.geometry import Box3D, iou3d, iou3d_mc_oracle, wrap_angle
+from boxdistill.sim import NoiseProfile, teacher_predict
+from boxdistill.verify import (
+    _reference_component_update,
+    check_training_grad_fd,
+    near_pair,
+    random_box,
+    rows,
 )
-from boxdistill.sim import (
-    DetectorParams,
-    NoiseProfile,
-    generate_scene,
-    student_forward,
-    teacher_predict,
-    total_loss_and_grad,
-)
-from boxdistill.verify import _reference_component_update, near_pair, random_box, rows
 from boxdistill.xgd import component_gate, positive_component_update
 
 pytestmark = pytest.mark.acceptance
@@ -242,111 +235,11 @@ def test_criterion_5_cld_analytics(report):
 
 
 def test_criterion_6_training_gradients(report):
-    """Assembled weight gradient vs end-to-end central differences.
-
-    Gate decisions are piecewise constant and contribute no gradient, so
-    the distillation targets are frozen at the probe point: the finite
-    differences measure the active smooth piece of the loss, which is
-    exactly what the assembled gradient claims to be.
-    """
-    from boxdistill.anchors import assign_targets, decode_deltas
-    from boxdistill.sim import base_loss, cld_positions, extract_logit_map
-    from boxdistill.xgd import positive_component_update, xgd_loss
-
-    cfg = config_from_dict(
-        {
-            "grid": {"x_range": [0.0, 14.4], "z_range": [0.0, 14.4], "cell": [1.2, 1.2]},
-            "scene": {"n_objects": [2, 4], "border_margin": 1.8, "class_weights": []},
-            "data": {"n_train_scenes": 2, "n_val_scenes": 1},
-            "seeds": [0],
-        }
-    )
-    grid = build_anchor_grid(cfg.grid)
-    thresholds = cfg.assignment_thresholds()
-    rng = np.random.default_rng(47)
-    worst = 0.0
-    states = 0
-    attempts = 0
-    while states < 20:
-        attempts += 1
-        assert attempts < 400, "could not sample enough smooth states"
-        scene = generate_scene(int(rng.integers(1 << 30)), cfg.scene, grid)
-        assignment = assign_targets(
-            grid, scene.boxes, scene.class_ids, thresholds, dilation=cfg.foreground_dilation
-        )
-        if assignment.n_pos == 0:
-            continue
-        teacher = teacher_predict(scene, cfg.teacher_noise, grid, assignment)
-        base = DetectorParams.init(int(rng.integers(1 << 30)), 16, grid.k_a, grid.k_c)
-        params = DetectorParams(
-            base.w_cls + rng.normal(0, 0.05, base.w_cls.shape),
-            base.b_cls + rng.normal(0, 0.3, base.b_cls.shape),
-            base.w_reg + rng.normal(0, 0.02, base.w_reg.shape),
-            base.b_reg + rng.normal(0, 0.02, base.b_reg.shape),
-        )
-        flags = GeometryFlags()
-        out = student_forward(params, scene)
-        _, dlog, ddel = total_loss_and_grad(out, teacher, scene, assignment, grid, cfg.loss, flags)
-        if flags.gradient_clipped or flags.degenerate_union or flags.size_clamped:
-            continue  # flagged non-smooth IoU configuration
-
-        n = scene.features.shape[0]
-        grads = {
-            "w_cls": scene.features.T @ dlog.reshape(n, -1),
-            "b_cls": dlog.reshape(n, -1).sum(axis=0),
-            "w_reg": scene.features.T @ ddel.reshape(n, -1),
-            "b_reg": ddel.reshape(n, -1).sum(axis=0),
-        }
-
-        # freeze distillation targets at the probe point
-        pos = assignment.positive_indices
-        anchor_params = grid.anchor_params[pos]
-        student_boxes0 = decode_deltas(out.deltas_flat[pos], anchor_params)
-        dense_teacher = teacher.dense()
-        teacher_boxes = decode_deltas(dense_teacher.deltas_flat[pos], anchor_params)
-        gt_boxes = scene.boxes[assignment.labels[pos]]
-        frozen_targets = positive_component_update(teacher_boxes, student_boxes0, gt_boxes)
-        fg = cld_positions(assignment, grid, cfg.loss.cld_region)
-        teacher_dist = unified_distribution(
-            extract_logit_map(dense_teacher, fg, grid.k_a), cfg.loss.tau
-        )
-
-        def loss_of(p):
-            o = student_forward(p, scene)
-            value = base_loss(o, scene, assignment, grid, cfg.loss)
-            boxes = decode_deltas(o.deltas_flat[pos], anchor_params)
-            value += cfg.loss.xgd_weight * xgd_loss(boxes, frozen_targets)
-            student_dist = unified_distribution(
-                extract_logit_map(o, fg, grid.k_a), cfg.loss.tau
-            )
-            value += cfg.loss.cld_weight * cld_loss(teacher_dist, student_dist)
-            return value
-
-        h = 1e-5
-        analytic, numeric = [], []
-        for name in ("w_cls", "b_cls", "w_reg", "b_reg"):
-            w = getattr(params, name)
-            flat = w.reshape(-1)
-            picks = rng.choice(flat.size, size=min(12, flat.size), replace=False)
-            for k in picks:
-                up, dn = flat.copy(), flat.copy()
-                up[k] += h
-                dn[k] -= h
-                fields_up = {f: getattr(params, f) for f in ("w_cls", "b_cls", "w_reg", "b_reg")}
-                fields_dn = dict(fields_up)
-                fields_up[name] = up.reshape(w.shape)
-                fields_dn[name] = dn.reshape(w.shape)
-                numeric.append(
-                    (loss_of(DetectorParams(**fields_up)) - loss_of(DetectorParams(**fields_dn)))
-                    / (2 * h)
-                )
-                analytic.append(grads[name].reshape(-1)[k])
-        an, fd = np.array(analytic), np.array(numeric)
-        rel = np.linalg.norm(an - fd) / max(np.linalg.norm(an), np.linalg.norm(fd), 1e-30)
-        worst = max(worst, rel)
-        states += 1
-    report(6, "training gradient FD check", worst < 1e-2, f"20 states, worst rel err {worst:.2e}")
-    assert worst < 1e-2
+    """Assembled weight gradient vs end-to-end central differences on 20
+    random smooth states (the oracle is ``verify.check_training_grad_fd``)."""
+    result = check_training_grad_fd(n_states=20)
+    report(6, "training gradient FD check", result.passed, result.detail)
+    assert result.passed, result.detail
 
 
 SWEEP_ARMS = ("baseline", "xgd_center", "xgd_size", "xgd_angle", "high_quality_boxes", "xgd_cld")
@@ -472,12 +365,13 @@ def test_criterion_10_reproducibility(tmp_path, report):
             "data": {"n_train_scenes": 3, "n_val_scenes": 3},
             "optimizer": {"epochs": 4},
             "seeds": [0, 1],
+            "arms": [{"name": "default", "loss": {}}],
         }
     )
-    run_experiment(config, out_dir=tmp_path / "first")
-    run_experiment(config, out_dir=tmp_path / "second")
-    a = (tmp_path / "first" / "experiment.csv").read_bytes()
-    b = (tmp_path / "second" / "experiment.csv").read_bytes()
+    run_ablations(config, out_dir=tmp_path / "first")
+    run_ablations(config, out_dir=tmp_path / "second")
+    a = (tmp_path / "first" / "ablations.csv").read_bytes()
+    b = (tmp_path / "second" / "ablations.csv").read_bytes()
     ok = a == b and len(a) > 0
     report(10, "byte-identical CSV reports", ok, f"{len(a)} bytes compared")
     assert a == b

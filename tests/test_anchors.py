@@ -173,7 +173,7 @@ class TestAssignment:
         asg = assign_targets(grid, *gt_arrays([]))
         assert asg.n_pos == 0
         assert np.all(asg.labels == LABEL_NEGATIVE)
-        assert asg.m_fore == 0
+        assert not asg.foreground.any()
 
     def test_forced_match_between_cells(self):
         grid = small_grid()

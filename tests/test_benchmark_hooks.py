@@ -2,7 +2,10 @@
 pair it names must exist, or a traced run fails only when it installs."""
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+
+from boxdistill import anchors, config, experiments, geometry, sim
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
 
@@ -17,3 +20,25 @@ def test_every_hook_resolves():
         if not callable(getattr(importlib.import_module(f"boxdistill.{module}"), attr, None))
     ]
     assert spans.HOOKS and not missing, missing
+
+
+def test_dense_eval_workload_pass(monkeypatch):
+    """One pass of the benchmark's ``dense_eval`` workload through the
+    package's current API: no failed operation, and the CSV it has always
+    hashed to."""
+    bench = SPANS.parent
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("boxdistill_bench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    # The script's dataclasses look their module up in sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, run)
+    try:
+        spec.loader.exec_module(run)
+    finally:
+        sys.modules.pop("spans", None)
+    work = run.Workload("dense_eval", 0, (anchors, config, experiments, geometry, sim))
+    ops = run.Ops()
+    datasets = work.build(ops)
+    result = work.train_and_evaluate(datasets, ops)
+    assert (ops.attempted, ops.failed) == (6, 0), ops.failures
+    assert result["csv_sha256"].startswith("fc7f124b7b2f")

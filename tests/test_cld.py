@@ -18,7 +18,7 @@ HAND_KL = 0.5 * math.log(2.0 / 3.0) + 0.5 * math.log(2.0)
 class TestLogitMap:
     def test_layout_metadata(self):
         lm = LogitMap(np.zeros((6, 3)), k_a=2)
-        assert (lm.m_fore, lm.k_a, lm.k_c, lm.n_fore) == (3, 2, 3, 6)
+        assert (lm.m_fore, lm.k_a, lm.k_c) == (3, 2, 3)
 
     def test_flattening_is_anchor_major(self):
         values = np.arange(12, dtype=float).reshape(4, 3)  # 2 positions x 2 anchors

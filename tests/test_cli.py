@@ -1,11 +1,14 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from boxdistill.anchors import build_anchor_grid
 from boxdistill.cli import main
 from boxdistill.config import config_from_dict, load_config, save_config
-from boxdistill.experiments import build_dataset
-from boxdistill.sim import save_scenes
+from boxdistill.experiments import build_dataset, load_params
+from boxdistill.sim import DetectorParams, save_scenes
 
 
 @pytest.fixture()
@@ -65,6 +68,24 @@ def test_train_then_eval(tiny_config_path, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert "mean_ap3d" in payload
     assert payload["per_class"][0]["class"] == "car"
+
+
+def test_train_with_zero_epochs(tiny_config_path, tmp_path, capsys):
+    # 0 epochs saves the initialized model; printing the final loss used to
+    # raise IndexError on the empty history after both files were written.
+    config = load_config(tiny_config_path)
+    config = dataclasses.replace(config, optimizer=dataclasses.replace(config.optimizer, epochs=0))
+    path = tmp_path / "zero.json"
+    save_config(config, path)
+    out = tmp_path / "run"
+    assert main(["train", str(path), "--out", str(out)]) == 0
+    assert "seed 0: 0 epochs, initialized model" in capsys.readouterr().out
+    params, _ = load_params(out / "params_seed0.json")
+    grid = build_anchor_grid(config.grid)
+    init = DetectorParams.init(0, config.scene.feature_dim, grid.k_a, grid.k_c)
+    for name in ("w_cls", "b_cls", "w_reg", "b_reg"):
+        assert np.array_equal(getattr(params, name), getattr(init, name)), name
+    assert json.loads((out / "history_seed0.json").read_text()) == []
 
 
 def test_ablate_writes_csv(tiny_config_path, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from boxdistill.anchors import ClassSpec, GridConfig, build_anchor_grid, encode_deltas
 from boxdistill.evaluation import (
     Detection,
+    EvalSettings,
     ap_r40,
     decode_and_nms,
     evaluate_class,
@@ -50,13 +51,13 @@ class TestDecodeAndNms:
     def test_all_background_with_high_threshold(self):
         grid = tiny_grid()
         out = outputs_with(grid, [])
-        assert decode_and_nms(out, grid, score_threshold=0.6) == []
+        assert decode_and_nms(out, grid, EvalSettings(score_threshold=0.6)) == []
 
     def test_single_dominant_anchor(self):
         grid = tiny_grid()
         box = Box3D(2.5, 0.0, 2.5, 1.8, 1.0, 1.0, 0.1)
         out = outputs_with(grid, [(14, 0, 4.0, box)])
-        dets = decode_and_nms(out, grid, score_threshold=0.5)
+        dets = decode_and_nms(out, grid, EvalSettings(score_threshold=0.5))
         assert len(dets) == 1
         assert dets[0].anchor_index == 14
         assert np.allclose(dets[0].box.as_array(), box.as_array(), atol=1e-9)
@@ -66,7 +67,7 @@ class TestDecodeAndNms:
         box = Box3D(2.5, 0.0, 2.5, 1.8, 1.0, 1.0, 0.0)
         # two anchors decode to the same box with different scores
         out = outputs_with(grid, [(14, 0, 4.0, box), (15, 0, 3.0, box)])
-        dets = decode_and_nms(out, grid, score_threshold=0.5, nms_iou=0.5)
+        dets = decode_and_nms(out, grid, EvalSettings(score_threshold=0.5, nms_iou=0.5))
         assert len(dets) == 1
         assert dets[0].anchor_index == 14  # higher score wins
 
@@ -82,7 +83,7 @@ class TestDecodeAndNms:
             )
             raised.append((anchor, 0, rng.uniform(0.5, 5.0), box))
         out = outputs_with(grid, raised)
-        got = decode_and_nms(out, grid, score_threshold=0.3, nms_iou=0.4)
+        got = decode_and_nms(out, grid, EvalSettings(score_threshold=0.3, nms_iou=0.4))
 
         # brute force: same candidate construction, O(n^2) suppression
         from boxdistill.sim import sigmoid
@@ -106,7 +107,7 @@ class TestDecodeAndNms:
         b1 = Box3D(1.5, 0.0, 1.5, 1.8, 1.0, 1.0, 0.0)
         b2 = Box3D(4.5, 0.0, 4.5, 1.8, 1.0, 1.0, 0.0)
         out = outputs_with(grid, [(20, 0, 2.0, b2), (3, 0, 2.0, b1)])
-        dets = decode_and_nms(out, grid, score_threshold=0.5)
+        dets = decode_and_nms(out, grid, EvalSettings(score_threshold=0.5))
         assert [d.anchor_index for d in dets] == [3, 20]
 
     def test_logits_straddling_the_threshold(self):
@@ -137,7 +138,8 @@ class TestDecodeAndNms:
             flat = logits.reshape(-1, grid.k_c)
             flat[: near.size, 0] = near
             outputs = DetectorOutputs(logits=logits, deltas=np.zeros((grid.n_positions, grid.k_a, 7)))
-            dets = decode_and_nms(outputs, grid, score_threshold=thr, nms_iou=1.0, pre_nms_top_k=10_000)
+            settings = EvalSettings(score_threshold=thr, nms_iou=1.0, pre_nms_top_k=10_000)
+            dets = decode_and_nms(outputs, grid, settings)
             scores = sigmoid(flat[:, 0])
             want = np.flatnonzero(scores > thr)
             assert sorted(d.anchor_index for d in dets) == want.tolist(), thr
@@ -148,20 +150,21 @@ class TestDecodeAndNms:
     def test_invalid_parameters_rejected(self):
         grid = tiny_grid()
         out = outputs_with(grid, [])
+        # The settings object checks the ranges; decode_and_nms trusts it.
         with pytest.raises(ValueError):
-            decode_and_nms(out, grid, score_threshold=1.5)
+            decode_and_nms(out, grid, EvalSettings(score_threshold=1.5))
         with pytest.raises(ValueError):
-            decode_and_nms(out, grid, nms_iou=0.0)
+            decode_and_nms(out, grid, EvalSettings(nms_iou=0.0))
 
     def test_pre_nms_top_k_below_one_rejected(self):
         # 0 used to return no detections and -1 to drop each class's
         # lowest-ranked candidate, both silently.
         grid = tiny_grid()
         out = outputs_with(grid, [(i, 0, 3.0, None) for i in (0, 14, 28)])
-        assert len(decode_and_nms(out, grid, pre_nms_top_k=1)) == 1
+        assert len(decode_and_nms(out, grid, EvalSettings(pre_nms_top_k=1))) == 1
         for k in (0, -1):
             with pytest.raises(ValueError, match="pre_nms_top_k"):
-                decode_and_nms(out, grid, pre_nms_top_k=k)
+                decode_and_nms(out, grid, EvalSettings(pre_nms_top_k=k))
 
 
 class TestApR40:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -18,7 +19,6 @@ from boxdistill.experiments import (
     build_dataset,
     load_params,
     run_ablations,
-    run_experiment,
     run_replacement_study,
     save_params,
     train_on_dataset,
@@ -81,6 +81,10 @@ class TestConfig:
             config_from_dict({"optimizer": {"epochs": -1}})
         with pytest.raises(ConfigError, match=r"scene: ambient_noise"):
             config_from_dict({"scene": {"ambient_noise": -0.02}})
+        # An arm with no XGD component used to train without XGD while it
+        # still paid for the IoU pass.
+        with pytest.raises(ConfigError, match=r"loss: xgd_components"):
+            config_from_dict({"loss": {"xgd_components": []}})
         for key, bad in (
             ("score_threshold", 1.5),
             ("nms_iou", 0),
@@ -120,29 +124,33 @@ class TestConfig:
         ]
 
 
+# A single training run: one arm, "default", with the default loss.
+ONE_ARM = [{"name": "default", "loss": {}}]
+
+
 class TestRunExperiment:
     def test_rows_and_csv_schema(self, tmp_path):
-        cfg = tiny_config()
-        result = run_experiment(cfg, out_dir=tmp_path)
+        cfg = tiny_config(arms=ONE_ARM)
+        result = run_ablations(cfg, out_dir=tmp_path)
         rows = result.rows()
         # one row per (class, seed)
         assert len(rows) == 2 * 2
-        csv_path = tmp_path / "experiment.csv"
+        csv_path = tmp_path / "ablations.csv"
         lines = csv_path.read_text().strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 1 + len(rows)
 
     def test_csv_byte_identical_across_runs(self, tmp_path):
-        cfg = tiny_config()
-        r1 = run_experiment(cfg, out_dir=tmp_path / "a")
-        r2 = run_experiment(cfg, out_dir=tmp_path / "b")
-        a = (tmp_path / "a" / "experiment.csv").read_bytes()
-        b = (tmp_path / "b" / "experiment.csv").read_bytes()
+        cfg = tiny_config(arms=ONE_ARM)
+        run_ablations(cfg, out_dir=tmp_path / "a")
+        run_ablations(cfg, out_dir=tmp_path / "b")
+        a = (tmp_path / "a" / "ablations.csv").read_bytes()
+        b = (tmp_path / "b" / "ablations.csv").read_bytes()
         assert a == b
 
     def test_epoch_zero_evaluates_initialized_model(self):
-        cfg = tiny_config(optimizer={"epochs": 0}, seeds=[0])
-        result = run_experiment(cfg)
+        cfg = tiny_config(optimizer={"epochs": 0}, seeds=[0], arms=ONE_ARM)
+        result = run_ablations(cfg)
         assert len(result.records) == 1
         rec = result.records[0]
         assert rec.train_result is not None and rec.train_result.history == []
@@ -150,27 +158,26 @@ class TestRunExperiment:
         assert np.array_equal(rec.train_result.params.w_cls, init.w_cls)
 
     def test_paired_deltas(self):
-        cfg = tiny_config()
-        result = run_ablations(
-            cfg,
+        cfg = tiny_config(
             arms=[
-                ArmConfig("baseline", LossConfig(xgd_weight=0.0, cld_weight=0.0)),
-                ArmConfig("xgd_cld", LossConfig()),
-            ],
+                {"name": "baseline", "loss": {"xgd_weight": 0.0, "cld_weight": 0.0}},
+                {"name": "xgd_cld", "loss": {}},
+            ]
         )
+        result = run_ablations(cfg)
         deltas = result.paired_deltas("xgd_cld", "baseline")
         assert sorted(deltas) == [0, 1]
 
 
 class TestRunAblations:
     def test_row_count_is_arms_by_classes_by_seeds(self, tmp_path):
-        cfg = tiny_config()
-        arms = [
+        arms = (
             ArmConfig("baseline", LossConfig(xgd_weight=0.0, cld_weight=0.0)),
             ArmConfig("xgd_cld", LossConfig()),
             ArmConfig("high_quality_boxes", LossConfig(xgd_selection="confidence")),
-        ]
-        result = run_ablations(cfg, out_dir=tmp_path, arms=arms)
+        )
+        cfg = dataclasses.replace(tiny_config(), arms=arms)
+        result = run_ablations(cfg, out_dir=tmp_path)
         rows = result.rows()
         assert len(rows) == len(arms) * 2 * len(cfg.seeds)
         # completeness: every (arm, class, seed) appears exactly once
@@ -181,12 +188,11 @@ class TestRunAblations:
         assert all(isinstance(p, DetectorParams) for p in trained.values())
 
     def test_gate_rate_columns_empty_for_baseline(self, tmp_path):
-        cfg = tiny_config()
-        arms = [
+        arms = (
             ArmConfig("baseline", LossConfig(xgd_weight=0.0, cld_weight=0.0)),
             ArmConfig("xgd_cld", LossConfig()),
-        ]
-        result = run_ablations(cfg, out_dir=tmp_path, arms=arms)
+        )
+        run_ablations(dataclasses.replace(tiny_config(), arms=arms), out_dir=tmp_path)
         text = (tmp_path / "ablations.csv").read_text().strip().split("\n")
         header = text[0].split(",")
         idx = header.index("gate_keep_rate_center")
@@ -210,16 +216,6 @@ class TestReplacementStudy:
         for seed in cfg.seeds:
             assert by[("both", seed)] >= by[("none", seed)] - 1e-9
 
-    def test_accepts_pretrained_params(self):
-        cfg = tiny_config()
-        ds = build_dataset(cfg, 0)
-        tr = train_on_dataset(ds, LossConfig(xgd_weight=0, cld_weight=0), cfg)
-        result = run_replacement_study(
-            cfg, modes=("none",), params_by_seed={s: tr.params for s in cfg.seeds}
-        )
-        assert len(result.records) == len(cfg.seeds)
-
-
     def test_both_runs_no_student_and_params_must_fit_the_grid(self, monkeypatch):
         import boxdistill.experiments as ex
 
@@ -238,6 +234,7 @@ class TestReplacementStudy:
             with pytest.raises(ValueError, match="must share shapes"):
                 ex.evaluate_params(wrong, ds, cfg, replace_mode=mode)
 
+
 class TestParamsSerialization:
     def test_round_trip(self, tmp_path):
         cfg = tiny_config()
@@ -251,9 +248,9 @@ class TestParamsSerialization:
         assert np.array_equal(params.b_reg, tr.params.b_reg)
 
     def test_summary_json_contains_aggregates(self, tmp_path):
-        cfg = tiny_config()
-        run_experiment(cfg, out_dir=tmp_path)
-        payload = json.loads((tmp_path / "experiment_summary.json").read_text())
+        cfg = tiny_config(arms=ONE_ARM)
+        run_ablations(cfg, out_dir=tmp_path)
+        payload = json.loads((tmp_path / "ablations_summary.json").read_text())
         assert payload["experiment"] == "tiny"
         assert "aggregate_ap3d" in payload
         assert "default" in payload["aggregate_ap3d"]

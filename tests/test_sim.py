@@ -24,7 +24,6 @@ from boxdistill.sim import (
     save_scenes,
     student_forward,
     teacher_predict,
-    total_loss,
     total_loss_and_grad,
     train,
 )
@@ -68,7 +67,7 @@ class TestLossAndOptimizerConfig:
         nan = float("nan")
         for bad in ({"xgd_weight": -1.0}, {"xgd_weight": nan}, {"cld_weight": -1.0},
                     {"cld_weight": nan}, {"tau": 0.0}, {"tau": nan},
-                    {"confidence_threshold": nan}):
+                    {"confidence_threshold": nan}, {"xgd_components": ()}):
             with pytest.raises(ValueError):
                 LossConfig(**bad)
         for bad in ({"learning_rate": -1.0}, {"learning_rate": nan}, {"weight_decay": -1.0},
@@ -554,14 +553,16 @@ class TestTotalLoss:
         out = student_forward(params, scene)
         teacher = teacher_predict(scene, NoiseProfile(), grid, assignment)
         lc = LossConfig(xgd_weight=0.0, cld_weight=0.0)
-        breakdown = total_loss(out, teacher, scene, assignment, grid, lc)
+        breakdown = total_loss_and_grad(out, teacher, scene, assignment, grid, lc)[0]
         assert breakdown.total == base_loss(out, scene, assignment, grid, lc)
         assert breakdown.xgd == 0.0 and breakdown.cld == 0.0
 
     def test_student_equal_teacher_zero_distill_terms(self):
         cfg, grid, scene, assignment = small_setup()
         teacher = teacher_predict(scene, NoiseProfile(), grid, assignment)
-        breakdown = total_loss(teacher.dense(), teacher, scene, assignment, grid, LossConfig())
+        breakdown = total_loss_and_grad(
+            teacher.dense(), teacher, scene, assignment, grid, LossConfig()
+        )[0]
         assert breakdown.xgd == pytest.approx(0.0, abs=1e-12)
         assert breakdown.cld == pytest.approx(0.0, abs=1e-12)
 
@@ -577,7 +578,7 @@ class TestTotalLoss:
             scene, NoiseProfile(center_sigma=0.1, score_corruption=0.2), grid, assignment
         )
         lc = LossConfig(xgd_weight=0.7, cld_weight=1.3)
-        bd = total_loss(out, teacher, scene, assignment, grid, lc)
+        bd = total_loss_and_grad(out, teacher, scene, assignment, grid, lc)[0]
         assert bd.total == pytest.approx(bd.ori + 0.7 * bd.xgd + 1.3 * bd.cld, abs=1e-12)
 
     def test_confidence_selection_with_impossible_threshold_reduces_to_base(self):
@@ -586,7 +587,7 @@ class TestTotalLoss:
         out = student_forward(params, scene)
         teacher = teacher_predict(scene, NoiseProfile(), grid, assignment)
         lc = LossConfig(xgd_selection="confidence", confidence_threshold=1.01, cld_weight=0.0)
-        bd = total_loss(out, teacher, scene, assignment, grid, lc)
+        bd = total_loss_and_grad(out, teacher, scene, assignment, grid, lc)[0]
         assert bd.xgd == 0.0
         assert bd.total == pytest.approx(bd.ori, abs=1e-15)
 
@@ -604,7 +605,7 @@ class TestTotalLoss:
         )
         out = student_forward(params, scene)
         teacher = teacher_predict(scene, NoiseProfile(), grid, assignment)
-        bd = total_loss(out, teacher, scene, assignment, grid, LossConfig())
+        bd = total_loss_and_grad(out, teacher, scene, assignment, grid, LossConfig())[0]
         pos = assignment.positive_indices
         student_boxes = decode_deltas(out.deltas_flat[pos], grid.anchor_params[pos])
         gt_boxes = scene.boxes[assignment.labels[pos]]

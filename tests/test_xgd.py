@@ -5,7 +5,7 @@ import pytest
 
 from boxdistill.anchors import decode_deltas
 from boxdistill.geometry import Box3D, GeometryFlags, iou3d, wrap_angle
-from boxdistill.verify import _reference_component_update
+from boxdistill.verify import _reference_component_update, random_box, rows
 from boxdistill.xgd import (
     component_gate,
     gate_decisions,
@@ -15,18 +15,6 @@ from boxdistill.xgd import (
     xgd_loss_and_grad,
     xgd_loss_grad,
 )
-
-
-def random_box(rng, spread=3.0):
-    return Box3D(
-        *rng.uniform(-spread, spread, 3),
-        *np.exp(rng.uniform(-0.7, 0.9, 3)),
-        rng.uniform(-math.pi, math.pi),
-    )
-
-
-def rows(boxes):
-    return np.array([b.as_array() for b in boxes]).reshape(-1, 7)
 
 
 class TestComponentGate:
