@@ -90,6 +90,10 @@ class ExperimentConfig:
         # A repeated seed would be trained and averaged twice.
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
+        # Repeated arm names would train two arms under one label.
+        names = [arm.name for arm in self.arms]
+        if len(set(names)) != len(names):
+            raise ValueError(f"arm names must be distinct, got {names}")
 
     def assignment_thresholds(self) -> dict[int, tuple[float, float]]:
         return {
@@ -147,10 +151,6 @@ def _coerce(value: Any, annotation: Any, path: str) -> Any:
     if annotation is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {type(value).__name__}")
-        return value
-    if annotation is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean, got {type(value).__name__}")
         return value
     if annotation is str:
         if not isinstance(value, str):

@@ -1393,24 +1393,3 @@ def save_scenes(path: str | Path, scenes: Sequence[Scene]) -> None:
                 "class_ids": scene.class_ids.tolist(),
             }
             fh.write(json.dumps(record) + "\n")
-
-
-def load_scenes(path: str | Path, config: SceneConfig, grid: AnchorGrid) -> list[Scene]:
-    """Regenerate scenes from stored seeds; verify GTs match the records."""
-    scenes = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            scene = generate_scene(int(record["seed"]), config, grid)
-            stored = np.array(record["gts"], dtype=float).reshape(-1, 7)
-            if stored.shape != scene.boxes.shape or np.any(abs(stored - scene.boxes) > 1e-9) or (
-                record["class_ids"] != scene.class_ids.tolist()
-            ):
-                raise ValueError(
-                    f"{path}:{line_no}: stored scene does not match regeneration "
-                    "(was the scene config changed?)"
-                )
-            scenes.append(scene)
-    return scenes

@@ -60,10 +60,11 @@ def near_pair(rng: np.random.Generator) -> tuple[Box3D, Box3D]:
     return a, b
 
 
-def check_mc_iou_agreement(n_pairs: int = 500, n_samples: int = 100_000) -> CheckResult:
-    """Exact clipped IoU vs seeded Monte-Carlo on random overlapping pairs."""
+def check_mc_iou_agreement(n_pairs: int = 500) -> CheckResult:
+    """Exact clipped IoU vs seeded 1e5-sample Monte-Carlo on random
+    overlapping pairs."""
     t0 = time.time()
-    rng = np.random.default_rng(20240501)
+    rng = np.random.default_rng(42)
     worst = 0.0
     checked = 0
     attempts = 0
@@ -78,7 +79,7 @@ def check_mc_iou_agreement(n_pairs: int = 500, n_samples: int = 100_000) -> Chec
         exact = geom.iou3d(a, b)
         if exact <= 0.05:
             continue
-        est = geom.iou3d_mc_oracle(a, b, n_samples, seed=checked).value
+        est = geom.iou3d_mc_oracle(a, b, 100_000, seed=checked).value
         worst = max(worst, abs(exact - est))
         checked += 1
     return CheckResult(
@@ -90,38 +91,38 @@ def check_mc_iou_agreement(n_pairs: int = 500, n_samples: int = 100_000) -> Chec
 
 
 def check_geometry_closed_forms() -> CheckResult:
+    """Identity boxes, the axis-aligned interval-product form on 3000
+    fuzzed pairs (each yaw 0 or pi) and the 45-degree octagon case."""
     t0 = time.time()
-    failures = []
-    box = Box3D(0, 0, 0, 1, 1, 1, 0)
-    if geom.iou3d(box, box) != 1.0:
-        failures.append("identity IoU != 1")
-    # axis-aligned interval-product form on fuzzed pairs
-    rng = np.random.default_rng(7)
-    for k in range(2000):
-        yaw_a = 0.0 if k % 2 == 0 else math.pi
-        yaw_b = 0.0 if k % 3 == 0 else math.pi
-        a = Box3D(*rng.uniform(-2, 2, 3), *np.exp(rng.uniform(-0.5, 0.5, 3)), yaw_a)
-        b = Box3D(*rng.uniform(-2, 2, 3), *np.exp(rng.uniform(-0.5, 0.5, 3)), yaw_b)
+    identity_ok = all(
+        geom.iou3d(box, box) == 1.0
+        for box in (Box3D(0, 0, 0, 1, 1, 1, 0), Box3D(0.3, -0.2, 5.0, 2.1, 1.2, 1.4, 0.8))
+    )
+    rng = np.random.default_rng(43)
 
-        def seg(c, e, c2, e2):
-            return max(0.0, min(c + e / 2, c2 + e2 / 2) - max(c - e / 2, c2 - e2 / 2))
+    def axis_aligned_box():
+        return Box3D(*rng.uniform(-2, 2, 3), *np.exp(rng.uniform(-0.5, 0.5, 3)),
+                     0.0 if rng.uniform() < 0.5 else math.pi)
 
+    def seg(c, e, c2, e2):
+        return max(0.0, min(c + e / 2, c2 + e2 / 2) - max(c - e / 2, c2 - e2 / 2))
+
+    worst_axis = 0.0
+    for _ in range(3000):
+        a, b = axis_aligned_box(), axis_aligned_box()
         inter = (
             seg(a.cx, a.l, b.cx, b.l) * seg(a.cy, a.h, b.cy, b.h) * seg(a.cz, a.w, b.cz, b.w)
         )
         expected = inter / (a.volume + b.volume - inter)
-        if abs(geom.iou3d(a, b) - expected) > 1e-12:
-            failures.append(f"axis-aligned mismatch at case {k}")
-            break
-    rotated = Box3D(0, 0, 0, 1, 1, 1, math.pi / 4)
+        worst_axis = max(worst_axis, abs(geom.iou3d(a, b) - expected))
     octagon_area = 2.0 * (math.sqrt(2.0) - 1.0)
-    expected = octagon_area / (2.0 - octagon_area)
-    if abs(geom.iou3d(box, rotated) - expected) > 1e-6:
-        failures.append("45-degree octagon case out of tolerance")
+    rotated_iou = geom.iou3d(Box3D(0, 0, 0, 1, 1, 1, 0), Box3D(0, 0, 0, 1, 1, 1, math.pi / 4))
+    rot_err = abs(rotated_iou - octagon_area / (2.0 - octagon_area))
     return CheckResult(
         "geometry_closed_forms",
-        not failures,
-        "; ".join(failures) or "identity, axis-aligned fuzz (2000), 45-degree case",
+        identity_ok and worst_axis <= 1e-12 and rot_err <= 1e-6,
+        f"identity={identity_ok} on 2 boxes, axis-aligned worst={worst_axis:.2e} on 3000 pairs "
+        f"(tol 1e-12), 45-deg err={rot_err:.2e} (tol 1e-6)",
         time.time() - t0,
     )
 
@@ -155,8 +156,8 @@ def _reference_component_update(teacher, student, gt, eps):
 
 def check_component_update_bruteforce(n_cases: int = 1000) -> CheckResult:
     t0 = time.time()
-    rng = np.random.default_rng(11)
-    eps = 1e-9
+    rng = np.random.default_rng(44)
+    mismatches = []
     for case in range(n_cases):
         n = int(rng.integers(1, 5))
         student = [random_box(rng) for _ in range(n)]
@@ -166,42 +167,40 @@ def check_component_update_bruteforce(n_cases: int = 1000) -> CheckResult:
             t = random_box(rng)
             # exercise the degeneracy rules
             roll = rng.uniform()
-            if roll < 0.15:
-                t = Box3D(*(student[j].cx, student[j].cy, student[j].cz),
-                          t.l, t.w, t.h, t.yaw)
-            elif roll < 0.30:
+            if roll < 0.15:  # teacher == student on the center
+                t = Box3D(student[j].cx, student[j].cy, student[j].cz, t.l, t.w, t.h, t.yaw)
+            elif roll < 0.30:  # gt == student on the center
                 gt[j] = Box3D(student[j].cx, student[j].cy, student[j].cz,
                               gt[j].l, gt[j].w, gt[j].h, gt[j].yaw)
+            elif roll < 0.35:  # teacher == student
+                t = student[j]
             teacher.append(t)
-        got = xgd_mod.positive_component_update(rows(teacher), rows(student), rows(gt), eps)
-        want = _reference_component_update(teacher, student, gt, eps)
-        for g_box, w_box in zip(map(Box3D.from_array, got), want):
-            if g_box != w_box:
-                return CheckResult(
-                    "component_update_bruteforce",
-                    False,
-                    f"mismatch at case {case}: {g_box} vs {w_box}",
-                    time.time() - t0,
-                )
+        got = xgd_mod.positive_component_update(rows(teacher), rows(student), rows(gt))
+        if [Box3D.from_array(r) for r in got] != _reference_component_update(
+            teacher, student, gt, eps=1e-9
+        ):
+            mismatches.append(case)
     return CheckResult(
         "component_update_bruteforce",
-        True,
-        f"{n_cases} random triplet lists match the reference exactly",
+        not mismatches,
+        f"{n_cases} triplet lists, {len(mismatches)} mismatches"
+        + (f", first at case {mismatches[0]}" if mismatches else ""),
         time.time() - t0,
     )
 
 
 def check_gate_soundness(n_cases: int = 100_000) -> CheckResult:
     t0 = time.time()
-    rng = np.random.default_rng(13)
+    rng = np.random.default_rng(45)
     eps = 1e-9
-    k = 3
-    student = rng.normal(size=(n_cases, k))
-    teacher = student + rng.normal(scale=rng.uniform(1e-12, 2.0, size=(n_cases, 1)), size=(n_cases, k))
-    gt = student + rng.normal(scale=rng.uniform(1e-12, 2.0, size=(n_cases, 1)), size=(n_cases, k))
+    scale_t = rng.uniform(1e-12, 2.0, size=n_cases)
+    scale_g = rng.uniform(1e-12, 2.0, size=n_cases)
+    student = rng.normal(size=(n_cases, 3))
+    teacher = student + rng.normal(size=(n_cases, 3)) * scale_t[:, None]
+    gt = student + rng.normal(size=(n_cases, 3)) * scale_g[:, None]
     violations = 0
     for i in range(n_cases):
-        decision = xgd_mod.component_gate(student[i], teacher[i], gt[i], eps)
+        decision = xgd_mod.component_gate(student[i], teacher[i], gt[i])
         ts = teacher[i] - student[i]
         gs = gt[i] - student[i]
         if np.linalg.norm(ts) < eps:
@@ -224,26 +223,26 @@ def check_cld_invariants() -> CheckResult:
     t0 = time.time()
     failures = []
     rng = np.random.default_rng(17)
+    worst_row_sum = worst_shift = min_loss = 0.0
     for _ in range(200):
         m, k_a, k_c = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
-        logits = cld_mod.LogitMap(rng.normal(0, 3, size=(m * k_a, k_c)), k_a=k_a)
-        dist = cld_mod.unified_distribution(logits, tau=float(rng.uniform(0.2, 5.0)))
-        if np.max(np.abs(dist.rows.sum(axis=1) - 1.0)) > 1e-12:
-            failures.append("row sum off")
-            break
-        other = cld_mod.LogitMap(rng.normal(0, 3, size=(m * k_a, k_c)), k_a=k_a)
-        if cld_mod.cld_loss(cld_mod.unified_distribution(other), dist) < -1e-12:
-            failures.append("negative KL")
-            break
-        row_const = rng.normal(0, 5, size=(m, 1))
-        shifted = cld_mod.LogitMap(
-            (logits.flattened() + row_const).reshape(m * k_a, k_c), k_a=k_a
+        s_vals = rng.normal(0, 3, size=(m * k_a, k_c))
+        tau = float(rng.uniform(0.2, 5.0))
+        teacher = cld_mod.unified_distribution(
+            cld_mod.LogitMap(rng.normal(0, 3, size=(m * k_a, k_c)), k_a=k_a)
         )
-        base = cld_mod.cld_loss(cld_mod.unified_distribution(other), cld_mod.unified_distribution(logits))
-        moved = cld_mod.cld_loss(cld_mod.unified_distribution(other), cld_mod.unified_distribution(shifted))
-        if abs(base - moved) > 1e-9:
-            failures.append("shift invariance broken")
-            break
+        student = cld_mod.unified_distribution(cld_mod.LogitMap(s_vals, k_a=k_a), tau)
+        for dist in (teacher, student):
+            worst_row_sum = max(worst_row_sum, float(np.max(np.abs(dist.rows.sum(axis=1) - 1.0))))
+        loss = cld_mod.cld_loss(teacher, student)
+        min_loss = min(min_loss, loss)
+        # one constant per position leaves its unified distribution unchanged
+        shifted = (s_vals.reshape(m, -1) + rng.normal(0, 5, size=(m, 1))).reshape(s_vals.shape)
+        moved = cld_mod.cld_loss(
+            teacher, cld_mod.unified_distribution(cld_mod.LogitMap(shifted, k_a=k_a), tau)
+        )
+        worst_shift = max(worst_shift, abs(moved - loss))
+    maps_ok = worst_row_sum <= 1e-12 and min_loss >= -1e-12 and worst_shift <= 1e-9
     # frozen two-term reference value
     teacher = cld_mod.unified_distribution(cld_mod.LogitMap(np.zeros((1, 2)), k_a=1))
     student = cld_mod.unified_distribution(cld_mod.LogitMap(np.array([[math.log(3.0), 0.0]]), k_a=1))
@@ -268,15 +267,17 @@ def check_cld_invariants() -> CheckResult:
             break
     return CheckResult(
         "cld_invariants",
-        not failures,
-        "; ".join(failures) or "row sums, KL sign, shift invariance, hand value, tau limit, highlighting",
+        maps_ok and not failures,
+        f"200 logit maps: row-sum={worst_row_sum:.1e} (tol 1e-12), min-loss={min_loss:.1e} "
+        f"(tol -1e-12), shift={worst_shift:.1e} (tol 1e-9); "
+        + ("; ".join(failures) or "hand value, tau limit, highlighting"),
         time.time() - t0,
     )
 
 
 def check_cld_grad_fd(n_maps: int = 100) -> CheckResult:
     t0 = time.time()
-    rng = np.random.default_rng(19)
+    rng = np.random.default_rng(46)
     worst = 0.0
     for _ in range(n_maps):
         m, k_a, k_c = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(2, 5))
@@ -701,7 +702,7 @@ def check_threaded_step_bit_identity(n_train_scenes: int = 8, epochs: int = 2) -
 
 # Every check with the arguments that shrink its sample counts for --fast.
 _SUITE = (
-    (check_mc_iou_agreement, {"n_pairs": 40, "n_samples": 20_000}),
+    (check_mc_iou_agreement, {"n_pairs": 40}),
     (check_geometry_closed_forms, {}),
     (check_component_update_bruteforce, {"n_cases": 200}),
     (check_gate_soundness, {"n_cases": 10_000}),

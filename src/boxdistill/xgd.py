@@ -50,15 +50,14 @@ def component_gate(
     student: np.ndarray,
     teacher: np.ndarray,
     gt: np.ndarray,
-    eps: float = DEFAULT_GATE_EPS,
 ) -> ComponentGate:
     """Acute-angle test between teacher-student and gt-student directions.
 
     The scalar reference for one component of one box; the training path
     runs the array form, :func:`gate_decisions`.  Kept iff the cosine of
     the two difference vectors is strictly positive.  Degeneracies: a
-    teacher within ``eps`` of the student is kept (no-op); a ground truth
-    within ``eps`` of the student while the teacher is not means the
+    teacher within ``DEFAULT_GATE_EPS`` of the student is kept (no-op); a
+    ground truth that close to the student while the teacher is not means the
     student is already right, so the component is dropped.
     """
     student = np.asarray(student, dtype=float)
@@ -70,9 +69,9 @@ def component_gate(
     gt_step = gt - student
     t_norm = float(np.linalg.norm(teacher_step))
     g_norm = float(np.linalg.norm(gt_step))
-    if t_norm < eps:
+    if t_norm < DEFAULT_GATE_EPS:
         return ComponentGate(kept=True, cos_beta=None)
-    if g_norm < eps:
+    if g_norm < DEFAULT_GATE_EPS:
         return ComponentGate(kept=False, cos_beta=None)
     cos_beta = float(np.dot(teacher_step, gt_step) / (t_norm * g_norm))
     return ComponentGate(kept=cos_beta > 0.0, cos_beta=cos_beta)
@@ -95,13 +94,13 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _acute(teacher_step: np.ndarray, gt_step: np.ndarray, eps: float) -> np.ndarray:
+def _acute(teacher_step: np.ndarray, gt_step: np.ndarray) -> np.ndarray:
     """Row-wise :func:`component_gate` verdicts on (n, k) difference vectors."""
     t_norm = np.sqrt(_row_dot(teacher_step, teacher_step))
     g_norm = np.sqrt(_row_dot(gt_step, gt_step))
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_beta = _row_dot(teacher_step, gt_step) / (t_norm * g_norm)
-    return (t_norm < eps) | (~(g_norm < eps) & (cos_beta > 0.0))
+    return (t_norm < DEFAULT_GATE_EPS) | (~(g_norm < DEFAULT_GATE_EPS) & (cos_beta > 0.0))
 
 
 # Column blocks of a (cx, cy, cz, l, w, h, yaw) row, one per component.
@@ -113,7 +112,6 @@ def gate_decisions(
     teacher: np.ndarray,
     student: np.ndarray,
     gt: np.ndarray,
-    eps: float = DEFAULT_GATE_EPS,
 ) -> np.ndarray:
     """Per-box, per-component gate verdicts for index-aligned (n, 7) boxes.
 
@@ -130,14 +128,13 @@ def gate_decisions(
     # offset cannot flip the verdict.
     teacher_step[:, 6] = wrap_angle_array(teacher_step[:, 6])
     gt_step[:, 6] = wrap_angle_array(gt_step[:, 6])
-    return np.column_stack([_acute(teacher_step[:, b], gt_step[:, b], eps) for b in _BLOCKS])
+    return np.column_stack([_acute(teacher_step[:, b], gt_step[:, b]) for b in _BLOCKS])
 
 
 def positive_component_update(
     teacher: np.ndarray,
     student: np.ndarray,
     gt: np.ndarray,
-    eps: float = DEFAULT_GATE_EPS,
     components: Sequence[str] = COMPONENT_NAMES,
     decisions: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -156,7 +153,7 @@ def positive_component_update(
         raise ValueError(f"unknown components: {sorted(unknown)}")
     teacher, student, gt = _box_rows(teacher=teacher, student=student, gt=gt)
     if decisions is None:
-        decisions = gate_decisions(teacher, student, gt, eps)
+        decisions = gate_decisions(teacher, student, gt)
     elif np.shape(decisions) != (teacher.shape[0], 3):
         raise ValueError("decisions must be an (n, 3) array aligned with the boxes")
     allowed = np.array([name in components for name in COMPONENT_NAMES])

@@ -2,18 +2,17 @@
 
 One test per criterion, each printing a PASS/FAIL line (bypassing pytest
 capture) so a plain `pytest tests/test_acceptance.py` run shows the
-verdict per criterion.  Expensive sweeps are shared through module-scoped
-fixtures; everything is seeded and deterministic.
+verdict per criterion.  Criteria 1-6 run the oracle checks of
+``boxdistill verify`` at full size; the sweeps of criteria 7-9 are shared
+through a module-scoped fixture.  Everything is seeded and deterministic.
 """
 import dataclasses
-import math
 import time
 
 import numpy as np
 import pytest
 
 from boxdistill.anchors import build_anchor_grid, decode_deltas, encode_deltas
-from boxdistill.cld import LogitMap, cld_grad, cld_loss, unified_distribution
 from boxdistill.config import config_from_dict, default_arm_matrix, default_config
 from boxdistill.experiments import (
     ExperimentResult,
@@ -23,21 +22,21 @@ from boxdistill.experiments import (
     run_ablations,
     train_on_dataset,
 )
-from boxdistill.geometry import Box3D, iou3d, iou3d_mc_oracle, wrap_angle
+from boxdistill.geometry import wrap_angle
 from boxdistill.sim import NoiseProfile, teacher_predict
 from boxdistill.verify import (
-    _reference_component_update,
+    check_cld_grad_fd,
+    check_cld_invariants,
+    check_component_update_bruteforce,
+    check_gate_soundness,
+    check_geometry_closed_forms,
+    check_mc_iou_agreement,
     check_training_grad_fd,
-    near_pair,
     random_box,
     rows,
 )
-from boxdistill.xgd import component_gate, positive_component_update
 
 pytestmark = pytest.mark.acceptance
-
-OCTAGON_AREA = 2.0 * (math.sqrt(2.0) - 1.0)
-ROT45_IOU = OCTAGON_AREA / (2.0 - OCTAGON_AREA)  # = 0.7071067811865475
 
 
 @pytest.fixture()
@@ -54,184 +53,41 @@ def report(capfd):
 
 def test_criterion_1_mc_oracle_agreement(report):
     """500 random overlapping pairs: |exact - MC(1e5)| <= 0.01, under 60 s."""
-    t0 = time.time()
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    checked = 0
-    while checked < 500:
-        a, b = near_pair(rng)
-        exact = iou3d(a, b)
-        if exact <= 0.05:
-            continue
-        estimate = iou3d_mc_oracle(a, b, 100_000, seed=checked).value
-        worst = max(worst, abs(exact - estimate))
-        checked += 1
-    elapsed = time.time() - t0
-    ok = worst <= 0.01 and elapsed < 60.0
-    report(1, "MC IoU oracle agreement", ok, f"worst |diff|={worst:.5f}, {elapsed:.1f}s")
-    assert worst <= 0.01
-    assert elapsed < 60.0
+    result = check_mc_iou_agreement(n_pairs=500)
+    ok = result.passed and result.seconds < 60.0
+    report(1, "MC IoU oracle agreement", ok, f"{result.detail}, {result.seconds:.1f}s")
+    assert result.passed, result.detail
+    assert result.seconds < 60.0
 
 
 def test_criterion_2_geometry_closed_forms(report):
-    box = Box3D(0.3, -0.2, 5.0, 2.1, 1.2, 1.4, 0.8)
-    identity_ok = iou3d(box, box) == 1.0
-
-    rng = np.random.default_rng(43)
-    worst_axis = 0.0
-    for _ in range(3000):
-        a = Box3D(*rng.uniform(-2, 2, 3), *np.exp(rng.uniform(-0.5, 0.5, 3)),
-                  0.0 if rng.uniform() < 0.5 else math.pi)
-        b = Box3D(*rng.uniform(-2, 2, 3), *np.exp(rng.uniform(-0.5, 0.5, 3)),
-                  0.0 if rng.uniform() < 0.5 else math.pi)
-
-        def seg(c1, e1, c2, e2):
-            return max(0.0, min(c1 + e1 / 2, c2 + e2 / 2) - max(c1 - e1 / 2, c2 - e2 / 2))
-
-        inter = seg(a.cx, a.l, b.cx, b.l) * seg(a.cy, a.h, b.cy, b.h) * seg(a.cz, a.w, b.cz, b.w)
-        expected = inter / (a.volume + b.volume - inter)
-        worst_axis = max(worst_axis, abs(iou3d(a, b) - expected))
-
-    rot_err = abs(
-        iou3d(Box3D(0, 0, 0, 1, 1, 1, 0), Box3D(0, 0, 0, 1, 1, 1, math.pi / 4)) - 0.707107
-    )
-    ok = identity_ok and worst_axis <= 1e-12 and rot_err <= 1e-6
-    report(
-        2,
-        "geometry closed forms",
-        ok,
-        f"identity={identity_ok}, axis-aligned worst={worst_axis:.2e}, 45-deg err={rot_err:.2e}",
-    )
-    assert identity_ok
-    assert worst_axis <= 1e-12
-    assert rot_err <= 1e-6
+    """Identity, 3000 fuzzed axis-aligned pairs and the 45-degree octagon."""
+    result = check_geometry_closed_forms()
+    report(2, "geometry closed forms", result.passed, result.detail)
+    assert result.passed, result.detail
 
 
 def test_criterion_3_component_update_bruteforce(report):
-    rng = np.random.default_rng(44)
-    eps = 1e-9
-    mismatches = 0
-    for case in range(1000):
-        n = int(rng.integers(1, 5))
-        student = [random_box(rng) for _ in range(n)]
-        gt = [random_box(rng) for _ in range(n)]
-        teacher = []
-        for j in range(n):
-            t = random_box(rng)
-            roll = rng.uniform()
-            if roll < 0.15:  # teacher == student on a component
-                t = Box3D(student[j].cx, student[j].cy, student[j].cz, t.l, t.w, t.h, t.yaw)
-            elif roll < 0.30:  # gt == student on a component
-                gt[j] = Box3D(
-                    student[j].cx, student[j].cy, student[j].cz,
-                    gt[j].l, gt[j].w, gt[j].h, gt[j].yaw,
-                )
-            elif roll < 0.35:  # total coincidence
-                t = student[j]
-            teacher.append(t)
-        got = positive_component_update(rows(teacher), rows(student), rows(gt), eps)
-        want = _reference_component_update(teacher, student, gt, eps)
-        if [Box3D.from_array(r) for r in got] != want:
-            mismatches += 1
-    report(3, "gated update vs brute force", mismatches == 0,
-           f"1000 triplet lists, {mismatches} mismatches")
-    assert mismatches == 0
+    """1000 random triplet lists: the gated update equals brute force."""
+    result = check_component_update_bruteforce(n_cases=1000)
+    report(3, "gated update vs brute force", result.passed, result.detail)
+    assert result.passed, result.detail
 
 
 def test_criterion_4_gate_soundness(report):
-    rng = np.random.default_rng(45)
-    eps = 1e-9
-    n = 100_000
-    violations = 0
-    scale_t = rng.uniform(1e-12, 2.0, size=n)
-    scale_g = rng.uniform(1e-12, 2.0, size=n)
-    students = rng.normal(size=(n, 3))
-    teachers = students + rng.normal(size=(n, 3)) * scale_t[:, None]
-    gts = students + rng.normal(size=(n, 3)) * scale_g[:, None]
-    for i in range(n):
-        decision = component_gate(students[i], teachers[i], gts[i], eps)
-        ts = teachers[i] - students[i]
-        gs = gts[i] - students[i]
-        if np.linalg.norm(ts) < eps:
-            sound = decision.kept
-        elif np.linalg.norm(gs) < eps:
-            sound = not decision.kept
-        else:
-            sound = decision.kept == (float(ts @ gs) > 0.0)
-        violations += not sound
-    report(4, "gate soundness fuzz", violations == 0, f"{n} triplets, {violations} violations")
-    assert violations == 0
+    """100000 fuzzed triplets: the gate keeps exactly the acute steps."""
+    result = check_gate_soundness(n_cases=100_000)
+    report(4, "gate soundness fuzz", result.passed, result.detail)
+    assert result.passed, result.detail
 
 
 def test_criterion_5_cld_analytics(report):
-    rng = np.random.default_rng(46)
-    worst_row_sum = 0.0
-    worst_negative = 0.0
-    worst_shift = 0.0
-    worst_grad_rel = 0.0
-    for _ in range(100):
-        m = int(rng.integers(1, 4))
-        k_a = int(rng.integers(1, 4))
-        k_c = int(rng.integers(2, 5))
-        tau = float(rng.uniform(0.5, 3.0))
-        t_vals = rng.normal(0, 2, size=(m * k_a, k_c))
-        s_vals = rng.normal(0, 2, size=(m * k_a, k_c))
-        teacher = unified_distribution(LogitMap(t_vals, k_a=k_a), tau)
-        student = unified_distribution(LogitMap(s_vals, k_a=k_a), tau)
-        worst_row_sum = max(
-            worst_row_sum,
-            float(np.max(np.abs(teacher.rows.sum(axis=1) - 1.0))),
-            float(np.max(np.abs(student.rows.sum(axis=1) - 1.0))),
-        )
-        loss = cld_loss(teacher, student)
-        worst_negative = min(worst_negative, loss)
-        shifted = (s_vals.reshape(m, k_a * k_c) + rng.normal(0, 5, size=(m, 1))).reshape(
-            m * k_a, k_c
-        )
-        moved = cld_loss(teacher, unified_distribution(LogitMap(shifted, k_a=k_a), tau))
-        worst_shift = max(worst_shift, abs(moved - loss))
-
-        analytic = cld_grad(teacher, unified_distribution(LogitMap(s_vals, k_a=k_a), tau), tau)
-        h = 1e-5
-        fd = np.zeros_like(s_vals)
-        for i in range(s_vals.shape[0]):
-            for j in range(k_c):
-                up, dn = s_vals.copy(), s_vals.copy()
-                up[i, j] += h
-                dn[i, j] -= h
-                fd[i, j] = (
-                    cld_loss(teacher, unified_distribution(LogitMap(up, k_a=k_a), tau))
-                    - cld_loss(teacher, unified_distribution(LogitMap(dn, k_a=k_a), tau))
-                ) / (2 * h)
-        worst_grad_rel = max(
-            worst_grad_rel,
-            float(np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-30)),
-        )
-
-    hand = cld_loss(
-        unified_distribution(LogitMap(np.zeros((1, 2)), k_a=1)),
-        unified_distribution(LogitMap(np.array([[math.log(3.0), 0.0]]), k_a=1)),
-    )
-    hand_err = abs(hand - 0.143841)
-    ok = (
-        worst_row_sum <= 1e-12
-        and worst_negative >= -1e-12
-        and worst_shift <= 1e-9
-        and worst_grad_rel < 1e-4
-        and hand_err <= 1e-6
-    )
-    report(
-        5,
-        "CLD analytics",
-        ok,
-        f"row-sum={worst_row_sum:.1e}, min-loss={worst_negative:.1e}, "
-        f"shift={worst_shift:.1e}, grad-rel={worst_grad_rel:.1e}, hand-err={hand_err:.1e}",
-    )
-    assert worst_row_sum <= 1e-12
-    assert worst_negative >= -1e-12
-    assert worst_shift <= 1e-9
-    assert worst_grad_rel < 1e-4
-    assert hand_err <= 1e-6
+    """The CLD gradient vs central differences on 100 random logit maps,
+    plus row sums, KL sign, shift invariance and the closed forms."""
+    results = [check_cld_grad_fd(n_maps=100), check_cld_invariants()]
+    ok = all(r.passed for r in results)
+    report(5, "CLD analytics", ok, "; ".join(r.detail for r in results))
+    assert ok, [r.detail for r in results]
 
 
 def test_criterion_6_training_gradients(report):

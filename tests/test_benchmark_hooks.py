@@ -1,5 +1,6 @@
 """The benchmark tracer wraps functions by (module, attribute) name; every
 pair it names must exist, or a traced run fails only when it installs."""
+import dataclasses
 import importlib
 import importlib.util
 import sys
@@ -20,6 +21,21 @@ def test_every_hook_resolves():
         if not callable(getattr(importlib.import_module(f"boxdistill.{module}"), attr, None))
     ]
     assert spans.HOOKS and not missing, missing
+
+
+def test_names_read_outside_hooks_resolve():
+    """Besides its hooks, ``benchmarks/run.py`` reads the loss history of
+    its ``distill`` and ``baseline`` passes, and its traced ``distill``
+    summary builds Monte-Carlo pairs from a scene's ``gts``; a name missing
+    here fails only those runs."""
+
+    def field_names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert {"total", "ori", "xgd", "cld"} <= field_names(sim.EpochStats)
+    assert isinstance(getattr(sim.Scene, "gts", None), property)
+    assert {"cx", "l", "yaw"} <= field_names(geometry.Box3D)
+    assert callable(getattr(geometry, "iou3d_mc_oracle", None))
 
 
 def test_dense_eval_workload_pass(monkeypatch):

@@ -107,7 +107,8 @@ def test_replace_single_mode(tiny_config_path, tmp_path, capsys):
 def test_config_error_exit_code(tmp_path, capsys):
     # An evaluation setting out of range is refused before training too, and
     # so are the keys of the fixed conventions (Adam's beta1, the scene
-    # sampler's gap, the smooth-L1 beta) and a repeated seed.
+    # sampler's gap, the smooth-L1 beta), a repeated seed and a repeated
+    # arm name.
     for bad_config in (
         {"optimizer": {"epoch": 3}},
         {"eval": {"nms_iou": 0}},
@@ -115,6 +116,7 @@ def test_config_error_exit_code(tmp_path, capsys):
         {"scene": {"min_gap": -5.0}},
         {"loss": {"smooth_l1_beta": 0.0}},
         {"seeds": [0, 0]},
+        {"arms": [{"name": "a", "loss": {}}, {"name": "a", "loss": {"xgd_weight": 0.0}}]},
     ):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(bad_config))

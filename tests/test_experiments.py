@@ -96,6 +96,11 @@ class TestConfig:
         # A repeated seed used to train twice and count twice in the means.
         with pytest.raises(ConfigError, match="seeds must be distinct"):
             config_from_dict({"seeds": [0, 0, 1]})
+        # Repeated arm names used to train both arms under one label.
+        with pytest.raises(ConfigError, match="arm names must be distinct"):
+            config_from_dict(
+                {"arms": [{"name": "a", "loss": {}}, {"name": "a", "loss": {"xgd_weight": 0.0}}]}
+            )
 
     def test_file_round_trip(self, tmp_path):
         cfg = tiny_config()

@@ -39,8 +39,8 @@ def test_fast_suite_passes():
 def test_injected_gate_sign_flip_is_caught(monkeypatch):
     original = xgd_mod.component_gate
 
-    def flipped(student, teacher, gt, eps=xgd_mod.DEFAULT_GATE_EPS):
-        decision = original(student, teacher, gt, eps)
+    def flipped(student, teacher, gt):
+        decision = original(student, teacher, gt)
         if decision.cos_beta is None:
             return decision
         return ComponentGate(kept=decision.cos_beta < 0.0, cos_beta=decision.cos_beta)
@@ -73,8 +73,8 @@ def test_injected_update_rule_change_is_caught(monkeypatch):
     # treat the orthogonal/negative case as keep-teacher
     original = xgd_mod.gate_decisions
 
-    def lenient(teacher, student, gt, eps=xgd_mod.DEFAULT_GATE_EPS):
-        decisions = original(teacher, student, gt, eps)
+    def lenient(teacher, student, gt):
+        decisions = original(teacher, student, gt)
         decisions[:, 0] = True
         return decisions
 

@@ -49,7 +49,7 @@ class TestComponentGate:
             s = rng.normal(size=3)
             t = s + rng.normal(scale=rng.uniform(0, 1.5), size=3)
             g = s + rng.normal(scale=rng.uniform(0, 1.5), size=3)
-            decision = component_gate(s, t, g, eps)
+            decision = component_gate(s, t, g)
             nt, ng = np.linalg.norm(t - s), np.linalg.norm(g - s)
             if nt < eps:
                 assert decision.kept
@@ -352,14 +352,14 @@ class TestGateKeepRates:
         assert rates == {"center": 1.0, "size": 1.0, "angle": 1.0}
 
 
-def scalar_gate_verdicts(teacher, student, gt, eps=1e-9):
+def scalar_gate_verdicts(teacher, student, gt):
     """component_gate per box and component, the angle on wrapped steps."""
     out = np.zeros((teacher.shape[0], 3), dtype=bool)
     for i, (t, s, g) in enumerate(zip(teacher, student, gt)):
-        out[i, 0] = component_gate(s[0:3], t[0:3], g[0:3], eps).kept
-        out[i, 1] = component_gate(s[3:6], t[3:6], g[3:6], eps).kept
+        out[i, 0] = component_gate(s[0:3], t[0:3], g[0:3]).kept
+        out[i, 1] = component_gate(s[3:6], t[3:6], g[3:6]).kept
         out[i, 2] = component_gate(
-            np.zeros(1), np.array([wrap_angle(t[6] - s[6])]), np.array([wrap_angle(g[6] - s[6])]), eps
+            np.zeros(1), np.array([wrap_angle(t[6] - s[6])]), np.array([wrap_angle(g[6] - s[6])])
         ).kept
     return out
 
@@ -375,9 +375,9 @@ class TestArrayGate:
         calls = []
         original = sim_mod.gate_decisions
 
-        def recording(teacher, student, gt, eps=1e-9):
-            calls.append((teacher.copy(), student.copy(), gt.copy(), eps))
-            return original(teacher, student, gt, eps)
+        def recording(teacher, student, gt):
+            calls.append((teacher.copy(), student.copy(), gt.copy()))
+            return original(teacher, student, gt)
 
         monkeypatch.setattr(sim_mod, "gate_decisions", recording)
         cfg = default_config()
@@ -390,9 +390,9 @@ class TestArrayGate:
         assert len(calls) == 3  # one per minibatch: 3 epochs of one 4-scene batch
         n_boxes = 0
         dropped = 0
-        for teacher, student, gt, eps in calls:
-            got = original(teacher, student, gt, eps)
-            want = scalar_gate_verdicts(teacher, student, gt, eps)
+        for teacher, student, gt in calls:
+            got = original(teacher, student, gt)
+            want = scalar_gate_verdicts(teacher, student, gt)
             assert got.dtype == bool and np.array_equal(got, want)
             n_boxes += len(teacher)
             dropped += int((~got).sum())
