@@ -54,8 +54,6 @@ from .sim import (
     train,
 )
 from .xgd import (
-    ComponentGate,
-    component_gate,
     positive_component_update,
     xgd_loss,
     xgd_loss_grad,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -133,12 +134,7 @@ def _cmd_replace(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     results = verify_suite(fast=args.fast)
-    failed = 0
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"[{status}] {res.name} ({res.seconds:.1f}s): {res.detail}")
-        if not res.passed:
-            failed += 1
+    failed = sum(not r.passed for r in results)
     summary = {
         "checks": len(results),
         "failed": failed,
@@ -146,7 +142,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             {"name": r.name, "passed": bool(r.passed), "detail": r.detail} for r in results
         ],
     }
-    print(json.dumps(summary, sort_keys=True))
+    try:
+        for res in results:
+            status = "PASS" if res.passed else "FAIL"
+            print(f"[{status}] {res.name} ({res.seconds:.1f}s): {res.detail}")
+        print(json.dumps(summary, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped reading (`verify | head`); the checks' status
+        # stands.  Output still buffered goes to devnull, so the
+        # interpreter's flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 1 if failed else 0
 
 

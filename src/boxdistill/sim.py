@@ -411,9 +411,10 @@ class TeacherResponse:
         return out.reshape(self.n_positions, self.k_a, 7)
 
     def logit_map(self, positions: np.ndarray, k_a: int) -> LogitMap:
-        """``extract_logit_map(self.dense(), positions, k_a)`` without the
-        dense array: background rows over the (sorted) ``positions``, with
-        the positives found there written in; other positives are skipped."""
+        """The rows of ``self.dense()``'s logits at the (sorted)
+        ``positions`` (``verify.extract_logit_map``) without the dense
+        array: background rows with the positives found there written in;
+        other positives are skipped."""
         values = np.full((positions.size * self.k_a, self.k_c), BACKGROUND_LOGIT)
         position = self.anchors // self.k_a
         at = np.searchsorted(positions, position)
@@ -799,12 +800,6 @@ def _smooth_l1(diff: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
     loss = np.where(quad, 0.5 * diff * diff / beta, absd - 0.5 * beta)
     grad = np.where(quad, diff / beta, np.sign(diff))
     return loss, grad
-
-
-def extract_logit_map(outputs: DetectorOutputs, positions: np.ndarray, k_a: int) -> LogitMap:
-    """LogitMap over the given (sorted) position indices."""
-    values = outputs.logits[positions].reshape(-1, outputs.logits.shape[2])
-    return LogitMap(values=values, k_a=k_a)
 
 
 def cld_positions(assignment: Assignment, grid: AnchorGrid, region: str) -> np.ndarray:

@@ -7,13 +7,11 @@ make an acute angle).  Rejected components fall back to the student's own
 value, so they exert no pull.  The resulting target boxes feed a rotated
 3D IoU loss over the positive anchors.
 
-Boxes are index-aligned (n, 7) rows (cx, cy, cz, l, w, h, yaw); the scalar
-:func:`component_gate` is the reference for one component of one box.
+Boxes are index-aligned (n, 7) rows (cx, cy, cz, l, w, h, yaw).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,46 +35,6 @@ GRAD_CLIP_FACTOR = 10.0
 COMPONENT_NAMES = ("center", "size", "angle")
 
 
-@dataclass(frozen=True)
-class ComponentGate:
-    """Keep/drop verdict for one component; cos_beta is None when the
-    teacher already coincides with the student (substitution is a no-op)."""
-
-    kept: bool
-    cos_beta: float | None
-
-
-def component_gate(
-    student: np.ndarray,
-    teacher: np.ndarray,
-    gt: np.ndarray,
-) -> ComponentGate:
-    """Acute-angle test between teacher-student and gt-student directions.
-
-    The scalar reference for one component of one box; the training path
-    runs the array form, :func:`gate_decisions`.  Kept iff the cosine of
-    the two difference vectors is strictly positive.  Degeneracies: a
-    teacher within ``DEFAULT_GATE_EPS`` of the student is kept (no-op); a
-    ground truth that close to the student while the teacher is not means the
-    student is already right, so the component is dropped.
-    """
-    student = np.asarray(student, dtype=float)
-    teacher = np.asarray(teacher, dtype=float)
-    gt = np.asarray(gt, dtype=float)
-    if not (np.all(np.isfinite(student)) and np.all(np.isfinite(teacher)) and np.all(np.isfinite(gt))):
-        raise ValueError("gate inputs must be finite")
-    teacher_step = teacher - student
-    gt_step = gt - student
-    t_norm = float(np.linalg.norm(teacher_step))
-    g_norm = float(np.linalg.norm(gt_step))
-    if t_norm < DEFAULT_GATE_EPS:
-        return ComponentGate(kept=True, cos_beta=None)
-    if g_norm < DEFAULT_GATE_EPS:
-        return ComponentGate(kept=False, cos_beta=None)
-    cos_beta = float(np.dot(teacher_step, gt_step) / (t_norm * g_norm))
-    return ComponentGate(kept=cos_beta > 0.0, cos_beta=cos_beta)
-
-
 def _box_rows(**groups: np.ndarray) -> list[np.ndarray]:
     """Index-aligned (n, 7) float arrays, checked for shape and length."""
     rows = [np.asarray(g, dtype=float) for g in groups.values()]
@@ -90,12 +48,19 @@ def _box_rows(**groups: np.ndarray) -> list[np.ndarray]:
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # matmul hands each (1, k) @ (k, 1) pair to the same BLAS dot as
-    # np.dot on two vectors, so every row rounds as component_gate does.
+    # np.dot on two vectors, so every row rounds as one np.dot call does.
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def _acute(teacher_step: np.ndarray, gt_step: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`component_gate` verdicts on (n, k) difference vectors."""
+    """Row-wise gate verdicts on (n, k) difference vectors.
+
+    Kept iff the cosine of the two steps is strictly positive.
+    Degeneracies: a teacher step shorter than ``DEFAULT_GATE_EPS`` is kept
+    (substituting it is a no-op); a ground-truth step that short while the
+    teacher's is not means the student is already right, so the component
+    is dropped.
+    """
     t_norm = np.sqrt(_row_dot(teacher_step, teacher_step))
     g_norm = np.sqrt(_row_dot(gt_step, gt_step))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -116,8 +81,7 @@ def gate_decisions(
     """Per-box, per-component gate verdicts for index-aligned (n, 7) boxes.
 
     Returns an (n, 3) bool array whose columns are the center, size and
-    angle verdicts; each one equals :func:`component_gate` on that
-    component's difference vectors.
+    angle verdicts, each from that component's difference vectors.
     """
     teacher, student, gt = _box_rows(teacher=teacher, student=student, gt=gt)
     if not (np.all(np.isfinite(teacher)) and np.all(np.isfinite(student)) and np.all(np.isfinite(gt))):

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from boxdistill.anchors import build_anchor_grid, decode_deltas, encode_deltas
+from boxdistill.anchors import build_anchor_grid
 from boxdistill.config import config_from_dict, default_arm_matrix, default_config
 from boxdistill.experiments import (
     ExperimentResult,
@@ -22,18 +22,16 @@ from boxdistill.experiments import (
     run_ablations,
     train_on_dataset,
 )
-from boxdistill.geometry import wrap_angle
 from boxdistill.sim import NoiseProfile, teacher_predict
 from boxdistill.verify import (
     check_cld_grad_fd,
     check_cld_invariants,
+    check_codec_roundtrip,
     check_component_update_bruteforce,
     check_gate_soundness,
     check_geometry_closed_forms,
     check_mc_iou_agreement,
     check_training_grad_fd,
-    random_box,
-    rows,
 )
 
 pytestmark = pytest.mark.acceptance
@@ -75,7 +73,8 @@ def test_criterion_3_component_update_bruteforce(report):
 
 
 def test_criterion_4_gate_soundness(report):
-    """100000 fuzzed triplets: the gate keeps exactly the acute steps."""
+    """100000 fuzzed box triplets: the training gate keeps exactly the
+    acute steps."""
     result = check_gate_soundness(n_cases=100_000)
     report(4, "gate soundness fuzz", result.passed, result.detail)
     assert result.passed, result.detail
@@ -235,12 +234,5 @@ def test_criterion_10_reproducibility(tmp_path, report):
 
 def test_codec_round_trip_supplement():
     """Codec bijectivity at acceptance scale (supports criteria 3/6 chains)."""
-    rng = np.random.default_rng(48)
-    pairs = [(random_box(rng), random_box(rng)) for _ in range(10_000)]
-    boxes = rows(box for box, _ in pairs)
-    anchors = rows(anchor for _, anchor in pairs)
-    back = decode_deltas(encode_deltas(boxes, anchors), anchors)
-    worst = float(np.max(np.abs(back[:, :6] - boxes[:, :6])))
-    for back_yaw, yaw in zip(back[:, 6].tolist(), boxes[:, 6].tolist()):
-        worst = max(worst, abs(wrap_angle(back_yaw - yaw)))
-    assert worst < 1e-9
+    result = check_codec_roundtrip(n_cases=10_000)
+    assert result.passed, result.detail

@@ -153,6 +153,40 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert "[FAIL] broken" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("passed, status", [(True, 0), (False, 1)])
+def test_verify_into_a_closed_pipe_returns_the_checks_status(monkeypatch, tmp_path, passed, status):
+    # `boxdistill verify | head` closes the pipe before the output ends.
+    import os
+    import sys
+
+    from boxdistill import verify as verify_mod
+
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    monkeypatch.setattr(
+        "boxdistill.cli.verify_suite",
+        lambda fast=False: [verify_mod.CheckResult("demo", passed, "ok", 0.0)],
+    )
+    out = tmp_path / "stdout"
+    with open(out, "wb") as f:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(f.fileno()))
+        assert main(["verify"]) == status
+        # The descriptor now writes to devnull, so the exit flush succeeds.
+        os.write(f.fileno(), b"flushed at exit")
+    assert out.read_bytes() == b""
+
+
 def test_history_files_keep_their_bytes(tiny_config_path, tmp_path, capsys):
     """history_seed*.json and *_report.json share one EpochStats serializer;
     both must stay byte-identical to the dicts each writer once built by hand."""

@@ -18,7 +18,13 @@ from boxdistill.geometry import (
     iou3d_mc_oracle,
     wrap_angle,
 )
-from boxdistill.verify import CLIP_TIE_KINDS, clip_tie_cases, near_pair, random_box
+from boxdistill.verify import (
+    check_iou_grad_self_consistency,
+    clip_tie_cases,
+    near_pair,
+    random_box,
+    reference_iou3d_grad_fd,
+)
 
 OCTAGON_AREA = 2.0 * (math.sqrt(2.0) - 1.0)  # unit square clipped by its 45-degree copy
 ROT45_IOU = OCTAGON_AREA / (2.0 - OCTAGON_AREA)
@@ -188,25 +194,6 @@ class TestIoU3D:
             v = iou3d(a, b)
             assert 0.0 <= v <= 1.0
 
-    def test_axis_aligned_closed_form_fuzz(self):
-        rng = np.random.default_rng(6)
-        for _ in range(500):
-            yaw_a = 0.0 if rng.uniform() < 0.5 else math.pi
-            yaw_b = 0.0 if rng.uniform() < 0.5 else math.pi
-            a = Box3D(*rng.uniform(-1, 1, 3), *np.exp(rng.uniform(-0.5, 0.5, 3)), yaw_a)
-            b = Box3D(*rng.uniform(-1, 1, 3), *np.exp(rng.uniform(-0.5, 0.5, 3)), yaw_b)
-
-            def seg(c1, e1, c2, e2):
-                return max(0.0, min(c1 + e1 / 2, c2 + e2 / 2) - max(c1 - e1 / 2, c2 - e2 / 2))
-
-            inter = (
-                seg(a.cx, a.l, b.cx, b.l)
-                * seg(a.cy, a.h, b.cy, b.h)
-                * seg(a.cz, a.w, b.cz, b.w)
-            )
-            expected = inter / (a.volume + b.volume - inter)
-            assert iou3d(a, b) == pytest.approx(expected, abs=1e-12)
-
     def test_degenerate_union_flagged(self):
         flags = GeometryFlags()
         tiny = 1e-7
@@ -247,19 +234,6 @@ class TestMonteCarloOracle:
         b = Box3D(0.3, 0.1, 0.2, 1, 1.2, 0.9, -0.3)
         assert iou3d_mc_oracle(a, b, 50_000, seed=7) == iou3d_mc_oracle(a, b, 50_000, seed=7)
 
-    def test_oracle_agreement_sample(self):
-        # Small-scale version of the acceptance sweep.
-        rng = np.random.default_rng(8)
-        checked = 0
-        while checked < 40:
-            a, b = near_pair(rng)
-            exact = iou3d(a, b)
-            if exact <= 0.05:
-                continue
-            est = iou3d_mc_oracle(a, b, 100_000, seed=checked).value
-            assert abs(exact - est) <= 0.01
-            checked += 1
-
     def test_rejects_bad_sample_count(self):
         box = Box3D(0, 0, 0, 1, 1, 1, 0)
         with pytest.raises(ValueError):
@@ -282,19 +256,7 @@ class TestIoUGradFD:
         assert grad[0] > 0
 
     def test_step_halving_self_consistency(self):
-        rng = np.random.default_rng(9)
-        checked = 0
-        while checked < 25:
-            a, b = near_pair(rng)
-            if not 0.15 < iou3d(a, b) < 0.95:
-                continue
-            g1 = grad_fd(a, b, steps=np.full(7, 1e-3))
-            g2 = grad_fd(a, b, steps=np.full(7, 1e-4))
-            denom = max(np.linalg.norm(g1), np.linalg.norm(g2))
-            if denom < 1e-6:
-                continue
-            assert np.linalg.norm(g1 - g2) / denom < 1e-2
-            checked += 1
+        assert check_iou_grad_self_consistency(n_cases=25).passed
 
     def test_size_clamp_flagged(self):
         flags = GeometryFlags()
@@ -315,10 +277,6 @@ class TestIoUGradFD:
                     call(rows, rows, steps=steps)
 
 
-def scalar_clip_area(a, b):
-    return max(0.0, geom._signed_area(geom._clip(geom._bev_corners(a), geom._bev_corners(b))))
-
-
 def kernel_clip_areas(pairs):
     a = np.array([p[0].as_array() for p in pairs]).reshape(-1, 7)
     b = np.array([p[1].as_array() for p in pairs]).reshape(-1, 7)
@@ -328,35 +286,9 @@ def kernel_clip_areas(pairs):
 class TestClipKernel:
     """The batched clip must replay the scalar clip bit for bit."""
 
-    def test_random_pairs(self):
-        rng = np.random.default_rng(41)
-        pairs = [near_pair(rng) for _ in range(400)]
-        pairs += [(random_box(rng), random_box(rng)) for _ in range(400)]
-        got = kernel_clip_areas(pairs)
-        assert all(g == scalar_clip_area(a, b) for g, (a, b) in zip(got, pairs))
-        assert np.count_nonzero(got) > 400
-
-    @pytest.mark.parametrize("kind", CLIP_TIE_KINDS)
-    def test_tie_cases(self, kind):
-        pairs = clip_tie_cases(np.random.default_rng(43), 40)[kind]
-        pairs += [(b, a) for a, b in pairs]
-        got = kernel_clip_areas(pairs)
-        for g, (a, b) in zip(got, pairs):
-            assert g == scalar_clip_area(a, b), (a, b)
-
     def test_empty_batch(self):
         assert kernel_clip_areas([]).shape == (0,)
         assert bev_iou(np.zeros((0, 7)), np.zeros((0, 7))).shape == (0,)
-
-    def test_array_bev_iou_matches_pairs(self):
-        rng = np.random.default_rng(47)
-        pairs = [near_pair(rng) for _ in range(200)]
-        for group in clip_tie_cases(rng, 40).values():
-            pairs += group
-        a = np.array([p[0].as_array() for p in pairs])
-        b = np.array([p[1].as_array() for p in pairs])
-        got = bev_iou(a, b)
-        assert all(g == bev_iou(x, y) for g, (x, y) in zip(got, pairs))
 
     def test_array_bev_iou_at_touching_circumcircles(self, monkeypatch):
         # 3 x 4 footprints have 2.5 m circumradii, so centers 5 m apart
@@ -408,16 +340,6 @@ class TestArrayIoU3D:
         assert flags_rows == flags_pairs
         return got, flags_rows
 
-    def test_random_pairs_and_swaps(self):
-        rng = np.random.default_rng(53)
-        pairs = [near_pair(rng) for _ in range(300)]
-        pairs += [(random_box(rng), random_box(rng)) for _ in range(100)]
-        for group in clip_tie_cases(rng, 20).values():
-            pairs += group
-        pairs += [(b, a) for a, b in pairs]
-        got, _ = self.assert_matches_pairs(pairs)
-        assert np.count_nonzero(got) > 300
-
     def test_canonical_order_keys_past_the_footprint(self):
         # Pairs equal in (cx, cz, l, w) but not in cy, h or yaw: the 7-key
         # order decides the clip direction where bev_iou's 5 keys would not.
@@ -455,57 +377,6 @@ class TestArrayIoU3D:
             iou3d(good, np.array([[0, 0, 0, 1, 0.0, 1, 0]]))
 
 
-def seed_iou3d_grad_fd(a, b_const, steps=None, flags=None):
-    """The per-pair central-difference loop as it stood before batching."""
-    steps = geom.DEFAULT_FD_STEPS if steps is None else np.asarray(steps, dtype=float)
-    params = [a.cx, a.cy, a.cz, a.l, a.w, a.h, a.yaw]
-    b_corners = geom._bev_corners(b_const)
-    b_vol = b_const.volume
-    b_ylo, b_yhi = b_const.cy - 0.5 * b_const.h, b_const.cy + 0.5 * b_const.h
-
-    def value(p, bev_inter=None):
-        cx, cy, cz, l, w, h, yaw = p
-        y_overlap = min(cy + 0.5 * h, b_yhi) - max(cy - 0.5 * h, b_ylo)
-        if y_overlap <= 0.0:
-            inter = 0.0
-        else:
-            if bev_inter is None:
-                c, s = math.cos(yaw), math.sin(yaw)
-                hl, hw = 0.5 * l, 0.5 * w
-                corners = [
-                    (cx + u * c - v * s, cz + u * s + v * c)
-                    for u, v in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
-                ]
-                bev_inter = max(0.0, geom._signed_area(geom._clip(corners, b_corners)))
-            inter = bev_inter * y_overlap
-        union = l * w * h + b_vol - inter
-        if union <= geom.DEGENERATE_UNION:
-            if flags is not None:
-                flags.degenerate_union += 1
-            return 0.0
-        return min(1.0, max(0.0, inter / union))
-
-    base_bev = max(0.0, geom._signed_area(geom._clip(geom._bev_corners(a), b_corners)))
-    grad = np.zeros(7)
-    for i in range(7):
-        plus = list(params)
-        minus = list(params)
-        plus[i] += steps[i]
-        minus[i] -= steps[i]
-        if i in (3, 4, 5):
-            for pert in (plus, minus):
-                if pert[i] < geom.SIZE_FLOOR:
-                    pert[i] = geom.SIZE_FLOOR
-                    if flags is not None:
-                        flags.size_clamped += 1
-        span = plus[i] - minus[i]
-        if span == 0.0:
-            continue
-        reuse = base_bev if i in (1, 5) else None
-        grad[i] = (value(plus, reuse) - value(minus, reuse)) / span
-    return grad
-
-
 class TestIoUGradFDBatch:
     def pairs(self, rng):
         pairs = [near_pair(rng) for _ in range(150)]
@@ -526,7 +397,7 @@ class TestIoUGradFDBatch:
         steps = None if step is None else np.full(7, step)
         pairs = self.pairs(np.random.default_rng(53))
         want_flags, got_flags = GeometryFlags(), GeometryFlags()
-        want = np.array([seed_iou3d_grad_fd(a, b, steps, want_flags) for a, b in pairs])
+        want = np.array([reference_iou3d_grad_fd(a, b, steps, want_flags) for a, b in pairs])
         got = iou3d_grad_fd(
             np.array([a.as_array() for a, _ in pairs]),
             np.array([b.as_array() for _, b in pairs]),
@@ -564,19 +435,6 @@ class TestIoUAndGradFD:
         assert np.array_equal(grad, want_grad)
         assert flags_fused == flags_apart
         return iou, flags_fused
-
-    def test_random_near_and_identical_pairs(self):
-        rng = np.random.default_rng(67)
-        pairs = [near_pair(rng) for _ in range(200)]
-        pairs += [(a, a) for a, _ in pairs[:50]]
-        pairs += [(b, a) for a, b in pairs]
-        iou, _ = self.assert_matches_separate_calls(pairs)
-        assert np.count_nonzero(iou == 1.0) >= 50
-
-    @pytest.mark.parametrize("kind", CLIP_TIE_KINDS)
-    def test_tie_cases(self, kind):
-        pairs = clip_tie_cases(np.random.default_rng(71), 25)[kind]
-        self.assert_matches_separate_calls(pairs + [(b, a) for a, b in pairs])
 
     def test_vertically_disjoint_pairs_get_no_clip_row(self, monkeypatch):
         rng = np.random.default_rng(73)

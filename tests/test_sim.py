@@ -436,7 +436,8 @@ class TestTeacherResponse:
             assert digest.hexdigest() == want[split], split
 
     def test_logit_map_equals_the_dense_slice(self):
-        from boxdistill.sim import cld_positions, extract_logit_map
+        from boxdistill.sim import cld_positions
+        from boxdistill.verify import extract_logit_map
 
         outside = 0
         for seed in range(6):
@@ -1077,11 +1078,11 @@ class TestMinibatchStep:
 
 
 class TestWorkerCount:
-    """Training gives the same bits on any number of workers, and reports
-    the same failure."""
+    """Training reports the same failure on any number of workers (that it
+    gives the same bits is verify's threaded_step_bit_identity check)."""
 
     @staticmethod
-    def _dataset(n_train_scenes=16):
+    def _dataset(n_train_scenes):
         from boxdistill.config import DataConfig, default_config
         from boxdistill.experiments import build_dataset
 
@@ -1103,29 +1104,6 @@ class TestWorkerCount:
         )
         p = result.params
         return [w.tobytes() for w in (p.w_cls, p.b_cls, p.w_reg, p.b_reg)], repr(result.history), flags
-
-    def test_every_arm_is_the_same_bits_on_1_2_and_3_workers(self, monkeypatch):
-        import sys
-        import threading
-
-        from boxdistill.config import default_arm_matrix
-
-        ds = self._dataset()
-        threads = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # switch threads inside the phases, not only between them
-        try:
-            for arm in default_arm_matrix():
-                # 3 workers split a batch of 4 scenes 2 + 1 + 1.
-                inline, *threaded = (
-                    self._train_on(monkeypatch, cpus, ds, ds.train_scenes, arm.loss, epochs=3)
-                    for cpus in (1, 2, 3)
-                )
-                for run in threaded:
-                    assert run == inline, arm.name
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == threads  # every worker thread was joined
 
     def test_first_scene_in_batch_order_is_reported(self, monkeypatch):
         import threading

@@ -13,7 +13,6 @@ from boxdistill.verify import (
     check_threaded_step_bit_identity,
     verify_suite,
 )
-from boxdistill.xgd import ComponentGate
 
 
 def test_fast_suite_passes():
@@ -37,16 +36,24 @@ def test_fast_suite_passes():
 
 
 def test_injected_gate_sign_flip_is_caught(monkeypatch):
-    original = xgd_mod.component_gate
-
-    def flipped(student, teacher, gt):
-        decision = original(student, teacher, gt)
-        if decision.cos_beta is None:
-            return decision
-        return ComponentGate(kept=decision.cos_beta < 0.0, cos_beta=decision.cos_beta)
-
-    monkeypatch.setattr(xgd_mod, "component_gate", flipped)
+    # The training gate keeps the obtuse steps: a negated teacher step has
+    # the same length and the opposite cosine.
+    original = xgd_mod._acute
+    monkeypatch.setattr(xgd_mod, "_acute", lambda t_step, g_step: original(-t_step, g_step))
     assert not check_gate_soundness(n_cases=2000).passed
+
+
+def test_injected_gate_margin_is_caught(monkeypatch):
+    # The training gate keeps a component only when cos_beta > 0.01: the
+    # one float literal of _acute, 0.0, becomes 0.01.
+    import types
+
+    fn = xgd_mod._acute
+    consts = fn.__code__.co_consts
+    assert [c for c in consts if type(c) is float] == [0.0]
+    code = fn.__code__.replace(co_consts=tuple(0.01 if type(c) is float else c for c in consts))
+    monkeypatch.setattr(xgd_mod, "_acute", types.FunctionType(code, fn.__globals__, fn.__name__))
+    assert not check_gate_soundness(n_cases=10_000).passed
 
 
 def test_injected_kl_order_swap_is_caught(monkeypatch):
@@ -135,6 +142,23 @@ def test_injected_fused_value_defect_is_caught(monkeypatch):
     result = check_clip_kernel_bit_identity(n_random=200)
     assert not result.passed
     assert "fused iou3d" in result.detail
+
+
+def test_injected_fd_gradient_defect_is_caught(monkeypatch):
+    # The batched FD rows, behind both iou3d_and_grad_fd and iou3d_grad_fd,
+    # come out one part in 2**40 high; the per-pair loop is unaffected.
+    import boxdistill.geometry as geom
+
+    original = geom._iou3d_grad_fd_rows
+
+    def scaled(*args, **kwargs):
+        iou, grad = original(*args, **kwargs)
+        return iou, grad * (1.0 + 2.0**-40)
+
+    monkeypatch.setattr(geom, "_iou3d_grad_fd_rows", scaled)
+    result = check_clip_kernel_bit_identity(n_random=200)
+    assert not result.passed
+    assert "fused gradient" in result.detail
 
 
 def test_injected_worker_difference_is_caught(monkeypatch):
