@@ -28,7 +28,7 @@ from .config import (
     default_config,
     load_config,
 )
-from .evaluation import Detection, EvalReport, ap_r40, decode_and_nms
+from .evaluation import Detection, EvalReport, decode_and_nms
 from .geometry import (
     Box3D,
     GeometryFlags,

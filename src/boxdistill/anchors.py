@@ -269,11 +269,15 @@ def assign_targets(
     grid: AnchorGrid,
     boxes: np.ndarray,
     class_ids: np.ndarray,
-    thresholds: Mapping[int, tuple[float, float]] | tuple[float, float] = (0.6, 0.45),
-    dilation: float = 0.5,
+    thresholds: Mapping[int, tuple[float, float]],
+    dilation: float,
 ) -> Assignment:
     """Label every anchor positive / negative / ignore against the (n_gt, 7)
     ground-truth rows ``boxes`` of classes ``class_ids``.
+
+    ``thresholds`` maps each class id of the grid to its (pos_iou,
+    neg_iou), as ``ExperimentConfig.assignment_thresholds`` returns them;
+    ``dilation`` is the foreground mask's, per side.
 
     An anchor is positive when its BEV IoU with a same-class ground truth
     reaches the class positive threshold, or when it is that ground
@@ -284,15 +288,9 @@ def assign_targets(
     break the positive-implies-foreground property).  Raises ValueError
     when a class's ``pos_iou`` is not positive or is below its ``neg_iou``.
     """
-
-    def thr_for(class_id: int) -> tuple[float, float]:
-        if isinstance(thresholds, tuple):
-            return thresholds
-        return thresholds[class_id]
-
     classes = class_ids.tolist()
     for class_id in set(classes):
-        pos_thr, neg_thr = thr_for(class_id)
+        pos_thr, neg_thr = thresholds[class_id]
         if pos_thr < neg_thr:
             raise ValueError(
                 f"pos_iou {pos_thr} must be >= neg_iou {neg_thr} for class {class_id}"
@@ -336,8 +334,8 @@ def assign_targets(
             forced.append((int(idx[best]), float(iou[best]), g))
 
     labels = np.full(grid.n_anchors, LABEL_NEGATIVE, dtype=np.int64)
-    pos_thr_per_slot = np.array([thr_for(int(c))[0] for c in slot_classes])
-    neg_thr_per_slot = np.array([thr_for(int(c))[1] for c in slot_classes])
+    pos_thr_per_slot = np.array([thresholds[int(c)][0] for c in slot_classes])
+    neg_thr_per_slot = np.array([thresholds[int(c)][1] for c in slot_classes])
     slot_of = np.tile(np.arange(k_a), grid.n_positions)
     pos_mask = max_iou >= pos_thr_per_slot[slot_of]
     ignore_mask = ~pos_mask & (max_iou >= neg_thr_per_slot[slot_of])
@@ -363,9 +361,10 @@ def assign_targets(
     )
 
 
-def foreground_mask(grid: AnchorGrid, boxes: np.ndarray, dilation: float = 0.5) -> np.ndarray:
+def foreground_mask(grid: AnchorGrid, boxes: np.ndarray, dilation: float) -> np.ndarray:
     """Flag positions whose center lies in any ``boxes`` footprint dilated per side."""
-    if dilation < 0:
+    # A positive test, so that NaN fails too.
+    if not dilation >= 0:
         raise ValueError(f"dilation must be >= 0, got {dilation}")
     centers = grid.position_centers
     mask = np.zeros(grid.n_positions, dtype=bool)

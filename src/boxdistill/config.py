@@ -94,6 +94,9 @@ class ExperimentConfig:
         names = [arm.name for arm in self.arms]
         if len(set(names)) != len(names):
             raise ValueError(f"arm names must be distinct, got {names}")
+        # A positive test, so that NaN fails too.
+        if not self.foreground_dilation >= 0:
+            raise ValueError(f"foreground_dilation must be >= 0, got {self.foreground_dilation}")
 
     def assignment_thresholds(self) -> dict[int, tuple[float, float]]:
         return {

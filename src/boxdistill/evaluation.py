@@ -219,20 +219,6 @@ def evaluate_class(
     )
 
 
-def ap_r40(
-    detections: Sequence[Detection],
-    gts: Sequence[tuple[Box3D, int]],
-    class_id: int,
-    iou_threshold: float,
-    recall_positions: int = 40,
-    measure: str = "3d",
-) -> float:
-    """Single-collection AP at 40 recall positions (see evaluate_class)."""
-    return evaluate_class(
-        [detections], [gts], class_id, iou_threshold, recall_positions, measure
-    ).ap
-
-
 @dataclass(frozen=True)
 class ClassEval:
     class_id: int
@@ -266,8 +252,8 @@ def evaluate_outputs(
     per_scene_outputs: Iterable[DetectorOutputs],
     scenes: Sequence,
     grid: AnchorGrid,
+    iou_thresholds: dict[int, float],
     settings: EvalSettings = EvalSettings(),
-    iou_thresholds: dict[int, float] | None = None,
     seed: int = -1,
     config_hash: str = "",
     metadata: dict | None = None,
@@ -287,7 +273,7 @@ def evaluate_outputs(
     positions = settings.recall_positions
     class_specs = {t.class_id for t in grid.templates}
     for class_id in sorted(class_specs):
-        thr = (iou_thresholds or {}).get(class_id, 0.5)
+        thr = iou_thresholds[class_id]
         res3d = evaluate_class(scene_dets, scene_gts, class_id, thr, positions, "3d")
         res_bev = evaluate_class(scene_dets, scene_gts, class_id, thr, positions, "bev")
         per_class.append(

@@ -113,15 +113,6 @@ def build_dataset(config: ExperimentConfig, seed: int, grid: AnchorGrid | None =
 def train_on_dataset(
     dataset: SeedDataset, loss_cfg: LossConfig, config: ExperimentConfig
 ) -> TrainResult:
-    if config.optimizer.epochs == 0:
-        # evaluation-only runs score the freshly initialized student
-        params = DetectorParams.init(
-            dataset.seed,
-            dataset.train_scenes[0].feature_dim,
-            dataset.grid.k_a,
-            dataset.grid.k_c,
-        )
-        return TrainResult(params=params, history=[])
     return train(
         dataset.grid,
         dataset.train_scenes,
@@ -162,8 +153,8 @@ def evaluate_params(
         outputs(),
         dataset.val_scenes,
         grid,
+        config.eval_iou_thresholds(),
         config.eval,
-        iou_thresholds=config.eval_iou_thresholds(),
         seed=dataset.seed,
         config_hash=config_hash(config),
         metadata=metadata or {},

@@ -605,10 +605,9 @@ def _iou3d_grad_fd_rows(
     b_const: np.ndarray,
     steps: np.ndarray | None,
     flags: GeometryFlags | None,
-    with_iou: bool,
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """The IoUs (with ``with_iou``, else None) and the central-difference
-    gradients of n box pairs, from one batched clip."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The IoUs and the central-difference gradients of n box pairs, from
+    one batched clip."""
     steps = _fd_steps(steps)
     a, b = _box_pairs(a, b_const, "b_const")
     n = len(a)
@@ -631,17 +630,14 @@ def _iou3d_grad_fd_rows(
     # overlap in iou3d's clip order.  The kernel is row-independent, so
     # every area equals that of a separate call.
     k = len(_FOOTPRINT_PARAMS)
-    subjects = [a] + [pert[:, _FOOTPRINT_PARAMS].reshape(-1, 7) for pert in (plus, minus)]
+    y_overlap = _y_overlap(a, b)
+    idx = np.flatnonzero(y_overlap > 0.0)
+    subject, clip = _clip_order(a[idx], b[idx])
+    subjects = [a, *(pert[:, _FOOTPRINT_PARAMS].reshape(-1, 7) for pert in (plus, minus)), subject]
     clip_corners = [
-        [c, np.repeat(c, k, axis=0), np.repeat(c, k, axis=0)] for c in _bev_corners_rows(b)
+        [c, np.repeat(c, k, axis=0), np.repeat(c, k, axis=0), c_pair]
+        for c, c_pair in zip(_bev_corners_rows(b), _bev_corners_rows(clip))
     ]
-    if with_iou:
-        y_overlap = _y_overlap(a, b)
-        idx = np.flatnonzero(y_overlap > 0.0)
-        subject, clip = _clip_order(a[idx], b[idx])
-        subjects.append(subject)
-        for corners, c in zip(clip_corners, _bev_corners_rows(clip)):
-            corners.append(c)
     areas = _clip_area_rows(
         *_bev_corners_rows(np.concatenate(subjects)), *(np.concatenate(c) for c in clip_corners)
     )
@@ -658,8 +654,6 @@ def _iou3d_grad_fd_rows(
         flags.degenerate_union += int(np.count_nonzero(degenerate & moved[:, :, None]))
     grad = np.zeros((n, 7))
     grad[moved] = (value[..., 0][moved] - value[..., 1][moved]) / span[moved]
-    if not with_iou:
-        return None, grad
     pair_bev = np.zeros(n)
     pair_bev[idx] = areas[n + 2 * n * k :]
     iou, degenerate = _iou_from_bev(pair_bev, y_overlap, a, b)
@@ -674,17 +668,12 @@ def iou3d_grad_fd(
     steps: np.ndarray | None = None,
     flags: GeometryFlags | None = None,
 ) -> np.ndarray:
-    """Central-difference gradient of iou3d w.r.t. the 7 parameters of ``a``.
+    """The gradient of :func:`iou3d_and_grad_fd`.
 
-    ``a`` and ``b_const`` are (n, 7) arrays of box parameters; ``b_const``
-    is held fixed (the stop-gradient target).  Returns the (n, 7) row-wise
-    gradients, from one batched clip for the base and all footprint
-    perturbations.  ``steps`` must be 7 finite positive values.
-    Perturbations that would drive an extent non-positive are clamped at
-    SIZE_FLOOR and counted in ``flags.size_clamped``; the actual parameter
-    difference is used as the divisor so the estimate stays consistent.
+    ``flags`` counts what that call counts, the degenerate-union guard of
+    the pairs' own IoUs included.
     """
-    return _iou3d_grad_fd_rows(a, b_const, steps, flags, with_iou=False)[1]
+    return iou3d_and_grad_fd(a, b_const, steps, flags)[1]
 
 
 def iou3d_and_grad_fd(
@@ -693,10 +682,16 @@ def iou3d_and_grad_fd(
     steps: np.ndarray | None = None,
     flags: GeometryFlags | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``iou3d(a, b_const, flags)`` and ``iou3d_grad_fd(a, b_const, steps,
-    flags)`` from one batched clip.
+    """``iou3d(a, b_const, flags)`` and the central-difference gradient of
+    iou3d w.r.t. the 7 parameters of ``a``, from one batched clip.
 
-    Both arrays are bit-identical to the separate calls, and ``flags``
-    counts what the two calls would count together.
+    ``a`` and ``b_const`` are (n, 7) arrays of box parameters; ``b_const``
+    is held fixed (the stop-gradient target).  Returns the (n,) IoUs, bit
+    for bit those of :func:`iou3d`, and the (n, 7) row-wise gradients.
+    ``steps`` must be 7 finite positive values.  Perturbations that would
+    drive an extent non-positive are clamped at SIZE_FLOOR and counted in
+    ``flags.size_clamped``; the actual parameter difference is used as the
+    divisor so the estimate stays consistent.  ``flags.degenerate_union``
+    counts the guard hits of the perturbed and of the unperturbed pairs.
     """
-    return _iou3d_grad_fd_rows(a, b_const, steps, flags, with_iou=True)
+    return _iou3d_grad_fd_rows(a, b_const, steps, flags)

@@ -450,11 +450,6 @@ class DetectorParams:
         b_reg = np.zeros(k_a * 7)
         return cls(w_cls=w_cls, b_cls=b_cls, w_reg=w_reg, b_reg=b_reg)
 
-    def copy(self) -> "DetectorParams":
-        return DetectorParams(
-            self.w_cls.copy(), self.b_cls.copy(), self.w_reg.copy(), self.b_reg.copy()
-        )
-
 
 class StepWorkspace:
     """Arrays a training step writes into, kept from one step to the next.
@@ -978,7 +973,7 @@ def _xgd_terms(
     for n in sizes:
         rows = slice(start, start + n)
         loss = sum(pair_terms[rows]) if n else 0.0
-        keep = gate_keep_rates(decisions[rows]) if gated and n else {}
+        keep = gate_keep_rates(decisions[rows]) if gated else {}
         out.append((loss, keep, grad[rows] if n else None))
         start += n
     return out
@@ -1245,7 +1240,8 @@ def train(
     seed: int,
     flags: GeometryFlags | None = None,
 ) -> TrainResult:
-    """Adam over the combined loss; deterministic given the seed.
+    """Adam over the combined loss; deterministic given the seed.  At 0
+    epochs, the initialized model and an empty history.
 
     What depends only on a scene (its dense features, encoded targets,
     teacher boxes and distributions) is built once per call; gates and
@@ -1295,9 +1291,9 @@ def _train(
         raise ValueError("scenes, teacher outputs, and assignments must align")
     if not scenes:
         raise ValueError("at least one training scene is required")
-    if opt_cfg.epochs < 1:
-        raise ValueError("train requires epochs >= 1; use the initialized model directly")
     params = DetectorParams.init(seed, scenes[0].feature_dim, grid.k_a, grid.k_c)
+    if opt_cfg.epochs == 0:
+        return TrainResult(params, [])
     weights = [params.w_cls, params.b_cls, params.w_reg, params.b_reg]
     adam = _Adam(weights, opt_cfg)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_SHUFFLE)))
@@ -1354,7 +1350,7 @@ def _train(
                     last_finite = breakdown
                     sums += (breakdown.total, breakdown.ori, breakdown.xgd, breakdown.cld)
                     n_pos_sum += breakdown.n_pos
-                    if breakdown.gate_keep and not math.isnan(breakdown.gate_keep["center"]):
+                    if breakdown.gate_keep:
                         for name in COMPONENT_NAMES:
                             keep_sums[name] += breakdown.gate_keep[name]
                         keep_count += 1

@@ -12,6 +12,7 @@ import math
 import sys
 import threading
 import time
+from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -340,10 +341,6 @@ def check_codec_roundtrip(n_cases: int = 10_000) -> CheckResult:
 def _loop_assignment(grid, boxes, class_ids, thresholds, dilation):
     """Dense labels and max IoU from a per-anchor Box3D + scalar bev_iou
     loop, the form assign_targets had before it was batched."""
-
-    def thr_for(class_id):
-        return thresholds if isinstance(thresholds, tuple) else thresholds[class_id]
-
     k_a = grid.k_a
     max_iou = np.zeros(grid.n_anchors)
     best_gt = np.full(grid.n_anchors, -1, dtype=np.int64)
@@ -369,8 +366,8 @@ def _loop_assignment(grid, boxes, class_ids, thresholds, dilation):
             forced.append((best_anchor, best_val, g))
     labels = np.full(grid.n_anchors, anchors_mod.LABEL_NEGATIVE, dtype=np.int64)
     slot_of = np.tile(np.arange(k_a), grid.n_positions)
-    pos_thr = np.array([thr_for(int(c))[0] for c in slot_classes])[slot_of]
-    neg_thr = np.array([thr_for(int(c))[1] for c in slot_classes])[slot_of]
+    pos_thr = np.array([thresholds[int(c)][0] for c in slot_classes])[slot_of]
+    neg_thr = np.array([thresholds[int(c)][1] for c in slot_classes])[slot_of]
     pos_mask = max_iou >= pos_thr
     labels[~pos_mask & (max_iou >= neg_thr)] = anchors_mod.LABEL_IGNORE
     labels[pos_mask] = best_gt[pos_mask]
@@ -631,13 +628,52 @@ def extract_logit_map(
     return cld_mod.LogitMap(values=values, k_a=k_a)
 
 
-def check_training_grad_fd(n_states: int = 5) -> CheckResult:
-    """Assembled weight gradient vs end-to-end central differences.
+def _frozen_scene_loss(params, scene, assignment, teacher, grid, cfg):
+    """The loss of one scene as a function of the weights, composed from
+    base_loss, xgd_loss and cld_loss, with its distillation targets frozen
+    at ``params``.  It reads the teacher's dense outputs, not the rows that
+    training reads."""
+    pos = assignment.positive_indices
+    anchor_params = grid.anchor_params[pos]
+    dense_teacher = teacher.dense()
+    out = sim_mod.student_forward(params, scene)
+    frozen_targets = xgd_mod.positive_component_update(
+        anchors_mod.decode_deltas(dense_teacher.deltas_flat[pos], anchor_params),
+        anchors_mod.decode_deltas(out.deltas_flat[pos], anchor_params),
+        scene.boxes[assignment.matched],
+        components=cfg.loss.xgd_components,
+    )
+    fg = sim_mod.cld_positions(assignment, grid, cfg.loss.cld_region)
+    teacher_dist = cld_mod.unified_distribution(
+        extract_logit_map(dense_teacher, fg, grid.k_a), cfg.loss.tau
+    )
 
-    Distillation targets are frozen at the probe point because gate
-    decisions are piecewise constant: the finite differences measure the
-    active smooth piece of the loss, which is the quantity the assembled
-    gradient represents.
+    def loss_of(p: sim_mod.DetectorParams) -> float:
+        o = sim_mod.student_forward(p, scene)
+        value = sim_mod.base_loss(o, scene, assignment, grid, cfg.loss)
+        boxes = anchors_mod.decode_deltas(o.deltas_flat[pos], anchor_params)
+        value += cfg.loss.xgd_weight * xgd_mod.xgd_loss(boxes, frozen_targets)
+        student_dist = cld_mod.unified_distribution(
+            extract_logit_map(o, fg, grid.k_a), cfg.loss.tau
+        )
+        value += cfg.loss.cld_weight * cld_mod.cld_loss(teacher_dist, student_dist)
+        return value
+
+    return loss_of
+
+
+def check_training_grad_fd(n_states: int = 5) -> CheckResult:
+    """The weight gradients a training step applies vs end-to-end central
+    differences.
+
+    Each state is a two-scene minibatch: ``sim._minibatch_grads`` on one
+    worker sums its weight gradients, and the finite differences are those
+    of the sum of the scenes' reference losses.  Distillation targets are
+    frozen at the probe point because gate decisions are piecewise
+    constant: the finite differences measure the active smooth piece of
+    the loss, which is the quantity the assembled gradient represents.
+    Each weight tensor's sampled entries are compared on their own, so a
+    small tensor's error is not hidden by a large one's norm.
     """
     t0 = time.time()
     cfg = _small_training_config()
@@ -653,16 +689,19 @@ def check_training_grad_fd(n_states: int = 5) -> CheckResult:
             return CheckResult(
                 "training_grad_fd", False, "could not find smooth states", time.time() - t0
             )
-        scene = sim_mod.generate_scene(int(rng.integers(1 << 30)), cfg.scene, grid)
-        assignment = anchors_mod.assign_targets(
-            grid, scene.boxes, scene.class_ids, thresholds, dilation=cfg.foreground_dilation
-        )
-        if assignment.n_pos == 0:
-            continue
+        scenes = [
+            sim_mod.generate_scene(int(rng.integers(1 << 30)), cfg.scene, grid) for _ in range(2)
+        ]
         # Rebuilt once: every forward pass below reads these features.
-        features = scene.features
-        scene = sim_mod.Scene.from_features(scene.boxes, scene.class_ids, features, scene.seed)
-        teacher = sim_mod.teacher_predict(scene, cfg.teacher_noise, grid, assignment)
+        scenes = [sim_mod.Scene.from_features(s.boxes, s.class_ids, s.features, s.seed) for s in scenes]
+        asgs = [
+            anchors_mod.assign_targets(grid, s.boxes, s.class_ids, thresholds, cfg.foreground_dilation)
+            for s in scenes
+        ]
+        if any(a.n_pos == 0 for a in asgs):
+            continue
+        teachers = [sim_mod.teacher_predict(s, cfg.teacher_noise, grid, a) for s, a in zip(scenes, asgs)]
+        batch = list(zip(scenes, asgs, teachers))
         params = sim_mod.DetectorParams.init(int(rng.integers(1 << 30)), 16, grid.k_a, grid.k_c)
         params = sim_mod.DetectorParams(
             params.w_cls + rng.normal(0, 0.05, params.w_cls.shape),
@@ -670,73 +709,38 @@ def check_training_grad_fd(n_states: int = 5) -> CheckResult:
             params.w_reg + rng.normal(0, 0.02, params.w_reg.shape),
             params.b_reg + rng.normal(0, 0.02, params.b_reg.shape),
         )
+        targets = [sim_mod._scene_targets(s, a, grid, cfg.loss, t) for s, a, t in batch]
         flags = geom.GeometryFlags()
-        out = sim_mod.student_forward(params, scene)
-        _, dlog, ddel = sim_mod.total_loss_and_grad(
-            out, teacher, scene, assignment, grid, cfg.loss, flags
-        )
+        with closing(sim_mod._SceneWorkers(1)) as workers:
+            _, grads = sim_mod._minibatch_grads(params, scenes, targets, cfg.loss, flags, workers)
         if flags.gradient_clipped or flags.degenerate_union or flags.size_clamped:
             continue  # stay away from flagged non-smooth configurations
-        n = features.shape[0]
-        grads = {
-            "w_cls": features.T @ dlog.reshape(n, -1),
-            "b_cls": dlog.reshape(n, -1).sum(axis=0),
-            "w_reg": features.T @ ddel.reshape(n, -1),
-            "b_reg": ddel.reshape(n, -1).sum(axis=0),
-        }
+        scene_losses = [_frozen_scene_loss(params, *scene, grid, cfg) for scene in batch]
 
-        pos = assignment.positive_indices
-        anchor_params = grid.anchor_params[pos]
-        # The reference reads the teacher's dense outputs, not the rows
-        # that training reads.
-        dense_teacher = teacher.dense()
-        frozen_targets = xgd_mod.positive_component_update(
-            anchors_mod.decode_deltas(dense_teacher.deltas_flat[pos], anchor_params),
-            anchors_mod.decode_deltas(out.deltas_flat[pos], anchor_params),
-            scene.boxes[assignment.matched],
-            components=cfg.loss.xgd_components,
-        )
-        fg = sim_mod.cld_positions(assignment, grid, cfg.loss.cld_region)
-        teacher_dist = cld_mod.unified_distribution(
-            extract_logit_map(dense_teacher, fg, grid.k_a), cfg.loss.tau
-        )
-
-        def loss_of(p: sim_mod.DetectorParams) -> float:
-            o = sim_mod.student_forward(p, scene)
-            value = sim_mod.base_loss(o, scene, assignment, grid, cfg.loss)
-            boxes = anchors_mod.decode_deltas(o.deltas_flat[pos], anchor_params)
-            value += cfg.loss.xgd_weight * xgd_mod.xgd_loss(boxes, frozen_targets)
-            student_dist = cld_mod.unified_distribution(
-                extract_logit_map(o, fg, grid.k_a), cfg.loss.tau
-            )
-            value += cfg.loss.cld_weight * cld_mod.cld_loss(teacher_dist, student_dist)
-            return value
+        def loss_of(name: str, w: np.ndarray) -> float:
+            p = replace(params, **{name: w})
+            return sum(loss(p) for loss in scene_losses)
 
         h = 1e-5
-        an, fd = [], []
-        for name in ("w_cls", "b_cls", "w_reg", "b_reg"):
+        for name, grad in zip(("w_cls", "b_cls", "w_reg", "b_reg"), grads):
             w = getattr(params, name)
-            flat = w.reshape(-1)
-            picks = rng.choice(flat.size, size=min(12, flat.size), replace=False)
+            picks = rng.choice(w.size, size=min(12, w.size), replace=False)
+            fd = []
             for k in picks:
-                up = flat.copy(); up[k] += h
-                dn = flat.copy(); dn[k] -= h
-                pu = {f: getattr(params, f) for f in ("w_cls", "b_cls", "w_reg", "b_reg")}
-                pd = dict(pu)
-                pu[name] = up.reshape(w.shape)
-                pd[name] = dn.reshape(w.shape)
-                fd.append((loss_of(sim_mod.DetectorParams(**pu)) - loss_of(sim_mod.DetectorParams(**pd))) / (2 * h))
-                an.append(grads[name].reshape(-1)[k])
-        an_arr, fd_arr = np.array(an), np.array(fd)
-        rel = np.linalg.norm(an_arr - fd_arr) / max(
-            np.linalg.norm(an_arr), np.linalg.norm(fd_arr), 1e-30
-        )
-        worst = max(worst, rel)
+                step = np.zeros(w.size)
+                step[k] = h
+                step = step.reshape(w.shape)
+                fd.append((loss_of(name, w + step) - loss_of(name, w - step)) / (2 * h))
+            an_arr, fd_arr = grad.reshape(-1)[picks], np.array(fd)
+            rel = np.linalg.norm(an_arr - fd_arr) / max(
+                np.linalg.norm(an_arr), np.linalg.norm(fd_arr), 1e-30
+            )
+            worst = max(worst, rel)
         state += 1
     return CheckResult(
         "training_grad_fd",
         worst < 1e-2,
-        f"{n_states} random states, worst rel l2 err {worst:.2e} (tol 1e-2)",
+        f"{n_states} random two-scene batches, worst per-tensor rel l2 err {worst:.2e} (tol 1e-2)",
         time.time() - t0,
     )
 

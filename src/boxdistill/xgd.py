@@ -11,7 +11,6 @@ Boxes are index-aligned (n, 7) rows (cx, cy, cz, l, w, h, yaw).
 """
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +21,7 @@ from .geometry import (
     GeometryFlags,
     iou3d,
     iou3d_and_grad_fd,
-    iou3d_grad_fd,
+    iou3d_grad_fd,  # noqa: F401  (a HOOKS entry of benchmarks/spans.py wraps it)
     wrap_angle_array,
 )
 
@@ -141,16 +140,42 @@ def xgd_loss(
     return sum(terms) if terms else 0.0
 
 
-def _loss_and_grad(
+def xgd_loss_grad(
     student_deltas: np.ndarray,
     anchor_params: np.ndarray,
     targets: np.ndarray,
-    flags: GeometryFlags | None,
-    student_rows: np.ndarray | None,
-    with_terms: bool,
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """The per-pair terms of :func:`xgd_loss` (None without
-    ``with_terms``) and :func:`xgd_loss_grad`, from one batched clip."""
+    flags: GeometryFlags | None = None,
+    student_rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """The gradient of :func:`xgd_loss_and_grad`.
+
+    ``flags`` counts what that call counts, the degenerate-union guard of
+    the pairs' own IoUs included.
+    """
+    return xgd_loss_and_grad(student_deltas, anchor_params, targets, flags, student_rows)[1]
+
+
+def xgd_loss_and_grad(
+    student_deltas: np.ndarray,
+    anchor_params: np.ndarray,
+    targets: np.ndarray,
+    flags: GeometryFlags | None = None,
+    student_rows: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-pair terms (1 - IoU3D) of :func:`xgd_loss`, in pair order,
+    and their gradient w.r.t. the student regression deltas, from one
+    batched clip (:func:`iou3d_and_grad_fd`).
+
+    Summing a slice of the terms (zero for an empty slice) gives
+    :func:`xgd_loss` on that slice's pairs.  Decoded-box gradients come
+    from central differences of the IoU; they chain through the (diagonal)
+    Jacobian of the delta decoding.  Gate decisions are piecewise constant
+    and contribute nothing.  Components steeper than GRAD_CLIP_FACTOR /
+    step are clipped (contact noise).  ``targets`` are (n, 7) rows.  Each
+    row's gradient depends on that row alone.  ``student_rows`` is the
+    decode of ``student_deltas`` when the caller already has it (its
+    decode clamps already counted in ``flags``).
+    """
     student_deltas = np.asarray(student_deltas, dtype=float)
     anchor_params = np.asarray(anchor_params, dtype=float)
     (target_rows,) = _box_rows(targets=targets)
@@ -158,19 +183,14 @@ def _loss_and_grad(
     if target_rows.shape[0] != n or anchor_params.shape[0] != n:
         raise ValueError("deltas, anchors, and targets must be index-aligned")
     if n == 0:
-        return (np.zeros(0) if with_terms else None), np.zeros_like(student_deltas)
+        return np.zeros(0), np.zeros_like(student_deltas)
     clip = GRAD_CLIP_FACTOR / DEFAULT_FD_STEPS
     if student_rows is None:
         student_rows = decode_deltas(student_deltas, anchor_params, flags)
     elif np.shape(student_rows) != (n, 7):
         raise ValueError("student_rows must be the (n, 7) decode of student_deltas")
-    # The IoU calls reject a non-finite or non-positive decode.
-    terms = None
-    if with_terms:
-        iou, g_box = iou3d_and_grad_fd(student_rows, target_rows, flags=flags)
-        terms = 1.0 - iou
-    else:
-        g_box = iou3d_grad_fd(student_rows, target_rows, flags=flags)
+    # The IoU call rejects a non-finite or non-positive decode.
+    iou, g_box = iou3d_and_grad_fd(student_rows, target_rows, flags=flags)
     g_box = -g_box
     over = np.abs(g_box) > clip
     if np.any(over):
@@ -183,56 +203,18 @@ def _loss_and_grad(
     jac = np.column_stack(
         [diag, anchor_params[:, 5], diag, student_rows[:, 3:6], np.ones(n)]
     )
-    return terms, g_box * jac
-
-
-def xgd_loss_grad(
-    student_deltas: np.ndarray,
-    anchor_params: np.ndarray,
-    targets: np.ndarray,
-    flags: GeometryFlags | None = None,
-    student_rows: np.ndarray | None = None,
-) -> np.ndarray:
-    """Gradient of :func:`xgd_loss` w.r.t. the student regression deltas.
-
-    Decoded-box gradients come from central differences of the IoU (one
-    batched :func:`iou3d_grad_fd` call for all boxes); they chain through
-    the (diagonal) Jacobian of the delta decoding.  Gate decisions are
-    piecewise constant and contribute nothing.  Components steeper than
-    GRAD_CLIP_FACTOR / step are clipped (contact noise).  ``targets`` are
-    (n, 7) rows.  Each row's gradient depends on that row alone.
-    ``student_rows`` is the decode of ``student_deltas`` when the caller
-    already has it (its decode clamps already counted in ``flags``).
-    """
-    return _loss_and_grad(student_deltas, anchor_params, targets, flags, student_rows, False)[1]
-
-
-def xgd_loss_and_grad(
-    student_deltas: np.ndarray,
-    anchor_params: np.ndarray,
-    targets: np.ndarray,
-    flags: GeometryFlags | None = None,
-    student_rows: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The per-pair terms (1 - IoU3D), in pair order, and
-    :func:`xgd_loss_grad`, from one batched clip (:func:`iou3d_and_grad_fd`).
-
-    Summing a slice of the terms (zero for an empty slice) gives
-    :func:`xgd_loss` on that slice's pairs, and the gradient equals the
-    separate call, bit for bit; ``flags`` counts what the two calls would
-    count together.
-    """
-    return _loss_and_grad(student_deltas, anchor_params, targets, flags, student_rows, True)
+    return 1.0 - iou, g_box * jac
 
 
 def gate_keep_rates(decisions: np.ndarray) -> dict[str, float]:
     """Fraction of boxes whose center / size / angle gates kept the teacher.
 
-    Takes a :func:`gate_decisions` array; returns NaNs when it is empty.
+    Takes a :func:`gate_decisions` array; returns ``{}`` (nothing gated)
+    when it is empty.
     """
     kept = np.asarray(decisions, dtype=bool).reshape(-1, 3)
     n = kept.shape[0]
     if n == 0:
-        return {name: math.nan for name in COMPONENT_NAMES}
+        return {}
     counts = np.count_nonzero(kept, axis=0)
     return {name: int(count) / n for name, count in zip(COMPONENT_NAMES, counts)}

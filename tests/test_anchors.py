@@ -97,6 +97,13 @@ def gt_arrays(gts):
     return rows(b for b, _ in gts), np.array([c for _, c in gts], dtype=np.int64)
 
 
+def assign(grid, gts, thresholds=(0.6, 0.45), dilation=0.5):
+    """assign_targets on (Box3D, class id) pairs, with the one (pos_iou,
+    neg_iou) pair for every class of the grid."""
+    per_class = dict.fromkeys(range(grid.k_c), thresholds)
+    return assign_targets(grid, *gt_arrays(gts), per_class, dilation)
+
+
 class TestCodec:
     def test_identity(self):
         anchor = rows([Box3D(1, 0.5, 10, 3.9, 1.6, 1.56, 0)])
@@ -163,14 +170,14 @@ class TestAssignment:
     def test_exact_anchor_match_is_positive(self):
         grid = small_grid()
         gt = grid.anchor_box(20)  # slot 0 of some position
-        asg = assign_targets(grid, *gt_arrays([(gt, 0)]))
+        asg = assign(grid, [(gt, 0)])
         assert asg.n_pos >= 1
         assert asg.labels[20] == 0
         assert asg.max_iou[20] == pytest.approx(1.0)
 
     def test_empty_scene_all_negative(self):
         grid = small_grid()
-        asg = assign_targets(grid, *gt_arrays([]))
+        asg = assign(grid, [])
         assert asg.n_pos == 0
         assert np.all(asg.labels == LABEL_NEGATIVE)
         assert not asg.foreground.any()
@@ -180,7 +187,7 @@ class TestAssignment:
         # GT centered between two cells: below pos threshold everywhere,
         # still gets exactly its argmax anchor via the forced match.
         gt = Box3D(3.0, 0.0, 2.5, 1.8, 1.0, 1.0, 0.0)
-        asg = assign_targets(grid, *gt_arrays([(gt, 0)]), thresholds=(0.99, 0.45))
+        asg = assign(grid, [(gt, 0)], thresholds=(0.99, 0.45))
         pos = asg.positive_indices
         assert len(pos) == 1
         # brute-force argmax over every anchor
@@ -195,7 +202,7 @@ class TestAssignment:
             )
         )
         gt = grid.anchor_box(0)  # class 0 template at position 0
-        asg = assign_targets(grid, *gt_arrays([(gt, 1)]))
+        asg = assign(grid, [(gt, 1)])
         slot_classes = grid.slot_class_ids()
         for idx in asg.positive_indices:
             assert slot_classes[idx % grid.k_a] == 1
@@ -203,20 +210,20 @@ class TestAssignment:
     def test_threshold_validation(self):
         grid = small_grid()
         with pytest.raises(ValueError):
-            assign_targets(grid, *gt_arrays([(grid.anchor_box(0), 0)]), thresholds=(0.3, 0.6))
+            assign(grid, [(grid.anchor_box(0), 0)], thresholds=(0.3, 0.6))
 
     def test_non_positive_pos_iou_rejected(self):
         # At pos_iou 0 an anchor with no overlap would become positive.
         grid = small_grid()
         gt = [(grid.anchor_box(0), 0)]
-        for thresholds in ((0.0, 0.0), {0: (0.0, 0.0)}, (-0.1, -0.2)):
+        for thresholds in ((0.0, 0.0), (-0.1, -0.2)):
             with pytest.raises(ValueError, match="must be > 0"):
-                assign_targets(grid, *gt_arrays(gt), thresholds=thresholds)
+                assign(grid, gt, thresholds=thresholds)
 
     def test_ignore_band(self):
         grid = small_grid()
         gt = Box3D(2.7, 0.0, 2.5, 1.8, 1.0, 1.0, 0.0)
-        asg = assign_targets(grid, *gt_arrays([(gt, 0)]), thresholds=(0.9, 0.1))
+        asg = assign(grid, [(gt, 0)], thresholds=(0.9, 0.1))
         assert np.any(asg.labels == LABEL_IGNORE)
 
     def test_determinism_bit_for_bit(self):
@@ -226,8 +233,8 @@ class TestAssignment:
             (Box3D(rng.uniform(1, 7), 0, rng.uniform(1, 7), 1.8, 1.0, 1.0, rng.uniform(-1, 1)), 0)
             for _ in range(4)
         ]
-        a1 = assign_targets(grid, *gt_arrays(gts))
-        a2 = assign_targets(grid, *gt_arrays(gts))
+        a1 = assign(grid, gts)
+        a2 = assign(grid, gts)
         assert np.array_equal(a1.labels, a2.labels)
         assert np.array_equal(a1.max_iou, a2.max_iou)
         assert np.array_equal(a1.foreground, a2.foreground)
@@ -246,7 +253,7 @@ class TestAssignment:
                     0,
                 )
             ]
-            asg = assign_targets(grid, *gt_arrays(gts), dilation=half_diag)
+            asg = assign(grid, gts, dilation=half_diag)
             for idx in asg.positive_indices:
                 assert asg.foreground[idx // grid.k_a]
 
@@ -303,7 +310,7 @@ class TestAssignmentRows:
 class TestForegroundMask:
     def test_no_gts_empty(self):
         grid = small_grid()
-        assert foreground_mask(grid, np.zeros((0, 7))).sum() == 0
+        assert foreground_mask(grid, np.zeros((0, 7)), 0.5).sum() == 0
 
     def test_single_cell_zero_dilation(self):
         grid = small_grid()
@@ -343,22 +350,23 @@ class TestForegroundMask:
                 assert mask[p] == inside
 
     def test_negative_dilation_rejected(self):
-        with pytest.raises(ValueError):
-            foreground_mask(small_grid(), np.zeros((0, 7)), dilation=-0.1)
+        for dilation in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                foreground_mask(small_grid(), np.zeros((0, 7)), dilation=dilation)
 
 
 class TestPositiveTargets:
     def test_exact_gt_gives_zero_deltas_at_its_anchor(self):
         grid = small_grid()
         gt = grid.anchor_box(40)
-        asg = assign_targets(grid, *gt_arrays([(gt, 0)]))
+        asg = assign(grid, [(gt, 0)])
         pos, deltas = positive_target_deltas(grid, asg, rows([gt]))
         row = list(pos).index(40)
         assert np.allclose(deltas[row], 0.0, atol=1e-12)
 
     def test_empty(self):
         grid = small_grid()
-        asg = assign_targets(grid, *gt_arrays([]))
+        asg = assign(grid, [])
         pos, deltas = positive_target_deltas(grid, asg, np.zeros((0, 7)))
         assert pos.size == 0 and deltas.shape == (0, 7)
 
@@ -368,7 +376,7 @@ class TestPositiveTargets:
         gts = [
             (Box3D(rng.uniform(2, 6), 0.1, rng.uniform(2, 6), 1.9, 1.1, 1.0, 0.3), 0),
         ]
-        asg = assign_targets(grid, *gt_arrays(gts))
+        asg = assign(grid, gts)
         pos, deltas = positive_target_deltas(grid, asg, gt_arrays(gts)[0])
         decoded = decode_deltas(deltas, grid.anchor_params[pos])
         for i, row in enumerate(decoded):
@@ -403,5 +411,5 @@ class TestBatchedAssignment:
         gts = [(grid.anchor_box(20), 0), (grid.anchor_box(20), 0), (grid.anchor_box(41), 0)]
         gts.append((Box3D(3.0, 0.0, 2.5, 1.8, 1.0, 1.0, 0.0), 0))
         for thresholds in ((0.6, 0.45), (0.99, 0.1)):
-            problems = assignment_mismatches(grid, *gt_arrays(gts), thresholds, 0.5)
+            problems = assignment_mismatches(grid, *gt_arrays(gts), {0: thresholds}, 0.5)
             assert not problems, (thresholds, problems)

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from boxdistill.anchors import build_anchor_grid
 from boxdistill.cli import main
-from boxdistill.config import config_from_dict, load_config, save_config
+from boxdistill.config import config_from_dict, default_config, load_config, save_config
 from boxdistill.experiments import build_dataset, load_params
 from boxdistill.sim import DetectorParams, save_scenes
 
@@ -107,8 +108,8 @@ def test_replace_single_mode(tiny_config_path, tmp_path, capsys):
 def test_config_error_exit_code(tmp_path, capsys):
     # An evaluation setting out of range is refused before training too, and
     # so are the keys of the fixed conventions (Adam's beta1, the scene
-    # sampler's gap, the smooth-L1 beta), a repeated seed and a repeated
-    # arm name.
+    # sampler's gap, the smooth-L1 beta), a repeated seed, a repeated arm
+    # name and a negative foreground dilation (not left to the dataset build).
     for bad_config in (
         {"optimizer": {"epoch": 3}},
         {"eval": {"nms_iou": 0}},
@@ -117,12 +118,15 @@ def test_config_error_exit_code(tmp_path, capsys):
         {"loss": {"smooth_l1_beta": 0.0}},
         {"seeds": [0, 0]},
         {"arms": [{"name": "a", "loss": {}}, {"name": "a", "loss": {"xgd_weight": 0.0}}]},
+        {"foreground_dilation": -0.5},
     ):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(bad_config))
         assert main(["train", str(bad), "--out", str(tmp_path / "x")]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+    with pytest.raises(ValueError, match="foreground_dilation"):
+        dataclasses.replace(default_config(), foreground_dilation=math.nan)
 
 
 def test_default_config_when_omitted(tmp_path, capsys, monkeypatch):

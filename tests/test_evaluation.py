@@ -7,7 +7,6 @@ from boxdistill.anchors import ClassSpec, GridConfig, build_anchor_grid, encode_
 from boxdistill.evaluation import (
     Detection,
     EvalSettings,
-    ap_r40,
     decode_and_nms,
     evaluate_class,
     evaluate_outputs,
@@ -171,25 +170,25 @@ class TestApR40:
     def test_single_match_is_one(self):
         gts = [(Box3D(2, 0, 2, 1.8, 1.0, 1.0, 0), 0)]
         dets = [det(2, 2, 0.9)]
-        assert ap_r40(dets, gts, class_id=0, iou_threshold=0.5) == 1.0
+        assert evaluate_class([dets], [gts], class_id=0, iou_threshold=0.5).ap == 1.0
 
     def test_no_detections_is_zero(self):
         gts = [(Box3D(2, 0, 2, 1.8, 1.0, 1.0, 0), 0)]
-        assert ap_r40([], gts, class_id=0, iou_threshold=0.5) == 0.0
+        assert evaluate_class([[]], [gts], class_id=0, iou_threshold=0.5).ap == 0.0
 
     def test_tp_above_fp_hand_trace(self):
         # one GT; TP at score 0.9, FP at score 0.8: precision is 1 at every
         # achieved recall point, so AP stays 1.
         gts = [(Box3D(2, 0, 2, 1.8, 1.0, 1.0, 0), 0)]
         dets = [det(2, 2, 0.9), det(5, 5, 0.8)]
-        assert ap_r40(dets, gts, class_id=0, iou_threshold=0.5) == 1.0
+        assert evaluate_class([dets], [gts], class_id=0, iou_threshold=0.5).ap == 1.0
 
     def test_fp_above_tp_hand_trace(self):
         # FP outranks the TP: precision at full recall is 1/2, and the
         # interpolated precision at every recall position is 1/2.
         gts = [(Box3D(2, 0, 2, 1.8, 1.0, 1.0, 0), 0)]
         dets = [det(5, 5, 0.95), det(2, 2, 0.8)]
-        assert ap_r40(dets, gts, class_id=0, iou_threshold=0.5) == pytest.approx(0.5)
+        assert evaluate_class([dets], [gts], class_id=0, iou_threshold=0.5).ap == pytest.approx(0.5)
 
     def test_half_recall_hand_trace(self):
         # two GTs, one detected: recall tops out at 1/2, precision 1.
@@ -199,7 +198,7 @@ class TestApR40:
         ]
         dets = [det(1.5, 1.5, 0.9)]
         # 20 of 40 recall positions are reachable
-        assert ap_r40(dets, gts, class_id=0, iou_threshold=0.5) == pytest.approx(0.5)
+        assert evaluate_class([dets], [gts], class_id=0, iou_threshold=0.5).ap == pytest.approx(0.5)
 
     def test_each_gt_matched_once(self):
         gts = [(Box3D(2, 0, 2, 1.8, 1.0, 1.0, 0), 0)]
@@ -218,7 +217,7 @@ class TestApR40:
     def test_class_filtering(self):
         gts = [(Box3D(2, 0, 2, 1.8, 1.0, 1.0, 0), 1)]
         dets = [det(2, 2, 0.9, class_id=0)]
-        assert ap_r40(dets, gts, class_id=1, iou_threshold=0.5) == 0.0
+        assert evaluate_class([dets], [gts], class_id=1, iou_threshold=0.5).ap == 0.0
 
     def test_adding_top_scoring_tp_never_decreases_ap(self):
         rng = np.random.default_rng(1)
@@ -233,10 +232,10 @@ class TestApR40:
                     dets.append(det(g.cx, g.cz, float(rng.uniform(0.3, 0.8))))
             for _ in range(int(rng.integers(0, 3))):
                 dets.append(det(rng.uniform(30, 40), rng.uniform(30, 40), float(rng.uniform(0.3, 0.8))))
-            base = ap_r40(dets, gts, 0, 0.5)
+            base = evaluate_class([dets], [gts], 0, 0.5).ap
             unmatched = gts[2][0]
             improved = dets + [det(unmatched.cx, unmatched.cz, 0.99)]
-            assert ap_r40(improved, gts, 0, 0.5) >= base - 1e-12
+            assert evaluate_class([improved], [gts], 0, 0.5).ap >= base - 1e-12
 
     def test_pooling_across_scenes(self):
         gts1 = [(Box3D(2, 0, 2, 1.8, 1.0, 1.0, 0), 0)]
@@ -256,7 +255,7 @@ class TestApR40:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            ap_r40([], [], 0, 0.0)
+            evaluate_class([[]], [[]], 0, 0.0)
         with pytest.raises(ValueError):
             evaluate_class([[]], [], 0, 0.5)
 
@@ -265,15 +264,15 @@ class TestApR40:
         gt_box = Box3D(2, 0, 2, 1.8, 1.0, 1.0, 0)
         d = Detection(Box3D(2, 5.0, 2, 1.8, 1.0, 1.0, 0), 0, 0.9)
         gts = [(gt_box, 0)]
-        assert ap_r40([d], gts, 0, 0.5, measure="bev") == 1.0
-        assert ap_r40([d], gts, 0, 0.5, measure="3d") == 0.0
+        assert evaluate_class([[d]], [gts], 0, 0.5, measure="bev").ap == 1.0
+        assert evaluate_class([[d]], [gts], 0, 0.5, measure="3d").ap == 0.0
 
     def test_unknown_measure_rejected(self):
         # Anything but "3d" used to score BEV silently.
         gts = [(Box3D(2, 0, 2, 1.8, 1.0, 1.0, 0), 0)]
         for measure in ("3D", "volume", "BEV"):
             with pytest.raises(ValueError, match="measure"):
-                ap_r40([det(2, 2, 0.9)], gts, 0, 0.5, measure=measure)
+                evaluate_class([[det(2, 2, 0.9)]], [gts], 0, 0.5, measure=measure)
             with pytest.raises(ValueError, match="measure"):
                 evaluate_class([[]], [[]], 0, 0.5, measure=measure)
 
@@ -311,7 +310,7 @@ class TestEvaluateOutputs:
         near_box = Box3D(3.3, 0.0, 2.6, 1.8, 1.0, 1.0, 0.2)
         scenes = [FakeScene(((gt_box, 0),)), FakeScene(((near_box, 0), (gt_box, 0)))]
         raised = [[(14, 0, 2.0, gt_box), (9, 0, 0.5, near_box)], [(15, 0, 1.0, near_box)]]
-        listed = evaluate_outputs([outputs_with(grid, r) for r in raised], scenes, grid)
-        streamed = evaluate_outputs((outputs_with(grid, r) for r in raised), scenes, grid)
+        listed = evaluate_outputs([outputs_with(grid, r) for r in raised], scenes, grid, {0: 0.5})
+        streamed = evaluate_outputs((outputs_with(grid, r) for r in raised), scenes, grid, {0: 0.5})
         assert repr(streamed) == repr(listed)
         assert listed.per_class[0].tp >= 1

@@ -398,6 +398,10 @@ class TestIoUGradFDBatch:
         pairs = self.pairs(np.random.default_rng(53))
         want_flags, got_flags = GeometryFlags(), GeometryFlags()
         want = np.array([reference_iou3d_grad_fd(a, b, steps, want_flags) for a, b in pairs])
+        # The gradient view of the fused call counts the pairs' own IoU
+        # guard too.
+        for a, b in pairs:
+            iou3d(a, b, want_flags)
         got = iou3d_grad_fd(
             np.array([a.as_array() for a, _ in pairs]),
             np.array([b.as_array() for _, b in pairs]),
@@ -419,21 +423,21 @@ class TestIoUGradFDBatch:
 
 
 class TestIoUAndGradFD:
-    """The fused call equals iou3d and iou3d_grad_fd bit for bit, flags
-    included, from one clip-kernel call."""
+    """The fused call equals the scalar iou3d and the per-pair reference
+    gradient bit for bit, flags included, from one clip-kernel call."""
 
     @staticmethod
-    def assert_matches_separate_calls(pairs, steps=None):
+    def assert_matches_reference(pairs, steps=None):
         a = np.array([p[0].as_array() for p in pairs]).reshape(-1, 7)
         b = np.array([p[1].as_array() for p in pairs]).reshape(-1, 7)
-        flags_fused, flags_apart = GeometryFlags(), GeometryFlags()
+        flags_fused, flags_ref = GeometryFlags(), GeometryFlags()
         iou, grad = iou3d_and_grad_fd(a, b, steps=steps, flags=flags_fused)
-        want_iou = iou3d(a, b, flags_apart)
-        want_grad = iou3d_grad_fd(a, b, steps=steps, flags=flags_apart)
+        want_iou = [iou3d(x, y, flags_ref) for x, y in pairs]
+        want_grad = [reference_iou3d_grad_fd(x, y, steps, flags_ref) for x, y in pairs]
         assert iou.shape == (len(pairs),) and grad.shape == (len(pairs), 7)
-        assert np.array_equal(iou, want_iou)
-        assert np.array_equal(grad, want_grad)
-        assert flags_fused == flags_apart
+        assert iou.tolist() == want_iou
+        assert np.array_equal(grad, np.reshape(want_grad, (-1, 7)))
+        assert flags_fused == flags_ref
         return iou, flags_fused
 
     def test_vertically_disjoint_pairs_get_no_clip_row(self, monkeypatch):
@@ -451,18 +455,18 @@ class TestIoUAndGradFD:
             return clip(*corners)
 
         monkeypatch.setattr(geom, "_clip_area_rows", counting)
-        iou, _ = self.assert_matches_separate_calls(pairs)
+        iou, _ = self.assert_matches_reference(pairs)
         assert not np.any(iou[:30])
         n_overlap = sum(
             min(a.cy + 0.5 * a.h, b.cy + 0.5 * b.h) - max(a.cy - 0.5 * a.h, b.cy - 0.5 * b.h) > 0.0
             for a, b in pairs
         )
         assert 0 < n_overlap <= 10
-        # Calls: fused, iou3d, iou3d_grad_fd.  The fused call clips the FD
-        # rows (base plus 2 x 5 footprint perturbations per pair) and one
-        # row per pair with vertical overlap.
+        # One call: the FD rows (base plus 2 x 5 footprint perturbations
+        # per pair) and one row per pair with vertical overlap.  The
+        # scalar references never reach the kernel.
         n = len(pairs)
-        assert rows == [11 * n + n_overlap, n_overlap, 11 * n]
+        assert rows == [11 * n + n_overlap]
 
     def test_size_floor_clamps_and_degenerate_unions(self):
         rng = np.random.default_rng(79)
@@ -470,9 +474,9 @@ class TestIoUAndGradFD:
         for _ in range(20):
             a = random_box(rng)
             pairs.append((replace(a, l=1e-7, w=5e-4, h=1e-5), replace(a, l=1e-5, w=1e-5, h=1e-5)))
-        _, flags = self.assert_matches_separate_calls(pairs)
+        _, flags = self.assert_matches_reference(pairs)
         assert flags.size_clamped > 0 and flags.degenerate_union > 0
-        _, flags = self.assert_matches_separate_calls(pairs, steps=np.full(7, 1e-20))
+        _, flags = self.assert_matches_reference(pairs, steps=np.full(7, 1e-20))
         assert flags.degenerate_union > 0
 
     def test_empty_batch(self):

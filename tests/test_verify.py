@@ -11,6 +11,7 @@ from boxdistill.verify import (
     check_gate_soundness,
     check_geometry_closed_forms,
     check_threaded_step_bit_identity,
+    check_training_grad_fd,
     verify_suite,
 )
 
@@ -192,3 +193,22 @@ def test_injected_assignment_defect_is_caught(monkeypatch):
     result = check_assignment_bruteforce(n_scenes=1)
     assert not result.passed
     assert "max_iou differ" in result.detail
+
+
+def test_injected_bias_gradient_defect_is_caught(monkeypatch):
+    # The b_reg gradient that a training step applies comes out 2% high.
+    # A 1% defect would sit at the 1e-2 tolerance itself: its relative
+    # error is 0.01 / 1.01.
+    import boxdistill.sim as sim_mod
+
+    original = sim_mod._minibatch_grads
+
+    def scaled(*args):
+        breakdowns, grads = original(*args)
+        grads[3] = grads[3] * 1.02
+        return breakdowns, grads
+
+    monkeypatch.setattr(sim_mod, "_minibatch_grads", scaled)
+    result = check_training_grad_fd(n_states=2)
+    assert not result.passed
+    assert "rel l2 err" in result.detail

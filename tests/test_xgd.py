@@ -226,7 +226,11 @@ class TestXgdLossGrad:
         # a pathological gradient; inject one to prove the wiring.
         import boxdistill.xgd as xgd_mod
 
-        monkeypatch.setattr(xgd_mod, "iou3d_grad_fd", lambda a, b, **k: np.full(np.shape(a), 1e9))
+        monkeypatch.setattr(
+            xgd_mod,
+            "iou3d_and_grad_fd",
+            lambda a, b, **k: (np.zeros(len(a)), np.full(np.shape(a), 1e9)),
+        )
         flags = GeometryFlags()
         anchor = rows([Box3D(0, 0, 0, 1, 1, 1, 0)])
         target = rows([Box3D(0.2, 0, 0, 1, 1, 1, 0)])
@@ -270,7 +274,7 @@ class TestXgdLossAndGrad:
     def test_equals_the_separate_calls(self):
         # Slices, identical pairs, clamped decodes and vertically disjoint
         # pairs: each slice of the one-clip terms sums to xgd_loss on the
-        # slice, and the gradient equals xgd_loss_grad.
+        # slice.  The gradient is checked by test_matches_end_to_end_fd.
         rng = np.random.default_rng(23)
         n = 30
         anchors = np.array([random_box(rng).as_array() for _ in range(n)])
@@ -282,19 +286,15 @@ class TestXgdLossAndGrad:
         targets[1::6, 1] += 10.0
         sizes = [12, 0, 7, 11]
         bounds = np.cumsum([0] + sizes)
-        flags_fused, flags_apart = GeometryFlags(), GeometryFlags()
-        terms, grad = xgd_loss_and_grad(deltas, anchors, targets, flags_fused)
+        terms, _ = xgd_loss_and_grad(deltas, anchors, targets)
         assert terms.shape == (n,)
-        want_rows = decode_deltas(deltas, anchors, flags_apart)
+        flags = GeometryFlags()
+        want_rows = decode_deltas(deltas, anchors, flags)
         want = [
-            xgd_loss(want_rows[lo:hi], targets[lo:hi], flags_apart)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
+            xgd_loss(want_rows[lo:hi], targets[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
-        want_grad = xgd_loss_grad(deltas, anchors, targets, flags_apart, student_rows=want_rows)
         assert slice_sums(terms, sizes) == want
-        assert np.array_equal(grad, want_grad)
-        assert flags_fused == flags_apart
-        assert flags_apart.decode_clamped > 0
+        assert flags.decode_clamped > 0
 
     def test_empty_groups(self):
         empty = np.zeros((0, 7))
@@ -306,9 +306,8 @@ class TestXgdLossAndGrad:
 
 
 class TestGateKeepRates:
-    def test_empty_is_nan(self):
-        rates = gate_keep_rates([])
-        assert all(math.isnan(v) for v in rates.values())
+    def test_empty_is_nothing_gated(self):
+        assert gate_keep_rates([]) == {}
 
     def test_rates_counted(self):
         rng = np.random.default_rng(9)
