@@ -97,6 +97,10 @@ class ExperimentConfig:
         # A positive test, so that NaN fails too.
         if not self.foreground_dilation >= 0:
             raise ValueError(f"foreground_dilation must be >= 0, got {self.foreground_dilation}")
+        try:
+            self.scene.check_classes(len(self.grid.classes))
+        except ValueError as exc:
+            raise ConfigError(f"scene: {exc}") from None
 
     def assignment_thresholds(self) -> dict[int, tuple[float, float]]:
         return {
@@ -177,6 +181,8 @@ def _dataclass_from_dict(cls: type, data: dict, path: str) -> Any:
         kwargs[name] = _coerce(data[name], annotation, child_path)
     try:
         return cls(**kwargs)
+    except ConfigError:
+        raise  # already names its key path
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path or 'config'}: {exc}") from exc
 

@@ -11,6 +11,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -62,51 +63,66 @@ def val_scene_seed(seed: int, index: int) -> int:
 
 @dataclass
 class SeedDataset:
-    """Everything one training/evaluation run needs, fixed per seed."""
+    """Everything one training/evaluation run needs, fixed per seed.
+
+    The validation split's assignments and teacher are built on first read
+    and kept: only the teacher-substitution study reads them, so a run
+    that scores the student alone never builds them.
+    """
 
     seed: int
+    config: ExperimentConfig
     grid: AnchorGrid
     train_scenes: list[Scene]
     val_scenes: list[Scene]
     train_assignments: list[Assignment]
-    val_assignments: list[Assignment]
-    # The teacher's positive-anchor rows; replace_outputs builds a dense
-    # head from them only to substitute it, one scene at a time.
-    teacher_train: list[TeacherResponse]
-    teacher_val: list[TeacherResponse]
+    teacher_train: list[TeacherResponse]  # the teacher's positive-anchor rows
+
+    @cached_property
+    def val_assignments(self) -> list[Assignment]:
+        return _assign(self.config, self.grid, self.val_scenes)
+
+    @cached_property
+    def teacher_val(self) -> list[TeacherResponse]:
+        """The teacher's rows on the validation scenes; replace_outputs
+        builds a dense head from them only to substitute it, one scene at
+        a time."""
+        return _teacher(self.config, self.grid, self.val_scenes, self.val_assignments)
+
+
+def _assign(config: ExperimentConfig, grid: AnchorGrid, scenes: list[Scene]) -> list[Assignment]:
+    thresholds = config.assignment_thresholds()
+    return [
+        assign_targets(grid, sc.boxes, sc.class_ids, thresholds, config.foreground_dilation)
+        for sc in scenes
+    ]
+
+
+def _teacher(
+    config: ExperimentConfig, grid: AnchorGrid, scenes: list[Scene], assignments: list[Assignment]
+) -> list[TeacherResponse]:
+    return [teacher_predict(sc, config.teacher_noise, grid, asg) for sc, asg in zip(scenes, assignments)]
 
 
 def build_dataset(config: ExperimentConfig, seed: int, grid: AnchorGrid | None = None) -> SeedDataset:
     grid = grid or build_anchor_grid(config.grid)
-    thresholds = config.assignment_thresholds()
-
-    def prepare(scene_seeds: list[int]) -> tuple[list[Scene], list[Assignment], list[TeacherResponse]]:
-        scenes = [generate_scene(s, config.scene, grid) for s in scene_seeds]
-        assignments = [
-            assign_targets(grid, sc.boxes, sc.class_ids, thresholds, config.foreground_dilation)
-            for sc in scenes
-        ]
-        teacher = [
-            teacher_predict(sc, config.teacher_noise, grid, asg)
-            for sc, asg in zip(scenes, assignments)
-        ]
-        return scenes, assignments, teacher
-
-    train_scenes, train_asg, teacher_train = prepare(
-        [train_scene_seed(seed, i) for i in range(config.data.n_train_scenes)]
-    )
-    val_scenes, val_asg, teacher_val = prepare(
-        [val_scene_seed(seed, i) for i in range(config.data.n_val_scenes)]
-    )
+    train_scenes = [
+        generate_scene(train_scene_seed(seed, i), config.scene, grid)
+        for i in range(config.data.n_train_scenes)
+    ]
+    val_scenes = [
+        generate_scene(val_scene_seed(seed, i), config.scene, grid)
+        for i in range(config.data.n_val_scenes)
+    ]
+    train_asg = _assign(config, grid, train_scenes)
     return SeedDataset(
         seed=seed,
+        config=config,
         grid=grid,
         train_scenes=train_scenes,
         val_scenes=val_scenes,
         train_assignments=train_asg,
-        val_assignments=val_asg,
-        teacher_train=teacher_train,
-        teacher_val=teacher_val,
+        teacher_train=_teacher(config, grid, train_scenes, train_asg),
     )
 
 
@@ -135,14 +151,19 @@ def evaluate_params(
 
     ``replace_mode`` substitutes the teacher's heads before decoding, which
     realizes the upper-bound substitution study; with ``"both"`` no student
-    forward pass runs.  Scenes are decoded one at a time, so one scene's
-    dense outputs are alive at once.
+    forward pass runs, and with ``"none"`` the validation teacher is never
+    read.  Scenes are decoded one at a time, so one scene's dense outputs
+    are alive at once.
     """
     grid = dataset.grid
     if params.w_cls.shape[1] != grid.k_a * grid.k_c or params.w_reg.shape[1] != grid.k_a * 7:
         raise ValueError("student and teacher outputs must share shapes")
 
     def outputs():
+        if replace_mode == "none":
+            for scene in dataset.val_scenes:
+                yield student_forward(params, scene)
+            return
         for scene, teacher in zip(dataset.val_scenes, dataset.teacher_val):
             if replace_mode == "both":
                 yield teacher.dense()

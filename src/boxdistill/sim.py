@@ -120,9 +120,26 @@ class SceneConfig:
     max_rejects: int = 10_000
 
     def __post_init__(self) -> None:
-        # Written as a positive test so that NaN fails too.
+        lo, hi = self.n_objects
+        if not 0 <= lo <= hi:
+            raise ValueError(f"n_objects must be a range 0 <= lo <= hi, got {list(self.n_objects)}")
+        # Positive tests, so that NaN fails too.
+        weights = self.class_weights
+        if weights and not (all(0 <= w < math.inf for w in weights) and sum(weights) > 0):
+            raise ValueError(f"class_weights must be finite, >= 0 and of positive sum, got {list(weights)}")
+        if self.max_rejects < 1:
+            raise ValueError(f"max_rejects must be >= 1, got {self.max_rejects}")
         if not self.ambient_noise >= 0:
             raise ValueError(f"ambient_noise must be >= 0, got {self.ambient_noise}")
+
+    def check_classes(self, k_c: int) -> None:
+        """Check the settings that depend on the grid's class count."""
+        if self.class_weights and len(self.class_weights) != k_c:
+            raise ValueError(
+                f"class_weights must hold one weight per class ({k_c}), got {len(self.class_weights)}"
+            )
+        if self.feature_dim < 10 + k_c:
+            raise ValueError(f"feature_dim {self.feature_dim} too small; need >= {10 + k_c}")
 
 
 @dataclass(frozen=True)
@@ -198,10 +215,9 @@ def generate_scene(rng_seed: int, config: SceneConfig, grid: AnchorGrid) -> Scen
     ground truths ever overlap.  Features encode the nearest visible
     object's geometry as estimated through the student modality's noise.
     """
+    config.check_classes(grid.k_c)
     rng = np.random.default_rng(np.random.SeedSequence((rng_seed, _STREAM_SCENE)))
     lo, hi = config.n_objects
-    if lo < 0 or hi < lo:
-        raise ValueError(f"bad n_objects range {config.n_objects}")
     n_target = int(rng.integers(lo, hi + 1))
     x_lo = grid.origin[0] + config.border_margin
     x_hi = grid.origin[0] + grid.nx * grid.cell[0] - config.border_margin
@@ -211,9 +227,10 @@ def generate_scene(rng_seed: int, config: SceneConfig, grid: AnchorGrid) -> Scen
     class_sizes = _template_sizes(grid)
     gts: list[tuple[Box3D, int]] = []
     footprints: list[Box3D] = []  # each placed box grown by MIN_GAP
-    # Checked and normalized at the first class draw: a scene that places
-    # no object never reads the weights.
     class_p = None
+    if config.class_weights:
+        weights = np.asarray(config.class_weights, dtype=float)
+        class_p = weights / weights.sum()
     attempts = 0
     while len(gts) < n_target:
         attempts += 1
@@ -221,12 +238,7 @@ def generate_scene(rng_seed: int, config: SceneConfig, grid: AnchorGrid) -> Scen
             raise SceneTooDenseError(
                 f"failed to place object {len(gts) + 1}/{n_target} after {config.max_rejects} attempts"
             )
-        if config.class_weights:
-            if class_p is None:
-                weights = np.asarray(config.class_weights, dtype=float)
-                if weights.size != grid.k_c or np.any(weights < 0) or weights.sum() <= 0:
-                    raise ValueError(f"class_weights must be {grid.k_c} non-negative values")
-                class_p = weights / weights.sum()
+        if class_p is not None:
             class_id = int(rng.choice(grid.k_c, p=class_p))
         else:
             class_id = int(rng.integers(0, grid.k_c))
@@ -281,8 +293,6 @@ def _embed_features(
     """
     k_c = grid.k_c
     dim = config.feature_dim
-    if dim < 10 + k_c:
-        raise ValueError(f"feature_dim {dim} too small; need >= {10 + k_c}")
     centers = grid.position_centers
     n = centers.shape[0]
     noise = STUDENT_NOISE

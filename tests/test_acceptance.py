@@ -6,7 +6,7 @@ verdict per criterion.  Criteria 1-6 run the oracle checks of
 ``boxdistill verify`` at full size; the sweeps of criteria 7-9 are shared
 through a module-scoped fixture.  Everything is seeded and deterministic.
 """
-import dataclasses
+import copy
 import time
 
 import numpy as np
@@ -171,7 +171,8 @@ def test_criterion_8_replacement_ordering(sweep, report):
             teacher_predict(scene, low_noise, sweep["grid"], asg)
             for scene, asg in zip(dataset.val_scenes, dataset.val_assignments)
         ]
-        clean_dataset = dataclasses.replace(dataset, teacher_val=clean_teacher)
+        clean_dataset = copy.copy(dataset)
+        clean_dataset.teacher_val = clean_teacher
         (student,) = (
             r.train_result.params
             for r in sweep["result"].records

@@ -109,7 +109,8 @@ def test_config_error_exit_code(tmp_path, capsys):
     # An evaluation setting out of range is refused before training too, and
     # so are the keys of the fixed conventions (Adam's beta1, the scene
     # sampler's gap, the smooth-L1 beta), a repeated seed, a repeated arm
-    # name and a negative foreground dilation (not left to the dataset build).
+    # name, a negative foreground dilation and scene settings that cannot
+    # sample a scene on the grid (not left to the dataset build).
     for bad_config in (
         {"optimizer": {"epoch": 3}},
         {"eval": {"nms_iou": 0}},
@@ -119,11 +120,18 @@ def test_config_error_exit_code(tmp_path, capsys):
         {"seeds": [0, 0]},
         {"arms": [{"name": "a", "loss": {}}, {"name": "a", "loss": {"xgd_weight": 0.0}}]},
         {"foreground_dilation": -0.5},
+        {"scene": {"n_objects": [5, 2]}},
+        {"scene": {"feature_dim": 8}},
+        {"scene": {"class_weights": [1, 1]}},
+        {"scene": {"max_rejects": 0}},
     ):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(bad_config))
         assert main(["train", str(bad), "--out", str(tmp_path / "x")]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if "scene" in bad_config:
+            assert err.startswith("config error: scene"), err
         assert not (tmp_path / "x").exists()
     with pytest.raises(ValueError, match="foreground_dilation"):
         dataclasses.replace(default_config(), foreground_dilation=math.nan)

@@ -240,6 +240,72 @@ class TestReplacementStudy:
                 ex.evaluate_params(wrong, ds, cfg, replace_mode=mode)
 
 
+class TestLazyValidationSplit:
+    def test_validation_teacher_built_on_first_substitution_only(self, monkeypatch):
+        import boxdistill.experiments as ex
+        from boxdistill.anchors import assign_targets
+        from boxdistill.sim import teacher_predict
+
+        calls = {"assign_targets": 0, "teacher_predict": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(ex, name, counted(name, getattr(ex, name)))
+
+        def added(before):
+            return {k: calls[k] - before[k] for k in calls}
+
+        cfg = tiny_config(arms=ONE_ARM, seeds=[0])
+        n_train, n_val = cfg.data.n_train_scenes, cfg.data.n_val_scenes
+        ds = build_dataset(cfg, 0)
+        assert calls == {"assign_targets": n_train, "teacher_predict": n_train}
+        params = DetectorParams.init(0, cfg.scene.feature_dim, ds.grid.k_a, ds.grid.k_c)
+
+        before = dict(calls)
+        ex.evaluate_params(params, ds, cfg, "none")
+        assert added(before) == {"assign_targets": 0, "teacher_predict": 0}
+        # A one-arm run builds its own training split and nothing else.
+        run_ablations(cfg)
+        assert added(before) == {"assign_targets": n_train, "teacher_predict": n_train}
+
+        before = dict(calls)
+        both = ex.evaluate_params(params, ds, cfg, "both")
+        assert added(before) == {"assign_targets": n_val, "teacher_predict": n_val}
+        again = ex.evaluate_params(params, ds, cfg, "both")
+        assert added(before) == {"assign_targets": n_val, "teacher_predict": n_val}
+        assert repr(again.per_class) == repr(both.per_class)
+
+        # The substitution study builds each seed's validation teacher once
+        # over its four modes.
+        study = dataclasses.replace(cfg, seeds=(0, 1))
+        before = dict(calls)
+        run_replacement_study(study)
+        per_seed = n_train + n_val
+        assert added(before) == {"assign_targets": 2 * per_seed, "teacher_predict": 2 * per_seed}
+
+        # The lazily built rows are those of a direct replay.
+        thresholds = cfg.assignment_thresholds()
+        assert len(ds.teacher_val) == n_val
+        for scene, teacher in zip(ds.val_scenes, ds.teacher_val):
+            asg = assign_targets(
+                ds.grid, scene.boxes, scene.class_ids, thresholds, cfg.foreground_dilation
+            )
+            replay = teacher_predict(scene, cfg.teacher_noise, ds.grid, asg)
+            for f in dataclasses.fields(replay):
+                got, want = getattr(teacher, f.name), getattr(replay, f.name)
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype and got.shape == want.shape, f.name
+                    assert got.tobytes() == want.tobytes(), f.name
+                else:
+                    assert got == want, f.name
+
+
 class TestParamsSerialization:
     def test_round_trip(self, tmp_path):
         cfg = tiny_config()

@@ -88,6 +88,20 @@ class TestSceneConfig:
                 SceneConfig(ambient_noise=bad)
         assert SceneConfig(ambient_noise=0.0).ambient_noise == 0.0
 
+    def test_rejects_bad_ranges_weights_and_reject_budget(self):
+        for bad, match in (
+            ({"n_objects": (5, 2)}, "n_objects"),
+            ({"n_objects": (-1, 2)}, "n_objects"),
+            ({"class_weights": (1.0, -1.0, 1.0)}, "class_weights"),
+            ({"class_weights": (0.0, 0.0, 0.0)}, "class_weights"),
+            ({"class_weights": (1.0, float("nan"), 1.0)}, "class_weights"),
+            ({"class_weights": (1.0, float("inf"), 1.0)}, "class_weights"),
+            ({"max_rejects": 0}, "max_rejects"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                SceneConfig(**bad)
+        assert SceneConfig(n_objects=(0, 0), class_weights=()).n_objects == (0, 0)
+
 
 class TestGenerateScene:
     def test_seed_determinism(self):
@@ -142,15 +156,18 @@ class TestGenerateScene:
             scene = generate_scene(seed, weighted, grid)
             assert np.all(scene.class_ids == 0)
 
-    def test_bad_class_weights_rejected_at_the_first_draw(self):
+    def test_settings_that_do_not_fit_the_grid_rejected(self):
+        # SceneConfig cannot see the class count; generate_scene checks it
+        # before any draw, also for a scene that places no object.
         cfg, grid, *_ = small_setup()
-        for weights in ((1.0, 0.0), (1.0, -1.0, 1.0), (0.0, 0.0, 0.0)):
-            bad = dataclasses.replace(cfg.scene, n_objects=(2, 2), class_weights=weights)
-            with pytest.raises(ValueError, match="class_weights"):
-                generate_scene(0, bad, grid)
-            # A scene that places no object draws no class.
-            empty = generate_scene(0, dataclasses.replace(bad, n_objects=(0, 0)), grid)
-            assert empty.boxes.shape == (0, 7)
+        for bad, match in (
+            ({"class_weights": (1.0, 0.0)}, "class_weights"),
+            ({"feature_dim": 9 + grid.k_c}, "feature_dim"),
+        ):
+            for n_objects in ((2, 2), (0, 0)):
+                scene_cfg = dataclasses.replace(cfg.scene, n_objects=n_objects, **bad)
+                with pytest.raises(ValueError, match=match):
+                    generate_scene(0, scene_cfg, grid)
 
 
 class TestSceneArrays:
