@@ -65,9 +65,11 @@ def val_scene_seed(seed: int, index: int) -> int:
 class SeedDataset:
     """Everything one training/evaluation run needs, fixed per seed.
 
-    The validation split's assignments and teacher are built on first read
-    and kept: only the teacher-substitution study reads them, so a run
-    that scores the student alone never builds them.
+    Both splits' assignments and teacher responses are built on first read
+    and kept.  Only training reads the training split's, and only the
+    teacher-substitution study the validation split's, so a run that
+    scores the student alone never builds the validation ones, and one
+    that only writes or scores scenes builds neither.
     """
 
     seed: int
@@ -75,8 +77,15 @@ class SeedDataset:
     grid: AnchorGrid
     train_scenes: list[Scene]
     val_scenes: list[Scene]
-    train_assignments: list[Assignment]
-    teacher_train: list[TeacherResponse]  # the teacher's positive-anchor rows
+
+    @cached_property
+    def train_assignments(self) -> list[Assignment]:
+        return _assign(self.config, self.grid, self.train_scenes)
+
+    @cached_property
+    def teacher_train(self) -> list[TeacherResponse]:
+        """The teacher's positive-anchor rows on the training scenes."""
+        return _teacher(self.config, self.grid, self.train_scenes, self.train_assignments)
 
     @cached_property
     def val_assignments(self) -> list[Assignment]:
@@ -114,15 +123,8 @@ def build_dataset(config: ExperimentConfig, seed: int, grid: AnchorGrid | None =
         generate_scene(val_scene_seed(seed, i), config.scene, grid)
         for i in range(config.data.n_val_scenes)
     ]
-    train_asg = _assign(config, grid, train_scenes)
     return SeedDataset(
-        seed=seed,
-        config=config,
-        grid=grid,
-        train_scenes=train_scenes,
-        val_scenes=val_scenes,
-        train_assignments=train_asg,
-        teacher_train=_teacher(config, grid, train_scenes, train_asg),
+        seed=seed, config=config, grid=grid, train_scenes=train_scenes, val_scenes=val_scenes
     )
 
 

@@ -397,11 +397,17 @@ def _lex_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bev_iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = _box_pairs(a, b)
-    out = np.zeros(len(a))
-    # Circumcircle reject, as in the scalar path.  Rows near the tie are
-    # recomputed with math.hypot, which np.hypot may miss by one ulp.
+def _circles_apart(a: Box3D, b: Box3D) -> bool:
+    """Cheap reject: the footprints' circumcircles are disjoint, so the
+    footprints cannot overlap."""
+    ra = 0.5 * math.hypot(a.l, a.w)
+    rb = 0.5 * math.hypot(b.l, b.w)
+    return math.hypot(a.cx - b.cx, a.cz - b.cz) > ra + rb
+
+
+def _circles_meet_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``not _circles_apart(a_i, b_i)``.  Rows near the tie are
+    recomputed with math.hypot, which np.hypot may miss by one ulp."""
     dx, dz = a[:, 0] - b[:, 0], a[:, 2] - b[:, 2]
     la, wa, lb, wb = a[:, 3], a[:, 4], b[:, 3], b[:, 4]
     dist, ha, hb = np.hypot(dx, dz), np.hypot(la, wa), np.hypot(lb, wb)
@@ -410,7 +416,13 @@ def _bev_iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if np.any(near):
         dist = _math_hypot_at(dist, dx, dz, near)
         reach = 0.5 * _math_hypot_at(ha, la, wa, near) + 0.5 * _math_hypot_at(hb, lb, wb, near)
-    idx = np.flatnonzero(dist <= reach)
+    return dist <= reach
+
+
+def _bev_iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a, b = _box_pairs(a, b)
+    out = np.zeros(len(a))
+    idx = np.flatnonzero(_circles_meet_rows(a, b))
     a, b = a[idx], b[idx]
     key = [0, 2, 3, 4, 6]  # (cx, cz, l, w, yaw), the scalar clip order
     first = _lex_le(a[:, key], b[:, key])[:, None]
@@ -434,10 +446,7 @@ def bev_iou(a: Box3D | np.ndarray, b: Box3D | np.ndarray) -> float | np.ndarray:
     """
     if not isinstance(a, Box3D):
         return _bev_iou_rows(a, b)
-    # Cheap reject: disjoint circumcircles cannot overlap.
-    ra = 0.5 * math.hypot(a.l, a.w)
-    rb = 0.5 * math.hypot(b.l, b.w)
-    if math.hypot(a.cx - b.cx, a.cz - b.cz) > ra + rb:
+    if _circles_apart(a, b):
         return 0.0
     if (a.cx, a.cz, a.l, a.w, a.yaw) <= (b.cx, b.cz, b.l, b.w, b.yaw):
         inter = _bev_intersection_area(a, b)
@@ -488,6 +497,7 @@ def _iou3d_rows(a: np.ndarray, b: np.ndarray, flags: GeometryFlags | None) -> np
     y_overlap = _y_overlap(a, b)
     bev = np.zeros(len(a))
     idx = np.flatnonzero(y_overlap > 0.0)
+    idx = idx[_circles_meet_rows(a[idx], b[idx])]
     if idx.size:
         subject, clip = _clip_order(a[idx], b[idx])
         bev[idx] = _clip_area_rows(*_bev_corners_rows(subject), *_bev_corners_rows(clip))
@@ -505,13 +515,15 @@ def iou3d(
     Takes two :class:`Box3D` (returns a float) or two (n, 7) arrays of box
     parameters (returns the n row-wise IoUs in one batched clip,
     bit-identical to the per-pair calls and with the same flag counts).
+    Pairs without vertical overlap, or whose footprints' circumcircles are
+    disjoint (the reject of :func:`bev_iou`), skip the clip.
     """
     if not isinstance(a, Box3D):
         return _iou3d_rows(a, b, flags)
     y_overlap = min(a.cy + 0.5 * a.h, b.cy + 0.5 * b.h) - max(
         a.cy - 0.5 * a.h, b.cy - 0.5 * b.h
     )
-    if y_overlap <= 0.0:
+    if y_overlap <= 0.0 or _circles_apart(a, b):
         inter = 0.0
     else:
         # Clip in a canonical order so iou3d(a, b) and iou3d(b, a) run the

@@ -746,57 +746,65 @@ def _focal_terms(
 
     ``pos_rows`` are the positive anchors and ``cols`` their classes.  The
     background formula is evaluated array-wide; the handful of positive
-    (anchor, class) entries are patched afterwards.  The work runs in four
-    workspace arrays and the returned gradient, workspace name
-    ``dlogits``; the comments give each array's value as a plain
-    expression, and every element goes through the same operations in the
-    same order as in that expression.
+    (anchor, class) entries are patched afterwards.
+
+    Overwrites ``logits_flat``: the positive entries and the ``z >= 0``
+    mask are read first, then the array holds -|z|, exp(-|z|) and the
+    focal weight p**gamma in turn.  The rest runs in two workspace arrays
+    and the returned gradient, workspace name ``dlogits``, which first
+    carries log1p(e), then 1 + e, then the loss, so a worker keeps four
+    dense arrays with its logits.  The comments give each array's value as
+    a plain expression, and every element goes through the same operations
+    in the same order as in that expression.
     """
     z = logits_flat
-    e = ws.array("focal_e", z.shape)
-    scratch = ws.array("focal_scratch", z.shape)
+    zp = z[pos_rows, cols]
+    nonneg = z >= 0.0
     ln_1mp = ws.array("focal_ln_1mp", z.shape)
     p = ws.array("focal_p", z.shape)
-    grad = ws.array("dlogits", z.shape)
+    scratch = ws.array("dlogits", z.shape)
 
-    # sigmoid, log-sigmoid(z), and log-sigmoid(-z) all share exp(-|z|).
-    np.abs(z, out=e)
-    np.negative(e, out=e)
+    # sigmoid, log-sigmoid(z), and log-sigmoid(-z) all share e = exp(-|z|).
+    np.negative(z, out=ln_1mp)
+    e = np.minimum(z, ln_1mp, out=z)  # -|z|
     np.exp(e, out=e)
     log1p_e = np.log1p(e, out=scratch)
     # ln_1mp = min(-z, 0) - log1p_e
-    np.negative(z, out=ln_1mp)
     np.minimum(ln_1mp, 0.0, out=ln_1mp)
     np.subtract(ln_1mp, log1p_e, out=ln_1mp)
     # ln p = min(z, 0) - log1p_e is read only at the positive entries.
-    ln_p = np.minimum(z[pos_rows, cols], 0.0) - log1p_e[pos_rows, cols]
-    # p = where(z >= 0, 1 / (1 + e), e / (1 + e))
+    ln_p = np.minimum(zp, 0.0) - log1p_e[pos_rows, cols]
+    # p = where(z >= 0, 1, e) / (1 + e)
     one_plus_e = np.add(1.0, e, out=scratch)
-    np.divide(e, one_plus_e, out=p)
-    np.divide(1.0, one_plus_e, out=p, where=z >= 0.0)
+    np.copyto(p, e)
+    np.copyto(p, 1.0, where=nonneg)
+    np.divide(p, one_plus_e, out=p)
     pp = p[pos_rows, cols]
     p_g = np.power(p, gamma, out=e)
     # loss = -(1 - alpha) * p_g * ln_1mp
     loss = np.multiply(p_g, -(1.0 - alpha), out=scratch)
     loss *= ln_1mp
+    if pos_rows.size:
+        qq = 1.0 - pp
+        q_g = qq**gamma
+        loss[pos_rows, cols] = -alpha * q_g * ln_p
+    if ignore_rows.size:
+        loss[ignore_rows] = 0.0
+    total = float(loss.sum())
+
     # grad = (1 - alpha) * (p_g * p - gamma * p_g * (1 - p) * ln_1mp)
-    np.multiply(p_g, p, out=grad)
+    grad = np.multiply(p_g, p, out=scratch)
     one_minus_p = np.subtract(1.0, p, out=p)
     p_g *= gamma
     p_g *= one_minus_p
     p_g *= ln_1mp
     grad -= p_g
     grad *= 1.0 - alpha
-
     if pos_rows.size:
-        qq = 1.0 - pp
-        q_g = qq**gamma
-        loss[pos_rows, cols] = -alpha * q_g * ln_p
         grad[pos_rows, cols] = alpha * (gamma * pp * q_g * ln_p - q_g * qq)
     if ignore_rows.size:
-        loss[ignore_rows] = 0.0
         grad[ignore_rows] = 0.0
-    return float(loss.sum()), grad
+    return total, grad
 
 
 def _smooth_l1(diff: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -926,15 +934,18 @@ def _classification_terms(
 ) -> tuple[float, float, np.ndarray]:
     """Focal term and CLD of one scene from its flat student logits, plus
     the flat logit gradient (the workspace's ``dlogits``, complete: XGD
-    adds none)."""
+    adds none).
+
+    Overwrites ``logits_flat`` (see _focal_terms); the CLD rows are
+    gathered before the focal pass."""
+    cld_values = logits_flat[t.cld_rows]
     floss, dlogits = _focal_terms(
         logits_flat, t.pos, t.pos_classes, t.ignore_rows, FOCAL_GAMMA, FOCAL_ALPHA, ws
     )
     dlogits /= t.norm
     cld_term = 0.0
     if t.teacher_dist is not None:
-        student_map = LogitMap(values=logits_flat[t.cld_rows], k_a=t.cld_k_a)
-        s_dist = unified_distribution(student_map, cfg.tau)
+        s_dist = unified_distribution(LogitMap(values=cld_values, k_a=t.cld_k_a), cfg.tau)
         cld_term = cld_loss(t.teacher_dist, s_dist)
         dlogits[t.cld_rows] += cfg.cld_weight * cld_grad(t.teacher_dist, s_dist, cfg.tau)
     return floss / t.norm, cld_term, dlogits
@@ -1039,7 +1050,10 @@ def _one_scene(
     error is the one the step raises."""
     ws = StepWorkspace()
     r = _regression_terms(student.deltas_flat, targets, cfg)
-    cls_term, cld_term, dlogits = _classification_terms(student.logits_flat, targets, cfg, ws)
+    # The focal pass overwrites its logits; the outputs are read-only.
+    logits = ws.array("logits", student.logits_flat.shape)
+    np.copyto(logits, student.logits_flat)
+    cls_term, cld_term, dlogits = _classification_terms(logits, targets, cfg, ws)
     ((xgd_term, gate_keep, xgd_grad),) = _xgd_terms([r], [targets], cfg, flags)
     ddeltas = _delta_grad(r, targets, xgd_grad, cfg, ws)
     return _breakdown(targets, r, cls_term, cld_term, xgd_term, gate_keep, cfg), dlogits, ddeltas

@@ -455,13 +455,16 @@ CLIP_TIE_KINDS = (
     "nested",
     "disjoint",
     "anchor_vs_rotated_gt",
+    "tangent_circumcircles",
 )
 
 
 def clip_tie_cases(rng: np.random.Generator, n_each: int) -> dict[str, list[tuple[Box3D, Box3D]]]:
     """Built box pairs, by kind, where the scalar clip's merge and clamp
     branches fire: offsets and turns reach down to 1e-9, integer-grid
-    axis-aligned boxes share edge lines and corners."""
+    axis-aligned boxes share edge lines and corners.  Tangent pairs put
+    the footprints' circumcircles within one ulp of touching, half of them
+    corner to corner, at the tie of the circumcircle reject."""
     cases: dict[str, list[tuple[Box3D, Box3D]]] = {kind: [] for kind in CLIP_TIE_KINDS}
     for _ in range(n_each):
         a = random_box(rng)
@@ -486,6 +489,16 @@ def clip_tie_cases(rng: np.random.Generator, n_each: int) -> dict[str, list[tupl
         anchor_yaw = float(rng.choice([0.0, math.pi / 2]))
         anchor = Box3D(round(a.cx, 1), 1.0, round(a.cz, 1), 3.9, 1.6, 1.56, anchor_yaw)
         cases["anchor_vs_rotated_gt"].append((anchor, replace(a, yaw=turn)))
+        b = random_box(rng)
+        for corner_to_corner in (True, False):
+            toward = a.yaw + math.atan2(a.w, a.l) if corner_to_corner else turn
+            yaw = toward - math.atan2(b.w, b.l) if corner_to_corner else b.yaw
+            reach = 0.5 * math.hypot(a.l, a.w) + 0.5 * math.hypot(b.l, b.w)
+            cx = a.cx + reach * math.cos(toward)
+            for x in (math.nextafter(cx, -math.inf), cx, math.nextafter(cx, math.inf)):
+                cases["tangent_circumcircles"].append(
+                    (a, replace(b, cx=x, cy=a.cy, cz=a.cz + reach * math.sin(toward), yaw=yaw))
+                )
     return cases
 
 
@@ -604,6 +617,105 @@ def check_clip_kernel_bit_identity(n_random: int = 1000) -> CheckResult:
         f"{flags_fused.degenerate_union} degenerate unions): kernel areas, array bev_iou, "
         "array iou3d and the fused IoU and gradient equal the scalar path and the per-pair "
         "FD loop",
+        time.time() - t0,
+    )
+
+
+def reference_focal_terms(
+    logits_flat: np.ndarray,
+    pos_rows: np.ndarray,
+    cols: np.ndarray,
+    ignore_rows: np.ndarray,
+    gamma: float,
+    alpha: float,
+) -> tuple[float, np.ndarray]:
+    """The focal loss and its logit gradient in six fresh arrays, leaving
+    ``logits_flat`` as it is: the float operations, in their order, that
+    sim._focal_terms must replay on every element."""
+    z = logits_flat
+    e = np.empty(z.shape)
+    scratch = np.empty(z.shape)
+    ln_1mp = np.empty(z.shape)
+    p = np.empty(z.shape)
+    grad = np.empty(z.shape)
+
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    log1p_e = np.log1p(e, out=scratch)
+    np.negative(z, out=ln_1mp)
+    np.minimum(ln_1mp, 0.0, out=ln_1mp)
+    np.subtract(ln_1mp, log1p_e, out=ln_1mp)
+    ln_p = np.minimum(z[pos_rows, cols], 0.0) - log1p_e[pos_rows, cols]
+    one_plus_e = np.add(1.0, e, out=scratch)
+    np.divide(e, one_plus_e, out=p)
+    np.divide(1.0, one_plus_e, out=p, where=z >= 0.0)
+    pp = p[pos_rows, cols]
+    p_g = np.power(p, gamma, out=e)
+    loss = np.multiply(p_g, -(1.0 - alpha), out=scratch)
+    loss *= ln_1mp
+    np.multiply(p_g, p, out=grad)
+    one_minus_p = np.subtract(1.0, p, out=p)
+    p_g *= gamma
+    p_g *= one_minus_p
+    p_g *= ln_1mp
+    grad -= p_g
+    grad *= 1.0 - alpha
+
+    if pos_rows.size:
+        qq = 1.0 - pp
+        q_g = qq**gamma
+        loss[pos_rows, cols] = -alpha * q_g * ln_p
+        grad[pos_rows, cols] = alpha * (gamma * pp * q_g * ln_p - q_g * qq)
+    if ignore_rows.size:
+        loss[ignore_rows] = 0.0
+        grad[ignore_rows] = 0.0
+    return float(loss.sum()), grad
+
+
+def check_focal_bit_identity(n_maps: int = 200) -> CheckResult:
+    """sim._focal_terms, which runs in place over its logits, vs
+    reference_focal_terms: the same loss float and the same gradient bytes
+    on random maps at gammas 2.0, 1.5 and 0.0.  The maps mix scales from
+    0.1 to 1e3, signed zeros and logits past exp's underflow; some have no
+    positive and some no ignore row."""
+    t0 = time.time()
+    rng = np.random.default_rng(71)
+    failures = []
+    seen = {"signed zeros": 0, "underflows": 0, "no positive": 0, "ignore rows": 0}
+    for m in range(n_maps):
+        n, k_c = int(rng.integers(1, 600)), int(rng.integers(1, 4))
+        z = rng.normal(0.0, 10.0 ** rng.uniform(-1, 3), (n, k_c))
+        z[rng.random(z.shape) < 0.05] = 0.0
+        z[rng.random(z.shape) < 0.05] = -0.0
+        z[rng.random(z.shape) < 0.02] = rng.choice([-1.0, 1.0]) * rng.uniform(746.0, 1e4)
+        n_pos = int(rng.integers(0, min(n, 12) + 1)) if m % 4 else 0
+        pos_rows = np.sort(rng.choice(n, n_pos, replace=False))
+        cols = rng.integers(0, k_c, n_pos)
+        ignore_rows = np.setdiff1d(rng.choice(n, int(rng.integers(0, n // 3 + 1))), pos_rows)
+        seen["signed zeros"] += int(np.count_nonzero((z == 0.0) & np.signbit(z)))
+        seen["underflows"] += int(np.count_nonzero(np.exp(-np.abs(z)) == 0.0))
+        seen["no positive"] += n_pos == 0
+        seen["ignore rows"] += ignore_rows.size
+        for gamma in (2.0, 1.5, 0.0):
+            want = reference_focal_terms(z, pos_rows, cols, ignore_rows, gamma, sim_mod.FOCAL_ALPHA)
+            got = sim_mod._focal_terms(
+                z.copy(), pos_rows, cols, ignore_rows, gamma, sim_mod.FOCAL_ALPHA,
+                sim_mod.StepWorkspace(),
+            )
+            if repr(got[0]) != repr(want[0]) or got[1].tobytes() != want[1].tobytes():
+                failures.append(f"map {m} ({n}x{k_c}, {n_pos} positives) at gamma {gamma}")
+    missing = [what for what, count in seen.items() if not count]
+    if missing:
+        failures.append(f"no map drew {missing}")
+    return CheckResult(
+        "focal_bit_identity",
+        not failures,
+        f"{len(failures)} mismatches, first: {failures[0]}"
+        if failures
+        else f"{n_maps} maps x 3 gammas ("
+        + ", ".join(f"{count} {what}" for what, count in seen.items())
+        + "): loss and gradient bytes equal the reference",
         time.time() - t0,
     )
 
@@ -832,6 +944,7 @@ _SUITE = (
     (check_assignment_bruteforce, {"n_scenes": 1}),
     (check_iou_grad_self_consistency, {"n_cases": 10}),
     (check_clip_kernel_bit_identity, {"n_random": 200}),
+    (check_focal_bit_identity, {"n_maps": 50}),
     (check_training_grad_fd, {"n_states": 2}),
     (check_threaded_step_bit_identity, {}),
 )

@@ -41,7 +41,12 @@ def tiny_config_path(tmp_path):
     return path
 
 
-def test_gen_data_writes_scene_files(tiny_config_path, tmp_path, capsys):
+def test_gen_data_writes_scene_files(tiny_config_path, tmp_path, capsys, monkeypatch):
+    import boxdistill.experiments as ex
+
+    # Writing scenes assigns no targets and runs no teacher.
+    for name in ("assign_targets", "teacher_predict"):
+        monkeypatch.setattr(ex, name, lambda *args, name=name: pytest.fail(f"gen-data called {name}"))
     out = tmp_path / "data"
     assert main(["gen-data", str(tiny_config_path), str(out)]) == 0
     assert (out / "train_seed0.jsonl").exists()

@@ -263,14 +263,23 @@ class TestLazyValidationSplit:
 
         cfg = tiny_config(arms=ONE_ARM, seeds=[0])
         n_train, n_val = cfg.data.n_train_scenes, cfg.data.n_val_scenes
+        # Building a dataset only samples its scenes.
         ds = build_dataset(cfg, 0)
-        assert calls == {"assign_targets": n_train, "teacher_predict": n_train}
+        assert calls == {"assign_targets": 0, "teacher_predict": 0}
         params = DetectorParams.init(0, cfg.scene.feature_dim, ds.grid.k_a, ds.grid.k_c)
 
         before = dict(calls)
         ex.evaluate_params(params, ds, cfg, "none")
         assert added(before) == {"assign_targets": 0, "teacher_predict": 0}
+        # The first training run builds the training split, once.
+        first = train_on_dataset(ds, cfg.loss, cfg)
+        assert added(before) == {"assign_targets": n_train, "teacher_predict": n_train}
+        second = train_on_dataset(ds, cfg.loss, cfg)
+        assert added(before) == {"assign_targets": n_train, "teacher_predict": n_train}
+        assert repr(second.history) == repr(first.history)
+
         # A one-arm run builds its own training split and nothing else.
+        before = dict(calls)
         run_ablations(cfg)
         assert added(before) == {"assign_targets": n_train, "teacher_predict": n_train}
 
@@ -291,8 +300,10 @@ class TestLazyValidationSplit:
 
         # The lazily built rows are those of a direct replay.
         thresholds = cfg.assignment_thresholds()
-        assert len(ds.teacher_val) == n_val
-        for scene, teacher in zip(ds.val_scenes, ds.teacher_val):
+        assert len(ds.teacher_train) == n_train and len(ds.teacher_val) == n_val
+        for scene, teacher in zip(
+            ds.train_scenes + ds.val_scenes, ds.teacher_train + ds.teacher_val
+        ):
             asg = assign_targets(
                 ds.grid, scene.boxes, scene.class_ids, thresholds, cfg.foreground_dilation
             )

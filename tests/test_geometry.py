@@ -362,6 +362,37 @@ class TestArrayIoU3D:
         got, _ = self.assert_matches_pairs(pairs)
         assert not np.any(got)
 
+    def test_circle_disjoint_pairs_reach_no_clip(self, monkeypatch):
+        # Pairs within one ulp of touching circumcircles, half of them
+        # corner to corner, and the same pairs with random yaws.
+        rng = np.random.default_rng(67)
+        pairs = clip_tie_cases(rng, 100)["tangent_circumcircles"]
+        pairs += [(a, replace(b, yaw=rng.uniform(-math.pi, math.pi))) for a, b in pairs]
+        pairs += [(b, a) for a, b in pairs]
+        meet = [
+            math.hypot(a.cx - b.cx, a.cz - b.cz)
+            <= 0.5 * math.hypot(a.l, a.w) + 0.5 * math.hypot(b.l, b.w)
+            for a, b in pairs
+        ]
+        assert 0 < sum(meet) < len(pairs)
+        scalar_clips, row_clips = [], []
+        scalar, rows = geom._bev_intersection_area, geom._clip_area_rows
+
+        def counted_scalar(a, b):
+            scalar_clips.append(1)
+            return scalar(a, b)
+
+        def counted_rows(sx, sz, cx, cz):
+            row_clips.append(len(sx))
+            return rows(sx, sz, cx, cz)
+
+        monkeypatch.setattr(geom, "_bev_intersection_area", counted_scalar)
+        monkeypatch.setattr(geom, "_clip_area_rows", counted_rows)
+        # Every pair overlaps vertically, so only the reject skips a clip.
+        got, _ = self.assert_matches_pairs(pairs)
+        assert len(scalar_clips) == sum(row_clips) == sum(meet)
+        assert not np.any(got[~np.array(meet)])
+
     def test_degenerate_unions_flagged_alike(self):
         tiny = Box3D(0, 0, 0, 1e-5, 1e-5, 1e-5, 0.3)
         pairs = [(tiny, tiny), (tiny, replace(tiny, cx=1e-6)), (tiny, Box3D(0, 0, 0, 1, 1, 1, 0))]

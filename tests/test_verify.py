@@ -8,6 +8,7 @@ from boxdistill.verify import (
     check_clip_kernel_bit_identity,
     check_codec_roundtrip,
     check_component_update_bruteforce,
+    check_focal_bit_identity,
     check_gate_soundness,
     check_geometry_closed_forms,
     check_threaded_step_bit_identity,
@@ -31,6 +32,7 @@ def test_fast_suite_passes():
         "assignment_bruteforce",
         "iou_grad_self_consistency",
         "clip_kernel_bit_identity",
+        "focal_bit_identity",
         "training_grad_fd",
         "threaded_step_bit_identity",
     }
@@ -212,3 +214,20 @@ def test_injected_bias_gradient_defect_is_caught(monkeypatch):
     result = check_training_grad_fd(n_states=2)
     assert not result.passed
     assert "rel l2 err" in result.detail
+
+
+def test_injected_focal_gradient_scale_is_caught(monkeypatch):
+    # One part in 2**40 on every gradient entry.
+    import boxdistill.sim as sim_mod
+
+    original = sim_mod._focal_terms
+
+    def scaled(*args):
+        loss, grad = original(*args)
+        grad *= 1.0 + 2.0**-40
+        return loss, grad
+
+    monkeypatch.setattr(sim_mod, "_focal_terms", scaled)
+    result = check_focal_bit_identity(n_maps=20)
+    assert not result.passed
+    assert "mismatches" in result.detail
