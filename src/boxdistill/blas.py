@@ -1,5 +1,5 @@
-"""The thread count of the OpenBLAS that numpy runs on, read and set
-through ctypes."""
+"""The thread count and the kernel name of the OpenBLAS that numpy runs
+on, read and set through ctypes."""
 from __future__ import annotations
 
 import ctypes
@@ -7,17 +7,16 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator
 
-# (getter, setter) symbol names: numpy's own wheels, other 64-bit-integer
-# builds, plain builds.
-_SYMBOLS = tuple(
-    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
-    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", ""))
-)
+# (prefix, suffix) of the symbol names: numpy's own wheels, other
+# 64-bit-integer builds, plain builds.
+_NAMINGS = (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", ""))
 
 
-def _thread_functions() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """The loaded OpenBLAS's thread-count getter and setter, or None when
-    no OpenBLAS is found among the libraries mapped into this process."""
+def _symbols(*names: str) -> list[Callable] | None:
+    """The functions ``names`` (without prefix and suffix) of the loaded
+    OpenBLAS, from the first library and naming that has them all, or None
+    when no OpenBLAS with them is found among the libraries mapped into
+    this process."""
     maps = Path("/proc/self/maps")
     if not maps.is_file():
         return None
@@ -29,13 +28,34 @@ def _thread_functions() -> tuple[Callable[[], int], Callable[[int], None]] | Non
             handle = ctypes.CDLL(lib)
         except OSError:
             continue
-        for get_name, set_name in _SYMBOLS:
-            get, set_ = getattr(handle, get_name, None), getattr(handle, set_name, None)
-            if get is not None and set_ is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                return get, set_
+        for prefix, suffix in _NAMINGS:
+            functions = [getattr(handle, f"{prefix}_{name}{suffix}", None) for name in names]
+            if all(f is not None for f in functions):
+                return functions
     return None
+
+
+def _thread_functions() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The loaded OpenBLAS's thread-count getter and setter, or None."""
+    functions = _symbols("get_num_threads", "set_num_threads")
+    if functions is None:
+        return None
+    get, set_ = functions
+    get.restype, get.argtypes = ctypes.c_int, []
+    set_.restype, set_.argtypes = None, [ctypes.c_int]
+    return get, set_
+
+
+def openblas_corename() -> str | None:
+    """The kernel the loaded OpenBLAS runs (``SkylakeX``, ``Haswell``...):
+    the one it picked for this CPU, or the one ``OPENBLAS_CORETYPE`` named
+    when the process started.  None when no OpenBLAS is found."""
+    functions = _symbols("get_num_threads", "get_corename")
+    if functions is None:
+        return None
+    get = functions[1]
+    get.restype, get.argtypes = ctypes.c_char_p, []
+    return get().decode()
 
 
 def openblas_threads() -> int | None:

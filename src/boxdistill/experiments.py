@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .anchors import AnchorGrid, Assignment, assign_targets, build_anchor_grid
+from .blas import openblas_corename
 from .config import ExperimentConfig, config_hash, config_to_dict
 from .evaluation import EvalReport, evaluate_outputs
 from .sim import (
@@ -356,6 +357,8 @@ def _write_outputs(result: ExperimentResult, out_dir: str | Path, stem: str) -> 
     report = {
         "config": config_to_dict(result.config),
         "config_hash": config_hash(result.config),
+        # Trained bits hold per BLAS kernel, so the report names it.
+        "openblas_core": openblas_corename(),
         "runs": [
             {
                 "arm": rec.arm,

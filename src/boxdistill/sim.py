@@ -461,39 +461,56 @@ class DetectorParams:
         return cls(w_cls=w_cls, b_cls=b_cls, w_reg=w_reg, b_reg=b_reg)
 
 
-class StepWorkspace:
-    """Arrays a training step writes into, kept from one step to the next.
+def _step_arena_floats(grid: AnchorGrid) -> int:
+    """Floats in a training worker's arena: the largest phase of a scene's
+    step, the classification side's four (n_anchors, k_c) arrays (logits,
+    two focal temporaries, logit gradient), or the regression head's
+    (n_anchors, 7) output."""
+    return max(4 * grid.k_c, 7) * grid.n_anchors
 
-    ``train`` owns one per worker, so the forward outputs, the focal-loss
-    temporaries and the dense gradients of every step reuse the arrays of
-    the step before instead of allocating new ones.  An array handed out
-    under a name stays valid until the next request for that name; the
-    one-scene public functions run on a fresh workspace, so what they
-    return is never overwritten.
+
+class StepWorkspace:
+    """The arrays a worker's steps write into.
+
+    With an ``arena`` (``train`` gives each worker one, sized by
+    _step_arena_floats), ``array`` hands out the arena's next unused
+    stretch, and ``_SceneWorkers.map`` rewinds it before each item: an
+    array handed out lives until that worker's next item, so nothing an
+    item returns may be a workspace array.  Without one, ``array``
+    allocates each array exactly; the one-scene public functions run on
+    such a fresh workspace, so what they return is never overwritten.
+    The delta gradient keeps an array of its own (``zeros``).
     """
 
-    def __init__(self) -> None:
-        self._arrays: dict[str, np.ndarray] = {}
-        self._written: dict[str, np.ndarray] = {}
+    def __init__(self, arena: np.ndarray | None = None) -> None:
+        self._arena = arena
+        self._used = 0
+        self._zeros: np.ndarray | None = None
+        self._written: np.ndarray | None = None
 
-    def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """The float array registered under ``name``, reallocated on a new
-        shape; its contents are whatever the last user left."""
-        arr = self._arrays.get(name)
-        if arr is None or arr.shape != shape:
-            arr = self._arrays[name] = np.empty(shape)
-        return arr
+    def rewind(self) -> None:
+        """Hand the whole arena out again."""
+        self._used = 0
 
-    def zeros(self, name: str, shape: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
-        """The all-zero float array registered under ``name``, of which the
-        caller writes only ``rows`` (first-axis indices): the next request
-        zeroes those rows again instead of the whole array."""
-        arr = self._arrays.get(name)
+    def array(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous float array of ``shape``; its contents are
+        whatever the last user left.  Past the arena's end, reshape raises
+        ValueError."""
+        if self._arena is None:
+            return np.empty(shape)
+        start, self._used = self._used, self._used + math.prod(shape)
+        return self._arena[start : self._used].reshape(shape)
+
+    def zeros(self, shape: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
+        """The all-zero float array of ``shape``, of which the caller writes
+        only ``rows`` (first-axis indices): the next request zeroes those
+        rows again instead of the whole array."""
+        arr = self._zeros
         if arr is None or arr.shape != shape:
-            arr = self._arrays[name] = np.zeros(shape)
+            arr = self._zeros = np.zeros(shape)
         else:
-            arr[self._written[name]] = 0.0
-        self._written[name] = rows
+            arr[self._written] = 0.0
+        self._written = rows
         return arr
 
 
@@ -509,12 +526,19 @@ class _SceneWorkers:
     """Workers for the per-scene phases of a minibatch.
 
     Worker 0 is the calling thread; the others are threads of one pool,
-    stopped by ``close``.  Each worker runs with its own StepWorkspace.
-    With one worker every call runs inline and no thread starts.
+    stopped by ``close``.  Each worker runs with its own StepWorkspace,
+    whose arena, of ``arena_floats`` NaNs (none at 0), is rewound before
+    each item.  With one worker every call runs inline and no thread
+    starts.
     """
 
-    def __init__(self, n: int = 1) -> None:
-        self.workspaces = [StepWorkspace() for _ in range(n)]
+    def __init__(self, n: int = 1, arena_floats: int = 0) -> None:
+        # NaN, not zero pages: an item that reads what it has not written
+        # spoils its results instead of reading zeros.
+        self.workspaces = [
+            StepWorkspace(np.full(arena_floats, np.nan) if arena_floats else None)
+            for _ in range(n)
+        ]
         self._pool = None
         if n > 1:
             # Imported here so that importing the package stays as fast.
@@ -548,6 +572,7 @@ class _SceneWorkers:
                     k = next(items, None)
                 if k is None:
                     return
+                ws.rewind()
                 try:
                     results[k] = fn(k, ws)
                 except BaseException as exc:  # re-raised below, on the calling thread
@@ -580,13 +605,13 @@ class _SceneWorkers:
 
 
 def _head(
-    feats: np.ndarray, w: np.ndarray, b: np.ndarray, ws: StepWorkspace, name: str, width: int
+    feats: np.ndarray, w: np.ndarray, b: np.ndarray, ws: StepWorkspace, width: int
 ) -> np.ndarray:
     """One linear head at every position, ``feats @ w + b``, computed into
-    the workspace array ``name`` and returned as (n_anchors, width) rows."""
+    a workspace array and returned as (n_anchors, width) rows."""
     if feats.shape[1] != w.shape[0]:
         raise ValueError(f"feature dim {feats.shape[1]} does not match params ({w.shape[0]})")
-    out = np.matmul(feats, w, out=ws.array(name, (feats.shape[0], w.shape[1])))
+    out = np.matmul(feats, w, out=ws.array((feats.shape[0], w.shape[1])))
     out += b
     return out.reshape(-1, width)
 
@@ -598,8 +623,8 @@ def student_forward(params: DetectorParams, scene: Scene) -> DetectorOutputs:
     n = feats.shape[0]
     k_a = params.w_reg.shape[1] // 7
     k_c = params.w_cls.shape[1] // k_a
-    logits = _head(feats, params.w_cls, params.b_cls, ws, "logits", k_c)
-    deltas = _head(feats, params.w_reg, params.b_reg, ws, "deltas", 7)
+    logits = _head(feats, params.w_cls, params.b_cls, ws, k_c)
+    deltas = _head(feats, params.w_reg, params.b_reg, ws, 7)
     return DetectorOutputs(logits=logits.reshape(n, k_a, k_c), deltas=deltas.reshape(n, k_a, 7))
 
 
@@ -750,19 +775,19 @@ def _focal_terms(
 
     Overwrites ``logits_flat``: the positive entries and the ``z >= 0``
     mask are read first, then the array holds -|z|, exp(-|z|) and the
-    focal weight p**gamma in turn.  The rest runs in two workspace arrays
-    and the returned gradient, workspace name ``dlogits``, which first
-    carries log1p(e), then 1 + e, then the loss, so a worker keeps four
-    dense arrays with its logits.  The comments give each array's value as
+    focal weight p**gamma in turn.  The rest runs in three workspace
+    arrays: two temporaries and the returned gradient, which first carries
+    log1p(e), then 1 + e, then the loss, so the focal pass uses four dense
+    arrays with its logits.  The comments give each array's value as
     a plain expression, and every element goes through the same operations
     in the same order as in that expression.
     """
     z = logits_flat
     zp = z[pos_rows, cols]
     nonneg = z >= 0.0
-    ln_1mp = ws.array("focal_ln_1mp", z.shape)
-    p = ws.array("focal_p", z.shape)
-    scratch = ws.array("dlogits", z.shape)
+    ln_1mp = ws.array(z.shape)
+    p = ws.array(z.shape)
+    scratch = ws.array(z.shape)
 
     # sigmoid, log-sigmoid(z), and log-sigmoid(-z) all share e = exp(-|z|).
     np.negative(z, out=ln_1mp)
@@ -933,8 +958,8 @@ def _classification_terms(
     logits_flat: np.ndarray, t: _SceneTargets, cfg: LossConfig, ws: StepWorkspace
 ) -> tuple[float, float, np.ndarray]:
     """Focal term and CLD of one scene from its flat student logits, plus
-    the flat logit gradient (the workspace's ``dlogits``, complete: XGD
-    adds none).
+    the flat logit gradient (a workspace array, complete: XGD adds
+    none).
 
     Overwrites ``logits_flat`` (see _focal_terms); the CLD rows are
     gathered before the focal pass."""
@@ -1007,10 +1032,10 @@ def _delta_grad(
     cfg: LossConfig,
     ws: StepWorkspace,
 ) -> np.ndarray:
-    """Flat delta gradient of one scene, the workspace's ``ddeltas``: the
-    smooth-L1 rows plus the weighted XGD rows."""
+    """Flat delta gradient of one scene, the workspace's ``zeros`` array:
+    the smooth-L1 rows plus the weighted XGD rows."""
     # Only the positive rows of the delta gradient are ever nonzero.
-    ddeltas = ws.zeros("ddeltas", (r.n_anchors, 7), t.pos)
+    ddeltas = ws.zeros((r.n_anchors, 7), t.pos)
     ddeltas[t.pos] = r.base_rows
     if xgd_grad is not None:
         ddeltas[t.xgd_rows] += cfg.xgd_weight * xgd_grad
@@ -1051,7 +1076,7 @@ def _one_scene(
     ws = StepWorkspace()
     r = _regression_terms(student.deltas_flat, targets, cfg)
     # The focal pass overwrites its logits; the outputs are read-only.
-    logits = ws.array("logits", student.logits_flat.shape)
+    logits = ws.array(student.logits_flat.shape)
     np.copyto(logits, student.logits_flat)
     cls_term, cld_term, dlogits = _classification_terms(logits, targets, cfg, ws)
     ((xgd_term, gate_keep, xgd_grad),) = _xgd_terms([r], [targets], cfg, flags)
@@ -1208,7 +1233,7 @@ def _minibatch_grads(
     n = len(targets)
 
     def regression(k: int, ws: StepWorkspace) -> _RegressionTerms:
-        deltas = _head(scenes[k].features, params.w_reg, params.b_reg, ws, "deltas", 7)
+        deltas = _head(scenes[k].features, params.w_reg, params.b_reg, ws, 7)
         # Decoding would reject non-finite deltas with a bare ValueError.
         if not np.all(np.isfinite(deltas[targets[k].pos])):
             raise _NonFiniteDeltas(scenes[k].seed)
@@ -1218,7 +1243,7 @@ def _minibatch_grads(
 
     def classification(k: int, ws: StepWorkspace) -> tuple[float, float, np.ndarray, np.ndarray]:
         feats = scenes[k].features
-        logits = _head(feats, params.w_cls, params.b_cls, ws, "logits", k_c)
+        logits = _head(feats, params.w_cls, params.b_cls, ws, k_c)
         cls_term, cld_term, dlogits = _classification_terms(logits, targets[k], cfg, ws)
         dl = dlogits.reshape(feats.shape[0], -1)
         return cls_term, cld_term, feats.T @ dl, dl.sum(axis=0)
@@ -1280,8 +1305,8 @@ def train(
 
     A minibatch runs in three phases on min(batch size, scenes, usable
     CPUs) workers: this thread and threads that live for this call, each
-    with its own workspace, taking scenes in batch order as they come
-    free.  First, per scene, the regression head, the finiteness check of
+    with its own workspace (an arena allocated once per call, see
+    StepWorkspace), taking scenes in batch order as they come free.  First, per scene, the regression head, the finiteness check of
     the positive deltas and the smooth-L1 term.  Second, the XGD pass over
     the whole minibatch on this thread (one batched clip for its losses
     and its IoU gradient), while the other workers run each scene's
@@ -1348,7 +1373,9 @@ def _train(
 
     n_workers = min(opt_cfg.batch_size, len(scenes), cpus)
     # OpenBLAS's own threads would compete with the workers for the cores.
-    with openblas_threads_set(1), closing(_SceneWorkers(n_workers)) as workers:
+    with openblas_threads_set(1), closing(
+        _SceneWorkers(n_workers, _step_arena_floats(grid))
+    ) as workers:
         for epoch in range(opt_cfg.epochs):
             order = shuffle_rng.permutation(len(scenes))
             sums = np.zeros(4)

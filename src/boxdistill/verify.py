@@ -796,11 +796,12 @@ def check_training_grad_fd(n_states: int = 5) -> CheckResult:
     differences.
 
     Each state is a two-scene minibatch: ``sim._minibatch_grads`` on one
-    worker sums its weight gradients, and the finite differences are those
-    of the sum of the scenes' reference losses.  Distillation targets are
-    frozen at the probe point because gate decisions are piecewise
-    constant: the finite differences measure the active smooth piece of
-    the loss, which is the quantity the assembled gradient represents.
+    worker, with the arena training gives it, sums its weight gradients,
+    and the finite differences are those of the sum of the scenes'
+    reference losses.  Distillation targets are frozen at the probe point
+    because gate decisions are piecewise constant: the finite differences
+    measure the active smooth piece of the loss, which is the quantity
+    the assembled gradient represents.
     Each weight tensor's sampled entries are compared on their own, so a
     small tensor's error is not hidden by a large one's norm.  States whose
     XGD pairs sit at an IoU kink inside training's 1e-3 box-space step are
@@ -843,7 +844,7 @@ def check_training_grad_fd(n_states: int = 5) -> CheckResult:
         )
         targets = [sim_mod._scene_targets(s, a, grid, cfg.loss, t) for s, a, t in batch]
         flags = geom.GeometryFlags()
-        with closing(sim_mod._SceneWorkers(1)) as workers:
+        with closing(sim_mod._SceneWorkers(1, sim_mod._step_arena_floats(grid))) as workers:
             _, grads = sim_mod._minibatch_grads(params, scenes, targets, cfg.loss, flags, workers)
         if flags.gradient_clipped or flags.degenerate_union or flags.size_clamped:
             continue  # stay away from flagged non-smooth configurations

@@ -207,6 +207,7 @@ def test_verify_into_a_closed_pipe_returns_the_checks_status(monkeypatch, tmp_pa
 def test_history_files_keep_their_bytes(tiny_config_path, tmp_path, capsys):
     """history_seed*.json and *_report.json share one EpochStats serializer;
     both must stay byte-identical to the dicts each writer once built by hand."""
+    from boxdistill.blas import openblas_corename
     from boxdistill.config import config_hash, config_to_dict, load_config
     from boxdistill.experiments import build_dataset, train_on_dataset
 
@@ -235,6 +236,7 @@ def test_history_files_keep_their_bytes(tiny_config_path, tmp_path, capsys):
     report = {
         "config": config_to_dict(config),
         "config_hash": config_hash(config),
+        "openblas_core": openblas_corename(),
         "runs": [
             {
                 "arm": name,

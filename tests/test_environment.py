@@ -1,13 +1,13 @@
 """The test session runs numpy's OpenBLAS on the thread count conftest.py
 sets, and training runs it on one thread without changing the caller's
-count."""
+count.  The kernel OpenBLAS runs is read by name."""
 import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from boxdistill.blas import openblas_threads, openblas_threads_set
+from boxdistill.blas import openblas_corename, openblas_threads, openblas_threads_set
 
 
 def _loaded_openblas_threads():
@@ -50,3 +50,28 @@ def test_training_runs_openblas_on_one_thread_and_restores_the_count(monkeypatch
             train_on_dataset(dataset, sim_mod.LossConfig(), diverging)
         assert openblas_threads() == 2
     assert seen == {1}
+
+
+def test_corename_is_the_kernel_openblas_coretype_selects():
+    import platform
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import boxdistill
+
+    _loaded_openblas_threads()
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("Sandybridge is an x86-64 kernel")
+    assert openblas_corename()
+    src = str(Path(boxdistill.__file__).parents[1])
+    env = {
+        **os.environ,
+        "OPENBLAS_CORETYPE": "Sandybridge",
+        "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+    }
+    code = "import numpy; from boxdistill.blas import openblas_corename; print(openblas_corename())"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert done.stdout.strip() == "Sandybridge"

@@ -939,6 +939,50 @@ class TestStepWorkspace:
         assert np.array_equal(ddeltas, kept[1])
         assert total_loss_and_grad(out, teacher, scene, asg, ds.grid)[0] == breakdown
 
+    def test_public_results_share_no_memory(self):
+        from itertools import combinations
+
+        from boxdistill.sim import total_loss_and_grad
+
+        ds, (p1, _) = self._seed0_dataset()
+        scene, teacher, asg = ds.train_scenes[0], ds.teacher_train[0], ds.train_assignments[0]
+        out = student_forward(p1, scene)
+        _, dlogits, ddeltas = total_loss_and_grad(out, teacher, scene, asg, ds.grid)
+        for a, b in combinations((out.logits, out.deltas, dlogits, ddeltas), 2):
+            assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("arm_name", ["baseline", "xgd_cld"])
+    def test_one_worker_step_peaks_under_6_2_mb(self, arm_name):
+        # A worker holds its arena and its delta gradient, 4.92 MB at the
+        # default grid; the rest of a step is small next to them.
+        import gc
+        import tracemalloc
+        from contextlib import closing
+
+        from boxdistill.config import default_arm_matrix
+        from boxdistill.sim import _minibatch_grads, _scene_targets, _SceneWorkers, _step_arena_floats
+
+        ds, (params, _) = self._seed0_dataset()
+        cfg = next(arm.loss for arm in default_arm_matrix() if arm.name == arm_name)
+        targets = [
+            _scene_targets(s, a, ds.grid, cfg, t)
+            for s, t, a in zip(ds.train_scenes, ds.teacher_train, ds.train_assignments)
+        ]
+        # Prebuilt, as in train: the step reads each scene's features.
+        scenes = [Scene.from_features(s.boxes, s.class_ids, s.features, s.seed) for s in ds.train_scenes]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with closing(_SceneWorkers(1, _step_arena_floats(ds.grid))) as workers:
+                for batch in ([0, 1], [2, 0]):
+                    _minibatch_grads(
+                        params, [scenes[i] for i in batch], [targets[i] for i in batch], cfg, None, workers
+                    )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.2e6, peak
+
 
 class TestMinibatchStep:
     """The minibatch step (three phases on workers, one XGD pass for all
@@ -987,7 +1031,7 @@ class TestMinibatchStep:
     def test_equals_per_scene_loop_for_every_arm(self):
         from boxdistill.config import default_arm_matrix
         from boxdistill.geometry import GeometryFlags
-        from boxdistill.sim import _minibatch_grads, _scene_targets, _SceneWorkers
+        from boxdistill.sim import _minibatch_grads, _scene_targets, _SceneWorkers, _step_arena_floats
 
         ds, param_sets = self._dataset()
         batches = [[0, 1, 2, 3], [4], [3, 0]]
@@ -998,7 +1042,8 @@ class TestMinibatchStep:
                 _scene_targets(s, a, ds.grid, cfg, t)
                 for s, t, a in zip(ds.train_scenes, ds.teacher_train, ds.train_assignments)
             ]
-            workers = _SceneWorkers()  # shared by every minibatch, as in train
+            # Shared by every minibatch, with training's arena, as in train.
+            workers = _SceneWorkers(1, _step_arena_floats(ds.grid))
             held = None
             for params in param_sets:
                 for batch in batches:
@@ -1020,9 +1065,10 @@ class TestMinibatchStep:
                     assert flags_step == flags_loop, (arm.name, batch)
                     clamps += flags_step.decode_clamped
                     # Every minibatch writes over the arrays of the one before.
-                    arrays = workers.workspaces[0]._arrays
-                    held = dict(arrays) if held is None else held
-                    assert all(arrays[name] is arr for name, arr in held.items()), (arm.name, batch)
+                    ws = workers.workspaces[0]
+                    held = held or (ws._arena, ws._zeros)
+                    assert held[0] is not None and held[1] is not None
+                    assert ws._arena is held[0] and ws._zeros is held[1], (arm.name, batch)
         assert clamps > 0
 
     def test_xgd_pass_equals_grouped_xgd_loss_and_its_gradient(self):
@@ -1161,16 +1207,18 @@ class TestWorkerCount:
         # first holds each of its heads until the second has finished the
         # same head, so failures complete out of batch order.
         first, second = order[1], order[2]
-        second_done = {"deltas": threading.Event(), "logits": threading.Event()}
+        # One event per head, by its row width: 7 deltas, k_c logits.
+        assert ds.grid.k_c != 7
+        second_done = {7: threading.Event(), ds.grid.k_c: threading.Event()}
         head = sim_mod._head
 
-        def second_first(feats, w, b, ws, name, width):
+        def second_first(feats, w, b, ws, width):
             if feats is features_of[first]:
-                assert second_done[name].wait(timeout=10)
+                assert second_done[width].wait(timeout=10)
                 time.sleep(0.02)  # for the second scene's check to raise
-            out = head(feats, w, b, ws, name, width)
+            out = head(feats, w, b, ws, width)
             if feats is features_of[second]:
-                second_done[name].set()
+                second_done[width].set()
             return out
 
         monkeypatch.setattr(sim_mod, "_head", second_first)
