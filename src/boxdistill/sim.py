@@ -415,7 +415,10 @@ class TeacherResponse:
 
     def dense_deltas(self) -> np.ndarray:
         """(n_positions, k_a, 7) deltas."""
-        # np.zeros leaves the pages that no positive touches unallocated.
+        # np.zeros leaves the pages that no positive touches unallocated
+        # only while glibc serves this size by mmap; once its dynamic mmap
+        # threshold has risen past it, the array comes from the heap and
+        # every page is written.
         out = np.zeros((self.n_positions * self.k_a, 7))
         out[self.anchors] = self.deltas
         return out.reshape(self.n_positions, self.k_a, 7)
@@ -464,8 +467,8 @@ class DetectorParams:
 def _step_arena_floats(grid: AnchorGrid) -> int:
     """Floats in a training worker's arena: the largest phase of a scene's
     step, the classification side's four (n_anchors, k_c) arrays (logits,
-    two focal temporaries, logit gradient), or the regression head's
-    (n_anchors, 7) output."""
+    two focal temporaries, logit gradient), or one (n_anchors, 7) array
+    (the regression head's output, then the delta gradient)."""
     return max(4 * grid.k_c, 7) * grid.n_anchors
 
 
@@ -473,20 +476,17 @@ class StepWorkspace:
     """The arrays a worker's steps write into.
 
     With an ``arena`` (``train`` gives each worker one, sized by
-    _step_arena_floats), ``array`` hands out the arena's next unused
-    stretch, and ``_SceneWorkers.map`` rewinds it before each item: an
-    array handed out lives until that worker's next item, so nothing an
-    item returns may be a workspace array.  Without one, ``array``
-    allocates each array exactly; the one-scene public functions run on
-    such a fresh workspace, so what they return is never overwritten.
-    The delta gradient keeps an array of its own (``zeros``).
+    _step_arena_floats), ``array`` and ``zeros`` hand out the arena's next
+    unused stretch, and ``_SceneWorkers.map`` rewinds it before each item:
+    an array handed out lives until that worker's next item, so nothing an
+    item returns may be a workspace array.  Without one, each array is
+    allocated exactly; the one-scene public functions run on such a fresh
+    workspace, so what they return is never overwritten.
     """
 
     def __init__(self, arena: np.ndarray | None = None) -> None:
         self._arena = arena
         self._used = 0
-        self._zeros: np.ndarray | None = None
-        self._written: np.ndarray | None = None
 
     def rewind(self) -> None:
         """Hand the whole arena out again."""
@@ -501,16 +501,12 @@ class StepWorkspace:
         start, self._used = self._used, self._used + math.prod(shape)
         return self._arena[start : self._used].reshape(shape)
 
-    def zeros(self, shape: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
-        """The all-zero float array of ``shape``, of which the caller writes
-        only ``rows`` (first-axis indices): the next request zeroes those
-        rows again instead of the whole array."""
-        arr = self._zeros
-        if arr is None or arr.shape != shape:
-            arr = self._zeros = np.zeros(shape)
-        else:
-            arr[self._written] = 0.0
-        self._written = rows
+    def zeros(self, shape: tuple[int, ...]) -> np.ndarray:
+        """``array(shape)`` filled with zeros."""
+        if self._arena is None:
+            return np.zeros(shape)
+        arr = self.array(shape)
+        arr.fill(0.0)
         return arr
 
 
@@ -528,8 +524,8 @@ class _SceneWorkers:
     Worker 0 is the calling thread; the others are threads of one pool,
     stopped by ``close``.  Each worker runs with its own StepWorkspace,
     whose arena, of ``arena_floats`` NaNs (none at 0), is rewound before
-    each item.  With one worker every call runs inline and no thread
-    starts.
+    each item; it is the one buffer a worker keeps from item to item.
+    With one worker every call runs inline and no thread starts.
     """
 
     def __init__(self, n: int = 1, arena_floats: int = 0) -> None:
@@ -1032,10 +1028,9 @@ def _delta_grad(
     cfg: LossConfig,
     ws: StepWorkspace,
 ) -> np.ndarray:
-    """Flat delta gradient of one scene, the workspace's ``zeros`` array:
-    the smooth-L1 rows plus the weighted XGD rows."""
-    # Only the positive rows of the delta gradient are ever nonzero.
-    ddeltas = ws.zeros((r.n_anchors, 7), t.pos)
+    """Flat delta gradient of one scene, a workspace array: zero but for
+    the positive rows, the smooth-L1 rows plus the weighted XGD rows."""
+    ddeltas = ws.zeros((r.n_anchors, 7))
     ddeltas[t.pos] = r.base_rows
     if xgd_grad is not None:
         ddeltas[t.xgd_rows] += cfg.xgd_weight * xgd_grad
@@ -1246,7 +1241,9 @@ def _minibatch_grads(
         logits = _head(feats, params.w_cls, params.b_cls, ws, k_c)
         cls_term, cld_term, dlogits = _classification_terms(logits, targets[k], cfg, ws)
         dl = dlogits.reshape(feats.shape[0], -1)
-        return cls_term, cld_term, feats.T @ dl, dl.sum(axis=0)
+        # einsum adds the rows in order, as dl.sum(axis=0) does when dl has
+        # more than one column, and takes a quarter of its time.
+        return cls_term, cld_term, feats.T @ dl, np.einsum("ij->j", dl)
 
     xgd: list = []
     classified = workers.map(
@@ -1350,8 +1347,10 @@ def _train(
         _scene_targets(s, a, grid, loss_cfg, t)
         for s, t, a in zip(scenes, teacher_outputs, assignments)
     ]
-    # Every step reads each scene's dense features: rebuild them once here.
-    scenes = [Scene.from_features(s.boxes, s.class_ids, s.features, s.seed) for s in scenes]
+    # Every step reads each scene's dense features: rebuild them once here,
+    # every position visible through one shared (read-only) index.
+    visible = np.arange(grid.n_positions)
+    scenes = [Scene(s.boxes, s.class_ids, visible, s.features, grid.n_positions, s.seed) for s in scenes]
     history: list[EpochStats] = []
     last_finite: LossBreakdown | None = None
     last_grads: list[np.ndarray] = []

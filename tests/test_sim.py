@@ -952,9 +952,9 @@ class TestStepWorkspace:
             assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("arm_name", ["baseline", "xgd_cld"])
-    def test_one_worker_step_peaks_under_6_2_mb(self, arm_name):
-        # A worker holds its arena and its delta gradient, 4.92 MB at the
-        # default grid; the rest of a step is small next to them.
+    def test_one_worker_step_peaks_under_4_mb(self, arm_name):
+        # A worker holds one arena, 3.11 MB at the default grid, which the
+        # delta gradient shares; the rest of a step is small next to it.
         import gc
         import tracemalloc
         from contextlib import closing
@@ -981,7 +981,7 @@ class TestStepWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6.2e6, peak
+        assert peak < 4.0e6, peak
 
 
 class TestMinibatchStep:
@@ -997,18 +997,22 @@ class TestMinibatchStep:
         cfg = dataclasses.replace(default_config(), data=DataConfig(n_train_scenes=5, n_val_scenes=1))
         ds = build_dataset(cfg, 0)
         init = DetectorParams.init(0, cfg.scene.feature_dim, ds.grid.k_a, ds.grid.k_c)
-        rng = np.random.default_rng(3)
-        noisy = DetectorParams(
-            init.w_cls + rng.normal(0, 0.05, init.w_cls.shape),
-            init.b_cls + rng.normal(0, 0.3, init.b_cls.shape),
-            init.w_reg + rng.normal(0, 0.02, init.w_reg.shape),
-            init.b_reg + rng.normal(0, 0.02, init.b_reg.shape),
-        )
+        noisy = TestMinibatchStep._noisy(init)
         # Log-size deltas of 14 overflow the decode cap on every box.
         b_reg = noisy.b_reg.copy().reshape(ds.grid.k_a, 7)
         b_reg[::2, 3] = 14.0
         clamped = dataclasses.replace(noisy, b_reg=b_reg.ravel())
         return ds, [init, noisy, clamped]
+
+    @staticmethod
+    def _noisy(init):
+        rng = np.random.default_rng(3)
+        return DetectorParams(
+            init.w_cls + rng.normal(0, 0.05, init.w_cls.shape),
+            init.b_cls + rng.normal(0, 0.3, init.b_cls.shape),
+            init.w_reg + rng.normal(0, 0.02, init.w_reg.shape),
+            init.b_reg + rng.normal(0, 0.02, init.b_reg.shape),
+        )
 
     @staticmethod
     def _per_scene_loop(params, scenes, teachers, assignments, grid, cfg, flags):
@@ -1044,7 +1048,8 @@ class TestMinibatchStep:
             ]
             # Shared by every minibatch, with training's arena, as in train.
             workers = _SceneWorkers(1, _step_arena_floats(ds.grid))
-            held = None
+            arena = workers.workspaces[0]._arena
+            assert arena is not None
             for params in param_sets:
                 for batch in batches:
                     flags_step, flags_loop = GeometryFlags(), GeometryFlags()
@@ -1064,12 +1069,61 @@ class TestMinibatchStep:
                         assert np.array_equal(g, w), (arm.name, batch)
                     assert flags_step == flags_loop, (arm.name, batch)
                     clamps += flags_step.decode_clamped
-                    # Every minibatch writes over the arrays of the one before.
-                    ws = workers.workspaces[0]
-                    held = held or (ws._arena, ws._zeros)
-                    assert held[0] is not None and held[1] is not None
-                    assert ws._arena is held[0] and ws._zeros is held[1], (arm.name, batch)
+                    # Every minibatch writes over the arena of the one before.
+                    assert workers.workspaces[0]._arena is arena, (arm.name, batch)
         assert clamps > 0
+
+    @pytest.mark.parametrize("arm_name", ["baseline", "xgd_cld"])
+    def test_one_class_grid_whose_delta_gradient_fills_the_arena(self, arm_name):
+        from contextlib import closing
+
+        from boxdistill.config import DataConfig, default_arm_matrix, default_config
+        from boxdistill.experiments import build_dataset
+        from boxdistill.sim import _minibatch_grads, _scene_targets, _SceneWorkers, _step_arena_floats, _train
+
+        base = default_config()
+        ds = build_dataset(
+            dataclasses.replace(
+                base,
+                grid=dataclasses.replace(base.grid, classes=base.grid.classes[:1]),
+                scene=dataclasses.replace(base.scene, class_weights=(1.0,)),
+                data=DataConfig(n_train_scenes=5, n_val_scenes=1),
+            ),
+            0,
+        )
+        grid = ds.grid
+        # The arena is exactly one (n_anchors, 7) array.
+        assert grid.k_c == 1 and _step_arena_floats(grid) == 7 * grid.n_anchors
+        cfg = next(arm.loss for arm in default_arm_matrix() if arm.name == arm_name)
+        params = self._noisy(DetectorParams.init(0, ds.train_scenes[0].feature_dim, grid.k_a, grid.k_c))
+        batch = [0, 1, 2, 3]
+        targets = [
+            _scene_targets(ds.train_scenes[i], ds.train_assignments[i], grid, cfg, ds.teacher_train[i])
+            for i in batch
+        ]
+        with closing(_SceneWorkers(1, _step_arena_floats(grid))) as workers:
+            got, grads = _minibatch_grads(
+                params, [ds.train_scenes[i] for i in batch], targets, cfg, None, workers
+            )
+        want, want_grads = self._per_scene_loop(
+            params,
+            [ds.train_scenes[i] for i in batch],
+            [ds.teacher_train[i] for i in batch],
+            [ds.train_assignments[i] for i in batch],
+            grid, cfg, None,
+        )
+        assert got == want
+        for g, w in zip(grads, want_grads):
+            assert np.array_equal(g, w)
+
+        weights = []
+        for cpus in (1, 2):
+            p = _train(
+                grid, ds.train_scenes, ds.teacher_train, ds.train_assignments, cfg,
+                OptimizerConfig(epochs=3), ds.seed, None, cpus,
+            ).params
+            weights.append([w.tobytes() for w in (p.w_cls, p.b_cls, p.w_reg, p.b_reg)])
+        assert weights[0] == weights[1]
 
     def test_xgd_pass_equals_grouped_xgd_loss_and_its_gradient(self):
         # The pass scores its losses and gradient in one clip; each scene's
