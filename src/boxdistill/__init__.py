@@ -46,7 +46,6 @@ from .sim import (
     Scene,
     SceneConfig,
     TeacherResponse,
-    base_loss,
     generate_scene,
     replace_outputs,
     student_forward,

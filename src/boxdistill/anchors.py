@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Box3D, GeometryFlags, bev_iou, wrap_angle, wrap_angle_array
+from .geometry import GeometryFlags, bev_iou, wrap_angle, wrap_angle_array
 
 LABEL_NEGATIVE = -1
 LABEL_IGNORE = -2
@@ -120,9 +120,6 @@ class AnchorGrid:
         out.setflags(write=False)
         return out
 
-    def anchor_box(self, index: int) -> Box3D:
-        return Box3D.from_array(self.anchor_params[index])
-
     def slot_class_ids(self) -> np.ndarray:
         return np.array([t.class_id for t in self.templates])
 
@@ -211,8 +208,7 @@ class Assignment:
     ``matched`` the ground-truth index of each; ``ignore_indices``
     (ascending) the ignored anchors; ``overlap_indices`` (ascending) the
     anchors whose best BEV IoU against a same-class ground truth is
-    nonzero, and ``overlap_iou`` that IoU.  ``labels`` and ``max_iou``
-    rebuild the dense per-anchor arrays from these rows.
+    nonzero, and ``overlap_iou`` that IoU.
     """
 
     positive_indices: np.ndarray
@@ -221,7 +217,6 @@ class Assignment:
     overlap_indices: np.ndarray
     overlap_iou: np.ndarray
     foreground: np.ndarray  # (n_positions,) bool
-    n_anchors: int
 
     def __post_init__(self) -> None:
         if self.matched.shape != self.positive_indices.shape or (
@@ -233,27 +228,6 @@ class Assignment:
             self.overlap_indices, self.overlap_iou, self.foreground,
         ):
             arr.setflags(write=False)
-
-    @property
-    def labels(self) -> np.ndarray:
-        """(n_anchors,) int64: the matched ground-truth index of a positive,
-        LABEL_IGNORE or LABEL_NEGATIVE; rebuilt on each read."""
-        out = np.full(self.n_anchors, LABEL_NEGATIVE, dtype=np.int64)
-        out[self.ignore_indices] = LABEL_IGNORE
-        out[self.positive_indices] = self.matched
-        return out
-
-    @property
-    def max_iou(self) -> np.ndarray:
-        """(n_anchors,) best same-class BEV IoU, 0 where there is none;
-        rebuilt on each read."""
-        out = np.zeros(self.n_anchors)
-        out[self.overlap_indices] = self.overlap_iou
-        return out
-
-    @property
-    def n_pos(self) -> int:
-        return int(self.positive_indices.size)
 
 
 def _candidate_positions(grid: AnchorGrid, gt: Sequence[float], reach: float) -> np.ndarray:
@@ -357,7 +331,6 @@ def assign_targets(
         overlap_indices=overlap,
         overlap_iou=max_iou[overlap],
         foreground=foreground_mask(grid, boxes, dilation=dilation),
-        n_anchors=grid.n_anchors,
     )
 
 

@@ -159,8 +159,13 @@ def evaluate_params(
     are alive at once.
     """
     grid = dataset.grid
-    if params.w_cls.shape[1] != grid.k_a * grid.k_c or params.w_reg.shape[1] != grid.k_a * 7:
-        raise ValueError("student and teacher outputs must share shapes")
+    widths = (params.w_cls.shape[1], params.w_reg.shape[1])
+    if widths != (grid.k_a * grid.k_c, grid.k_a * 7):
+        raise ValueError(
+            f"params do not fit the grid: their heads are {widths[0]} (w_cls) and {widths[1]}"
+            f" (w_reg) wide, the grid's k_a*k_c = {grid.k_a}*{grid.k_c} = {grid.k_a * grid.k_c}"
+            f" and k_a*7 = {grid.k_a * 7}"
+        )
 
     def outputs():
         if replace_mode == "none":
@@ -389,12 +394,13 @@ def save_params(params: DetectorParams, path: str | Path, seed: int, cfg_hash: s
 
 
 def load_params(path: str | Path) -> tuple[DetectorParams, dict]:
+    """Read what ``save_params`` wrote; ValueError names the file and a
+    missing weight."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    params = DetectorParams(
-        w_cls=np.array(data["w_cls"], dtype=float),
-        b_cls=np.array(data["b_cls"], dtype=float),
-        w_reg=np.array(data["w_reg"], dtype=float),
-        b_reg=np.array(data["b_reg"], dtype=float),
-    )
+    names = ("w_cls", "b_cls", "w_reg", "b_reg")
+    for name in names:
+        if name not in data:
+            raise ValueError(f"{path}: params file has no {name!r}")
+    params = DetectorParams(*(np.array(data[name], dtype=float) for name in names))
     meta = {"seed": data.get("seed"), "config_hash": data.get("config_hash", "")}
     return params, meta

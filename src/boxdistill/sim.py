@@ -852,9 +852,9 @@ _NO_BOXES.setflags(write=False)
 class _SceneTargets:
     """What the loss of one scene reads that does not depend on the student.
 
-    ``train`` builds one per scene per call (never module state); the
-    public loss functions build one per call.  Without a teacher, or with
-    a zero weight, the distillation fields are empty.
+    ``train`` builds one per scene per call (never module state);
+    ``total_loss_and_grad`` builds one per call.  With a zero weight, that
+    term's distillation fields are empty.
     """
 
     pos: np.ndarray  # positive anchors, ascending
@@ -883,14 +883,14 @@ def _scene_targets(
     assignment: Assignment,
     grid: AnchorGrid,
     cfg: LossConfig,
-    teacher: TeacherResponse | None = None,
+    teacher: TeacherResponse,
 ) -> _SceneTargets:
     pos, target_deltas = positive_target_deltas(grid, assignment, scene.boxes)
-    if teacher is not None and not np.array_equal(teacher.anchors, pos):
+    if not np.array_equal(teacher.anchors, pos):
         raise ValueError("the teacher response's anchors must be the assignment's positive anchors")
     xgd_rows = pos[:0]
     xgd_anchors = xgd_teacher = xgd_gt = _NO_BOXES
-    if teacher is not None and cfg.xgd_weight > 0 and pos.size:
+    if cfg.xgd_weight > 0 and pos.size:
         anchors = grid.anchor_params[pos]
         teacher_rows = decode_deltas(teacher.deltas, anchors)
         if cfg.xgd_selection == "gate":
@@ -905,7 +905,7 @@ def _scene_targets(
     positions = pos[:0]
     cld_k_a = grid.k_a if cfg.cld_mode == "unified" else 1
     teacher_dist = None
-    if teacher is not None and cfg.cld_weight > 0:
+    if cfg.cld_weight > 0:
         positions = cld_positions(assignment, grid, cfg.cld_region)
         if positions.size:
             teacher_dist = unified_distribution(teacher.logit_map(positions, cld_k_a), cfg.tau)
@@ -1058,43 +1058,6 @@ def _breakdown(
     )
 
 
-def _one_scene(
-    student: DetectorOutputs,
-    targets: _SceneTargets,
-    cfg: LossConfig,
-    flags: GeometryFlags | None,
-) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
-    """The minibatch step's phases on one scene with given outputs, in
-    order, on one fresh workspace: its breakdown and flat logit and delta
-    gradients.  Classification runs before XGD, so when both raise, the
-    error is the one the step raises."""
-    ws = StepWorkspace()
-    r = _regression_terms(student.deltas_flat, targets, cfg)
-    # The focal pass overwrites its logits; the outputs are read-only.
-    logits = ws.array(student.logits_flat.shape)
-    np.copyto(logits, student.logits_flat)
-    cls_term, cld_term, dlogits = _classification_terms(logits, targets, cfg, ws)
-    ((xgd_term, gate_keep, xgd_grad),) = _xgd_terms([r], [targets], cfg, flags)
-    ddeltas = _delta_grad(r, targets, xgd_grad, cfg, ws)
-    return _breakdown(targets, r, cls_term, cld_term, xgd_term, gate_keep, cfg), dlogits, ddeltas
-
-
-def base_loss(
-    outputs: DetectorOutputs,
-    scene: Scene,
-    assignment: Assignment,
-    grid: AnchorGrid,
-    cfg: LossConfig = LossConfig(),
-) -> float:
-    """Hard-label objective: focal classification + smooth-L1 regression.
-
-    The classification term runs over all non-ignore anchors; both terms
-    are normalized by max(1, n_pos).
-    """
-    targets = _scene_targets(scene, assignment, grid, cfg)
-    return _one_scene(outputs, targets, cfg, None)[0].ori
-
-
 def total_loss_and_grad(
     student: DetectorOutputs,
     teacher: TeacherResponse,
@@ -1106,19 +1069,31 @@ def total_loss_and_grad(
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
     """Loss breakdown plus gradients w.r.t. student logits and deltas.
 
-    The one-scene case of the training step.  Distillation targets (gated
+    The one-scene case of the training step: its phases in order, on one
+    fresh workspace.  Classification runs before XGD, so when both raise,
+    the error is the one the step raises.  Distillation targets (gated
     boxes, teacher distributions) are detached snapshots; the gate itself
-    never contributes gradient.  Returned arrays have the dense
-    (n_positions, k_a, *) shape.
+    never contributes gradient.  With both distillation weights at 0,
+    ``ori`` is the hard-label objective alone: focal classification over
+    the non-ignore anchors plus smooth-L1 regression, both normalized by
+    max(1, n_pos).  Returned arrays have the dense (n_positions, k_a, *)
+    shape.
     """
     if student.logits.shape != teacher.grid_shape:
         raise ValueError("student and teacher outputs must share the grid layout")
     targets = _scene_targets(scene, assignment, grid, cfg, teacher)
-    breakdown, dlogits_flat, ddeltas_flat = _one_scene(student, targets, cfg, flags)
+    ws = StepWorkspace()
+    r = _regression_terms(student.deltas_flat, targets, cfg)
+    # The focal pass overwrites its logits; the outputs are read-only.
+    logits = ws.array(student.logits_flat.shape)
+    np.copyto(logits, student.logits_flat)
+    cls_term, cld_term, dlogits = _classification_terms(logits, targets, cfg, ws)
+    ((xgd_term, gate_keep, xgd_grad),) = _xgd_terms([r], [targets], cfg, flags)
+    ddeltas = _delta_grad(r, targets, xgd_grad, cfg, ws)
     return (
-        breakdown,
-        dlogits_flat.reshape(student.logits.shape),
-        ddeltas_flat.reshape(student.deltas.shape),
+        _breakdown(targets, r, cls_term, cld_term, xgd_term, gate_keep, cfg),
+        dlogits.reshape(student.logits.shape),
+        ddeltas.reshape(student.deltas.shape),
     )
 
 
@@ -1209,35 +1184,38 @@ class _NonFiniteDeltas(Exception):
 
 def _minibatch_grads(
     params: DetectorParams,
-    scenes: Sequence[Scene],
+    features: Sequence[np.ndarray],
+    seeds: Sequence[int],
     targets: Sequence[_SceneTargets],
     cfg: LossConfig,
     flags: GeometryFlags | None,
     workers: _SceneWorkers,
 ) -> tuple[list[LossBreakdown], list[np.ndarray]]:
     """One optimizer minibatch: per-scene breakdowns and the weight
-    gradients (w_cls, b_cls, w_reg, b_reg) summed over its scenes.
+    gradients (w_cls, b_cls, w_reg, b_reg) summed over its scenes, read as
+    their dense (n_positions, feature_dim) features and their seeds.
 
     Runs the three phases that ``train`` describes; the XGD pass is the
     only part that writes ``flags``.  Each scene runs in the workspace of
     the worker that takes it.  Raises _NonFiniteDeltas for the first scene
-    in batch order whose positive-anchor deltas are not finite.
+    in batch order whose positive-anchor deltas are not finite, with that
+    scene's seed.
     """
     k_a = params.w_reg.shape[1] // 7
     k_c = params.w_cls.shape[1] // k_a
     n = len(targets)
 
     def regression(k: int, ws: StepWorkspace) -> _RegressionTerms:
-        deltas = _head(scenes[k].features, params.w_reg, params.b_reg, ws, 7)
+        deltas = _head(features[k], params.w_reg, params.b_reg, ws, 7)
         # Decoding would reject non-finite deltas with a bare ValueError.
         if not np.all(np.isfinite(deltas[targets[k].pos])):
-            raise _NonFiniteDeltas(scenes[k].seed)
+            raise _NonFiniteDeltas(seeds[k])
         return _regression_terms(deltas, targets[k], cfg)
 
     regressed = workers.map(regression, n)
 
     def classification(k: int, ws: StepWorkspace) -> tuple[float, float, np.ndarray, np.ndarray]:
-        feats = scenes[k].features
+        feats = features[k]
         logits = _head(feats, params.w_cls, params.b_cls, ws, k_c)
         cls_term, cld_term, dlogits = _classification_terms(logits, targets[k], cfg, ws)
         dl = dlogits.reshape(feats.shape[0], -1)
@@ -1251,7 +1229,7 @@ def _minibatch_grads(
     )
 
     def delta_products(k: int, ws: StepWorkspace) -> tuple[np.ndarray, np.ndarray]:
-        feats = scenes[k].features
+        feats = features[k]
         ddeltas = _delta_grad(regressed[k], targets[k], xgd[k][2], cfg, ws)
         dd = ddeltas.reshape(feats.shape[0], -1)
         # Rows without a positive are zero; an axis-0 sum adds rows in
@@ -1347,10 +1325,8 @@ def _train(
         _scene_targets(s, a, grid, loss_cfg, t)
         for s, t, a in zip(scenes, teacher_outputs, assignments)
     ]
-    # Every step reads each scene's dense features: rebuild them once here,
-    # every position visible through one shared (read-only) index.
-    visible = np.arange(grid.n_positions)
-    scenes = [Scene(s.boxes, s.class_ids, visible, s.features, grid.n_positions, s.seed) for s in scenes]
+    # Every step reads each scene's dense features: rebuild them once here.
+    features = [s.features for s in scenes]
     history: list[EpochStats] = []
     last_finite: LossBreakdown | None = None
     last_grads: list[np.ndarray] = []
@@ -1386,7 +1362,8 @@ def _train(
                 try:
                     breakdowns, grads = _minibatch_grads(
                         DetectorParams(weights[0], weights[1], weights[2], weights[3]),
-                        [scenes[si] for si in batch],
+                        [features[si] for si in batch],
+                        [scenes[si].seed for si in batch],
                         [targets[si] for si in batch],
                         loss_cfg,
                         flags,

@@ -356,7 +356,7 @@ def _loop_assignment(grid, boxes, class_ids, thresholds, dilation):
         for p in anchors_mod._candidate_positions(grid, row, max_template_reach):
             for slot in slots:
                 idx = int(p) * k_a + int(slot)
-                iou = geom.bev_iou(grid.anchor_box(idx), gt)
+                iou = geom.bev_iou(Box3D.from_array(grid.anchor_params[idx]), gt)
                 if iou > max_iou[idx] or (iou == max_iou[idx] and best_gt[idx] < 0):
                     max_iou[idx] = iou
                     best_gt[idx] = g
@@ -378,19 +378,33 @@ def _loop_assignment(grid, boxes, class_ids, thresholds, dilation):
     return labels, max_iou
 
 
+def dense_assignment(asg: anchors_mod.Assignment, n_anchors: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dense per-anchor arrays that an assignment's rows stand for:
+    int64 labels (the matched ground-truth index of a positive,
+    LABEL_IGNORE or LABEL_NEGATIVE) and the best same-class BEV IoU, 0
+    where there is none."""
+    labels = np.full(n_anchors, anchors_mod.LABEL_NEGATIVE, dtype=np.int64)
+    labels[asg.ignore_indices] = anchors_mod.LABEL_IGNORE
+    labels[asg.positive_indices] = asg.matched
+    max_iou = np.zeros(n_anchors)
+    max_iou[asg.overlap_indices] = asg.overlap_iou
+    return labels, max_iou
+
+
 def assignment_mismatches(grid, boxes, class_ids, thresholds, dilation) -> list[str]:
-    """Where the dense views of ``assign_targets``' rows differ, by bytes,
+    """Where the dense arrays of ``assign_targets``' rows differ, by bytes,
     from the per-anchor loop; empty when they agree.  A case with no
     positive anchor is reported too, since it tests no match."""
     asg = anchors_mod.assign_targets(grid, boxes, class_ids, thresholds, dilation)
-    labels, max_iou = _loop_assignment(grid, boxes, class_ids, thresholds, dilation)
+    labels, max_iou = dense_assignment(asg, grid.n_anchors)
+    want_labels, want_max_iou = _loop_assignment(grid, boxes, class_ids, thresholds, dilation)
     views = (
-        ("labels", asg.labels, labels),
-        ("max_iou", asg.max_iou, max_iou),
+        ("labels", labels, want_labels),
+        ("max_iou", max_iou, want_max_iou),
         ("foreground", asg.foreground, anchors_mod.foreground_mask(grid, boxes, dilation)),
     )
     out = [f"{name} differ" for name, got, want in views if got.tobytes() != want.tobytes()]
-    if asg.n_pos == 0:
+    if asg.positive_indices.size == 0:
         out.append("no positive anchor")
     return out
 
@@ -752,9 +766,10 @@ _STEP_AGREEMENT_TOL = 1e-4
 
 def _frozen_scene_loss(params, scene, assignment, teacher, grid, cfg):
     """The loss of one scene as a function of the weights, composed from
-    base_loss, xgd_loss and cld_loss, with its distillation targets frozen
-    at ``params``.  It reads the teacher's dense outputs, not the rows that
-    training reads.
+    the hard-label ``ori`` of ``total_loss_and_grad`` (both distillation
+    weights at 0), xgd_loss and cld_loss, with its distillation targets
+    frozen at ``params``.  Its distillation terms read the teacher's dense
+    outputs, not the rows that training reads.
 
     Also returns whether training's XGD step sees the same slope as a
     fine one at ``params`` (no kink inside the step)."""
@@ -776,10 +791,11 @@ def _frozen_scene_loss(params, scene, assignment, teacher, grid, cfg):
     teacher_dist = cld_mod.unified_distribution(
         extract_logit_map(dense_teacher, fg, grid.k_a), cfg.loss.tau
     )
+    hard = replace(cfg.loss, xgd_weight=0.0, cld_weight=0.0)
 
     def loss_of(p: sim_mod.DetectorParams) -> float:
         o = sim_mod.student_forward(p, scene)
-        value = sim_mod.base_loss(o, scene, assignment, grid, cfg.loss)
+        value = sim_mod.total_loss_and_grad(o, teacher, scene, assignment, grid, hard)[0].ori
         boxes = anchors_mod.decode_deltas(o.deltas_flat[pos], anchor_params)
         value += cfg.loss.xgd_weight * xgd_mod.xgd_loss(boxes, frozen_targets)
         student_dist = cld_mod.unified_distribution(
@@ -831,7 +847,7 @@ def check_training_grad_fd(n_states: int = 5) -> CheckResult:
             anchors_mod.assign_targets(grid, s.boxes, s.class_ids, thresholds, cfg.foreground_dilation)
             for s in scenes
         ]
-        if any(a.n_pos == 0 for a in asgs):
+        if any(a.positive_indices.size == 0 for a in asgs):
             continue
         teachers = [sim_mod.teacher_predict(s, cfg.teacher_noise, grid, a) for s, a in zip(scenes, asgs)]
         batch = list(zip(scenes, asgs, teachers))
@@ -845,7 +861,10 @@ def check_training_grad_fd(n_states: int = 5) -> CheckResult:
         targets = [sim_mod._scene_targets(s, a, grid, cfg.loss, t) for s, a, t in batch]
         flags = geom.GeometryFlags()
         with closing(sim_mod._SceneWorkers(1, sim_mod._step_arena_floats(grid))) as workers:
-            _, grads = sim_mod._minibatch_grads(params, scenes, targets, cfg.loss, flags, workers)
+            _, grads = sim_mod._minibatch_grads(
+                params, [s.features for s in scenes], [s.seed for s in scenes], targets, cfg.loss,
+                flags, workers,
+            )
         if flags.gradient_clipped or flags.degenerate_union or flags.size_clamped:
             continue  # stay away from flagged non-smooth configurations
         scene_losses, steps_agree = zip(*(_frozen_scene_loss(params, *scene, grid, cfg) for scene in batch))

@@ -76,6 +76,31 @@ def test_train_then_eval(tiny_config_path, tmp_path, capsys):
     assert payload["per_class"][0]["class"] == "car"
 
 
+def test_eval_names_the_head_widths_of_params_from_another_grid(tiny_config_path, tmp_path, capsys):
+    # Trained with two rotations, scored under one: no teacher is read, so
+    # the message speaks of the params and the grid.
+    out = tmp_path / "run"
+    assert main(["train", str(tiny_config_path), "--out", str(out)]) == 0
+    config = load_config(tiny_config_path)
+    one_rotation = dataclasses.replace(config, grid=dataclasses.replace(config.grid, rotations=(0.0,)))
+    path = tmp_path / "one_rotation.json"
+    save_config(one_rotation, path)
+    want = r"heads are 2 \(w_cls\) and 14 \(w_reg\) wide, the grid's k_a\*k_c = 1\*1 = 1 and k_a\*7 = 7"
+    with pytest.raises(ValueError, match=want):
+        main(["eval", str(path), str(out / "params_seed0.json")])
+
+
+def test_eval_names_the_file_and_the_weight_it_lacks(tiny_config_path, tmp_path):
+    grid = build_anchor_grid(load_config(tiny_config_path).grid)
+    params = DetectorParams.init(0, 16, grid.k_a, grid.k_c)
+    payload = {"seed": 0, "b_cls": params.b_cls.tolist(), "w_reg": params.w_reg.tolist(),
+               "b_reg": params.b_reg.tolist()}
+    path = tmp_path / "no_w_cls.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"no_w_cls\.json: params file has no 'w_cls'"):
+        main(["eval", str(tiny_config_path), str(path)])
+
+
 def test_train_with_zero_epochs(tiny_config_path, tmp_path, capsys):
     # 0 epochs saves the initialized model; printing the final loss used to
     # raise IndexError on the empty history after both files were written.

@@ -24,6 +24,7 @@ from boxdistill.experiments import (
     train_on_dataset,
 )
 from boxdistill.sim import DetectorParams, LossConfig
+from boxdistill.verify import dense_assignment
 
 
 def tiny_config(**extra):
@@ -236,7 +237,7 @@ class TestReplacementStudy:
         assert repr(report.per_class) == repr(teacher_only.per_class)
         wrong = DetectorParams.init(0, cfg.scene.feature_dim, ds.grid.k_a + 1, ds.grid.k_c)
         for mode in ("none", "both"):
-            with pytest.raises(ValueError, match="must share shapes"):
+            with pytest.raises(ValueError, match="do not fit the grid"):
                 ex.evaluate_params(wrong, ds, cfg, replace_mode=mode)
 
 
@@ -347,7 +348,8 @@ class TestDefaultDatasetStorage:
 
     def test_features_and_dense_assignments_are_pinned(self, dataset):
         # Digests recorded while scenes drew their feature noise per call
-        # and assignments still stored dense labels and max_iou arrays.
+        # and assignments still stored dense labels and max_iou arrays;
+        # those arrays are rebuilt here from the rows.
         import hashlib
 
         want = {
@@ -367,7 +369,8 @@ class TestDefaultDatasetStorage:
             scenes = getattr(dataset, f"{split}_scenes")
             assignments = getattr(dataset, f"{split}_assignments")
             for scene, asg in zip(scenes, assignments):
-                for digest, arr in zip(digests, (scene.features, asg.labels, asg.max_iou)):
+                dense = dense_assignment(asg, dataset.grid.n_anchors)
+                for digest, arr in zip(digests, (scene.features, *dense)):
                     digest.update(arr.tobytes())
             assert tuple(d.hexdigest() for d in digests) == want[split], split
 

@@ -17,7 +17,6 @@ from boxdistill.sim import (
     SceneConfig,
     SceneTooDenseError,
     TrainingDivergedError,
-    base_loss,
     generate_scene,
     replace_outputs,
     save_scenes,
@@ -26,6 +25,7 @@ from boxdistill.sim import (
     total_loss_and_grad,
     train,
 )
+from boxdistill.verify import dense_assignment
 
 
 def assign(cfg, grid, scene):
@@ -310,8 +310,8 @@ def seed_teacher_predict(scene, profile, grid, assignment):
                 yaw = yaw + rng.uniform(-math.pi / 4, math.pi / 4)
             noisy = Box3D(cx, cy, cz, float(l), float(w), float(h), yaw)
         per_gt.append((noisy, reported, sim_mod.PEAK_LOGIT + rng.normal(0.0, 0.3)))
-    for idx in assignment.positive_indices:
-        noisy, reported, peak = per_gt[assignment.labels[idx]]
+    for idx, g in zip(assignment.positive_indices, assignment.matched):
+        noisy, reported, peak = per_gt[g]
         deltas.reshape(-1, 7)[idx] = encode_deltas(
             noisy.as_array()[None, :], grid.anchor_params[idx][None, :]
         )[0]
@@ -342,7 +342,7 @@ class TestTeacherOracle:
         setups = [small_setup(seed=seed) for seed in range(8)] + [dense_setup(seed) for seed in range(4)]
         n_pos = 0
         for cfg, grid, scene, assignment in setups:
-            n_pos += assignment.n_pos
+            n_pos += assignment.positive_indices.size
             for profile in profiles:
                 out = teacher_predict(scene, profile, grid, assignment).dense()
                 logits, deltas = seed_teacher_predict(scene, profile, grid, assignment)
@@ -365,7 +365,7 @@ class TestTeacherOracle:
         out = teacher_predict(scene, NoiseProfile(), grid, assignment)
         pos = assignment.positive_indices
         decoded = decode_deltas(out.dense().deltas_flat[pos], grid.anchor_params[pos])
-        gts = scene.boxes[assignment.labels[pos]]
+        gts = scene.boxes[assignment.matched]
         assert np.allclose(decoded[:, :6], gts[:, :6], atol=1e-9)
         from boxdistill.xgd import gate_decisions
 
@@ -390,8 +390,8 @@ class TestTeacherOracle:
             scene = generate_scene(seed, cfg.scene, grid)
             asg = assign(cfg, grid, scene)
             out = teacher_predict(scene, profile, grid, asg).dense()
-            for idx in asg.positive_indices:
-                true_c = scene.class_ids[asg.labels[idx]]
+            for idx, g in zip(asg.positive_indices, asg.matched):
+                true_c = scene.class_ids[g]
                 pred_c = int(out.logits_flat[idx].argmax())
                 table[true_c, pred_c] += 1
         n = table.sum()
@@ -411,12 +411,12 @@ class TestTeacherOracle:
         for seed in range(100):
             scene = generate_scene(seed, cfg.scene, grid)
             asg = assign(cfg, grid, scene)
-            if asg.n_pos == 0:
+            if asg.positive_indices.size == 0:
                 continue
             out = teacher_predict(scene, profile, grid, asg).dense()
             pos = asg.positive_indices
             teachers = decode_deltas(out.deltas_flat[pos], grid.anchor_params[pos])
-            gts = scene.boxes[asg.labels[pos]]
+            gts = scene.boxes[asg.matched]
             # a mid-training student: halfway between anchor and gt
             students = 0.5 * (grid.anchor_params[pos] + gts)
             center_kept = gate_decisions(teachers, students, gts)[:, 0]
@@ -492,6 +492,14 @@ class TestTeacherResponse:
         assert teacher.anchors.nbytes + teacher.logits.nbytes + teacher.deltas.nbytes < 16 * 1024
 
 
+def hard_label_loss(out, scene, assignment, grid):
+    """The hard-label objective: ``ori`` of the one-scene loss with both
+    distillation weights at 0."""
+    teacher = teacher_predict(scene, NoiseProfile(), grid, assignment)
+    cfg = LossConfig(xgd_weight=0.0, cld_weight=0.0)
+    return total_loss_and_grad(out, teacher, scene, assignment, grid, cfg)[0].ori
+
+
 class TestBaseLoss:
     def test_near_perfect_outputs_near_zero(self):
         cfg, grid, scene, assignment = small_setup()
@@ -503,10 +511,10 @@ class TestBaseLoss:
         flat_logits = logits.reshape(-1, grid.k_c)
         flat_deltas = deltas.reshape(-1, 7)
         for row, i in enumerate(pos):
-            flat_logits[i, scene.class_ids[assignment.labels[i]]] = 12.0
+            flat_logits[i, scene.class_ids[assignment.matched[row]]] = 12.0
             flat_deltas[i] = targets[row]
         out = DetectorOutputs(logits=logits, deltas=deltas)
-        value = base_loss(out, scene, assignment, grid)
+        value = hard_label_loss(out, scene, assignment, grid)
         assert value < 1e-3
 
     def test_no_positives_zero_regression(self):
@@ -518,9 +526,9 @@ class TestBaseLoss:
         empty = assign(cfg, grid, bare)
         params = DetectorParams.init(3, cfg.scene.feature_dim, grid.k_a, grid.k_c)
         out = student_forward(params, bare)
-        cls_only = base_loss(out, bare, empty, grid)
+        cls_only = hard_label_loss(out, bare, empty, grid)
         zero_reg = dataclasses.replace(out)
-        assert cls_only == base_loss(zero_reg, bare, empty, grid)  # no reg contribution
+        assert cls_only == hard_label_loss(zero_reg, bare, empty, grid)  # no reg contribution
 
     @pytest.mark.parametrize("focal_gamma", [2.0, 1.5, 0.0])
     def test_matches_independent_reference(self, focal_gamma, monkeypatch):
@@ -532,17 +540,18 @@ class TestBaseLoss:
         cfg, grid, scene, assignment = small_setup()
         params = DetectorParams.init(4, cfg.scene.feature_dim, grid.k_a, grid.k_c)
         out = student_forward(params, scene)
-        got = base_loss(out, scene, assignment, grid, LossConfig())
+        got = hard_label_loss(out, scene, assignment, grid)
 
         # plain-loop reference
         from boxdistill.anchors import positive_target_deltas
 
         gamma, alpha, beta = focal_gamma, sim_mod.FOCAL_ALPHA, sim_mod.SMOOTH_L1_BETA
         logits = out.logits_flat
-        n_pos = assignment.n_pos
+        n_pos = assignment.positive_indices.size
+        labels, _ = dense_assignment(assignment, grid.n_anchors)
         cls = 0.0
         for i in range(grid.n_anchors):
-            label = assignment.labels[i]
+            label = labels[i]
             if label == -2:
                 continue
             for c in range(grid.k_c):
@@ -566,13 +575,14 @@ class TestBaseLoss:
 
 class TestTotalLoss:
     def test_zero_weights_equal_base_loss_exactly(self):
+        # At zero weights the total is the hard-label objective alone.
         cfg, grid, scene, assignment = small_setup()
         params = DetectorParams.init(5, cfg.scene.feature_dim, grid.k_a, grid.k_c)
         out = student_forward(params, scene)
         teacher = teacher_predict(scene, NoiseProfile(), grid, assignment)
         lc = LossConfig(xgd_weight=0.0, cld_weight=0.0)
         breakdown = total_loss_and_grad(out, teacher, scene, assignment, grid, lc)[0]
-        assert breakdown.total == base_loss(out, scene, assignment, grid, lc)
+        assert breakdown.total == breakdown.ori
         assert breakdown.xgd == 0.0 and breakdown.cld == 0.0
 
     def test_student_equal_teacher_zero_distill_terms(self):
@@ -626,7 +636,7 @@ class TestTotalLoss:
         bd = total_loss_and_grad(out, teacher, scene, assignment, grid, LossConfig())[0]
         pos = assignment.positive_indices
         student_boxes = decode_deltas(out.deltas_flat[pos], grid.anchor_params[pos])
-        gt_boxes = scene.boxes[assignment.labels[pos]]
+        gt_boxes = scene.boxes[assignment.matched]
         assert bd.xgd == pytest.approx(xgd_loss(student_boxes, gt_boxes), abs=1e-9)
         assert bd.gate_keep == {"center": 1.0, "size": 1.0, "angle": 1.0}
 
@@ -856,12 +866,12 @@ class TestNoiseMonotonicity:
             for seed in range(5):
                 scene = generate_scene(seed, cfg.scene, grid)
                 asg = assign(cfg, grid, scene)
-                if asg.n_pos == 0:
+                if asg.positive_indices.size == 0:
                     continue
                 out = teacher_predict(scene, profile, grid, asg).dense()
                 pos = asg.positive_indices
                 teachers = decode_deltas(out.deltas_flat[pos], grid.anchor_params[pos])
-                gts = scene.boxes[asg.labels[pos]]
+                gts = scene.boxes[asg.matched]
                 students = 0.5 * (grid.anchor_params[pos] + gts)
                 decisions = gate_decisions(teachers, students, gts)
                 kept += int(decisions.sum())
@@ -887,8 +897,8 @@ class TestNoiseMonotonicity:
                 out = teacher_predict(scene, profile, grid, asg).dense()
                 pos = asg.positive_indices
                 decoded = decode_deltas(out.deltas_flat[pos], grid.anchor_params[pos])
-                for i, row in zip(pos, decoded):
-                    gt = Box3D.from_array(scene.boxes[asg.labels[i]])
+                for g, row in zip(asg.matched, decoded):
+                    gt = Box3D.from_array(scene.boxes[g])
                     vals.append(iou3d(Box3D.from_array(row), gt))
             mean_ious.append(np.mean(vals))
         # Spearman rank correlation between sigma and fidelity is negative
@@ -932,7 +942,6 @@ class TestStepWorkspace:
         for s, t, a in args[1:]:
             later = student_forward(p2, s)
             total_loss_and_grad(later, t, s, a, ds.grid)
-            base_loss(later, s, a, ds.grid)
         assert np.array_equal(out.logits, logits)
         assert np.array_equal(out.deltas, deltas)
         assert np.array_equal(dlogits, kept[0])
@@ -969,14 +978,16 @@ class TestStepWorkspace:
             for s, t, a in zip(ds.train_scenes, ds.teacher_train, ds.train_assignments)
         ]
         # Prebuilt, as in train: the step reads each scene's features.
-        scenes = [Scene.from_features(s.boxes, s.class_ids, s.features, s.seed) for s in ds.train_scenes]
+        features = [s.features for s in ds.train_scenes]
+        seeds = [s.seed for s in ds.train_scenes]
         gc.collect()
         tracemalloc.start()
         try:
             with closing(_SceneWorkers(1, _step_arena_floats(ds.grid))) as workers:
                 for batch in ([0, 1], [2, 0]):
                     _minibatch_grads(
-                        params, [scenes[i] for i in batch], [targets[i] for i in batch], cfg, None, workers
+                        params, [features[i] for i in batch], [seeds[i] for i in batch],
+                        [targets[i] for i in batch], cfg, None, workers,
                     )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1054,7 +1065,8 @@ class TestMinibatchStep:
                 for batch in batches:
                     flags_step, flags_loop = GeometryFlags(), GeometryFlags()
                     got, grads = _minibatch_grads(
-                        params, [ds.train_scenes[i] for i in batch], [targets[i] for i in batch],
+                        params, [ds.train_scenes[i].features for i in batch],
+                        [ds.train_scenes[i].seed for i in batch], [targets[i] for i in batch],
                         cfg, flags_step, workers,
                     )
                     want, want_grads = self._per_scene_loop(
@@ -1103,7 +1115,8 @@ class TestMinibatchStep:
         ]
         with closing(_SceneWorkers(1, _step_arena_floats(grid))) as workers:
             got, grads = _minibatch_grads(
-                params, [ds.train_scenes[i] for i in batch], targets, cfg, None, workers
+                params, [ds.train_scenes[i].features for i in batch],
+                [ds.train_scenes[i].seed for i in batch], targets, cfg, None, workers,
             )
         want, want_grads = self._per_scene_loop(
             params,
@@ -1242,7 +1255,8 @@ class TestWorkerCount:
 
         def background_position(i):
             asg = ds.train_assignments[i]
-            assert np.all(asg.labels[:k_a] == -1)  # position 0 holds only negatives
+            # Position 0 holds only negatives.
+            assert not np.any(asg.positive_indices < k_a) and not np.any(asg.ignore_indices < k_a)
             return np.array([0])
 
         features_of = {}
