@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import GeometryFlags, bev_iou, wrap_angle, wrap_angle_array
+from .geometry import GeometryFlags, bev_iou, in_footprint, wrap_angle, wrap_angle_array
 
 LABEL_NEGATIVE = -1
 LABEL_IGNORE = -2
@@ -341,13 +341,8 @@ def foreground_mask(grid: AnchorGrid, boxes: np.ndarray, dilation: float) -> np.
         raise ValueError(f"dilation must be >= 0, got {dilation}")
     centers = grid.position_centers
     mask = np.zeros(grid.n_positions, dtype=bool)
-    for cx, _, cz, l, w, _, yaw in boxes.tolist():
-        dx = centers[:, 0] - cx
-        dz = centers[:, 1] - cz
-        c, s = math.cos(yaw), math.sin(yaw)
-        u = dx * c + dz * s
-        v = -dx * s + dz * c
-        mask |= (np.abs(u) <= 0.5 * l + dilation) & (np.abs(v) <= 0.5 * w + dilation)
+    for box in boxes.tolist():
+        mask |= in_footprint(centers[:, 0], centers[:, 1], box, dilation)
     return mask
 
 

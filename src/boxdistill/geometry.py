@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -548,18 +548,26 @@ class MonteCarloIoU(NamedTuple):
     n_union_hits: int
 
 
-def _points_in_box(box: Box3D, pts: np.ndarray) -> np.ndarray:
-    """Boolean mask of sample points (n, 3 = x, y, z) inside an oriented box."""
-    dx = pts[:, 0] - box.cx
-    dz = pts[:, 2] - box.cz
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
+def in_footprint(
+    x: np.ndarray, z: np.ndarray, box: Sequence[float], margin: float = 0.0
+) -> np.ndarray:
+    """Boolean mask of the points (x, z) inside the BEV footprint of
+    ``box``, a (cx, cy, cz, l, w, h, yaw) row, grown by ``margin`` per
+    side: each point's offset is turned into the box's frame and compared
+    with the half extents plus the margin."""
+    cx, _, cz, l, w, _, yaw = box
+    dx = x - cx
+    dz = z - cz
+    c, s = math.cos(yaw), math.sin(yaw)
     u = dx * c + dz * s
     v = -dx * s + dz * c
-    return (
-        (np.abs(u) <= 0.5 * box.l)
-        & (np.abs(v) <= 0.5 * box.w)
-        & (np.abs(pts[:, 1] - box.cy) <= 0.5 * box.h)
-    )
+    return (np.abs(u) <= 0.5 * l + margin) & (np.abs(v) <= 0.5 * w + margin)
+
+
+def _points_in_box(box: Box3D, pts: np.ndarray) -> np.ndarray:
+    """Boolean mask of sample points (n, 3 = x, y, z) inside an oriented box."""
+    in_height = np.abs(pts[:, 1] - box.cy) <= 0.5 * box.h
+    return in_footprint(pts[:, 0], pts[:, 2], box.as_array().tolist()) & in_height
 
 
 def iou3d_mc_oracle(a: Box3D, b: Box3D, n_samples: int, seed: int) -> MonteCarloIoU:

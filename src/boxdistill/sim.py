@@ -30,7 +30,7 @@ from .anchors import (
 )
 from .blas import openblas_threads_set
 from .cld import LogitMap, UnifiedDistribution, cld_grad, cld_loss, unified_distribution
-from .geometry import Box3D, GeometryFlags, bev_iou, wrap_angle
+from .geometry import Box3D, GeometryFlags, bev_iou, in_footprint, wrap_angle
 from .xgd import (
     COMPONENT_NAMES,
     gate_decisions,
@@ -152,8 +152,7 @@ class Scene:
     ascending, and their noise-free ``rows``) and the state of the noise
     stream just before its ambient draw (``noise_state``, None without
     ambient noise).  ``features`` rebuilds the dense array from these on
-    each read.  A scene built from arbitrary dense features
-    (``from_features``) has every position visible and no noise state.
+    each read.
     """
 
     boxes: np.ndarray  # (n_gt, 7) rows (cx, cy, cz, l, w, h, yaw)
@@ -168,14 +167,6 @@ class Scene:
     def __post_init__(self) -> None:
         for arr in (self.boxes, self.class_ids, self.visible, self.rows):
             arr.setflags(write=False)
-
-    @classmethod
-    def from_features(
-        cls, boxes: np.ndarray, class_ids: np.ndarray, features: np.ndarray, seed: int
-    ) -> "Scene":
-        """A scene whose ``features`` are the given dense array itself."""
-        n = features.shape[0]
-        return cls(boxes, class_ids, np.arange(n), features, n, seed)
 
     @property
     def feature_dim(self) -> int:
@@ -299,17 +290,11 @@ def _embed_features(
 
     visible_gt = np.full(n, -1, dtype=np.int64)
     best_d2 = np.full(n, np.inf)
-    for g, (cx, _, cz, l, w, _, yaw) in enumerate(boxes.tolist()):
-        dx = centers[:, 0] - cx
-        dz = centers[:, 1] - cz
-        c, s = math.cos(yaw), math.sin(yaw)
-        u = dx * c + dz * s
-        v = -dx * s + dz * c
-        inside = (np.abs(u) <= 0.5 * l + FEATURE_DILATION) & (
-            np.abs(v) <= 0.5 * w + FEATURE_DILATION
-        )
+    for g, box in enumerate(boxes.tolist()):
+        dx = centers[:, 0] - box[0]
+        dz = centers[:, 1] - box[2]
         d2 = dx * dx + dz * dz
-        take = inside & (d2 < best_d2)
+        take = in_footprint(centers[:, 0], centers[:, 1], box, FEATURE_DILATION) & (d2 < best_d2)
         visible_gt[take] = g
         best_d2[take] = d2[take]
 
@@ -542,20 +527,14 @@ class _SceneWorkers:
 
             self._pool = ThreadPoolExecutor(max_workers=n - 1)
 
-    def map(
-        self,
-        fn: Callable[[int, StepWorkspace], object],
-        n_items: int,
-        first: Callable[[], object] | None = None,
-    ) -> list:
+    def map(self, fn: Callable[[int, StepWorkspace], object], n_items: int) -> list:
         """``[fn(k, workspace) for k in range(n_items)]``, in batch order.
 
         Each worker takes the next item from a shared counter and runs it
-        with its own workspace, so items start in batch order but may end
-        in any order.  With ``first``, the calling thread runs ``first()``
-        while the other workers take items, and takes items itself once it
-        returns.  Returns once every call has ended; if calls raised,
-        raises the exception of the lowest k, else that of ``first``.
+        with its own workspace, so items start in order but may end in
+        any order; an item may wait on a lower one, which has started
+        already.  Returns once every call has ended; if calls raised,
+        raises the exception of the lowest k.
         """
         results: list = [None] * n_items
         errors: dict[int, BaseException] = {}
@@ -574,24 +553,15 @@ class _SceneWorkers:
                 except BaseException as exc:  # re-raised below, on the calling thread
                     errors[k] = exc
 
-        # The calling thread takes an item at once unless it runs ``first``.
-        helpers = self.workspaces[1 : 1 + max(0, n_items - (first is None))]
         # Each helper runs in a copy of the caller's context, so numpy's
         # error state (np.errstate) holds on every worker.
+        helpers = self.workspaces[1:n_items]
         pending = [self._pool.submit(contextvars.copy_context().run, work, ws) for ws in helpers]
-        first_error = None
-        if first is not None:
-            try:
-                first()
-            except BaseException as exc:  # re-raised below, after the items
-                first_error = exc
         work(self.workspaces[0])
         for future in pending:
             future.result()
         if errors:
             raise errors[min(errors)]
-        if first_error is not None:
-            raise first_error
         return results
 
     def close(self) -> None:
@@ -601,13 +571,19 @@ class _SceneWorkers:
 
 
 def _head(
-    feats: np.ndarray, w: np.ndarray, b: np.ndarray, ws: StepWorkspace, width: int
+    feats: np.ndarray, w: np.ndarray, b: np.ndarray, ws: StepWorkspace, width: int,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """One linear head at every position, ``feats @ w + b``, computed into
-    a workspace array and returned as (n_anchors, width) rows."""
+    a workspace array and returned as (n_anchors, width) rows.  With
+    ``rows``, only those anchor rows, a new array: the bias is added at
+    them alone, as the same additions ``(feats @ w + b)[rows]`` makes."""
     if feats.shape[1] != w.shape[0]:
         raise ValueError(f"feature dim {feats.shape[1]} does not match params ({w.shape[0]})")
     out = np.matmul(feats, w, out=ws.array((feats.shape[0], w.shape[1])))
+    if rows is not None:
+        k_a = w.shape[1] // width
+        return out.reshape(-1, width)[rows] + b.reshape(k_a, width)[rows % k_a]
     out += b
     return out.reshape(-1, width)
 
@@ -863,7 +839,7 @@ class _SceneTargets:
     pos_positions: np.ndarray  # grid positions holding a positive, ascending
     target_deltas: np.ndarray  # (n_pos, 7) encoded ground truth
     # XGD runs on all positives ("gate") or on the confident ones.
-    xgd_rows: np.ndarray
+    xgd_rows: np.ndarray  # indices into pos
     xgd_anchors: np.ndarray
     xgd_teacher: np.ndarray  # decoded teacher boxes
     xgd_gt: np.ndarray  # ground-truth boxes ("gate" only)
@@ -894,14 +870,14 @@ def _scene_targets(
         anchors = grid.anchor_params[pos]
         teacher_rows = decode_deltas(teacher.deltas, anchors)
         if cfg.xgd_selection == "gate":
-            xgd_rows, xgd_anchors, xgd_teacher = pos, anchors, teacher_rows
+            xgd_rows, xgd_anchors, xgd_teacher = np.arange(pos.size), anchors, teacher_rows
             xgd_gt = scene.boxes[assignment.matched]
         else:
             # Box-level alternative: keep whole teacher boxes whose best
             # class score clears the confidence threshold.
             conf = sigmoid(teacher.logits).max(axis=1)
             chosen = np.flatnonzero(conf > cfg.confidence_threshold)
-            xgd_rows, xgd_anchors, xgd_teacher = pos[chosen], anchors[chosen], teacher_rows[chosen]
+            xgd_rows, xgd_anchors, xgd_teacher = chosen, anchors[chosen], teacher_rows[chosen]
     positions = pos[:0]
     cld_k_a = grid.k_a if cfg.cld_mode == "unified" else 1
     teacher_dist = None
@@ -934,19 +910,16 @@ class _RegressionTerms:
     reg: float
     base_rows: np.ndarray  # smooth-L1 gradient at the positives, / norm
     xgd_deltas: np.ndarray  # student deltas at the XGD rows
-    n_anchors: int
 
 
-def _regression_terms(
-    deltas_flat: np.ndarray, t: _SceneTargets, cfg: LossConfig
-) -> _RegressionTerms:
-    """Smooth-L1 regression term of one scene from its flat student deltas."""
-    sl, sg = _smooth_l1(deltas_flat[t.pos] - t.target_deltas, SMOOTH_L1_BETA)
+def _regression_terms(pos_deltas: np.ndarray, t: _SceneTargets) -> _RegressionTerms:
+    """Smooth-L1 regression term of one scene from its student deltas at
+    the positive anchors."""
+    sl, sg = _smooth_l1(pos_deltas - t.target_deltas, SMOOTH_L1_BETA)
     return _RegressionTerms(
         reg=float(sl.sum()) / t.norm,
         base_rows=sg / t.norm,
-        xgd_deltas=deltas_flat[t.xgd_rows],
-        n_anchors=deltas_flat.shape[0],
+        xgd_deltas=pos_deltas[t.xgd_rows],
     )
 
 
@@ -1027,13 +1000,14 @@ def _delta_grad(
     xgd_grad: np.ndarray | None,
     cfg: LossConfig,
     ws: StepWorkspace,
+    n_anchors: int,
 ) -> np.ndarray:
-    """Flat delta gradient of one scene, a workspace array: zero but for
-    the positive rows, the smooth-L1 rows plus the weighted XGD rows."""
-    ddeltas = ws.zeros((r.n_anchors, 7))
+    """(n_anchors, 7) delta gradient of one scene, a workspace array: zero
+    but for the positive rows, the smooth-L1 rows plus the weighted XGD rows."""
+    ddeltas = ws.zeros((n_anchors, 7))
     ddeltas[t.pos] = r.base_rows
     if xgd_grad is not None:
-        ddeltas[t.xgd_rows] += cfg.xgd_weight * xgd_grad
+        ddeltas[t.pos[t.xgd_rows]] += cfg.xgd_weight * xgd_grad
     return ddeltas
 
 
@@ -1069,27 +1043,27 @@ def total_loss_and_grad(
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
     """Loss breakdown plus gradients w.r.t. student logits and deltas.
 
-    The one-scene case of the training step: its phases in order, on one
-    fresh workspace.  Classification runs before XGD, so when both raise,
-    the error is the one the step raises.  Distillation targets (gated
-    boxes, teacher distributions) are detached snapshots; the gate itself
-    never contributes gradient.  With both distillation weights at 0,
-    ``ori`` is the hard-label objective alone: focal classification over
-    the non-ignore anchors plus smooth-L1 regression, both normalized by
-    max(1, n_pos).  Returned arrays have the dense (n_positions, k_a, *)
-    shape.
+    The one-scene case of the training step: its items in order, on one
+    fresh workspace.  XGD runs before classification, as in the step, so
+    when both raise, the error is the one the step raises.  Distillation
+    targets (gated boxes, teacher distributions) are detached snapshots;
+    the gate itself never contributes gradient.  With both distillation
+    weights at 0, ``ori`` is the hard-label objective alone: focal
+    classification over the non-ignore anchors plus smooth-L1 regression,
+    both normalized by max(1, n_pos).  Returned arrays have the dense
+    (n_positions, k_a, *) shape.
     """
     if student.logits.shape != teacher.grid_shape:
         raise ValueError("student and teacher outputs must share the grid layout")
     targets = _scene_targets(scene, assignment, grid, cfg, teacher)
     ws = StepWorkspace()
-    r = _regression_terms(student.deltas_flat, targets, cfg)
+    r = _regression_terms(student.deltas_flat[targets.pos], targets)
+    ((xgd_term, gate_keep, xgd_grad),) = _xgd_terms([r], [targets], cfg, flags)
     # The focal pass overwrites its logits; the outputs are read-only.
     logits = ws.array(student.logits_flat.shape)
     np.copyto(logits, student.logits_flat)
     cls_term, cld_term, dlogits = _classification_terms(logits, targets, cfg, ws)
-    ((xgd_term, gate_keep, xgd_grad),) = _xgd_terms([r], [targets], cfg, flags)
-    ddeltas = _delta_grad(r, targets, xgd_grad, cfg, ws)
+    ddeltas = _delta_grad(r, targets, xgd_grad, cfg, ws, student.deltas_flat.shape[0])
     return (
         _breakdown(targets, r, cls_term, cld_term, xgd_term, gate_keep, cfg),
         dlogits.reshape(student.logits.shape),
@@ -1195,24 +1169,28 @@ def _minibatch_grads(
     gradients (w_cls, b_cls, w_reg, b_reg) summed over its scenes, read as
     their dense (n_positions, feature_dim) features and their seeds.
 
-    Runs the three phases that ``train`` describes; the XGD pass is the
-    only part that writes ``flags``.  Each scene runs in the workspace of
-    the worker that takes it.  Raises _NonFiniteDeltas for the first scene
-    in batch order whose positive-anchor deltas are not finite, with that
-    scene's seed.
+    Runs the two phases that ``train`` describes, one ``workers.map``
+    each.  Item 0 of phase 2 is the XGD pass, the only part that writes
+    ``flags``; a delta item skips its products when that pass raised.
+    Each item runs in the workspace of the worker that takes it.  Raises
+    _NonFiniteDeltas for the first scene in batch order whose
+    positive-anchor deltas are not finite, with that scene's seed; in
+    phase 2, an XGD error before any scene's classification error.
     """
     k_a = params.w_reg.shape[1] // 7
     k_c = params.w_cls.shape[1] // k_a
     n = len(targets)
 
     def regression(k: int, ws: StepWorkspace) -> _RegressionTerms:
-        deltas = _head(features[k], params.w_reg, params.b_reg, ws, 7)
+        deltas = _head(features[k], params.w_reg, params.b_reg, ws, 7, targets[k].pos)
         # Decoding would reject non-finite deltas with a bare ValueError.
-        if not np.all(np.isfinite(deltas[targets[k].pos])):
+        if not np.all(np.isfinite(deltas)):
             raise _NonFiniteDeltas(seeds[k])
-        return _regression_terms(deltas, targets[k], cfg)
+        return _regression_terms(deltas, targets[k])
 
     regressed = workers.map(regression, n)
+    xgd: list = []
+    xgd_ended = threading.Event()
 
     def classification(k: int, ws: StepWorkspace) -> tuple[float, float, np.ndarray, np.ndarray]:
         feats = features[k]
@@ -1223,20 +1201,29 @@ def _minibatch_grads(
         # more than one column, and takes a quarter of its time.
         return cls_term, cld_term, feats.T @ dl, np.einsum("ij->j", dl)
 
-    xgd: list = []
-    classified = workers.map(
-        classification, n, first=lambda: xgd.extend(_xgd_terms(regressed, targets, cfg, flags))
-    )
-
-    def delta_products(k: int, ws: StepWorkspace) -> tuple[np.ndarray, np.ndarray]:
+    def delta_products(k: int, ws: StepWorkspace) -> tuple[np.ndarray, np.ndarray] | None:
+        xgd_ended.wait()
+        if not xgd:
+            return None  # the XGD pass raised, and map raises its error
         feats = features[k]
-        ddeltas = _delta_grad(regressed[k], targets[k], xgd[k][2], cfg, ws)
+        ddeltas = _delta_grad(regressed[k], targets[k], xgd[k][2], cfg, ws, feats.shape[0] * k_a)
         dd = ddeltas.reshape(feats.shape[0], -1)
         # Rows without a positive are zero; an axis-0 sum adds rows in
         # order, so skipping them leaves every bit of the sum unchanged.
         return feats.T @ dd, dd[targets[k].pos_positions].sum(axis=0)
 
-    products = workers.map(delta_products, n)
+    def item(i: int, ws: StepWorkspace):
+        if i > n:
+            return delta_products(i - n - 1, ws)
+        if i > 0:
+            return classification(i - 1, ws)
+        try:  # item 0: the XGD pass
+            xgd.extend(_xgd_terms(regressed, targets, cfg, flags))
+        finally:
+            xgd_ended.set()
+
+    done = workers.map(item, 2 * n + 1)
+    classified, products = done[1 : n + 1], done[n + 1 :]
     grads = [np.zeros_like(w) for w in (params.w_cls, params.b_cls, params.w_reg, params.b_reg)]
     # Added in batch order, whichever worker finished first, so every sum
     # is the same for any number of workers.
@@ -1278,21 +1265,22 @@ def train(
     loss of any scene, each for the first such scene in batch order;
     non-finite weights are reported after the Adam step.
 
-    A minibatch runs in three phases on min(batch size, scenes, usable
+    A minibatch runs in two phases on min(batch size, scenes, usable
     CPUs) workers: this thread and threads that live for this call, each
     with its own workspace (an arena allocated once per call, see
-    StepWorkspace), taking scenes in batch order as they come free.  First, per scene, the regression head, the finiteness check of
-    the positive deltas and the smooth-L1 term.  Second, the XGD pass over
-    the whole minibatch on this thread (one batched clip for its losses
-    and its IoU gradient), while the other workers run each scene's
-    classification head, focal loss, CLD and logit-gradient products;
-    this thread joins them when XGD ends.  Third, per scene, the
-    delta-gradient products.  Every scene goes through the same
-    operations on whichever worker runs it, and its products are added
-    into the weight gradients in batch order, so weights, history and
-    ``flags`` are the same bits for any number of workers.  OpenBLAS runs
-    on one thread during training, and the caller's thread count is
-    restored when training returns or raises.
+    StepWorkspace), taking items in order from a shared counter as they
+    come free.  First, per scene, the regression head at the positive
+    anchors, their finiteness check and the smooth-L1 term.  Second, one
+    map of 2n + 1 items for n scenes: item 0 is the XGD pass over the
+    whole minibatch (one batched clip for its losses and its IoU
+    gradient); then, per scene, the classification head, focal loss, CLD
+    and logit-gradient products; then, per scene, the delta-gradient
+    products, each of which waits until the XGD pass has ended.  Every
+    scene goes through the same operations on whichever worker runs it,
+    and its products are added into the weight gradients in batch order,
+    so weights, history and ``flags`` are the same bits for any number of
+    workers.  OpenBLAS runs on one thread during training, and the
+    caller's thread count is restored when training returns or raises.
     """
     return _train(
         grid, scenes, teacher_outputs, assignments, loss_cfg, opt_cfg, seed, flags, _usable_cpus()

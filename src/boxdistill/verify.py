@@ -49,6 +49,13 @@ def rows(boxes) -> np.ndarray:
     return np.array([b.as_array() for b in boxes]).reshape(-1, 7)
 
 
+def dense_scene(boxes, class_ids, features, seed: int) -> sim_mod.Scene:
+    """A scene whose ``features`` are the given dense array itself: every
+    position visible, no noise state."""
+    n = features.shape[0]
+    return sim_mod.Scene(boxes, class_ids, np.arange(n), features, n, seed)
+
+
 def near_pair(rng: np.random.Generator) -> tuple[Box3D, Box3D]:
     a = random_box(rng)
     b = Box3D(
@@ -842,7 +849,7 @@ def check_training_grad_fd(n_states: int = 5) -> CheckResult:
             sim_mod.generate_scene(int(rng.integers(1 << 30)), cfg.scene, grid) for _ in range(2)
         ]
         # Rebuilt once: every forward pass below reads these features.
-        scenes = [sim_mod.Scene.from_features(s.boxes, s.class_ids, s.features, s.seed) for s in scenes]
+        scenes = [dense_scene(s.boxes, s.class_ids, s.features, s.seed) for s in scenes]
         asgs = [
             anchors_mod.assign_targets(grid, s.boxes, s.class_ids, thresholds, cfg.foreground_dilation)
             for s in scenes

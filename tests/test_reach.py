@@ -32,7 +32,6 @@ UNREACHED = {
     "config.default_config": "config default: every command here loads a config file",
     "config.default_arm_matrix": "config default: the loaded config lists its arms",
     "config.save_config": "documented in the README for writing config files",
-    "sim.Scene.from_features": "builds verify's dense scenes",
 }
 
 

@@ -25,7 +25,7 @@ from boxdistill.sim import (
     total_loss_and_grad,
     train,
 )
-from boxdistill.verify import dense_assignment
+from boxdistill.verify import dense_assignment, dense_scene
 
 
 def assign(cfg, grid, scene):
@@ -186,7 +186,7 @@ class TestSceneArrays:
         for features in (first, second):
             with pytest.raises(ValueError):
                 features[0, 0] = 1.0
-        dense = Scene.from_features(scene.boxes, scene.class_ids, first, scene.seed)
+        dense = dense_scene(scene.boxes, scene.class_ids, first, scene.seed)
         assert dense.features is first and dense.visible.size == dense.n_positions
 
     def test_features_are_the_visible_rows_plus_ambient_noise(self):
@@ -236,7 +236,7 @@ class TestStudentForward:
         cfg, grid, scene, _ = small_setup()
         feats = scene.features.copy()
         feats[5] = feats[3]
-        twin = Scene.from_features(scene.boxes, scene.class_ids, feats, scene.seed)
+        twin = dense_scene(scene.boxes, scene.class_ids, feats, scene.seed)
         params = DetectorParams.init(1, cfg.scene.feature_dim, grid.k_a, grid.k_c)
         out = student_forward(params, twin)
         assert np.array_equal(out.logits[5], out.logits[3])
@@ -519,7 +519,7 @@ class TestBaseLoss:
 
     def test_no_positives_zero_regression(self):
         cfg, grid, scene, _ = small_setup()
-        bare = Scene.from_features(
+        bare = dense_scene(
             boxes=np.zeros((0, 7)), class_ids=np.zeros(0, dtype=np.int64),
             features=scene.features, seed=0,
         )
@@ -996,9 +996,9 @@ class TestStepWorkspace:
 
 
 class TestMinibatchStep:
-    """The minibatch step (three phases on workers, one XGD pass for all
-    its scenes) must equal a per-scene loop over the public
-    total_loss_and_grad, which runs the phases in order, bit for bit."""
+    """The minibatch step (two phases on workers, one XGD pass for all its
+    scenes) must equal a per-scene loop over the public
+    total_loss_and_grad, which runs the items in order, bit for bit."""
 
     @staticmethod
     def _dataset():
@@ -1162,7 +1162,7 @@ class TestMinibatchStep:
             teacher_rows = np.concatenate([t.xgd_teacher for t in targets])
             for params in param_sets:
                 terms = [
-                    _regression_terms(student_forward(params, s).deltas_flat, t, cfg)
+                    _regression_terms(student_forward(params, s).deltas_flat[t.pos], t)
                     for s, t in zip(ds.train_scenes, targets)
                 ]
                 got = _xgd_terms(terms, targets, cfg, None)
@@ -1208,6 +1208,96 @@ class TestMinibatchStep:
         # 5 scenes: batches of 4 and 1 per epoch; teacher boxes decoded once
         # per scene.  Each pass scores its losses and gradient in one clip.
         assert counts == {"gate": 4, "fused": 4, "fd": 0, "iou3d": 0, "decode": 4 + 5}
+
+    @staticmethod
+    def _step_on(n_workers, ds, cfg, params, batch):
+        from contextlib import closing
+
+        from boxdistill.sim import _minibatch_grads, _scene_targets, _SceneWorkers, _step_arena_floats
+
+        targets = [
+            _scene_targets(ds.train_scenes[i], ds.train_assignments[i], ds.grid, cfg, ds.teacher_train[i])
+            for i in batch
+        ]
+        with closing(_SceneWorkers(n_workers, _step_arena_floats(ds.grid))) as workers:
+            return _minibatch_grads(
+                params, [ds.train_scenes[i].features for i in batch],
+                [ds.train_scenes[i].seed for i in batch], targets, cfg, None, workers,
+            )
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_no_delta_product_starts_before_the_xgd_pass_returns(self, n_workers, monkeypatch):
+        import threading
+        import time
+
+        import boxdistill.sim as sim_mod
+
+        ds, (_, params, _) = self._dataset()
+        batch, cfg = [0, 1, 2, 3], LossConfig()
+        want = self._step_on(1, ds, cfg, params, batch)
+        log = []
+        xgd_terms, delta_grad = sim_mod._xgd_terms, sim_mod._delta_grad
+
+        def slow_xgd(*args):
+            # Long enough for the classification items to end before it.
+            time.sleep(0.1)
+            out = xgd_terms(*args)
+            log.append(("xgd returned", threading.current_thread()))
+            return out
+
+        def logged_delta_grad(*args):
+            log.append(("delta product", threading.current_thread()))
+            return delta_grad(*args)
+
+        monkeypatch.setattr(sim_mod, "_xgd_terms", slow_xgd)
+        monkeypatch.setattr(sim_mod, "_delta_grad", logged_delta_grad)
+        threads = threading.active_count()
+        got = self._step_on(n_workers, ds, cfg, params, batch)
+        assert threading.active_count() == threads
+        assert [what for what, _ in log] == ["xgd returned"] + ["delta product"] * len(batch)
+        if n_workers > 1:
+            assert len({thread for _, thread in log}) > 1  # the products did not all run inline
+        assert got[0] == want[0]
+        for g, w in zip(got[1], want[1]):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_an_xgd_error_skips_every_delta_product_and_is_raised(self, n_workers, monkeypatch):
+        import threading
+        import time
+
+        import boxdistill.sim as sim_mod
+
+        class XgdError(Exception):
+            pass
+
+        class ClassificationError(Exception):
+            pass
+
+        ds, (_, params, _) = self._dataset()
+        products = []
+        delta_grad, classification_terms = sim_mod._delta_grad, sim_mod._classification_terms
+
+        def failing_xgd(*args):
+            time.sleep(0.05)  # the delta items are waiting by now
+            raise XgdError()
+
+        def logged_delta_grad(*args):
+            products.append(args)
+            return delta_grad(*args)
+
+        def failing_classification(*args):
+            raise ClassificationError()
+
+        monkeypatch.setattr(sim_mod, "_xgd_terms", failing_xgd)
+        monkeypatch.setattr(sim_mod, "_delta_grad", logged_delta_grad)
+        threads = threading.active_count()
+        for classification in (classification_terms, failing_classification):
+            monkeypatch.setattr(sim_mod, "_classification_terms", classification)
+            with pytest.raises(XgdError):
+                self._step_on(n_workers, ds, LossConfig(), params, [0, 1, 2, 3])
+            assert products == []
+        assert threading.active_count() == threads
 
 
 class TestWorkerCount:
@@ -1267,7 +1357,7 @@ class TestWorkerCount:
                 scene = scenes[i]
                 features = scene.features.copy()
                 features[rows_of(i)] = np.inf
-                scenes[i] = Scene.from_features(scene.boxes, scene.class_ids, features, scene.seed)
+                scenes[i] = dense_scene(scene.boxes, scene.class_ids, features, scene.seed)
                 features_of[i] = features  # what training's heads read
             return scenes
 
@@ -1280,11 +1370,11 @@ class TestWorkerCount:
         second_done = {7: threading.Event(), ds.grid.k_c: threading.Event()}
         head = sim_mod._head
 
-        def second_first(feats, w, b, ws, width):
+        def second_first(feats, w, b, ws, width, *rows):
             if feats is features_of[first]:
                 assert second_done[width].wait(timeout=10)
                 time.sleep(0.02)  # for the second scene's check to raise
-            out = head(feats, w, b, ws, width)
+            out = head(feats, w, b, ws, width, *rows)
             if feats is features_of[second]:
                 second_done[width].set()
             return out
@@ -1318,21 +1408,22 @@ class TestWorkerCount:
 
         def divide(k, _):
             if threading.current_thread() is threading.main_thread():
+                # The calling thread's item waits until an item has run on
+                # the helper, so the helper takes one.
+                assert on_helper.wait(timeout=10)
                 return None
             try:
                 return np.ones(1) / np.zeros(1)
             finally:
                 on_helper.set()
 
-        # The calling thread waits in ``first`` until an item has run on the helper.
         with closing(_SceneWorkers(2)) as workers, np.errstate(divide="raise"):
             with pytest.raises(FloatingPointError):
-                workers.map(divide, 2, first=lambda: on_helper.wait(timeout=10))
+                workers.map(divide, 2)
 
 
 class TestSceneWorkers:
-    """The scheduler of the minibatch phases: a shared item counter, and an
-    optional first callable on the calling thread."""
+    """The scheduler of the minibatch phases: a shared item counter."""
 
     @staticmethod
     def _workers(n):
@@ -1372,41 +1463,9 @@ class TestSceneWorkers:
         assert threading.active_count() == threads  # every worker thread was joined
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
-    def test_first_runs_on_the_calling_thread_while_helpers_take_items(self, n_workers):
-        import threading
-        from contextlib import closing
-
-        ran_on = {}
-        first_log = []
-        helper_ran = threading.Event()
-
-        def fn(k, ws):
-            ran_on[k] = threading.current_thread()
-            if ran_on[k] is not threading.main_thread():
-                helper_ran.set()
-            return k
-
-        def first():
-            first_log.append((threading.current_thread(), dict(ran_on)))
-            if n_workers > 1:
-                # Items keep running on the helpers while this thread waits.
-                assert helper_ran.wait(timeout=10)
-
-        threads = threading.active_count()
-        with closing(self._workers(n_workers)) as workers:
-            assert workers.map(fn, 4, first=first) == [0, 1, 2, 3]
-        assert threading.active_count() == threads
-        (thread, seen_before), = first_log
-        assert thread is threading.main_thread()
-        assert sorted(ran_on) == [0, 1, 2, 3]
-        if n_workers == 1:
-            assert seen_before == {}  # inline: first, then every item
-            assert set(ran_on.values()) == {threading.main_thread()}
-        else:
-            assert any(t is not threading.main_thread() for t in ran_on.values())
-
-    @pytest.mark.parametrize("n_workers", [1, 2, 3])
     def test_lowest_item_error_comes_before_the_first_callables(self, n_workers):
+        # The first callable to fail is item 4's: on more than one worker,
+        # item 2 waits until it has raised.  Item 2's error is raised.
         import threading
         from collections import Counter
         from contextlib import closing
@@ -1414,31 +1473,23 @@ class TestSceneWorkers:
         class ItemError(Exception):
             pass
 
-        class FirstError(Exception):
-            pass
-
         runs = Counter()
+        four_raised = threading.Event()
 
         def fn(k, ws):
             runs[k] += 1
+            if k == 2 and n_workers > 1:
+                assert four_raised.wait(timeout=10)
+            if k == 4:
+                four_raised.set()
             if k in (2, 4):
                 raise ItemError(k)
             return k
 
-        def first():
-            raise FirstError()
-
         threads = threading.active_count()
         with closing(self._workers(n_workers)) as workers:
             with pytest.raises(ItemError) as info:
-                workers.map(fn, 6, first=first)
-            assert info.value.args == (2,)
-            assert runs == Counter(range(6))  # the calling thread still took items
-            runs.clear()
-            with pytest.raises(FirstError):
-                workers.map(lambda k, ws: runs.update([k]), 3, first=first)
-            assert runs == Counter(range(3))
-            with pytest.raises(ItemError) as info:
                 workers.map(fn, 6)
             assert info.value.args == (2,)
+            assert runs == Counter(range(6))  # every item still ran
         assert threading.active_count() == threads
