@@ -35,6 +35,18 @@ class ClassSpec:
     neg_iou: float = 0.45
     eval_iou: float = 0.5
 
+    def __post_init__(self) -> None:
+        # Positive tests, so that NaN fails too.
+        if not (self.l > 0 and self.w > 0 and self.h > 0):
+            raise ValueError(f"l, w and h must be positive, got {[self.l, self.w, self.h]}")
+        if not (0 <= self.neg_iou <= self.pos_iou <= 1 and self.pos_iou > 0):
+            raise ValueError(
+                f"neg_iou {self.neg_iou} and pos_iou {self.pos_iou} must satisfy "
+                "0 <= neg_iou <= pos_iou <= 1 and pos_iou > 0"
+            )
+        if not 0 < self.eval_iou <= 1:
+            raise ValueError(f"eval_iou must be in (0, 1], got {self.eval_iou}")
+
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -54,6 +66,31 @@ class GridConfig:
         ClassSpec("cyclist", 1.76, 0.6, 1.73, cy=1.0, pos_iou=0.4, neg_iou=0.15),
     )
     rotations: tuple[float, ...] = (0.0, math.pi / 2)
+
+    def __post_init__(self) -> None:
+        # Positive tests, so that NaN fails too.
+        if not (self.cell[0] > 0 and self.cell[1] > 0):
+            raise ValueError(f"cell must be positive, got {list(self.cell)}")
+        for name in ("x_range", "z_range"):
+            lo, hi = getattr(self, name)
+            if not lo < hi:
+                raise ValueError(f"{name} must be ordered low < high, got {[lo, hi]}")
+        if self.nx < 1 or self.nz < 1:
+            raise ValueError(f"x_range and z_range must each span a cell, got nx={self.nx}, nz={self.nz}")
+        if not self.classes:
+            raise ValueError("classes must hold at least one class template")
+        if not self.rotations:
+            raise ValueError("rotations must hold at least one angle")
+
+    @property
+    def nx(self) -> int:
+        """Whole cells along x."""
+        return int(math.floor((self.x_range[1] - self.x_range[0]) / self.cell[0] + 1e-9))
+
+    @property
+    def nz(self) -> int:
+        """Whole cells along z."""
+        return int(math.floor((self.z_range[1] - self.z_range[0]) / self.cell[1] + 1e-9))
 
 
 @dataclass(frozen=True)
@@ -128,19 +165,8 @@ def build_anchor_grid(config: GridConfig) -> AnchorGrid:
     """Lay out the anchor grid described by ``config``.
 
     Positions are cell centers, so every anchor center falls strictly
-    inside the detection range.  Raises ValueError on an empty grid.
+    inside the detection range (GridConfig rejects an empty grid).
     """
-    dx, dz = config.cell
-    if dx <= 0 or dz <= 0:
-        raise ValueError(f"cell sizes must be positive, got {config.cell}")
-    if config.x_range[1] <= config.x_range[0] or config.z_range[1] <= config.z_range[0]:
-        raise ValueError("range bounds must be ordered low < high")
-    nx = int(math.floor((config.x_range[1] - config.x_range[0]) / dx + 1e-9))
-    nz = int(math.floor((config.z_range[1] - config.z_range[0]) / dz + 1e-9))
-    if nx < 1 or nz < 1:
-        raise ValueError(f"grid is empty: nx={nx}, nz={nz}")
-    if not config.classes:
-        raise ValueError("at least one class template is required")
     templates = tuple(
         AnchorTemplate(class_id=c, l=spec.l, w=spec.w, h=spec.h, yaw=wrap_angle(rot), cy=spec.cy)
         for c, spec in enumerate(config.classes)
@@ -148,9 +174,9 @@ def build_anchor_grid(config: GridConfig) -> AnchorGrid:
     )
     return AnchorGrid(
         origin=(config.x_range[0], config.z_range[0]),
-        cell=(dx, dz),
-        nx=nx,
-        nz=nz,
+        cell=config.cell,
+        nx=config.nx,
+        nz=config.nz,
         templates=templates,
         k_c=len(config.classes),
         class_names=tuple(spec.name for spec in config.classes),

@@ -80,6 +80,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     config = _load(args.config)
     params, meta = load_params(args.params)
+    trained_under, scored_under = meta["config_hash"], config_hash(config)
+    if trained_under and trained_under != scored_under:
+        print(
+            f"note: {args.params} was trained under config {trained_under}, "
+            f"scored here under {scored_under}",
+            file=sys.stderr,
+        )
     seed = meta.get("seed")
     if seed is None:
         seed = config.seeds[0]

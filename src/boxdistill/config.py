@@ -101,6 +101,13 @@ class ExperimentConfig:
             self.scene.check_classes(len(self.grid.classes))
         except ValueError as exc:
             raise ConfigError(f"scene: {exc}") from None
+        # Objects are placed at least border_margin inside the grid's edges.
+        extent = min(self.grid.nx * self.grid.cell[0], self.grid.nz * self.grid.cell[1])
+        if not 2 * self.scene.border_margin < extent:
+            raise ConfigError(
+                f"scene: border_margin {self.scene.border_margin} leaves no placement range "
+                f"on a grid {extent} m across"
+            )
 
     def assignment_thresholds(self) -> dict[int, tuple[float, float]]:
         return {

@@ -112,8 +112,9 @@ def _logit_floor(p: float) -> float:
 
 def _greedy_nms(boxes: Sequence[Box3D], nms_iou: float) -> list[int]:
     """Indices kept by greedy suppression; input must be rank-ordered."""
-    # Scalar pairs on purpose: the scan stops at the first suppressing box,
-    # so batched bev_iou calls measured slower on every benchmark workload.
+    # Scalar pairs on purpose: one array bev_iou call over each class set's
+    # lower triangle keeps the same boxes, is no faster on a trained
+    # student's 16 or 256 validation scenes, and is more code.
     keep: list[int] = []
     for i in range(len(boxes)):
         if all(bev_iou(boxes[i], boxes[k]) <= nms_iou for k in keep):

@@ -450,10 +450,10 @@ class DetectorParams:
 
 
 def _step_arena_floats(grid: AnchorGrid) -> int:
-    """Floats in a training worker's arena: the largest phase of a scene's
+    """Floats in a training worker's arena: the largest item of a scene's
     step, the classification side's four (n_anchors, k_c) arrays (logits,
     two focal temporaries, logit gradient), or one (n_anchors, 7) array
-    (the regression head's output, then the delta gradient)."""
+    (a regression head's output, then the delta gradient)."""
     return max(4 * grid.k_c, 7) * grid.n_anchors
 
 
@@ -462,9 +462,9 @@ class StepWorkspace:
 
     With an ``arena`` (``train`` gives each worker one, sized by
     _step_arena_floats), ``array`` and ``zeros`` hand out the arena's next
-    unused stretch, and ``_SceneWorkers.map`` rewinds it before each item:
-    an array handed out lives until that worker's next item, so nothing an
-    item returns may be a workspace array.  Without one, each array is
+    unused stretch, and ``_SceneWorkers.map`` rewinds it before each item
+    (a minibatch's item 0 also rewinds it before each scene), so nothing
+    an item returns may be a workspace array.  Without one, each array is
     allocated exactly; the one-scene public functions run on such a fresh
     workspace, so what they return is never overwritten.
     """
@@ -504,7 +504,7 @@ def _usable_cpus() -> int:
 
 
 class _SceneWorkers:
-    """Workers for the per-scene phases of a minibatch.
+    """Workers for the one map of a minibatch.
 
     Worker 0 is the calling thread; the others are threads of one pool,
     stopped by ``close``.  Each worker runs with its own StepWorkspace,
@@ -1151,15 +1151,14 @@ class _Adam:
 
 
 class _NonFiniteDeltas(Exception):
-    def __init__(self, scene_seed: int):
-        super().__init__(scene_seed)
-        self.scene_seed = scene_seed
+    def __init__(self, position: int):
+        super().__init__(position)
+        self.position = position  # in the minibatch
 
 
 def _minibatch_grads(
     params: DetectorParams,
     features: Sequence[np.ndarray],
-    seeds: Sequence[int],
     targets: Sequence[_SceneTargets],
     cfg: LossConfig,
     flags: GeometryFlags | None,
@@ -1167,28 +1166,20 @@ def _minibatch_grads(
 ) -> tuple[list[LossBreakdown], list[np.ndarray]]:
     """One optimizer minibatch: per-scene breakdowns and the weight
     gradients (w_cls, b_cls, w_reg, b_reg) summed over its scenes, read as
-    their dense (n_positions, feature_dim) features and their seeds.
+    their dense (n_positions, feature_dim) features.
 
-    Runs the two phases that ``train`` describes, one ``workers.map``
-    each.  Item 0 of phase 2 is the XGD pass, the only part that writes
-    ``flags``; a delta item skips its products when that pass raised.
-    Each item runs in the workspace of the worker that takes it.  Raises
-    _NonFiniteDeltas for the first scene in batch order whose
-    positive-anchor deltas are not finite, with that scene's seed; in
-    phase 2, an XGD error before any scene's classification error.
+    Runs the one ``workers.map`` that ``train`` describes.  Item 0 computes
+    every scene's regression terms, then runs the XGD pass, the only part
+    that writes ``flags``; a delta item skips its products when item 0
+    raised.  Each item runs in the workspace of the worker that takes it.
+    Raises _NonFiniteDeltas with the batch position of the first scene in
+    batch order whose positive-anchor deltas are not finite; that, or an
+    XGD error, before any scene's classification error.
     """
     k_a = params.w_reg.shape[1] // 7
     k_c = params.w_cls.shape[1] // k_a
     n = len(targets)
-
-    def regression(k: int, ws: StepWorkspace) -> _RegressionTerms:
-        deltas = _head(features[k], params.w_reg, params.b_reg, ws, 7, targets[k].pos)
-        # Decoding would reject non-finite deltas with a bare ValueError.
-        if not np.all(np.isfinite(deltas)):
-            raise _NonFiniteDeltas(seeds[k])
-        return _regression_terms(deltas, targets[k])
-
-    regressed = workers.map(regression, n)
+    regressed: list[_RegressionTerms] = []
     xgd: list = []
     xgd_ended = threading.Event()
 
@@ -1204,7 +1195,7 @@ def _minibatch_grads(
     def delta_products(k: int, ws: StepWorkspace) -> tuple[np.ndarray, np.ndarray] | None:
         xgd_ended.wait()
         if not xgd:
-            return None  # the XGD pass raised, and map raises its error
+            return None  # item 0 raised, and map raises its error
         feats = features[k]
         ddeltas = _delta_grad(regressed[k], targets[k], xgd[k][2], cfg, ws, feats.shape[0] * k_a)
         dd = ddeltas.reshape(feats.shape[0], -1)
@@ -1217,7 +1208,14 @@ def _minibatch_grads(
             return delta_products(i - n - 1, ws)
         if i > 0:
             return classification(i - 1, ws)
-        try:  # item 0: the XGD pass
+        try:  # item 0: every scene's regression terms, then the XGD pass
+            for k, t in enumerate(targets):
+                ws.rewind()  # each head's rows are read out at once
+                deltas = _head(features[k], params.w_reg, params.b_reg, ws, 7, t.pos)
+                # Decoding would reject non-finite deltas with a bare ValueError.
+                if not np.all(np.isfinite(deltas)):
+                    raise _NonFiniteDeltas(k)
+                regressed.append(_regression_terms(deltas, t))
             xgd.extend(_xgd_terms(regressed, targets, cfg, flags))
         finally:
             xgd_ended.set()
@@ -1265,20 +1263,20 @@ def train(
     loss of any scene, each for the first such scene in batch order;
     non-finite weights are reported after the Adam step.
 
-    A minibatch runs in two phases on min(batch size, scenes, usable
-    CPUs) workers: this thread and threads that live for this call, each
-    with its own workspace (an arena allocated once per call, see
-    StepWorkspace), taking items in order from a shared counter as they
-    come free.  First, per scene, the regression head at the positive
-    anchors, their finiteness check and the smooth-L1 term.  Second, one
-    map of 2n + 1 items for n scenes: item 0 is the XGD pass over the
-    whole minibatch (one batched clip for its losses and its IoU
-    gradient); then, per scene, the classification head, focal loss, CLD
-    and logit-gradient products; then, per scene, the delta-gradient
-    products, each of which waits until the XGD pass has ended.  Every
-    scene goes through the same operations on whichever worker runs it,
-    and its products are added into the weight gradients in batch order,
-    so weights, history and ``flags`` are the same bits for any number of
+    A minibatch is one map of 2n + 1 items for n scenes, run on min(batch
+    size, scenes, usable CPUs) workers: this thread and threads that live
+    for this call, each with its own workspace (an arena allocated once
+    per call, see StepWorkspace), taking items in order from a shared
+    counter as they come free.  Item 0 computes, scene by scene in batch
+    order, the regression head at the positive anchors, their finiteness
+    check and the smooth-L1 term, then runs the XGD pass over the whole
+    minibatch (one batched clip for its losses and its IoU gradient);
+    then, per scene, the classification head, focal loss, CLD and
+    logit-gradient products; then, per scene, the delta-gradient
+    products, each of which waits until item 0 has ended.  Every scene
+    goes through the same operations on whichever worker runs it, and its
+    products are added into the weight gradients in batch order, so
+    weights, history and ``flags`` are the same bits for any number of
     workers.  OpenBLAS runs on one thread during training, and the
     caller's thread count is restored when training returns or raises.
     """
@@ -1351,14 +1349,14 @@ def _train(
                     breakdowns, grads = _minibatch_grads(
                         DetectorParams(weights[0], weights[1], weights[2], weights[3]),
                         [features[si] for si in batch],
-                        [scenes[si].seed for si in batch],
                         [targets[si] for si in batch],
                         loss_cfg,
                         flags,
                         workers,
                     )
                 except _NonFiniteDeltas as exc:
-                    raise diverged("non-finite positive-anchor deltas", epoch, exc.scene_seed) from None
+                    scene_seed = scenes[batch[exc.position]].seed
+                    raise diverged("non-finite positive-anchor deltas", epoch, scene_seed) from None
                 for si, breakdown in zip(batch, breakdowns):
                     if not math.isfinite(breakdown.total):
                         raise diverged("non-finite loss", epoch, scenes[si].seed, breakdown=breakdown)

@@ -869,8 +869,7 @@ def check_training_grad_fd(n_states: int = 5) -> CheckResult:
         flags = geom.GeometryFlags()
         with closing(sim_mod._SceneWorkers(1, sim_mod._step_arena_floats(grid))) as workers:
             _, grads = sim_mod._minibatch_grads(
-                params, [s.features for s in scenes], [s.seed for s in scenes], targets, cfg.loss,
-                flags, workers,
+                params, [s.features for s in scenes], targets, cfg.loss, flags, workers
             )
         if flags.gradient_clipped or flags.degenerate_union or flags.size_clamped:
             continue  # stay away from flagged non-smooth configurations
@@ -913,7 +912,7 @@ def check_threaded_step_bit_identity() -> CheckResult:
 
     The inline run is the oracle.  Batches hold 4 scenes, so 3 workers
     split one 2 + 1 + 1.  The interpreter switches threads every 10 us so
-    that they interleave inside the phases, not only between them.
+    that they interleave inside the map's items, not only between them.
     """
     t0 = time.time()
     n_train_scenes, epochs = 8, 2

@@ -38,10 +38,9 @@ def test_names_read_outside_hooks_resolve():
     assert callable(getattr(geometry, "iou3d_mc_oracle", None))
 
 
-def test_dense_eval_workload_pass(monkeypatch):
-    """One pass of the benchmark's ``dense_eval`` workload through the
-    package's current API: no failed operation, and the CSV it has always
-    hashed to."""
+def _workload_pass(monkeypatch, name):
+    """One build and one train-and-evaluate pass of the benchmark's workload
+    ``name`` at seed 0, through the package's current API."""
     bench = SPANS.parent
     monkeypatch.syspath_prepend(str(bench))
     spec = importlib.util.spec_from_file_location("boxdistill_bench_run", bench / "run.py")
@@ -52,9 +51,26 @@ def test_dense_eval_workload_pass(monkeypatch):
         spec.loader.exec_module(run)
     finally:
         sys.modules.pop("spans", None)
-    work = run.Workload("dense_eval", 0, (anchors, config, experiments, geometry, sim))
+    work = run.Workload(name, 0, (anchors, config, experiments, geometry, sim))
     ops = run.Ops()
     datasets = work.build(ops)
     result = work.train_and_evaluate(datasets, ops)
+    return ops, result
+
+
+def test_dense_eval_workload_pass(monkeypatch):
+    """One pass of the benchmark's ``dense_eval`` workload: no failed
+    operation, and the CSV it has always hashed to."""
+    ops, result = _workload_pass(monkeypatch, "dense_eval")
     assert (ops.attempted, ops.failed) == (6, 0), ops.failures
     assert result["csv_sha256"].startswith("fc7f124b7b2f")
+
+
+def test_baseline_workload_pass(monkeypatch):
+    """One pass of the benchmark's ``baseline`` workload, which trains: a
+    change that breaks the training path fails here, not only in a
+    benchmark run.  The CSV hash is the same under the SkylakeX, Haswell
+    and Sandybridge OpenBLAS kernels."""
+    ops, result = _workload_pass(monkeypatch, "baseline")
+    assert (ops.attempted, ops.failed) == (3, 0), ops.failures
+    assert result["csv_sha256"].startswith("6af726542c4f")

@@ -71,9 +71,27 @@ def test_train_then_eval(tiny_config_path, tmp_path, capsys):
     assert (out / "history_seed0.json").exists()
     capsys.readouterr()
     assert main(["eval", str(tiny_config_path), str(params)]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
     assert "mean_ap3d" in payload
     assert payload["per_class"][0]["class"] == "car"
+    assert captured.err == ""
+
+
+def test_eval_notes_params_trained_under_another_config(tiny_config_path, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", str(tiny_config_path), "--out", str(out)]) == 0
+    params = out / "params_seed0.json"
+    trained_under = load_params(params)[1]["config_hash"]
+    config, other = load_config(tiny_config_path), tmp_path / "other.json"
+    save_config(dataclasses.replace(config, scene=dataclasses.replace(config.scene, n_objects=(2, 4))), other)
+    capsys.readouterr()
+    assert main(["eval", str(other), str(params)]) == 0
+    captured = capsys.readouterr()
+    scored_under = json.loads(captured.out)["config_hash"]
+    assert scored_under != trained_under
+    # The status and the JSON stay as they are; stderr names both hashes.
+    assert trained_under in captured.err and scored_under in captured.err
 
 
 def test_eval_names_the_head_widths_of_params_from_another_grid(tiny_config_path, tmp_path, capsys):
@@ -139,8 +157,9 @@ def test_config_error_exit_code(tmp_path, capsys):
     # An evaluation setting out of range is refused before training too, and
     # so are the keys of the fixed conventions (Adam's beta1, the scene
     # sampler's gap, the smooth-L1 beta), a repeated seed, a repeated arm
-    # name, a negative foreground dilation and scene settings that cannot
-    # sample a scene on the grid (not left to the dataset build).
+    # name, a negative foreground dilation, scene settings that cannot
+    # sample a scene on the grid and a grid without rotations (not left to
+    # the dataset build).
     for bad_config in (
         {"optimizer": {"epoch": 3}},
         {"eval": {"nms_iou": 0}},
@@ -154,6 +173,7 @@ def test_config_error_exit_code(tmp_path, capsys):
         {"scene": {"feature_dim": 8}},
         {"scene": {"class_weights": [1, 1]}},
         {"scene": {"max_rejects": 0}},
+        {"grid": {"rotations": []}},
     ):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(bad_config))

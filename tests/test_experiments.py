@@ -94,6 +94,23 @@ class TestConfig:
         ):
             with pytest.raises(ConfigError, match=f"eval: {key}"):
                 config_from_dict({"eval": {key: bad}})
+        # Grid and class values each used to fail mid-run: in the first
+        # scene build, assignment, evaluation or scene sampling.
+        car, first_class = {"name": "car", "l": 3.9, "w": 1.6, "h": 1.56}, r"grid\.classes\[0\]: "
+        for bad, path in (
+            ({"grid": {"rotations": []}}, r"grid: rotations"),
+            ({"grid": {"classes": []}}, r"grid: classes"),
+            ({"grid": {"cell": [0.0, 0.8]}}, r"grid: cell"),
+            ({"grid": {"x_range": [0.0, 0.5]}}, r"grid: x_range and z_range"),
+            ({"grid": {"z_range": [3.0, 1.0]}}, r"grid: z_range"),
+            ({"grid": {"classes": [{**car, "pos_iou": 0.2, "neg_iou": 0.3}]}}, first_class + "neg_iou"),
+            ({"grid": {"classes": [{**car, "pos_iou": 0.0, "neg_iou": 0.0}]}}, first_class + "neg_iou"),
+            ({"grid": {"classes": [{**car, "eval_iou": 0.0}]}}, first_class + "eval_iou"),
+            ({"grid": {"classes": [{**car, "l": -3.9}]}}, first_class + "l, w and h"),
+            ({"scene": {"border_margin": 30.0}}, r"scene: border_margin"),
+        ):
+            with pytest.raises(ConfigError, match=path):
+                config_from_dict(bad)
         # A repeated seed used to train twice and count twice in the means.
         with pytest.raises(ConfigError, match="seeds must be distinct"):
             config_from_dict({"seeds": [0, 0, 1]})

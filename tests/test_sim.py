@@ -979,15 +979,14 @@ class TestStepWorkspace:
         ]
         # Prebuilt, as in train: the step reads each scene's features.
         features = [s.features for s in ds.train_scenes]
-        seeds = [s.seed for s in ds.train_scenes]
         gc.collect()
         tracemalloc.start()
         try:
             with closing(_SceneWorkers(1, _step_arena_floats(ds.grid))) as workers:
                 for batch in ([0, 1], [2, 0]):
                     _minibatch_grads(
-                        params, [features[i] for i in batch], [seeds[i] for i in batch],
-                        [targets[i] for i in batch], cfg, None, workers,
+                        params, [features[i] for i in batch], [targets[i] for i in batch], cfg,
+                        None, workers,
                     )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -996,7 +995,7 @@ class TestStepWorkspace:
 
 
 class TestMinibatchStep:
-    """The minibatch step (two phases on workers, one XGD pass for all its
+    """The minibatch step (one map on workers, one XGD pass for all its
     scenes) must equal a per-scene loop over the public
     total_loss_and_grad, which runs the items in order, bit for bit."""
 
@@ -1066,8 +1065,7 @@ class TestMinibatchStep:
                     flags_step, flags_loop = GeometryFlags(), GeometryFlags()
                     got, grads = _minibatch_grads(
                         params, [ds.train_scenes[i].features for i in batch],
-                        [ds.train_scenes[i].seed for i in batch], [targets[i] for i in batch],
-                        cfg, flags_step, workers,
+                        [targets[i] for i in batch], cfg, flags_step, workers,
                     )
                     want, want_grads = self._per_scene_loop(
                         params,
@@ -1115,8 +1113,7 @@ class TestMinibatchStep:
         ]
         with closing(_SceneWorkers(1, _step_arena_floats(grid))) as workers:
             got, grads = _minibatch_grads(
-                params, [ds.train_scenes[i].features for i in batch],
-                [ds.train_scenes[i].seed for i in batch], targets, cfg, None, workers,
+                params, [ds.train_scenes[i].features for i in batch], targets, cfg, None, workers
             )
         want, want_grads = self._per_scene_loop(
             params,
@@ -1221,8 +1218,7 @@ class TestMinibatchStep:
         ]
         with closing(_SceneWorkers(n_workers, _step_arena_floats(ds.grid))) as workers:
             return _minibatch_grads(
-                params, [ds.train_scenes[i].features for i in batch],
-                [ds.train_scenes[i].seed for i in batch], targets, cfg, None, workers,
+                params, [ds.train_scenes[i].features for i in batch], targets, cfg, None, workers
             )
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
@@ -1361,22 +1357,23 @@ class TestWorkerCount:
                 features_of[i] = features  # what training's heads read
             return scenes
 
-        # Batch positions 1 and 2 run on different workers of two.  The
-        # first holds each of its heads until the second has finished the
-        # same head, so failures complete out of batch order.
+        # Item 0 runs every regression head, in batch order.  The
+        # classification items of batch positions 1 and 2 run on different
+        # workers of two: the first holds its head until the second has
+        # finished its own, so they complete out of batch order.
         first, second = order[1], order[2]
-        # One event per head, by its row width: 7 deltas, k_c logits.
-        assert ds.grid.k_c != 7
-        second_done = {7: threading.Event(), ds.grid.k_c: threading.Event()}
+        k_c = ds.grid.k_c
+        assert k_c != 7  # the head's row width tells the two heads apart
+        second_done = threading.Event()
         head = sim_mod._head
 
         def second_first(feats, w, b, ws, width, *rows):
-            if feats is features_of[first]:
-                assert second_done[width].wait(timeout=10)
-                time.sleep(0.02)  # for the second scene's check to raise
+            if width == k_c and feats is features_of[first]:
+                assert second_done.wait(timeout=10)
+                time.sleep(0.02)  # for the second scene's item to end
             out = head(feats, w, b, ws, width, *rows)
-            if feats is features_of[second]:
-                second_done[width].set()
+            if width == k_c and feats is features_of[second]:
+                second_done.set()
             return out
 
         monkeypatch.setattr(sim_mod, "_head", second_first)
@@ -1390,13 +1387,29 @@ class TestWorkerCount:
         ]
         threads = threading.active_count()
         for what, spoils, reported in cases:
-            for event in second_done.values():
-                event.clear()
+            second_done.clear()
             with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as info:
                 self._train_on(monkeypatch, 2, ds, spoiled(spoils), LossConfig(), epochs=1)
             assert str(info.value).startswith(what)
             assert info.value.snapshot["scene_seed"] == ds.train_scenes[reported].seed
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_one_map_per_minibatch(self, cpus, monkeypatch):
+        import boxdistill.sim as sim_mod
+
+        ds = self._dataset(n_train_scenes=5)  # batches of 4 and 1 scenes per epoch
+        items = []
+        scene_map = sim_mod._SceneWorkers.map
+
+        def counted(workers, fn, n_items):
+            items.append(n_items)
+            return scene_map(workers, fn, n_items)
+
+        monkeypatch.setattr(sim_mod._SceneWorkers, "map", counted)
+        self._train_on(monkeypatch, cpus, ds, ds.train_scenes, LossConfig(), epochs=2)
+        # 2 epochs x ceil(5 / 4) minibatches, each of 2n + 1 items.
+        assert items == [2 * 4 + 1, 2 * 1 + 1] * 2
 
     def test_workers_keep_the_callers_numpy_error_state(self):
         import threading
@@ -1423,7 +1436,7 @@ class TestWorkerCount:
 
 
 class TestSceneWorkers:
-    """The scheduler of the minibatch phases: a shared item counter."""
+    """The scheduler of the minibatch map: a shared item counter."""
 
     @staticmethod
     def _workers(n):
