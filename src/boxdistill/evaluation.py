@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .anchors import AnchorGrid, decode_deltas
-from .geometry import Box3D, bev_iou, iou3d
+from .geometry import bev_iou, iou3d
 from .sim import DetectorOutputs, sigmoid
 
 
@@ -44,7 +44,9 @@ class EvalSettings:
 
 @dataclass(frozen=True)
 class Detection:
-    box: Box3D
+    """A kept detection; ``box`` is its row (cx, cy, cz, l, w, h, yaw) as a 7-tuple."""
+
+    box: tuple[float, ...]
     class_id: int
     score: float
     anchor_index: int = -1
@@ -79,14 +81,14 @@ def decode_and_nms(
             continue
         order = np.lexsort((cand, -scores))[: settings.pre_nms_top_k]
         cand, scores = cand[order], scores[order]
-        boxes = [
-            Box3D.from_array(p)
-            for p in decode_deltas(outputs.deltas_flat[cand], grid.anchor_params[cand])
-        ]
+        boxes = decode_deltas(outputs.deltas_flat[cand], grid.anchor_params[cand])
+        if not (np.all(np.isfinite(boxes)) and np.all(boxes[:, 3:6] > 0.0)):
+            raise ValueError("decoded boxes must be finite with positive extents")
+        boxes = boxes.tolist()
         keep = _greedy_nms(boxes, settings.nms_iou)
         detections.extend(
             Detection(
-                box=boxes[i],
+                box=tuple(boxes[i]),
                 class_id=c,
                 score=float(scores[i]),
                 anchor_index=int(cand[i]),
@@ -110,7 +112,7 @@ def _logit_floor(p: float) -> float:
     return math.log(p) - math.log1p(-p) - 1.0
 
 
-def _greedy_nms(boxes: Sequence[Box3D], nms_iou: float) -> list[int]:
+def _greedy_nms(boxes: Sequence[Sequence[float]], nms_iou: float) -> list[int]:
     """Indices kept by greedy suppression; input must be rank-ordered."""
     # Scalar pairs on purpose: one array bev_iou call over each class set's
     # lower triangle keeps the same boxes, is no faster on a trained
@@ -137,7 +139,7 @@ class ApResult:
 
 def _match_scene(
     detections: Sequence[Detection],
-    gts: Sequence[tuple[Box3D, int]],
+    scene,
     class_id: int,
     iou_threshold: float,
     measure: str,
@@ -149,7 +151,7 @@ def _match_scene(
     the highest-IoU unmatched ground truth at or above the threshold.
     """
     overlap = iou3d if measure == "3d" else bev_iou
-    gt_boxes = [b for b, c in gts if c == class_id]
+    gt_boxes = scene.boxes[scene.class_ids == class_id].tolist()
     dets = sorted(
         (d for d in detections if d.class_id == class_id),
         key=lambda d: (-d.score, d.anchor_index),
@@ -174,14 +176,15 @@ def _match_scene(
 
 def evaluate_class(
     scene_detections: Sequence[Sequence[Detection]],
-    scene_gts: Sequence[Sequence[tuple[Box3D, int]]],
+    scenes: Sequence,
     class_id: int,
     iou_threshold: float,
     recall_positions: int = 40,
     measure: str = "3d",
 ) -> ApResult:
-    """Pooled AP over scenes for one class at one IoU threshold."""
-    if len(scene_detections) != len(scene_gts):
+    """Pooled AP over scenes for one class at one IoU threshold.  Each scene
+    carries its ground truth as (n, 7) ``boxes`` and (n,) ``class_ids``."""
+    if len(scene_detections) != len(scenes):
         raise ValueError("detections and ground truths must align per scene")
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
@@ -191,8 +194,8 @@ def evaluate_class(
         raise ValueError(f"measure must be '3d' or 'bev', got {measure!r}")
     records: list[tuple[float, int, int, bool]] = []
     n_gt = 0
-    for scene_idx, (dets, gts) in enumerate(zip(scene_detections, scene_gts)):
-        matches, scene_gt = _match_scene(dets, gts, class_id, iou_threshold, measure)
+    for scene_idx, (dets, scene) in enumerate(zip(scene_detections, scenes)):
+        matches, scene_gt = _match_scene(dets, scene, class_id, iou_threshold, measure)
         n_gt += scene_gt
         records.extend((score, scene_idx, anchor, tp) for score, anchor, tp in matches)
 
@@ -261,22 +264,22 @@ def evaluate_outputs(
 ) -> EvalReport:
     """Decode, suppress, and score a detector over a validation scene set.
 
-    ``per_scene_outputs`` may be any iterable.  Each scene's outputs are
-    released once decoded, before the next are read, so a generator keeps
-    one scene's outputs alive at a time.
+    Each scene must carry ``boxes`` and ``class_ids``, as
+    :func:`evaluate_class` reads them.  ``per_scene_outputs`` may be any
+    iterable.  Each scene's outputs are released once decoded, before the
+    next are read, so a generator keeps one scene's outputs alive at a time.
     """
     decode = partial(decode_and_nms, grid=grid, settings=settings)
     # map, unlike a loop variable, keeps no reference to outputs it has
     # decoded while it reads the next.
     scene_dets = list(map(decode, per_scene_outputs))
-    scene_gts = [scene.gts for scene in scenes]
     per_class = []
     positions = settings.recall_positions
     class_specs = {t.class_id for t in grid.templates}
     for class_id in sorted(class_specs):
         thr = iou_thresholds[class_id]
-        res3d = evaluate_class(scene_dets, scene_gts, class_id, thr, positions, "3d")
-        res_bev = evaluate_class(scene_dets, scene_gts, class_id, thr, positions, "bev")
+        res3d = evaluate_class(scene_dets, scenes, class_id, thr, positions, "3d")
+        res_bev = evaluate_class(scene_dets, scenes, class_id, thr, positions, "bev")
         per_class.append(
             ClassEval(
                 class_id=class_id,

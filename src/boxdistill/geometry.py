@@ -87,15 +87,17 @@ class Box3D:
             )
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
 
+    def __iter__(self):
+        """Unpacks as the row (cx, cy, cz, l, w, h, yaw) the geometry reads."""
+        return iter((self.cx, self.cy, self.cz, self.l, self.w, self.h, self.yaw))
+
     @property
     def volume(self) -> float:
         return self.l * self.w * self.h
 
     def as_array(self) -> np.ndarray:
         """Parameters in canonical order (cx, cy, cz, l, w, h, yaw)."""
-        return np.array(
-            [self.cx, self.cy, self.cz, self.l, self.w, self.h, self.yaw], dtype=float
-        )
+        return np.array(tuple(self), dtype=float)
 
     @classmethod
     def from_array(cls, params: np.ndarray) -> "Box3D":
@@ -115,13 +117,14 @@ def _signed_area(pts: list[tuple[float, float]]) -> float:
     return 0.5 * acc
 
 
-def _bev_corners(box: Box3D) -> list[tuple[float, float]]:
-    """CCW footprint corners of ``box`` in the (x, z) plane."""
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    hl, hw = 0.5 * box.l, 0.5 * box.w
+def _bev_corners(box: Sequence[float]) -> list[tuple[float, float]]:
+    """CCW (x, z) footprint corners of a (cx, cy, cz, l, w, h, yaw) box."""
+    cx, _, cz, l, w, _, yaw = box
+    c, s = math.cos(yaw), math.sin(yaw)
+    hl, hw = 0.5 * l, 0.5 * w
     out = []
     for u, v in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)):
-        out.append((box.cx + u * c - v * s, box.cz + u * s + v * c))
+        out.append((cx + u * c - v * s, cz + u * s + v * c))
     return out
 
 
@@ -190,7 +193,7 @@ def _merge_degenerate(pts: list[tuple[float, float]]) -> list[tuple[float, float
     return out
 
 
-def _bev_intersection_area(a: Box3D, b: Box3D) -> float:
+def _bev_intersection_area(a: Sequence[float], b: Sequence[float]) -> float:
     return max(0.0, _signed_area(_clip(_bev_corners(a), _bev_corners(b))))
 
 
@@ -397,12 +400,12 @@ def _lex_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _circles_apart(a: Box3D, b: Box3D) -> bool:
+def _circles_apart(a: Sequence[float], b: Sequence[float]) -> bool:
     """Cheap reject: the footprints' circumcircles are disjoint, so the
     footprints cannot overlap."""
-    ra = 0.5 * math.hypot(a.l, a.w)
-    rb = 0.5 * math.hypot(b.l, b.w)
-    return math.hypot(a.cx - b.cx, a.cz - b.cz) > ra + rb
+    ax, _, az, al, aw, _, _ = a
+    bx, _, bz, bl, bw, _, _ = b
+    return math.hypot(ax - bx, az - bz) > 0.5 * math.hypot(al, aw) + 0.5 * math.hypot(bl, bw)
 
 
 def _circles_meet_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -437,22 +440,23 @@ def _bev_iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def bev_iou(a: Box3D | np.ndarray, b: Box3D | np.ndarray) -> float | np.ndarray:
+def bev_iou(a: Sequence | np.ndarray, b: Sequence | np.ndarray) -> float | np.ndarray:
     """Footprint IoU in the BEV plane (no vertical term).
 
-    Takes two :class:`Box3D` (returns a float) or two (n, 7) arrays of box
-    parameters (returns the n row-wise IoUs, bit-identical to the per-pair
-    calls).
+    Takes two 7-sequences (cx, cy, cz, l, w, h, yaw), such as tuples or
+    :class:`Box3D` (returns a float), or two (n, 7) arrays of box rows
+    (returns the n row-wise IoUs, bit-identical to the per-pair calls).
     """
-    if not isinstance(a, Box3D):
+    if isinstance(a, np.ndarray):
         return _bev_iou_rows(a, b)
+    a, b = tuple(a), tuple(b)
     if _circles_apart(a, b):
         return 0.0
-    if (a.cx, a.cz, a.l, a.w, a.yaw) <= (b.cx, b.cz, b.l, b.w, b.yaw):
+    if (a[0], a[2], a[3], a[4], a[6]) <= (b[0], b[2], b[3], b[4], b[6]):  # (cx, cz, l, w, yaw)
         inter = _bev_intersection_area(a, b)
     else:
         inter = _bev_intersection_area(b, a)
-    union = a.l * a.w + b.l * b.w - inter
+    union = a[3] * a[4] + b[3] * b[4] - inter
     if union <= DEGENERATE_UNION:
         return 0.0
     return min(1.0, inter / union)
@@ -508,33 +512,30 @@ def _iou3d_rows(a: np.ndarray, b: np.ndarray, flags: GeometryFlags | None) -> np
 
 
 def iou3d(
-    a: Box3D | np.ndarray, b: Box3D | np.ndarray, flags: GeometryFlags | None = None
+    a: Sequence | np.ndarray, b: Sequence | np.ndarray, flags: GeometryFlags | None = None
 ) -> float | np.ndarray:
     """Rotated 3D IoU of two boxes, in [0, 1].
 
-    Takes two :class:`Box3D` (returns a float) or two (n, 7) arrays of box
-    parameters (returns the n row-wise IoUs in one batched clip,
-    bit-identical to the per-pair calls and with the same flag counts).
-    Pairs without vertical overlap, or whose footprints' circumcircles are
-    disjoint (the reject of :func:`bev_iou`), skip the clip.
+    Takes two 7-sequences, as :func:`bev_iou` does (returns a float), or
+    two (n, 7) arrays of box rows (returns the n row-wise IoUs in one
+    batched clip, bit-identical to the per-pair calls and with the same
+    flag counts).  Pairs without vertical overlap, or whose footprints'
+    circumcircles are disjoint (the reject of :func:`bev_iou`), skip the clip.
     """
-    if not isinstance(a, Box3D):
+    if isinstance(a, np.ndarray):
         return _iou3d_rows(a, b, flags)
-    y_overlap = min(a.cy + 0.5 * a.h, b.cy + 0.5 * b.h) - max(
-        a.cy - 0.5 * a.h, b.cy - 0.5 * b.h
+    a, b = tuple(a), tuple(b)
+    y_overlap = min(a[1] + 0.5 * a[5], b[1] + 0.5 * b[5]) - max(
+        a[1] - 0.5 * a[5], b[1] - 0.5 * b[5]
     )
     if y_overlap <= 0.0 or _circles_apart(a, b):
         inter = 0.0
     else:
         # Clip in a canonical order so iou3d(a, b) and iou3d(b, a) run the
         # identical float sequence and agree bit-for-bit.
-        ka = (a.cx, a.cy, a.cz, a.l, a.w, a.h, a.yaw)
-        kb = (b.cx, b.cy, b.cz, b.l, b.w, b.h, b.yaw)
-        if ka <= kb:
-            inter = _bev_intersection_area(a, b) * y_overlap
-        else:
-            inter = _bev_intersection_area(b, a) * y_overlap
-    union = a.volume + b.volume - inter
+        first, second = (a, b) if a <= b else (b, a)
+        inter = _bev_intersection_area(first, second) * y_overlap
+    union = a[3] * a[4] * a[5] + b[3] * b[4] * b[5] - inter
     if union <= DEGENERATE_UNION:
         if flags is not None:
             flags.degenerate_union += 1
@@ -564,13 +565,13 @@ def in_footprint(
     return (np.abs(u) <= 0.5 * l + margin) & (np.abs(v) <= 0.5 * w + margin)
 
 
-def _points_in_box(box: Box3D, pts: np.ndarray) -> np.ndarray:
+def _points_in_box(box: Sequence[float], pts: np.ndarray) -> np.ndarray:
     """Boolean mask of sample points (n, 3 = x, y, z) inside an oriented box."""
-    in_height = np.abs(pts[:, 1] - box.cy) <= 0.5 * box.h
-    return in_footprint(pts[:, 0], pts[:, 2], box.as_array().tolist()) & in_height
+    _, cy, _, _, _, h, _ = box
+    return in_footprint(pts[:, 0], pts[:, 2], box) & (np.abs(pts[:, 1] - cy) <= 0.5 * h)
 
 
-def iou3d_mc_oracle(a: Box3D, b: Box3D, n_samples: int, seed: int) -> MonteCarloIoU:
+def iou3d_mc_oracle(a: Sequence, b: Sequence, n_samples: int, seed: int) -> MonteCarloIoU:
     """Monte-Carlo IoU estimate, independent of the clipping path.
 
     Samples uniformly in the axis-aligned bounding box of the two boxes and
@@ -581,10 +582,10 @@ def iou3d_mc_oracle(a: Box3D, b: Box3D, n_samples: int, seed: int) -> MonteCarlo
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     corners = []
     for box in (a, b):
-        bev = _bev_corners(box)
-        for x, z in bev:
-            corners.append((x, box.cy - 0.5 * box.h, z))
-            corners.append((x, box.cy + 0.5 * box.h, z))
+        _, cy, _, _, _, h, _ = box
+        for x, z in _bev_corners(box):
+            corners.append((x, cy - 0.5 * h, z))
+            corners.append((x, cy + 0.5 * h, z))
     lo = np.min(np.array(corners), axis=0)
     hi = np.max(np.array(corners), axis=0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))

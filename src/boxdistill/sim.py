@@ -15,7 +15,7 @@ import math
 import os
 import threading
 from contextlib import closing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -131,6 +131,8 @@ class SceneConfig:
             raise ValueError(f"max_rejects must be >= 1, got {self.max_rejects}")
         if not self.ambient_noise >= 0:
             raise ValueError(f"ambient_noise must be >= 0, got {self.ambient_noise}")
+        if not 0 <= self.border_margin < math.inf:
+            raise ValueError(f"border_margin must be finite and >= 0, got {self.border_margin}")
 
     def check_classes(self, k_c: int) -> None:
         """Check the settings that depend on the grid's class count."""
@@ -195,7 +197,7 @@ class Scene:
 
     @property
     def gts(self) -> tuple[tuple[Box3D, int], ...]:
-        """(Box3D, class id) pairs for scalar code, rebuilt on each read."""
+        """(Box3D, class id) pairs rebuilt on each read; production reads boxes and class_ids."""
         return tuple((Box3D.from_array(r), c) for r, c in zip(self.boxes, self.class_ids.tolist()))
 
 
@@ -216,8 +218,9 @@ def generate_scene(rng_seed: int, config: SceneConfig, grid: AnchorGrid) -> Scen
     z_hi = grid.origin[1] + grid.nz * grid.cell[1] - config.border_margin
 
     class_sizes = _template_sizes(grid)
-    gts: list[tuple[Box3D, int]] = []
-    footprints: list[Box3D] = []  # each placed box grown by MIN_GAP
+    draw_ranges = ((x_lo, x_hi), CY_RANGE, (z_lo, z_hi), YAW_RANGE)  # cx, cy, cz, yaw in turn
+    gts: list[tuple[tuple[float, ...], int]] = []  # (box row, class id)
+    footprints: list[tuple[float, ...]] = []  # each placed box grown by MIN_GAP
     class_p = None
     if config.class_weights:
         weights = np.asarray(config.class_weights, dtype=float)
@@ -233,23 +236,15 @@ def generate_scene(rng_seed: int, config: SceneConfig, grid: AnchorGrid) -> Scen
             class_id = int(rng.choice(grid.k_c, p=class_p))
         else:
             class_id = int(rng.integers(0, grid.k_c))
-        base_l, base_w, base_h = class_sizes[class_id]
-        sl, sw, sh = rng.uniform(*SIZE_SCALE_RANGE, size=3)
-        box = Box3D(
-            cx=float(rng.uniform(x_lo, x_hi)),
-            cy=float(rng.uniform(*CY_RANGE)),
-            cz=float(rng.uniform(z_lo, z_hi)),
-            l=base_l * sl,
-            w=base_w * sw,
-            h=base_h * sh,
-            yaw=float(rng.uniform(*YAW_RANGE)),
-        )
-        grown = replace(box, l=box.l + MIN_GAP, w=box.w + MIN_GAP)
+        l, w, h = (rng.uniform(*SIZE_SCALE_RANGE, size=3) * class_sizes[class_id]).tolist()
+        cx, cy, cz, yaw = (rng.uniform(lo, hi) for lo, hi in draw_ranges)
+        box = (cx, cy, cz, l, w, h, yaw)
+        grown = (cx, cy, cz, l + MIN_GAP, w + MIN_GAP, h, yaw)
         if all(bev_iou(grown, g) == 0.0 for g in footprints):
             gts.append((box, class_id))
             footprints.append(grown)
 
-    boxes = np.array([box.as_array() for box, _ in gts]).reshape(-1, 7)
+    boxes = np.array([box for box, _ in gts]).reshape(-1, 7)
     class_ids = np.array([c for _, c in gts], dtype=np.int64)
     visible, rows = _embed_features(boxes, class_ids, grid, config, rng)
     # The ambient noise is the stream's last draw: keep the state that

@@ -173,6 +173,7 @@ def test_config_error_exit_code(tmp_path, capsys):
         {"scene": {"feature_dim": 8}},
         {"scene": {"class_weights": [1, 1]}},
         {"scene": {"max_rejects": 0}},
+        {"scene": {"border_margin": -1.0}},
         {"grid": {"rotations": []}},
     ):
         bad = tmp_path / "bad.json"

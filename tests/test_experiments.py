@@ -258,6 +258,27 @@ class TestReplacementStudy:
                 ex.evaluate_params(wrong, ds, cfg, replace_mode=mode)
 
 
+class TestRowsInProduction:
+    def test_build_and_evaluation_construct_no_box3d(self, monkeypatch):
+        # Scene sampling, NMS and AP matching pass (n, 7) rows: the
+        # validated Box3D view is for verify, the tests and benchmarks/.
+        import boxdistill.experiments as ex
+        from boxdistill.geometry import Box3D
+
+        def refuse(box):
+            raise AssertionError(f"Box3D constructed: {box!r}")
+
+        monkeypatch.setattr(Box3D, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="Box3D constructed"):
+            Box3D(0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+        cfg = tiny_config()
+        ds = build_dataset(cfg, 0)
+        params = DetectorParams.init(0, cfg.scene.feature_dim, ds.grid.k_a, ds.grid.k_c)
+        report = ex.evaluate_params(params, ds, cfg, replace_mode="both")
+        assert sum(c.n_gt for c in report.per_class) == sum(len(s.boxes) for s in ds.val_scenes)
+        assert sum(c.tp for c in report.per_class) > 0  # detections were kept and matched
+
+
 class TestLazyValidationSplit:
     def test_validation_teacher_built_on_first_substitution_only(self, monkeypatch):
         import boxdistill.experiments as ex

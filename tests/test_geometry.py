@@ -213,6 +213,35 @@ class TestIoU3D:
         assert iou3d(a, flipped) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestScalarRows:
+    """Production passes plain (cx, cy, cz, l, w, h, yaw) rows to the
+    scalar geometry; they must give the Box3D path's floats and flags."""
+
+    @staticmethod
+    def pairs():
+        rng = np.random.default_rng(23)
+        pairs = [near_pair(rng) for _ in range(200)]
+        for group in clip_tie_cases(rng, 10).values():
+            pairs += group
+        tiny = Box3D(0, 0, 0, 1e-7, 1e-7, 1e-7, 0)  # a degenerate union
+        pairs += [(tiny, replace(tiny, cx=1e-8)), (tiny, replace(tiny, cx=100.0))]
+        return pairs + [(b, a) for a, b in pairs]
+
+    def test_rows_equal_box3d(self):
+        # Detections are tuples and ground truths lists, on either side.
+        flags_rows, flags_boxes = GeometryFlags(), GeometryFlags()
+        for a, b in self.pairs():
+            row_a, row_b = tuple(map(float, a)), list(map(float, b))
+            for got, want in (
+                (bev_iou(row_a, row_b), bev_iou(a, b)),
+                (iou3d(row_a, row_b, flags_rows), iou3d(a, b, flags_boxes)),
+            ):
+                assert type(got) is float
+                assert repr(got) == repr(float(want)), (a, b)
+        assert flags_rows == flags_boxes
+        assert flags_boxes.degenerate_union > 0
+
+
 class TestMonteCarloOracle:
     def test_identical_boxes_exact_one(self):
         box = Box3D(0, 0, 0, 1, 1, 1, 0.2)

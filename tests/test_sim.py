@@ -97,10 +97,16 @@ class TestSceneConfig:
             ({"class_weights": (1.0, float("nan"), 1.0)}, "class_weights"),
             ({"class_weights": (1.0, float("inf"), 1.0)}, "class_weights"),
             ({"max_rejects": 0}, "max_rejects"),
+            # A margin of -20 used to place most objects off the grid, where
+            # no anchor can match them.
+            ({"border_margin": -20.0}, "border_margin"),
+            ({"border_margin": float("nan")}, "border_margin"),
+            ({"border_margin": float("inf")}, "border_margin"),
         ):
             with pytest.raises(ValueError, match=match):
                 SceneConfig(**bad)
         assert SceneConfig(n_objects=(0, 0), class_weights=()).n_objects == (0, 0)
+        assert SceneConfig(border_margin=0.0).border_margin == 0.0
 
 
 class TestGenerateScene:
