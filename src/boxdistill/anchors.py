@@ -21,6 +21,11 @@ LABEL_IGNORE = -2
 # Decoded box extents are capped here; hitting the cap is flagged.
 DECODE_SIZE_CAP = 1e6
 
+# How far in meters past a ground truth's footprint, per side, a position
+# center still counts as foreground: CLD's region when ``cld_region`` is
+# "foreground".
+FOREGROUND_DILATION = 0.8
+
 
 @dataclass(frozen=True)
 class ClassSpec:

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Any, get_args, get_origin
 
 from .anchors import GridConfig
-from .evaluation import EvalSettings
 from .sim import LossConfig, NoiseProfile, OptimizerConfig, SceneConfig
 
 
@@ -79,8 +78,6 @@ class ExperimentConfig:
     loss: LossConfig = LossConfig()
     optimizer: OptimizerConfig = OptimizerConfig()
     data: DataConfig = DataConfig()
-    eval: EvalSettings = EvalSettings()
-    foreground_dilation: float = 0.8
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     arms: tuple[ArmConfig, ...] = field(default_factory=default_arm_matrix)
 
@@ -94,9 +91,6 @@ class ExperimentConfig:
         names = [arm.name for arm in self.arms]
         if len(set(names)) != len(names):
             raise ValueError(f"arm names must be distinct, got {names}")
-        # A positive test, so that NaN fails too.
-        if not self.foreground_dilation >= 0:
-            raise ValueError(f"foreground_dilation must be >= 0, got {self.foreground_dilation}")
         try:
             self.scene.check_classes(len(self.grid.classes))
         except ValueError as exc:

@@ -20,26 +20,13 @@ from .geometry import bev_iou, iou3d
 from .sim import DetectorOutputs, sigmoid
 
 
-@dataclass(frozen=True)
-class EvalSettings:
-    """Decoding and AP settings. Their ranges are checked here only:
-    ``decode_and_nms`` and ``evaluate_outputs`` take them as they are."""
-
-    score_threshold: float = 0.1
-    nms_iou: float = 0.5
-    pre_nms_top_k: int = 256
-    recall_positions: int = 40  # 11 is accepted for coarser protocols
-
-    def __post_init__(self) -> None:
-        # Positive tests, so that NaN fails too.
-        if not 0.0 <= self.score_threshold <= 1.0:
-            raise ValueError(f"score_threshold must be in [0, 1], got {self.score_threshold}")
-        if not 0.0 < self.nms_iou <= 1.0:
-            raise ValueError(f"nms_iou must be in (0, 1], got {self.nms_iou}")
-        if not self.pre_nms_top_k >= 1:
-            raise ValueError(f"pre_nms_top_k must be >= 1, got {self.pre_nms_top_k}")
-        if not self.recall_positions >= 1:
-            raise ValueError(f"recall_positions must be >= 1, got {self.recall_positions}")
+# Decoding and AP conventions: the score a detection must exceed, the BEV
+# IoU above which greedy NMS suppresses it, the candidates kept per class
+# before NMS, and the recall positions AP averages over.
+SCORE_THRESHOLD = 0.1
+NMS_IOU = 0.5
+PRE_NMS_TOP_K = 256
+RECALL_POSITIONS = 40
 
 
 @dataclass(frozen=True)
@@ -56,36 +43,32 @@ class Detection:
             raise ValueError(f"score must be finite, got {self.score}")
 
 
-def decode_and_nms(
-    outputs: DetectorOutputs,
-    grid: AnchorGrid,
-    settings: EvalSettings = EvalSettings(),
-) -> list[Detection]:
+def decode_and_nms(outputs: DetectorOutputs, grid: AnchorGrid) -> list[Detection]:
     """Sigmoid-score, decode, and greedily suppress per class.
 
-    Candidates above ``settings.score_threshold`` are ranked score-descending
-    with ties broken by anchor index, capped at ``settings.pre_nms_top_k`` per
-    class, and suppressed when their BEV IoU with an already kept detection
-    exceeds ``settings.nms_iou``.
+    Candidates above ``SCORE_THRESHOLD`` are ranked score-descending with
+    ties broken by anchor index, capped at ``PRE_NMS_TOP_K`` per class, and
+    suppressed when their BEV IoU with an already kept detection exceeds
+    ``NMS_IOU``.
     """
     logits = outputs.logits_flat
-    floor = _logit_floor(settings.score_threshold)
+    floor = _logit_floor(SCORE_THRESHOLD)
     detections: list[Detection] = []
     for c in range(logits.shape[1]):
         # Only logits above the floor can score above the threshold.
         cand = np.flatnonzero(logits[:, c] > floor)
         scores = sigmoid(logits[cand, c])
-        above = scores > settings.score_threshold
+        above = scores > SCORE_THRESHOLD
         cand, scores = cand[above], scores[above]
         if cand.size == 0:
             continue
-        order = np.lexsort((cand, -scores))[: settings.pre_nms_top_k]
+        order = np.lexsort((cand, -scores))[:PRE_NMS_TOP_K]
         cand, scores = cand[order], scores[order]
         boxes = decode_deltas(outputs.deltas_flat[cand], grid.anchor_params[cand])
         if not (np.all(np.isfinite(boxes)) and np.all(boxes[:, 3:6] > 0.0)):
             raise ValueError("decoded boxes must be finite with positive extents")
         boxes = boxes.tolist()
-        keep = _greedy_nms(boxes, settings.nms_iou)
+        keep = _greedy_nms(boxes, NMS_IOU)
         detections.extend(
             Detection(
                 box=tuple(boxes[i]),
@@ -179,17 +162,15 @@ def evaluate_class(
     scenes: Sequence,
     class_id: int,
     iou_threshold: float,
-    recall_positions: int = 40,
     measure: str = "3d",
 ) -> ApResult:
-    """Pooled AP over scenes for one class at one IoU threshold.  Each scene
-    carries its ground truth as (n, 7) ``boxes`` and (n,) ``class_ids``."""
+    """Pooled AP over scenes for one class at one IoU threshold, sampled at
+    ``RECALL_POSITIONS`` recall positions.  Each scene carries its ground
+    truth as (n, 7) ``boxes`` and (n,) ``class_ids``."""
     if len(scene_detections) != len(scenes):
         raise ValueError("detections and ground truths must align per scene")
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    if recall_positions < 1:
-        raise ValueError("recall_positions must be >= 1")
     if measure not in ("3d", "bev"):
         raise ValueError(f"measure must be '3d' or 'bev', got {measure!r}")
     records: list[tuple[float, int, int, bool]] = []
@@ -207,14 +188,14 @@ def evaluate_class(
 
     if n_gt == 0:
         ap = 1.0 if not records else 0.0
-        samples = tuple(float(ap) for _ in range(recall_positions))
+        samples = tuple(float(ap) for _ in range(RECALL_POSITIONS))
         return ApResult(ap, samples, total_tp, total_fp, 0, 0, degenerate=True)
 
     recall = tp_cum / n_gt
     precision = tp_cum / np.maximum(1, tp_cum + fp_cum)
     samples = []
-    for k in range(1, recall_positions + 1):
-        target = k / recall_positions
+    for k in range(1, RECALL_POSITIONS + 1):
+        target = k / RECALL_POSITIONS
         reachable = precision[recall >= target - 1e-12] if records else np.zeros(0)
         samples.append(float(reachable.max()) if reachable.size else 0.0)
     ap = float(np.mean(samples))
@@ -257,7 +238,6 @@ def evaluate_outputs(
     scenes: Sequence,
     grid: AnchorGrid,
     iou_thresholds: dict[int, float],
-    settings: EvalSettings = EvalSettings(),
     seed: int = -1,
     config_hash: str = "",
     metadata: dict | None = None,
@@ -269,17 +249,16 @@ def evaluate_outputs(
     iterable.  Each scene's outputs are released once decoded, before the
     next are read, so a generator keeps one scene's outputs alive at a time.
     """
-    decode = partial(decode_and_nms, grid=grid, settings=settings)
+    decode = partial(decode_and_nms, grid=grid)
     # map, unlike a loop variable, keeps no reference to outputs it has
     # decoded while it reads the next.
     scene_dets = list(map(decode, per_scene_outputs))
     per_class = []
-    positions = settings.recall_positions
     class_specs = {t.class_id for t in grid.templates}
     for class_id in sorted(class_specs):
         thr = iou_thresholds[class_id]
-        res3d = evaluate_class(scene_dets, scenes, class_id, thr, positions, "3d")
-        res_bev = evaluate_class(scene_dets, scenes, class_id, thr, positions, "bev")
+        res3d = evaluate_class(scene_dets, scenes, class_id, thr, "3d")
+        res_bev = evaluate_class(scene_dets, scenes, class_id, thr, "bev")
         per_class.append(
             ClassEval(
                 class_id=class_id,

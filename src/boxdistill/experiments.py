@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import anchors
 from .anchors import AnchorGrid, Assignment, assign_targets, build_anchor_grid
 from .blas import openblas_corename
 from .config import ExperimentConfig, config_hash, config_to_dict
@@ -103,7 +104,7 @@ class SeedDataset:
 def _assign(config: ExperimentConfig, grid: AnchorGrid, scenes: list[Scene]) -> list[Assignment]:
     thresholds = config.assignment_thresholds()
     return [
-        assign_targets(grid, sc.boxes, sc.class_ids, thresholds, config.foreground_dilation)
+        assign_targets(grid, sc.boxes, sc.class_ids, thresholds, anchors.FOREGROUND_DILATION)
         for sc in scenes
     ]
 
@@ -183,7 +184,6 @@ def evaluate_params(
         dataset.val_scenes,
         grid,
         config.eval_iou_thresholds(),
-        config.eval,
         seed=dataset.seed,
         config_hash=config_hash(config),
         metadata=metadata or {},

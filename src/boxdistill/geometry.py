@@ -426,6 +426,8 @@ def _bev_iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b = _box_pairs(a, b)
     out = np.zeros(len(a))
     idx = np.flatnonzero(_circles_meet_rows(a, b))
+    if idx.size == 0:
+        return out
     a, b = a[idx], b[idx]
     key = [0, 2, 3, 4, 6]  # (cx, cz, l, w, yaw), the scalar clip order
     first = _lex_le(a[:, key], b[:, key])[:, None]

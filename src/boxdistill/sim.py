@@ -92,13 +92,18 @@ class NoiseProfile:
 
 # Fixed scene-sampler conventions: each object's heading, its size scale
 # per extent (relative to its class template), and its height; the BEV
-# clearance kept between footprints; how far past a footprint its features
-# reach; and the student modality's error model.
+# clearance kept between footprints; the tries allowed to place a scene's
+# objects; the width of a feature row (its layout needs 10 + k_c columns);
+# how far past a footprint its features reach; the standard deviation of
+# the ambient noise on every feature; and the student modality's error model.
 YAW_RANGE = (-math.pi / 3, math.pi / 3)
 SIZE_SCALE_RANGE = (0.9, 1.15)
 CY_RANGE = (0.9, 1.1)
 MIN_GAP = 0.5
+MAX_REJECTS = 10_000
+FEATURE_DIM = 16
 FEATURE_DILATION = 0.9
+AMBIENT_NOISE = 0.02
 STUDENT_NOISE = NoiseProfile(
     center_sigma=0.06,
     size_sigma=0.04,
@@ -115,9 +120,6 @@ class SceneConfig:
     # mirrors street scenes where car-sized objects dominate.
     class_weights: tuple[float, ...] = (0.45, 0.3, 0.25)
     border_margin: float = 2.5
-    feature_dim: int = 16
-    ambient_noise: float = 0.02
-    max_rejects: int = 10_000
 
     def __post_init__(self) -> None:
         lo, hi = self.n_objects
@@ -127,21 +129,17 @@ class SceneConfig:
         weights = self.class_weights
         if weights and not (all(0 <= w < math.inf for w in weights) and sum(weights) > 0):
             raise ValueError(f"class_weights must be finite, >= 0 and of positive sum, got {list(weights)}")
-        if self.max_rejects < 1:
-            raise ValueError(f"max_rejects must be >= 1, got {self.max_rejects}")
-        if not self.ambient_noise >= 0:
-            raise ValueError(f"ambient_noise must be >= 0, got {self.ambient_noise}")
         if not 0 <= self.border_margin < math.inf:
             raise ValueError(f"border_margin must be finite and >= 0, got {self.border_margin}")
 
     def check_classes(self, k_c: int) -> None:
-        """Check the settings that depend on the grid's class count."""
+        """Check the class weights, and the feature row's room, against the grid's class count."""
         if self.class_weights and len(self.class_weights) != k_c:
             raise ValueError(
                 f"class_weights must hold one weight per class ({k_c}), got {len(self.class_weights)}"
             )
-        if self.feature_dim < 10 + k_c:
-            raise ValueError(f"feature_dim {self.feature_dim} too small; need >= {10 + k_c}")
+        if FEATURE_DIM < 10 + k_c:
+            raise ValueError(f"{k_c} classes need {10 + k_c} feature columns; FEATURE_DIM is {FEATURE_DIM}")
 
 
 @dataclass(frozen=True)
@@ -228,9 +226,9 @@ def generate_scene(rng_seed: int, config: SceneConfig, grid: AnchorGrid) -> Scen
     attempts = 0
     while len(gts) < n_target:
         attempts += 1
-        if attempts > config.max_rejects:
+        if attempts > MAX_REJECTS:
             raise SceneTooDenseError(
-                f"failed to place object {len(gts) + 1}/{n_target} after {config.max_rejects} attempts"
+                f"failed to place object {len(gts) + 1}/{n_target} after {MAX_REJECTS} attempts"
             )
         if class_p is not None:
             class_id = int(rng.choice(grid.k_c, p=class_p))
@@ -246,13 +244,11 @@ def generate_scene(rng_seed: int, config: SceneConfig, grid: AnchorGrid) -> Scen
 
     boxes = np.array([box for box, _ in gts]).reshape(-1, 7)
     class_ids = np.array([c for _, c in gts], dtype=np.int64)
-    visible, rows = _embed_features(boxes, class_ids, grid, config, rng)
+    visible, rows = _embed_features(boxes, class_ids, grid, rng)
     # The ambient noise is the stream's last draw: keep the state that
     # draws it, not the (n_positions, feature_dim) noise.
-    noise_state = rng.bit_generator.state if config.ambient_noise > 0 else None
-    return Scene(
-        boxes, class_ids, visible, rows, grid.n_positions, rng_seed, noise_state, config.ambient_noise
-    )
+    noise_state = rng.bit_generator.state if AMBIENT_NOISE > 0 else None
+    return Scene(boxes, class_ids, visible, rows, grid.n_positions, rng_seed, noise_state, AMBIENT_NOISE)
 
 
 def _template_sizes(grid: AnchorGrid) -> dict[int, tuple[float, float, float]]:
@@ -266,7 +262,6 @@ def _embed_features(
     boxes: np.ndarray,
     class_ids: np.ndarray,
     grid: AnchorGrid,
-    config: SceneConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-position geometry embedding seen through the student modality,
@@ -278,7 +273,6 @@ def _embed_features(
     derived distance stay mutually consistent; depth error grows with z.
     """
     k_c = grid.k_c
-    dim = config.feature_dim
     centers = grid.position_centers
     n = centers.shape[0]
     noise = STUDENT_NOISE
@@ -312,7 +306,7 @@ def _embed_features(
     dx = obj[:, 0] + shift[:, 0] - centers[visible, 0]
     dz = obj[:, 2] + shift[:, 2] - centers[visible, 1]
     yaw = (obj[:, 6] + shift[:, 6]).tolist()
-    rows = np.zeros((visible.size, dim))
+    rows = np.zeros((visible.size, FEATURE_DIM))
     rows[:, 0] = 1.0
     rows[:, 1] = dx
     rows[:, 2] = obj[:, 1] + shift[:, 1] - 1.0

@@ -429,7 +429,7 @@ def check_assignment_bruteforce(n_scenes: int = 3) -> CheckResult:
             scene = sim_mod.generate_scene(seed, scene_cfg, grid)
             for problem in assignment_mismatches(
                 grid, scene.boxes, scene.class_ids, cfg.assignment_thresholds(),
-                cfg.foreground_dilation,
+                anchors_mod.FOREGROUND_DILATION,
             ):
                 failures.append(f"{n_objects} objects, scene {seed}: {problem}")
     return CheckResult(
@@ -851,7 +851,9 @@ def check_training_grad_fd(n_states: int = 5) -> CheckResult:
         # Rebuilt once: every forward pass below reads these features.
         scenes = [dense_scene(s.boxes, s.class_ids, s.features, s.seed) for s in scenes]
         asgs = [
-            anchors_mod.assign_targets(grid, s.boxes, s.class_ids, thresholds, cfg.foreground_dilation)
+            anchors_mod.assign_targets(
+                grid, s.boxes, s.class_ids, thresholds, anchors_mod.FOREGROUND_DILATION
+            )
             for s in scenes
         ]
         if any(a.positive_indices.size == 0 for a in asgs):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from boxdistill.anchors import (
+    FOREGROUND_DILATION,
     LABEL_IGNORE,
     ClassSpec,
     GridConfig,
@@ -265,7 +266,7 @@ class TestAssignmentRows:
         cfg = default_config()
         grid = build_anchor_grid(cfg.grid)
         scene = generate_scene(0, cfg.scene, grid)
-        args = (grid, scene.boxes, scene.class_ids, cfg.assignment_thresholds(), cfg.foreground_dilation)
+        args = (grid, scene.boxes, scene.class_ids, cfg.assignment_thresholds(), FOREGROUND_DILATION)
         return grid, assign_targets(*args), args
 
     def test_rows_are_the_dense_views(self):
@@ -395,7 +396,7 @@ class TestBatchedAssignment:
         for seed in range(3):
             scene = generate_scene(seed, scene_cfg, grid)
             problems = assignment_mismatches(
-                grid, scene.boxes, scene.class_ids, thresholds, cfg.foreground_dilation
+                grid, scene.boxes, scene.class_ids, thresholds, FOREGROUND_DILATION
             )
             assert not problems, (seed, problems)
 

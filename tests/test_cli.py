@@ -9,7 +9,7 @@ from boxdistill.anchors import build_anchor_grid
 from boxdistill.cli import main
 from boxdistill.config import config_from_dict, default_config, load_config, save_config
 from boxdistill.experiments import build_dataset, load_params
-from boxdistill.sim import DetectorParams, save_scenes
+from boxdistill.sim import FEATURE_DIM, DetectorParams, save_scenes
 
 
 @pytest.fixture()
@@ -131,7 +131,7 @@ def test_train_with_zero_epochs(tiny_config_path, tmp_path, capsys):
     assert "seed 0: 0 epochs, initialized model" in capsys.readouterr().out
     params, _ = load_params(out / "params_seed0.json")
     grid = build_anchor_grid(config.grid)
-    init = DetectorParams.init(0, config.scene.feature_dim, grid.k_a, grid.k_c)
+    init = DetectorParams.init(0, FEATURE_DIM, grid.k_a, grid.k_c)
     for name in ("w_cls", "b_cls", "w_reg", "b_reg"):
         assert np.array_equal(getattr(params, name), getattr(init, name)), name
     assert json.loads((out / "history_seed0.json").read_text()) == []
@@ -154,25 +154,34 @@ def test_replace_single_mode(tiny_config_path, tmp_path, capsys):
 
 
 def test_config_error_exit_code(tmp_path, capsys):
-    # An evaluation setting out of range is refused before training too, and
-    # so are the keys of the fixed conventions (Adam's beta1, the scene
-    # sampler's gap, the smooth-L1 beta), a repeated seed, a repeated arm
-    # name, a negative foreground dilation, scene settings that cannot
-    # sample a scene on the grid and a grid without rotations (not left to
-    # the dataset build).
-    for bad_config in (
+    # The keys of the fixed conventions (Adam's beta1, the scene sampler's
+    # gap and reject budget, the feature width and ambient noise, the
+    # smooth-L1 beta, the foreground dilation, the evaluation settings) are
+    # refused before training, at any value, and so are a repeated seed, a
+    # repeated arm name, scene settings that cannot sample a scene on the
+    # grid and a grid without rotations (not left to the dataset build).
+    seven_classes = [{"name": f"c{i}", "l": 1.0 + 0.1 * i, "w": 1.0, "h": 1.0} for i in range(7)]
+    unknown = (
         {"optimizer": {"epoch": 3}},
         {"eval": {"nms_iou": 0}},
+        {"eval": {"score_threshold": 0.1, "nms_iou": 0.5, "pre_nms_top_k": 256, "recall_positions": 40}},
         {"optimizer": {"beta1": 1.0}},
         {"scene": {"min_gap": -5.0}},
         {"loss": {"smooth_l1_beta": 0.0}},
+        {"foreground_dilation": -0.5},
+        {"foreground_dilation": 0.8},
+        {"scene": {"feature_dim": 8}},
+        {"scene": {"feature_dim": 16}},
+        {"scene": {"ambient_noise": 0.02}},
+        {"scene": {"max_rejects": 0}},
+        {"scene": {"max_rejects": 10000}},
+    )
+    for bad_config in unknown + (
         {"seeds": [0, 0]},
         {"arms": [{"name": "a", "loss": {}}, {"name": "a", "loss": {"xgd_weight": 0.0}}]},
-        {"foreground_dilation": -0.5},
         {"scene": {"n_objects": [5, 2]}},
-        {"scene": {"feature_dim": 8}},
         {"scene": {"class_weights": [1, 1]}},
-        {"scene": {"max_rejects": 0}},
+        {"grid": {"classes": seven_classes}, "scene": {"class_weights": []}},
         {"scene": {"border_margin": -1.0}},
         {"grid": {"rotations": []}},
     ):
@@ -181,10 +190,12 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert main(["train", str(bad), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err
+        if bad_config in unknown:
+            assert "unknown key" in err, err
         if "scene" in bad_config:
             assert err.startswith("config error: scene"), err
         assert not (tmp_path / "x").exists()
-    with pytest.raises(ValueError, match="foreground_dilation"):
+    with pytest.raises(TypeError, match="foreground_dilation"):
         dataclasses.replace(default_config(), foreground_dilation=math.nan)
 
 

@@ -3,14 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from boxdistill import evaluation as evaluation_mod
 from boxdistill.anchors import ClassSpec, GridConfig, build_anchor_grid, encode_deltas
-from boxdistill.evaluation import (
-    Detection,
-    EvalSettings,
-    decode_and_nms,
-    evaluate_class,
-    evaluate_outputs,
-)
+from boxdistill.config import ConfigError, config_from_dict
+from boxdistill.evaluation import Detection, decode_and_nms, evaluate_class, evaluate_outputs
 from boxdistill.geometry import Box3D, bev_iou
 from boxdistill.sim import DetectorOutputs
 
@@ -46,6 +42,12 @@ def det(x, z, score, class_id=0, anchor_index=-1, l=1.8, w=1.0, h=1.0):
     return Detection((x, 0.0, z, l, w, h, 0.0), class_id, score, anchor_index)
 
 
+def set_constants(monkeypatch, **values):
+    """Set evaluation constants (SCORE_THRESHOLD, NMS_IOU, ...) for one test."""
+    for name, value in values.items():
+        monkeypatch.setattr(evaluation_mod, name, value)
+
+
 class FakeScene:
     """Ground truth as evaluation reads it: (n, 7) box rows and class ids."""
 
@@ -55,31 +57,34 @@ class FakeScene:
 
 
 class TestDecodeAndNms:
-    def test_all_background_with_high_threshold(self):
+    def test_all_background_with_high_threshold(self, monkeypatch):
         grid = tiny_grid()
         out = outputs_with(grid, [])
-        assert decode_and_nms(out, grid, EvalSettings(score_threshold=0.6)) == []
+        set_constants(monkeypatch, SCORE_THRESHOLD=0.6)
+        assert decode_and_nms(out, grid) == []
 
-    def test_single_dominant_anchor(self):
+    def test_single_dominant_anchor(self, monkeypatch):
         grid = tiny_grid()
         box = (2.5, 0.0, 2.5, 1.8, 1.0, 1.0, 0.1)
         out = outputs_with(grid, [(14, 0, 4.0, box)])
-        dets = decode_and_nms(out, grid, EvalSettings(score_threshold=0.5))
+        set_constants(monkeypatch, SCORE_THRESHOLD=0.5)
+        dets = decode_and_nms(out, grid)
         assert len(dets) == 1
         assert dets[0].anchor_index == 14
         assert type(dets[0].box) is tuple and all(type(v) is float for v in dets[0].box)
         assert np.allclose(dets[0].box, box, atol=1e-9)
 
-    def test_duplicates_suppressed(self):
+    def test_duplicates_suppressed(self, monkeypatch):
         grid = tiny_grid()
         box = (2.5, 0.0, 2.5, 1.8, 1.0, 1.0, 0.0)
         # two anchors decode to the same box with different scores
         out = outputs_with(grid, [(14, 0, 4.0, box), (15, 0, 3.0, box)])
-        dets = decode_and_nms(out, grid, EvalSettings(score_threshold=0.5, nms_iou=0.5))
+        set_constants(monkeypatch, SCORE_THRESHOLD=0.5, NMS_IOU=0.5)
+        dets = decode_and_nms(out, grid)
         assert len(dets) == 1
         assert dets[0].anchor_index == 14  # higher score wins
 
-    def test_matches_bruteforce_suppression(self):
+    def test_matches_bruteforce_suppression(self, monkeypatch):
         grid = tiny_grid()
         rng = np.random.default_rng(0)
         raised = []
@@ -91,7 +96,8 @@ class TestDecodeAndNms:
             )
             raised.append((anchor, 0, rng.uniform(0.5, 5.0), box))
         out = outputs_with(grid, raised)
-        got = decode_and_nms(out, grid, EvalSettings(score_threshold=0.3, nms_iou=0.4))
+        set_constants(monkeypatch, SCORE_THRESHOLD=0.3, NMS_IOU=0.4)
+        got = decode_and_nms(out, grid)
 
         # brute force: same candidate construction, O(n^2) suppression of
         # the validated Box3D view
@@ -111,15 +117,16 @@ class TestDecodeAndNms:
         want = [(int(cand[i]), round(float(scores[cand[i], 0]), 12)) for i in keep]
         assert [(d.anchor_index, round(d.score, 12)) for d in got] == want
 
-    def test_score_tie_broken_by_anchor_index(self):
+    def test_score_tie_broken_by_anchor_index(self, monkeypatch):
         grid = tiny_grid()
         b1 = (1.5, 0.0, 1.5, 1.8, 1.0, 1.0, 0.0)
         b2 = (4.5, 0.0, 4.5, 1.8, 1.0, 1.0, 0.0)
         out = outputs_with(grid, [(20, 0, 2.0, b2), (3, 0, 2.0, b1)])
-        dets = decode_and_nms(out, grid, EvalSettings(score_threshold=0.5))
+        set_constants(monkeypatch, SCORE_THRESHOLD=0.5)
+        dets = decode_and_nms(out, grid)
         assert [d.anchor_index for d in dets] == [3, 20]
 
-    def test_logits_straddling_the_threshold(self):
+    def test_logits_straddling_the_threshold(self, monkeypatch):
         # Scores one ulp either side of the threshold, and logits around the
         # pre-threshold floor, pick the same candidates as sigmoid over all.
         from boxdistill.sim import sigmoid
@@ -147,8 +154,8 @@ class TestDecodeAndNms:
             flat = logits.reshape(-1, grid.k_c)
             flat[: near.size, 0] = near
             outputs = DetectorOutputs(logits=logits, deltas=np.zeros((grid.n_positions, grid.k_a, 7)))
-            settings = EvalSettings(score_threshold=thr, nms_iou=1.0, pre_nms_top_k=10_000)
-            dets = decode_and_nms(outputs, grid, settings)
+            set_constants(monkeypatch, SCORE_THRESHOLD=thr, NMS_IOU=1.0, PRE_NMS_TOP_K=10_000)
+            dets = decode_and_nms(outputs, grid)
             scores = sigmoid(flat[:, 0])
             want = np.flatnonzero(scores > thr)
             assert sorted(d.anchor_index for d in dets) == want.tolist(), thr
@@ -157,35 +164,35 @@ class TestDecodeAndNms:
                 assert 0 < want.size < near.size, thr  # the case straddles
 
     def test_invalid_parameters_rejected(self):
-        grid = tiny_grid()
-        out = outputs_with(grid, [])
-        # The settings object checks the ranges; decode_and_nms trusts it.
-        with pytest.raises(ValueError):
-            decode_and_nms(out, grid, EvalSettings(score_threshold=1.5))
-        with pytest.raises(ValueError):
-            decode_and_nms(out, grid, EvalSettings(nms_iou=0.0))
+        # The decoding settings are module constants; no config can set them.
+        for key, bad in (("score_threshold", 1.5), ("nms_iou", 0.0)):
+            with pytest.raises(ConfigError, match="eval: unknown key"):
+                config_from_dict({"eval": {key: bad}})
 
-    def test_decoded_box_not_finite_rejected(self):
+    def test_decoded_box_not_finite_rejected(self, monkeypatch):
         # Outputs of a params file with huge weights can decode a box with a
         # non-finite parameter, or an extent that underflows to 0.
         grid = tiny_grid()
         out = outputs_with(grid, [(14, 0, 4.0, None), (20, 0, 3.0, None)])
+        set_constants(monkeypatch, SCORE_THRESHOLD=0.5)
         for column, value in ((0, 1e308), (2, np.nan), (3, -1e4), (4, np.nan), (5, -np.inf)):
             deltas = out.deltas.copy()
             deltas.reshape(-1, 7)[20, column] = value
             bad = DetectorOutputs(logits=out.logits, deltas=deltas)
             with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-                decode_and_nms(bad, grid, EvalSettings(score_threshold=0.5))
+                decode_and_nms(bad, grid)
 
-    def test_pre_nms_top_k_below_one_rejected(self):
+    def test_pre_nms_top_k_below_one_rejected(self, monkeypatch):
         # 0 used to return no detections and -1 to drop each class's
-        # lowest-ranked candidate, both silently.
+        # lowest-ranked candidate, both silently; the cap is now a constant
+        # that no config can set.
         grid = tiny_grid()
         out = outputs_with(grid, [(i, 0, 3.0, None) for i in (0, 14, 28)])
-        assert len(decode_and_nms(out, grid, EvalSettings(pre_nms_top_k=1))) == 1
+        set_constants(monkeypatch, PRE_NMS_TOP_K=1)
+        assert len(decode_and_nms(out, grid)) == 1
         for k in (0, -1):
-            with pytest.raises(ValueError, match="pre_nms_top_k"):
-                decode_and_nms(out, grid, EvalSettings(pre_nms_top_k=k))
+            with pytest.raises(ConfigError, match="eval: unknown key"):
+                config_from_dict({"eval": {"pre_nms_top_k": k}})
 
 
 class TestApR40:
@@ -269,9 +276,10 @@ class TestApR40:
         assert res.ap == pytest.approx(0.25)
         assert res.n_gt == 2 and res.tp == 1 and res.fp == 1
 
-    def test_recall_positions_count(self):
+    def test_recall_positions_count(self, monkeypatch):
         gts = FakeScene(((2, 0, 2, 1.8, 1.0, 1.0, 0), 0))
-        res = evaluate_class([[det(2, 2, 0.9)]], [gts], 0, 0.5, recall_positions=11)
+        set_constants(monkeypatch, RECALL_POSITIONS=11)
+        res = evaluate_class([[det(2, 2, 0.9)]], [gts], 0, 0.5)
         assert len(res.precision_samples) == 11
 
     def test_invalid_inputs(self):

@@ -346,6 +346,22 @@ class TestClipKernel:
         # by math.hypot: the distance and both radii.
         assert flagged[:3] == [len(pairs)] * 3
 
+    def test_array_bev_iou_skips_the_clip_when_no_pair_can_overlap(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("clip kernel ran")
+
+        monkeypatch.setattr(geom, "_lex_le", fail)
+        monkeypatch.setattr(geom, "_clip_area_rows", fail)
+        # Circumradii 2.5 m (3 x 4) and 3.2 m (4 x 5); every pair is apart.
+        a = np.array([[0.0, 0.0, 0.0, 3.0, 4.0, 1.0, 0.0]] * 3)
+        b = np.array(
+            [[5.5, 0.0, 0.0, 3.0, 4.0, 1.0, 0.3], [5.5, 0.0, 40.0, 3.0, 4.0, 1.0, 0.0],
+             [0.0, 0.0, -9.0, 4.0, 5.0, 1.0, 1.0]]
+        )
+        got = bev_iou(a, b)
+        assert got.tolist() == [0.0, 0.0, 0.0] == [bev_iou(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert bev_iou(np.zeros((0, 7)), np.zeros((0, 7))).shape == (0,)
+
     def test_array_bev_iou_rejects_bad_rows(self):
         good = Box3D(0, 0, 0, 1, 1, 1, 0).as_array()[None, :]
         with pytest.raises(ValueError):

@@ -4,10 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from boxdistill.anchors import assign_targets, build_anchor_grid, decode_deltas
-from boxdistill.config import config_from_dict
+from boxdistill.anchors import (
+    FOREGROUND_DILATION,
+    ClassSpec,
+    assign_targets,
+    build_anchor_grid,
+    decode_deltas,
+)
+from boxdistill.config import ConfigError, config_from_dict
 from boxdistill.geometry import Box3D, bev_iou, iou3d
 from boxdistill.sim import (
+    FEATURE_DIM,
     DetectorOutputs,
     DetectorParams,
     LossConfig,
@@ -29,9 +36,9 @@ from boxdistill.verify import dense_assignment, dense_scene
 
 
 def assign(cfg, grid, scene):
-    """The assignment of a scene under the config's thresholds and dilation."""
+    """The assignment of a scene under the config's thresholds."""
     return assign_targets(
-        grid, scene.boxes, scene.class_ids, cfg.assignment_thresholds(), cfg.foreground_dilation
+        grid, scene.boxes, scene.class_ids, cfg.assignment_thresholds(), FOREGROUND_DILATION
     )
 
 
@@ -83,10 +90,10 @@ class TestLossAndOptimizerConfig:
 class TestSceneConfig:
     def test_rejects_negative_or_nan_ambient_noise(self):
         # Both used to be treated as no noise: the scene kept no noise state.
-        for bad in (-0.02, float("nan")):
-            with pytest.raises(ValueError, match="ambient_noise"):
-                SceneConfig(ambient_noise=bad)
-        assert SceneConfig(ambient_noise=0.0).ambient_noise == 0.0
+        # The noise is now the constant AMBIENT_NOISE, which no config sets.
+        for value in (-0.02, float("nan"), 0.0, 0.02):
+            with pytest.raises(ConfigError, match=r"scene\.ambient_noise: unknown key"):
+                config_from_dict({"scene": {"ambient_noise": value}})
 
     def test_rejects_bad_ranges_weights_and_reject_budget(self):
         for bad, match in (
@@ -96,7 +103,6 @@ class TestSceneConfig:
             ({"class_weights": (0.0, 0.0, 0.0)}, "class_weights"),
             ({"class_weights": (1.0, float("nan"), 1.0)}, "class_weights"),
             ({"class_weights": (1.0, float("inf"), 1.0)}, "class_weights"),
-            ({"max_rejects": 0}, "max_rejects"),
             # A margin of -20 used to place most objects off the grid, where
             # no anchor can match them.
             ({"border_margin": -20.0}, "border_margin"),
@@ -107,6 +113,9 @@ class TestSceneConfig:
                 SceneConfig(**bad)
         assert SceneConfig(n_objects=(0, 0), class_weights=()).n_objects == (0, 0)
         assert SceneConfig(border_margin=0.0).border_margin == 0.0
+        # The reject budget is now the constant MAX_REJECTS.
+        with pytest.raises(ConfigError, match=r"scene\.max_rejects: unknown key"):
+            config_from_dict({"scene": {"max_rejects": 0}})
 
 
 class TestGenerateScene:
@@ -140,17 +149,18 @@ class TestGenerateScene:
             centers = scene.boxes[:, [0, 2]]
             assert np.all((0 <= centers) & (centers <= 16))
 
-    def test_too_dense_raises(self):
+    def test_too_dense_raises(self, monkeypatch):
+        import boxdistill.sim as sim_mod
+
         cfg, grid, *_ = small_setup()
-        dense = dataclasses.replace(
-            cfg.scene, n_objects=(200, 200), max_rejects=500
-        )
-        with pytest.raises(SceneTooDenseError):
+        dense = dataclasses.replace(cfg.scene, n_objects=(200, 200))
+        monkeypatch.setattr(sim_mod, "MAX_REJECTS", 500)
+        with pytest.raises(SceneTooDenseError, match="after 500 attempts"):
             generate_scene(0, dense, grid)
 
     def test_feature_dim_and_noise(self):
         cfg, grid, scene, _ = small_setup()
-        assert scene.features.shape == (grid.n_positions, cfg.scene.feature_dim)
+        assert scene.features.shape == (grid.n_positions, FEATURE_DIM)
         assert np.all(np.isfinite(scene.features))
 
     def test_class_weights_bias_sampling(self):
@@ -164,16 +174,19 @@ class TestGenerateScene:
 
     def test_settings_that_do_not_fit_the_grid_rejected(self):
         # SceneConfig cannot see the class count; generate_scene checks it
-        # before any draw, also for a scene that places no object.
+        # before any draw, also for a scene that places no object.  Seven
+        # classes need 17 feature columns, one more than FEATURE_DIM.
         cfg, grid, *_ = small_setup()
-        for bad, match in (
-            ({"class_weights": (1.0, 0.0)}, "class_weights"),
-            ({"feature_dim": 9 + grid.k_c}, "feature_dim"),
+        classes = tuple(ClassSpec(f"c{i}", 1.0 + 0.1 * i, 1.0, 1.0) for i in range(7))
+        seven = build_anchor_grid(dataclasses.replace(cfg.grid, classes=classes))
+        for bad, match, on in (
+            ({"class_weights": (1.0, 0.0)}, "class_weights", grid),
+            ({}, "FEATURE_DIM is 16", seven),
         ):
             for n_objects in ((2, 2), (0, 0)):
                 scene_cfg = dataclasses.replace(cfg.scene, n_objects=n_objects, **bad)
                 with pytest.raises(ValueError, match=match):
-                    generate_scene(0, scene_cfg, grid)
+                    generate_scene(0, scene_cfg, on)
 
 
 class TestSceneArrays:
@@ -195,19 +208,23 @@ class TestSceneArrays:
         dense = dense_scene(scene.boxes, scene.class_ids, first, scene.seed)
         assert dense.features is first and dense.visible.size == dense.n_positions
 
-    def test_features_are_the_visible_rows_plus_ambient_noise(self):
+    def test_features_are_the_visible_rows_plus_ambient_noise(self, monkeypatch):
+        import boxdistill.sim as sim_mod
+
         cfg, grid, scene, _ = small_setup()
-        quiet = generate_scene(scene.seed, dataclasses.replace(cfg.scene, ambient_noise=0.0), grid)
+        ambient_noise = sim_mod.AMBIENT_NOISE
+        monkeypatch.setattr(sim_mod, "AMBIENT_NOISE", 0.0)
+        quiet = generate_scene(scene.seed, cfg.scene, grid)
         assert quiet.noise_state is None and scene.noise_state is not None
         # The noise is the scene's last draw, so the rows do not depend on it.
         assert np.array_equal(quiet.visible, scene.visible)
         assert np.array_equal(quiet.rows, scene.rows)
         assert np.all(np.diff(scene.visible) > 0)
-        dense = np.zeros((grid.n_positions, cfg.scene.feature_dim))
+        dense = np.zeros((grid.n_positions, FEATURE_DIM))
         dense[quiet.visible] = quiet.rows
         assert np.array_equal(quiet.features, dense)
         noise = scene.features - dense
-        assert 0 < np.std(noise) < 2 * cfg.scene.ambient_noise
+        assert 0 < np.std(noise) < 2 * ambient_noise
 
     def test_gts_are_the_rows_as_boxes(self):
         cfg, grid, *_ = small_setup()
@@ -226,7 +243,7 @@ class TestSceneArrays:
 class TestStudentForward:
     def test_zero_params_give_zero_outputs(self):
         cfg, grid, scene, _ = small_setup()
-        f = cfg.scene.feature_dim
+        f = FEATURE_DIM
         params = DetectorParams(
             np.zeros((f, grid.k_a * grid.k_c)),
             np.zeros(grid.k_a * grid.k_c),
@@ -243,27 +260,27 @@ class TestStudentForward:
         feats = scene.features.copy()
         feats[5] = feats[3]
         twin = dense_scene(scene.boxes, scene.class_ids, feats, scene.seed)
-        params = DetectorParams.init(1, cfg.scene.feature_dim, grid.k_a, grid.k_c)
+        params = DetectorParams.init(1, FEATURE_DIM, grid.k_a, grid.k_c)
         out = student_forward(params, twin)
         assert np.array_equal(out.logits[5], out.logits[3])
         assert np.array_equal(out.deltas[5], out.deltas[3])
 
     def test_dimension_mismatch_rejected(self):
         cfg, grid, scene, _ = small_setup()
-        params = DetectorParams.init(1, cfg.scene.feature_dim + 1, grid.k_a, grid.k_c)
+        params = DetectorParams.init(1, FEATURE_DIM + 1, grid.k_a, grid.k_c)
         with pytest.raises(ValueError):
             student_forward(params, scene)
 
     def test_linear_weight_gradient_matches_fd(self):
         cfg, grid, scene, _ = small_setup()
-        params = DetectorParams.init(2, cfg.scene.feature_dim, grid.k_a, grid.k_c)
+        params = DetectorParams.init(2, FEATURE_DIM, grid.k_a, grid.k_c)
         # single-output derivative: d logits[p, a, c] / d w_cls[i, a*k_c+c]
         # equals features[p, i]; check a handful of entries by FD
         h = 1e-6
         rng = np.random.default_rng(0)
         for _ in range(10):
             p = int(rng.integers(0, grid.n_positions))
-            i = int(rng.integers(0, cfg.scene.feature_dim))
+            i = int(rng.integers(0, FEATURE_DIM))
             col = int(rng.integers(0, grid.k_a * grid.k_c))
             a, c = divmod(col, grid.k_c)
             w = params.w_cls.copy()
@@ -530,7 +547,7 @@ class TestBaseLoss:
             features=scene.features, seed=0,
         )
         empty = assign(cfg, grid, bare)
-        params = DetectorParams.init(3, cfg.scene.feature_dim, grid.k_a, grid.k_c)
+        params = DetectorParams.init(3, FEATURE_DIM, grid.k_a, grid.k_c)
         out = student_forward(params, bare)
         cls_only = hard_label_loss(out, bare, empty, grid)
         zero_reg = dataclasses.replace(out)
@@ -544,7 +561,7 @@ class TestBaseLoss:
         # than the fixed 2.0 are reached by patching the constant it reads.
         monkeypatch.setattr(sim_mod, "FOCAL_GAMMA", focal_gamma)
         cfg, grid, scene, assignment = small_setup()
-        params = DetectorParams.init(4, cfg.scene.feature_dim, grid.k_a, grid.k_c)
+        params = DetectorParams.init(4, FEATURE_DIM, grid.k_a, grid.k_c)
         out = student_forward(params, scene)
         got = hard_label_loss(out, scene, assignment, grid)
 
@@ -583,7 +600,7 @@ class TestTotalLoss:
     def test_zero_weights_equal_base_loss_exactly(self):
         # At zero weights the total is the hard-label objective alone.
         cfg, grid, scene, assignment = small_setup()
-        params = DetectorParams.init(5, cfg.scene.feature_dim, grid.k_a, grid.k_c)
+        params = DetectorParams.init(5, FEATURE_DIM, grid.k_a, grid.k_c)
         out = student_forward(params, scene)
         teacher = teacher_predict(scene, NoiseProfile(), grid, assignment)
         lc = LossConfig(xgd_weight=0.0, cld_weight=0.0)
@@ -603,7 +620,7 @@ class TestTotalLoss:
     def test_breakdown_recomposes(self):
         cfg, grid, scene, assignment = small_setup()
         rng = np.random.default_rng(6)
-        params = DetectorParams.init(6, cfg.scene.feature_dim, grid.k_a, grid.k_c)
+        params = DetectorParams.init(6, FEATURE_DIM, grid.k_a, grid.k_c)
         params = dataclasses.replace(
             params, w_reg=params.w_reg + rng.normal(0, 0.05, params.w_reg.shape)
         )
@@ -617,7 +634,7 @@ class TestTotalLoss:
 
     def test_confidence_selection_with_impossible_threshold_reduces_to_base(self):
         cfg, grid, scene, assignment = small_setup()
-        params = DetectorParams.init(7, cfg.scene.feature_dim, grid.k_a, grid.k_c)
+        params = DetectorParams.init(7, FEATURE_DIM, grid.k_a, grid.k_c)
         out = student_forward(params, scene)
         teacher = teacher_predict(scene, NoiseProfile(), grid, assignment)
         lc = LossConfig(xgd_selection="confidence", confidence_threshold=1.01, cld_weight=0.0)
@@ -633,7 +650,7 @@ class TestTotalLoss:
         from boxdistill.xgd import xgd_loss
 
         rng = np.random.default_rng(11)
-        params = DetectorParams.init(9, cfg.scene.feature_dim, grid.k_a, grid.k_c)
+        params = DetectorParams.init(9, FEATURE_DIM, grid.k_a, grid.k_c)
         params = dataclasses.replace(
             params, w_reg=params.w_reg + rng.normal(0, 0.03, params.w_reg.shape)
         )
@@ -659,7 +676,7 @@ class TestTotalLoss:
 class TestReplaceOutputs:
     def _pair(self):
         cfg, grid, scene, assignment = small_setup()
-        params = DetectorParams.init(8, cfg.scene.feature_dim, grid.k_a, grid.k_c)
+        params = DetectorParams.init(8, FEATURE_DIM, grid.k_a, grid.k_c)
         student = student_forward(params, scene)
         teacher = teacher_predict(scene, NoiseProfile(), grid, assignment)
         return student, teacher
@@ -713,7 +730,7 @@ class TestTrain:
         cfg, grid, scenes, teachers, asgs = self._datasets()
         opt = OptimizerConfig(learning_rate=0.0, epochs=1)
         result = train(grid, scenes, teachers, asgs, LossConfig(), opt, seed=0)
-        init = DetectorParams.init(0, cfg.scene.feature_dim, grid.k_a, grid.k_c)
+        init = DetectorParams.init(0, FEATURE_DIM, grid.k_a, grid.k_c)
         assert np.array_equal(result.params.w_cls, init.w_cls)
         assert np.array_equal(result.params.w_reg, init.w_reg)
 
@@ -923,7 +940,7 @@ class TestStepWorkspace:
         cfg = dataclasses.replace(default_config(), data=DataConfig(n_train_scenes=3, n_val_scenes=1))
         ds = build_dataset(cfg, 0)
         rng = np.random.default_rng(0)
-        init = DetectorParams.init(0, cfg.scene.feature_dim, ds.grid.k_a, ds.grid.k_c)
+        init = DetectorParams.init(0, FEATURE_DIM, ds.grid.k_a, ds.grid.k_c)
         params = [
             DetectorParams(
                 init.w_cls + rng.normal(0, 0.05, init.w_cls.shape),
@@ -1012,7 +1029,7 @@ class TestMinibatchStep:
 
         cfg = dataclasses.replace(default_config(), data=DataConfig(n_train_scenes=5, n_val_scenes=1))
         ds = build_dataset(cfg, 0)
-        init = DetectorParams.init(0, cfg.scene.feature_dim, ds.grid.k_a, ds.grid.k_c)
+        init = DetectorParams.init(0, FEATURE_DIM, ds.grid.k_a, ds.grid.k_c)
         noisy = TestMinibatchStep._noisy(init)
         # Log-size deltas of 14 overflow the decode cap on every box.
         b_reg = noisy.b_reg.copy().reshape(ds.grid.k_a, 7)
